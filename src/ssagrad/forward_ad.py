@@ -5,20 +5,24 @@ arguments with identity rows and running once yields the value plus
 all k partial derivatives; fused_pack stores these as rows of one
 tensor so the reverse pass can contract against them later.
 
-Primal arithmetic goes through the same scalar kernels the reference
-evaluator uses, in the same order, so the primal row of a pack is
-bit-identical to a plain fused_map evaluation.
+Forward mode restates no op.  Primals are computed by
+``Machine.dispatch`` on unboxed operands, so the primal row of a pack
+is bit-identical to a plain fused_map evaluation.  Partials come from
+the adjoint rules in ``RULES``, run on the numeric builder with a unit
+cotangent: the tangent of an op is the sum over operands of
+partial_i * tangent_i.  Ops without a rule (const, itof) get zero
+tangents; ints and bools pass through unboxed.  Any other value (a
+tensor, a mask, a tape) raises DomainError: forward mode runs scalar
+code only.
 """
 
 from __future__ import annotations
 
 from . import tensor as T
-from .ir import Function, Module
+from .ir import F64, Function, Module
 from .interp import DEFAULT_STEP_LIMIT, Machine, run_blocks, _spread_flat
-from .rules import NUMERIC
+from .rules import NUMERIC, RULES, saved_values
 from .tensor import DenseTensor, DomainError
-
-import math
 
 
 class Dual:
@@ -38,115 +42,39 @@ def _lift(v, k: int) -> Dual:
     return Dual(float(v), (0.0,) * k)
 
 
-def _prim(v):
-    return v.p if isinstance(v, Dual) else v
-
-
 class _DualRunner:
-    """Op dispatch over Duals; ints and bools pass through untouched."""
+    """Machine.dispatch over unboxed primals, tangents from RULES."""
 
-    def __init__(self, module: Module, budget: list[int], k: int):
-        self.module = module
-        self.budget = budget
-        self.k = k
+    def __init__(self, machine: Machine, k: int):
+        self.machine = machine
+        self.zero = (0.0,) * k
 
     def call(self, fn: Function, args: tuple) -> tuple:
-        return run_blocks(fn, args, self.dispatch, self.budget)
+        return run_blocks(fn, args, self.dispatch, self.machine.budget)
 
     def dispatch(self, ins, env):
         op = ins.op
-        a = ins.operands
-        k = self.k
-
-        if op == "const":
-            ty = ins.attrs["ty"]
-            v = ins.attrs["value"]
-            if ty.kind == "f64":
-                return Dual(float(v), (0.0,) * k)
-            if ty.kind == "i64":
-                return int(v)
-            if ty.kind == "bool":
-                return bool(v)
-            raise DomainError(f"{ty} constant in scalar code")
-
-        if op in ("add", "sub", "mul"):
-            x, y = env[a[0]], env[a[1]]
-            if isinstance(x, int) and isinstance(y, int):
-                return {"add": x + y, "sub": x - y, "mul": x * y}[op]
-            x, y = _lift(x, k), _lift(y, k)
-            if op == "add":
-                return Dual(x.p + y.p, tuple(s + t for s, t in zip(x.t, y.t)))
-            if op == "sub":
-                return Dual(x.p - y.p, tuple(s - t for s, t in zip(x.t, y.t)))
-            return Dual(x.p * y.p, tuple(s * y.p + x.p * t for s, t in zip(x.t, y.t)))
-
-        if op == "div":
-            x, y = _lift(env[a[0]], k), _lift(env[a[1]], k)
-            if y.p == 0.0:
-                raise DomainError("division by zero")
-            p = x.p / y.p
-            return Dual(p, tuple((s - p * t) / y.p for s, t in zip(x.t, y.t)))
-
-        if op == "neg":
-            x = env[a[0]]
-            if isinstance(x, int):
-                return -x
-            return Dual(-x.p, tuple(-t for t in x.t))
-
-        if op == "exp":
-            x = env[a[0]]
-            y = math.exp(x.p)
-            return Dual(y, tuple(y * t for t in x.t))
-        if op == "log":
-            x = env[a[0]]
-            y = T.scalar_log(x.p)
-            return Dual(y, tuple(t / x.p for t in x.t))
-        if op == "tanh":
-            x = env[a[0]]
-            y = math.tanh(x.p)
-            d = 1.0 - y * y
-            return Dual(y, tuple(d * t for t in x.t))
-        if op == "sigmoid":
-            x = env[a[0]]
-            y = T.scalar_sigmoid(x.p)
-            d = y * (1.0 - y)
-            return Dual(y, tuple(d * t for t in x.t))
-        if op == "relu":
-            # derivative at exactly zero is taken as zero
-            x = env[a[0]]
-            d = 1.0 if x.p > 0.0 else 0.0
-            return Dual(T.scalar_relu(x.p), tuple(d * t for t in x.t))
-        if op == "pow_int":
-            x = env[a[0]]
-            n = ins.attrs["n"]
-            y = T.scalar_pow_int(x.p, n)
-            if n == 0:
-                return Dual(y, (0.0,) * k)
-            d = float(n) * T.scalar_pow_int(x.p, n - 1)
-            return Dual(y, tuple(d * t for t in x.t))
-
-        if op == "itof":
-            return Dual(float(env[a[0]]), (0.0,) * k)
-
-        if op in ("lt", "gt", "eq"):
-            x, y = _prim(env[a[0]]), _prim(env[a[1]])
-            if op == "lt":
-                return x < y
-            if op == "gt":
-                return x > y
-            return x == y
-
-        if op == "select":
-            c = env[a[0]]
-            if not isinstance(c, bool):
-                raise DomainError("select over a mask in scalar code")
-            return env[a[1]] if c else env[a[2]]
-
-        if op == "call":
-            callee = self.module.get(ins.attrs["fn"].name)
-            return self.call(callee, tuple(env[o] for o in a))[0]
-
-        raise DomainError(f"op '{op}' is not scalar; forward mode runs scalar code only")
+        boxed = [env[o] for o in ins.operands]
+        if op in ("call", "fused_map"):
+            # every value here is a scalar, so a fused_map is a plain call
+            return self.call(self.machine.module.get(ins.attrs["fn"].name), tuple(boxed))[0]
+        prims = [v.p if isinstance(v, Dual) else v for v in boxed]
+        value = self.machine.dispatch(ins, dict(zip(ins.operands, prims)))
+        if not isinstance(value, float):
+            if isinstance(value, int):
+                return value
+            raise DomainError(f"op '{op}' is not scalar; forward mode runs scalar code only")
+        rule = RULES.get(op)
+        if rule is None:
+            return Dual(value, self.zero)
+        partials = rule.backward(
+            NUMERIC, ins.attrs, (F64,) * len(prims), saved_values(rule, prims, value), 1.0
+        )
+        t = self.zero
+        for d, v in zip(partials, boxed):
+            if d is not None:
+                t = [s + d * x for s, x in zip(t, v.t)]
+        return Dual(value, tuple(t))
 
 
 def _check_scalar_fn(fn: Function):
@@ -170,9 +98,8 @@ def dual_eval(
     if len(widths) > 1:
         raise ValueError(f"mixed tangent widths {sorted(widths)}")
     k = widths.pop() if widths else 0
-    runner = _DualRunner(module, [step_limit], k)
-    out = runner.call(fn, tuple(_lift(v, k) for v in args))
-    return _lift(out[0], k)
+    runner = _DualRunner(Machine(module, step_limit), k)
+    return runner.call(fn, tuple(_lift(v, k) for v in args))[0]
 
 
 def pack_rows(machine: Machine, fn: Function, args: tuple) -> list[float]:
@@ -186,8 +113,7 @@ def pack_rows(machine: Machine, fn: Function, args: tuple) -> list[float]:
         Dual(float(v), tuple(1.0 if j == i else 0.0 for j in range(k)))
         for i, v in enumerate(args)
     )
-    runner = _DualRunner(machine.module, machine.budget, k)
-    out = runner.call(fn, seeded)[0]
+    out = _DualRunner(machine, k).call(fn, seeded)[0]
     return [out.p, *out.t]
 
 

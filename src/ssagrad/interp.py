@@ -14,10 +14,8 @@ as zeros; batched code reads lanes speculatively for the same reason.
 
 from __future__ import annotations
 
-import math
-
 from . import tensor as T
-from .ir import BOOL, F64, I64, Block, Br, Function, Instruction, Jmp, Module, Ret, Type
+from .ir import Br, Function, Instruction, Jmp, Module, Ret, Type
 from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
@@ -92,13 +90,12 @@ def zero_of(ty: Type):
 # ------------------------------------------------------ block walker
 
 
-def run_blocks(fn: Function, args: tuple, dispatch, budget: list[int], on_term=None) -> tuple:
+def run_blocks(fn: Function, args: tuple, dispatch, budget: list[int]) -> tuple:
     """Execute a function's blocks with a caller-supplied op dispatch.
 
     ``dispatch(ins, env)`` returns the instruction's value.  ``budget``
     is a shared mutable [remaining-steps] cell so nested calls draw from
-    one allowance.  ``on_term`` observes (block, terminator, env) before
-    each transfer; the tracing oracle hooks in there.
+    one allowance.
     """
     if len(args) != len(fn.params):
         raise EvalError(fn.name, "", -1, f"expected {len(fn.params)} arguments, got {len(args)}")
@@ -123,8 +120,6 @@ def run_blocks(fn: Function, args: tuple, dispatch, budget: list[int], on_term=N
         t = cur.term
         if t is None:
             raise EvalError(fn.name, cur.name, len(cur.body), "missing terminator")
-        if on_term is not None:
-            on_term(cur, t, env)
         if isinstance(t, Ret):
             return tuple(env[v] for v in t.values)
         if isinstance(t, Jmp):
@@ -139,10 +134,6 @@ def run_blocks(fn: Function, args: tuple, dispatch, budget: list[int], on_term=N
 
 
 # -------------------------------------------------- real-domain ops
-
-
-def _as_bool(v) -> bool:
-    return bool(v)
 
 
 def _scalar_compare(op: str, a, b) -> bool:
@@ -163,15 +154,6 @@ def _numeric(op: str, a, b):
             return a * b
         raise DomainError("div is not defined on i64")
     return {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}[op](a, b)
-
-
-_UNARY = {
-    "exp": (math.exp, "exp"),
-    "log": (T.scalar_log, "log"),
-    "tanh": (math.tanh, "tanh"),
-    "sigmoid": (T.scalar_sigmoid, "sigmoid"),
-    "relu": (T.scalar_relu, "relu"),
-}
 
 
 class Machine:
@@ -206,11 +188,11 @@ class Machine:
             return _numeric(op, env[a[0]], env[a[1]])
         if op == "neg":
             return T.neg(env[a[0]])
-        if op in _UNARY:
+        if op in T.SCALAR_UNARY:
             x = env[a[0]]
             if isinstance(x, DenseTensor):
                 return T.unary_math(op, x)
-            return _UNARY[op][0](x)
+            return T.SCALAR_UNARY[op](x)
         if op == "pow_int":
             n = ins.attrs["n"]
             x = env[a[0]]

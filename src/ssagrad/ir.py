@@ -184,13 +184,6 @@ class Module:
             raise KeyError(f"no function @{name} in module")
         return self.functions[name]
 
-    def copy_with(self, *fns: Function) -> "Module":
-        """A new module sharing existing functions plus replacements."""
-        out = Module(dict(self.functions))
-        for fn in fns:
-            out.add(fn)
-        return out
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -146,46 +146,6 @@ def init_params(layer_sizes, rng: random.Random,
 # ------------------------------------------------------- IR builders
 
 
-def build_model_ir(layer_sizes, module: Module | None = None) -> Module:
-    """Emit @model_forward(weights..., x) -> (y_c_hat, y_d_hat).
-
-    One sample at a time: x is a feature vector, both outputs are
-    probabilities.  Weights are function parameters, so the adjoint
-    transforms differentiate with respect to them directly.
-    """
-    m = module if module is not None else Module()
-    em = SEmitter("model_forward", (F64, F64), m)
-    trunk, class_head, domain_head = _declare_weights(em, layer_sizes)
-    dim = layer_sizes[0][0]
-    x = em.param("x", tensor_type(dim))
-
-    h = em.emit("reshape", (x,), {"shape": (dim, 1)}, "h")
-    for w, b in trunk:
-        z = em.emit("matmul", (w, h), None, "z")
-        out = em.types[b].shape[0]
-        bc = em.emit("reshape", (b,), {"shape": (out, 1)}, "bc")
-        h = em.emit("tanh", (em.emit("add", (z, bc), None, "zb"),), None, "h")
-
-    def head(pairs, tag: str) -> int:
-        cur = h
-        for k, (w, b) in enumerate(pairs):
-            z = em.emit("matmul", (w, cur), None, f"{tag}z")
-            out = em.types[b].shape[0]
-            bc = em.emit("reshape", (b,), {"shape": (out, 1)}, f"{tag}bc")
-            zb = em.emit("add", (z, bc), None, f"{tag}zb")
-            if k + 1 < len(pairs):
-                cur = em.emit("tanh", (zb,), None, f"{tag}h")
-            else:
-                cur = zb
-        logit = em.emit("reduce_sum", (cur,), {"axis": "all"}, f"{tag}logit")
-        return em.emit("sigmoid", (logit,), None, f"{tag}hat")
-
-    yc = head(class_head, "c")
-    yd = head(domain_head, "d")
-    m.add(flatten(em.finish((yc, yd))))
-    return m
-
-
 def _batch_trunk(em: SEmitter, trunk, x: int) -> int:
     h = x
     for w, b in trunk:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .ir import BOOL, F64, I64, Function, Module, Type, tensor_type
-from .interp import DEFAULT_STEP_LIMIT, EvalError, Machine, Tape, TapeBatch, zero_of
+from .interp import DEFAULT_STEP_LIMIT, Machine, zero_of
 from .rules import NUMERIC, RULES, saved_values
 from .tensor import DenseTensor
 

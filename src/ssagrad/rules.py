@@ -6,7 +6,9 @@ two backends: the tracing oracle's numeric builder (values are floats
 and tensors, evaluated immediately) and the transform's symbolic
 builder (values are IR value ids, operations are emitted).  Gradient
 disagreements between the two paths therefore isolate transform bugs
-from rule bugs.
+from rule bugs.  Forward mode is the third user of the numeric
+builder: it runs a rule with a unit cotangent to read off an op's
+partials, so no derivative is written anywhere but here.
 
 Builder protocol, duck-typed:
     add sub mul div neg pow_int select transpose matmul bmm
@@ -23,7 +25,7 @@ Pushes happen in selector order; pops must mirror them reversed.
 from __future__ import annotations
 
 from . import tensor as T
-from .ir import Type, F64, tensor_type
+from .ir import Type
 from .tensor import DenseTensor
 
 
@@ -33,10 +35,6 @@ class Rule:
     def __init__(self, saves: tuple[str, ...], backward):
         self.saves = saves
         self.backward = backward
-
-
-def _ty_shape(ty: Type) -> tuple[int, ...]:
-    return ty.shape if ty.is_tensor else ()
 
 
 # rule bodies: (builder, attrs, operand_types, saved, ybar) -> cotangents
@@ -312,10 +310,3 @@ class NumericBuilder:
 
 
 NUMERIC = NumericBuilder()
-
-
-def type_of_value(v) -> Type:
-    """The IR type of a runtime value, for reduce_like reference."""
-    if isinstance(v, DenseTensor):
-        return tensor_type(*v.shape)
-    return F64

@@ -22,11 +22,7 @@ dead lanes.
 
 from __future__ import annotations
 
-from .ir import (
-    BOOL, F64, I64, TAPE, Function, Instruction, Module, Type,
-    tapes_type, tensor_type,
-)
-from .ops import result_type
+from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
 from .structure import (
     SCopy, SEmitter, SFunc, SIf, SInstr, SWhile, flatten,
 )

@@ -6,6 +6,11 @@ straight-line instructions, parallel copies, if/else diamonds and while
 loops.  ``structurize`` rejects anything that is not in that shape, and
 ``flatten`` lowers a tree back to blocks, always in canonical shape.
 
+The well-formedness checks live here once: ``analyze_cfg`` for the
+block graph and ``compute_types`` for typing.  ``structurize`` runs
+both before it recovers the tree, and the verifier reports their
+``StructureError`` as a diagnostic.
+
 Canonical loop form, which the transforms require:
 
 * the header computes only its own condition (header-defined values are
@@ -22,14 +27,22 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ir import Block, Br, Function, Instruction, Jmp, Module, Ret, Type
+from .ir import Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret, Type
 from .ops import OpTypeError, result_type
 
 
 class StructureError(Exception):
-    """Raised when a function is not in structured form."""
+    """Raised when a function is ill-formed or not in structured form.
+
+    ``diagnostic`` pins the failure to its function and block (empty
+    when it concerns the whole function); the verifier reports it as is.
+    """
+
+    def __init__(self, function: str, block: str, message: str):
+        self.diagnostic = Diagnostic(function, block, message)
+        super().__init__(str(self.diagnostic))
 
 
 # ----------------------------------------------------------- CFG math
@@ -92,11 +105,42 @@ def dominators(fn: Function) -> dict[str, frozenset[str]]:
     return dom
 
 
+def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list[str]]]:
+    """Dominators and predecessors of a well-formed block graph.
+
+    Raises StructureError at the first violation: no blocks, a duplicate
+    block name, a missing terminator, a jump to an unknown block, an
+    unreachable block, or an entry block with predecessors.
+    """
+    if not fn.blocks:
+        raise StructureError(fn.name, "", "function has no blocks")
+    names: set[str] = set()
+    for b in fn.blocks:
+        if b.name in names:
+            raise StructureError(fn.name, b.name, "duplicate block name")
+        names.add(b.name)
+    for b in fn.blocks:
+        if b.term is None:
+            raise StructureError(fn.name, b.name, "missing terminator")
+        for t in successors(b):
+            if t not in names:
+                raise StructureError(fn.name, b.name, f"terminator targets unknown block ^{t}")
+    dom = dominators(fn)
+    for b in fn.blocks:
+        if b.name not in dom:
+            raise StructureError(fn.name, b.name, "unreachable block")
+    preds = predecessors(fn)
+    entry = fn.blocks[0].name
+    if preds[entry]:
+        raise StructureError(fn.name, entry, "entry block has predecessors")
+    return dom, preds
+
+
 def postdominators(fn: Function) -> dict[str, frozenset[str]]:
     """Postdominator sets, computed toward the single ret block."""
     rets = [b.name for b in fn.blocks if isinstance(b.term, Ret)]
     if len(rets) != 1:
-        raise StructureError(f"@{fn.name}: expected exactly one ret block, found {len(rets)}")
+        raise StructureError(fn.name, "", f"expected exactly one ret block, found {len(rets)}")
     exit_name = rets[0]
     succs = {b.name: successors(b) for b in fn.blocks}
     names = [b.name for b in fn.blocks]
@@ -130,7 +174,7 @@ def immediate_postdominator(pdom: dict[str, frozenset[str]], name: str) -> str |
 
 
 def compute_types(fn: Function, module: Module | None = None) -> dict[int, Type]:
-    """Type of every value; raises OpTypeError on an ill-typed op.
+    """Type of every value; raises StructureError on an ill-typed op.
 
     Blocks are walked in reverse postorder, which sees every dominating
     definition before its uses; cross-block cycles only flow through
@@ -146,10 +190,14 @@ def compute_types(fn: Function, module: Module | None = None) -> dict[int, Type]
             try:
                 opnd = tuple(types[o] for o in ins.operands)
             except KeyError as e:
-                raise OpTypeError(
-                    f"%{fn.value_name(ins.result)} uses an undefined or unreachable value"
+                raise StructureError(
+                    fn.name, name,
+                    f"%{fn.value_name(ins.result)} uses an undefined or unreachable value",
                 ) from e
-            types[ins.result] = result_type(ins.op, opnd, ins.attrs, module)
+            try:
+                types[ins.result] = result_type(ins.op, opnd, ins.attrs, module)
+            except OpTypeError as e:
+                raise StructureError(fn.name, name, f"%{fn.value_name(ins.result)}: {e}") from e
     return types
 
 
@@ -264,22 +312,9 @@ class SFunc:
 
 def structurize(fn: Function, module: Module | None = None) -> SFunc:
     """Recover the structured tree of a function or raise StructureError."""
-    if not fn.blocks:
-        raise StructureError(f"@{fn.name}: no blocks")
+    dom, preds = analyze_cfg(fn)
+    types = compute_types(fn, module)
     blocks = {b.name: b for b in fn.blocks}
-    if len(blocks) != len(fn.blocks):
-        raise StructureError(f"@{fn.name}: duplicate block names")
-    for b in fn.blocks:
-        if b.term is None:
-            raise StructureError(f"@{fn.name} ^{b.name}: missing terminator")
-    dom = dominators(fn)
-    unreachable = [b.name for b in fn.blocks if b.name not in dom]
-    if unreachable:
-        raise StructureError(f"@{fn.name}: unreachable block ^{unreachable[0]}")
-    preds = predecessors(fn)
-    entry = fn.blocks[0].name
-    if preds[entry]:
-        raise StructureError(f"@{fn.name}: entry block has predecessors")
     pdom = postdominators(fn)
 
     # back edges and loop membership
@@ -288,13 +323,11 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
         for s in successors(b):
             if s in dom[b.name]:  # edge into a dominator: back edge
                 if not isinstance(b.term, Jmp):
-                    raise StructureError(
-                        f"@{fn.name} ^{b.name}: back edges must be unconditional jumps"
-                    )
+                    raise StructureError(fn.name, b.name, "back edges must be unconditional jumps")
                 if s in headers:
-                    raise StructureError(f"@{fn.name} ^{s}: multiple back edges")
+                    raise StructureError(fn.name, s, "multiple back edges")
                 if s == b.name:
-                    raise StructureError(f"@{fn.name} ^{s}: self loop")
+                    raise StructureError(fn.name, s, "self loop")
                 headers[s] = b.name
 
     def natural_loop(header: str, latch: str) -> frozenset[str]:
@@ -310,33 +343,26 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
                     work.append(p)
         return frozenset(body)
 
-    try:
-        types = compute_types(fn, module)
-    except OpTypeError as e:
-        raise StructureError(f"@{fn.name}: {e}") from e
-
     ret_box: list[tuple[int, ...]] = []
 
     def make_while(name: str, init: tuple[int, ...]) -> tuple[SWhile, str]:
         b = blocks[name]
         if len(preds[name]) != 2:
-            raise StructureError(f"@{fn.name} ^{name}: loop header must have two predecessors")
+            raise StructureError(fn.name, name, "loop header must have two predecessors")
         if not isinstance(b.term, Br):
-            raise StructureError(f"@{fn.name} ^{name}: loop header must end in br")
+            raise StructureError(fn.name, name, "loop header must end in br")
         latch = headers[name]
         loop = natural_loop(name, latch)
         t_in = b.term.then_target in loop
         e_in = b.term.else_target in loop
         if t_in == e_in:
-            raise StructureError(f"@{fn.name} ^{name}: cannot split loop body from exit")
+            raise StructureError(fn.name, name, "cannot split loop body from exit")
         if not t_in:
-            raise StructureError(
-                f"@{fn.name} ^{name}: loop body must sit on the taken branch edge"
-            )
+            raise StructureError(fn.name, name, "loop body must sit on the taken branch edge")
         body_entry, body_entry_args = b.term.then_target, b.term.then_args
         exit_name, exit_args = b.term.else_target, b.term.else_args
         if len(preds[exit_name]) != 1:
-            raise StructureError(f"@{fn.name} ^{exit_name}: loop exit must have one predecessor")
+            raise StructureError(fn.name, exit_name, "loop exit must have one predecessor")
         body_nodes, back_args = walk(body_entry, body_entry_args, True, name)
         param_ids = {vid for vid, _ in b.params}
         header_defs = {ins.result for ins in b.body}
@@ -373,21 +399,21 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             b = blocks[cur]
             if cur in headers:
                 if not bind:
-                    raise StructureError(f"@{fn.name} ^{cur}: header reached oddly")
+                    raise StructureError(fn.name, cur, "header reached oddly")
                 node, exit_name = make_while(cur, args)
                 nodes.append(node)
                 cur, args, bind = exit_name, (), False
                 continue
             if bind:
                 if preds[cur] and len(preds[cur]) != 1:
-                    raise StructureError(f"@{fn.name} ^{cur}: unstructured merge point")
+                    raise StructureError(fn.name, cur, "unstructured merge point")
                 if b.params:
                     nodes.append(SCopy(list(zip((vid for vid, _ in b.params), args))))
             nodes.extend(SInstr(ins) for ins in b.body)
             t = b.term
             if isinstance(t, Ret):
                 if stop is not None:
-                    raise StructureError(f"@{fn.name} ^{cur}: ret inside a structured region")
+                    raise StructureError(fn.name, cur, "ret inside a structured region")
                 ret_box.append(t.values)
                 return nodes, ()
             if isinstance(t, Jmp):
@@ -396,9 +422,9 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             assert isinstance(t, Br)
             join = immediate_postdominator(pdom, cur)
             if join is None:
-                raise StructureError(f"@{fn.name} ^{cur}: branch arms never reconverge")
+                raise StructureError(fn.name, cur, "branch arms never reconverge")
             if len(preds[join]) != 2:
-                raise StructureError(f"@{fn.name} ^{join}: join must have two predecessors")
+                raise StructureError(fn.name, join, "join must have two predecessors")
             then_nodes, then_args = walk(t.then_target, t.then_args, True, join)
             else_nodes, else_args = walk(t.else_target, t.else_args, True, join)
             nodes.append(
@@ -406,9 +432,9 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             )
             cur, args, bind = join, (), False
 
-    region, _ = walk(entry, (), False, None)
+    region, _ = walk(fn.blocks[0].name, (), False, None)
     if not ret_box:
-        raise StructureError(f"@{fn.name}: control never reaches ret")
+        raise StructureError(fn.name, "", "control never reaches ret")
     return SFunc(
         name=fn.name,
         params=list(fn.params),

@@ -143,33 +143,6 @@ def bcast_to(x: "DenseTensor | float", shape: tuple[int, ...]) -> DenseTensor:
 # ------------------------------------------------- elementwise kernels
 
 
-def elementwise_zip(f: Callable[..., float], *args: "DenseTensor | float") -> "DenseTensor | float":
-    """Apply a scalar function over broadcast-aligned elements.
-
-    This is the generic per-element path: a plain loop in row-major
-    order, no vectorization.  Dedicated kernels below are bit-compatible
-    with it and exist only for speed.
-    """
-    shape: tuple[int, ...] = ()
-    for a in args:
-        if isinstance(a, DenseTensor):
-            shape = broadcast_shapes(shape, a.shape)
-    if not shape:
-        return float(f(*(float(a) for a in args)))
-    views = [
-        np.broadcast_to(a.data, shape) if isinstance(a, DenseTensor) else None
-        for a in args
-    ]
-    out = np.empty(shape, dtype=np.float64)
-    for idx in np.ndindex(shape):
-        vals = [
-            float(v[idx]) if v is not None else float(a)
-            for v, a in zip(views, args)
-        ]
-        out[idx] = f(*vals)
-    return DenseTensor(out)
-
-
 def _np2(op, a, b):
     da = a.data if isinstance(a, DenseTensor) else a
     db = b.data if isinstance(b, DenseTensor) else b
@@ -233,7 +206,7 @@ def scalar_log(x: float) -> float:
     return math.log(x)
 
 
-_SCALAR_UNARY: dict[str, Callable[[float], float]] = {
+SCALAR_UNARY: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
     "log": scalar_log,
     "tanh": math.tanh,
@@ -244,7 +217,7 @@ _SCALAR_UNARY: dict[str, Callable[[float], float]] = {
 
 def unary_math(name: str, a: DenseTensor) -> DenseTensor:
     """Elementwise transcendental via per-element math.* calls."""
-    f = _SCALAR_UNARY[name]
+    f = SCALAR_UNARY[name]
     flat = a.data.reshape(-1)
     out = np.fromiter((f(float(x)) for x in flat), dtype=np.float64, count=flat.size)
     return DenseTensor(out.reshape(a.shape))

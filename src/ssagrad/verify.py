@@ -4,19 +4,19 @@
 module returns an empty list. Checks run in phases per function and a
 function's later phases are skipped once it has a diagnostic, so one
 corruption reports once instead of cascading.
+
+The block-graph checks (terminators, jump targets, reachability, entry
+predecessors), the typing walk and the structured-form requirements
+belong to ``structure``: this module calls them and reports their
+``StructureError`` as a diagnostic.  It owns only what nothing else
+checks: single definition, definitions dominating uses, edge and ret
+arity and types, and the type of a br condition.
 """
 
 from __future__ import annotations
 
 from .ir import Br, Diagnostic, Function, Jmp, Module, Ret, BOOL
-from .ops import OpTypeError, result_type
-from .structure import (
-    StructureError,
-    dominators,
-    predecessors,
-    reverse_postorder,
-    structurize,
-)
+from .structure import StructureError, analyze_cfg, compute_types, structurize
 
 
 def verify(module: Module) -> list[Diagnostic]:
@@ -26,49 +26,16 @@ def verify(module: Module) -> list[Diagnostic]:
     return diags
 
 
-def verify_ok(module: Module) -> bool:
-    return not verify(module)
-
-
 def _verify_function(fn: Function, module: Module) -> list[Diagnostic]:
+    try:
+        dom, _ = analyze_cfg(fn)
+    except StructureError as e:
+        return [e.diagnostic]
+    blocks = {b.name: b for b in fn.blocks}
     diags: list[Diagnostic] = []
 
     def err(block: str, msg: str):
         diags.append(Diagnostic(fn.name, block, msg))
-
-    if not fn.blocks:
-        err("", "function has no blocks")
-        return diags
-
-    names = [b.name for b in fn.blocks]
-    if len(set(names)) != len(names):
-        seen = set()
-        for n in names:
-            if n in seen:
-                err(n, "duplicate block name")
-                return diags
-            seen.add(n)
-    blocks = {b.name: b for b in fn.blocks}
-
-    for b in fn.blocks:
-        if b.term is None:
-            err(b.name, "missing terminator")
-        else:
-            for t in _targets(b):
-                if t not in blocks:
-                    err(b.name, f"terminator targets unknown block ^{t}")
-    if diags:
-        return diags
-
-    dom = dominators(fn)
-    for b in fn.blocks:
-        if b.name not in dom:
-            err(b.name, "unreachable block")
-    preds = predecessors(fn)
-    if preds[fn.blocks[0].name]:
-        err(fn.blocks[0].name, "entry block has predecessors")
-    if diags:
-        return diags
 
     # SSA: single definition per value, definitions dominate uses
     defsite: dict[int, tuple[str, int]] = {}
@@ -106,24 +73,10 @@ def _verify_function(fn: Function, module: Module) -> list[Diagnostic]:
     if diags:
         return diags
 
-    # typing, in reverse postorder so dominating defs are typed first
-    types: dict[int, object] = {}
-    for name in reverse_postorder(fn):
-        b = blocks[name]
-        for vid, ty in b.params:
-            types[vid] = ty
-        for ins in b.body:
-            opnd = tuple(types.get(o) for o in ins.operands)
-            if any(t is None for t in opnd):
-                types[ins.result] = None  # upstream already failed; stay quiet
-                continue
-            try:
-                types[ins.result] = result_type(ins.op, opnd, ins.attrs, module)
-            except OpTypeError as e:
-                err(name, f"%{fn.value_name(ins.result)}: {e}")
-                types[ins.result] = None
-    if diags:
-        return diags
+    try:
+        types = compute_types(fn, module)
+    except StructureError as e:
+        return [e.diagnostic]
 
     def check_edge(block: str, target: str, args: tuple[int, ...]):
         params = blocks[target].params
@@ -131,8 +84,8 @@ def _verify_function(fn: Function, module: Module) -> list[Diagnostic]:
             err(block, f"edge to ^{target} passes {len(args)} args for {len(params)} params")
             return
         for a, (pv, pty) in zip(args, params):
-            aty = types.get(a)
-            if aty is not None and aty != pty:
+            aty = types[a]
+            if aty != pty:
                 err(
                     block,
                     f"edge to ^{target}: %{fn.value_name(a)} has type {aty}, "
@@ -146,14 +99,14 @@ def _verify_function(fn: Function, module: Module) -> list[Diagnostic]:
                 err(b.name, f"ret carries {len(t.values)} values for {len(fn.results)} results")
             else:
                 for v, rty in zip(t.values, fn.results):
-                    vty = types.get(v)
-                    if vty is not None and vty != rty:
+                    vty = types[v]
+                    if vty != rty:
                         err(b.name, f"ret value %{fn.value_name(v)} has type {vty}, want {rty}")
         elif isinstance(t, Jmp):
             check_edge(b.name, t.target, t.args)
         elif isinstance(t, Br):
-            cty = types.get(t.cond)
-            if cty is not None and cty != BOOL:
+            cty = types[t.cond]
+            if cty != BOOL:
                 err(b.name, f"br condition %{fn.value_name(t.cond)} has type {cty}, want bool")
             check_edge(b.name, t.then_target, t.then_args)
             check_edge(b.name, t.else_target, t.else_args)
@@ -163,17 +116,8 @@ def _verify_function(fn: Function, module: Module) -> list[Diagnostic]:
     try:
         structurize(fn, module)
     except StructureError as e:
-        err("", str(e))
+        diags.append(e.diagnostic)
     return diags
-
-
-def _targets(b) -> list[str]:
-    t = b.term
-    if isinstance(t, Jmp):
-        return [t.target]
-    if isinstance(t, Br):
-        return [t.then_target, t.else_target]
-    return []
 
 
 def _term_uses(b) -> tuple[int, ...]:

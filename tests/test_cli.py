@@ -168,6 +168,30 @@ def test_check_dominance_violation(tmp_path, capsys):
     assert "does not dominate" in err
 
 
+TWO_RET_SRC = """
+func @g(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  ret %x
+^b:
+  %n = neg %x
+  ret %n
+}
+"""
+
+
+def test_check_structure_error_has_one_prefix(tmp_path, capsys):
+    p = tmp_path / "two_ret.ssair"
+    p.write_text(TWO_RET_SRC)
+    assert main(["check", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "@g: expected exactly one ret block, found 2\n"
+
+
 def test_check_parse_error(tmp_path, capsys):
     p = tmp_path / "junk.ssair"
     p.write_text("funk @nope")

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from ssagrad import (DenseTensor, Dual, Machine, dual_eval, eval_function,
-                     finite_diff, fused_map_pullback, fused_map_with_partials,
-                     grad, parse_ir)
+from ssagrad import (DenseTensor, Dual, EvalError, Machine, dual_eval,
+                     eval_function, finite_diff, fused_map_pullback,
+                     fused_map_with_partials, grad, parse_ir)
 from ssagrad.forward_ad import pack_rows
 from ssagrad.ir import F64, tensor_type
+from ssagrad.tensor import DomainError
 
 from conftest import rel
 
@@ -175,3 +176,140 @@ def test_reverse_over_fused_matches_fd(analytic):
 def test_rejects_non_scalar_callee(analytic):
     with pytest.raises(ValueError):
         dual_eval(analytic, "net", (Dual(1.0, (1.0,)),))
+
+
+# one function per scalar op, plus a nested map and a non-scalar callee
+OPS_SRC = """
+func @sub(%a: f64, %b: f64) -> f64 {
+^entry:
+  %r = sub %a, %b
+  ret %r
+}
+
+func @div(%a: f64, %b: f64) -> f64 {
+^entry:
+  %r = div %a, %b
+  ret %r
+}
+
+func @sigmoid(%x: f64) -> f64 {
+^entry:
+  %r = sigmoid %x
+  ret %r
+}
+
+func @relu(%x: f64) -> f64 {
+^entry:
+  %r = relu %x
+  ret %r
+}
+
+func @pow0(%x: f64) -> f64 {
+^entry:
+  %r = pow_int %x {n = 0}
+  ret %r
+}
+
+func @pow3(%x: f64) -> f64 {
+^entry:
+  %r = pow_int %x {n = 3}
+  ret %r
+}
+
+func @neg(%x: f64) -> f64 {
+^entry:
+  %r = neg %x
+  ret %r
+}
+
+func @itof_loop(%x: f64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  %n = const i64 4
+  %a0 = const f64 0.0
+  jmp ^head(%i0, %a0)
+^head(%i: i64, %acc: f64):
+  %more = lt %i, %n
+  br %more, ^body(), ^exit(%acc)
+^body:
+  %fi = itof %i
+  %t = mul %fi, %x
+  %a2 = add %acc, %t
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %a2)
+^exit(%r: f64):
+  ret %r
+}
+
+func @select(%a: f64, %b: f64) -> f64 {
+^entry:
+  %c = gt %a, %b
+  %sq = mul %a, %a
+  %r = select %c, %sq, %b
+  ret %r
+}
+
+func @nested_map(%x: f64) -> f64 {
+^entry:
+  %r = fused_map %x {fn = @sigmoid}
+  ret %r
+}
+
+func @builds_tensor(%x: f64) -> f64 {
+^entry:
+  %t = stack %x, %x {axis = 0}
+  %s = reduce_sum %t {axis = all}
+  ret %s
+}
+
+func @calls_tensor(%x: f64) -> f64 {
+^entry:
+  %r = call %x {fn = @builds_tensor}
+  ret %r
+}
+"""
+
+OP_POINTS = [
+    ("sub", (0.7, -1.3)),
+    ("div", (0.7, -1.3)),
+    ("div", (-2.1, 0.4)),
+    ("sigmoid", (0.35,)),
+    ("relu", (0.8,)),
+    ("relu", (-0.6,)),
+    ("pow0", (1.7,)),
+    ("pow3", (-1.2,)),
+    ("neg", (0.45,)),
+    ("itof_loop", (0.9,)),
+    ("select", (1.5, 0.2)),
+    ("select", (-0.5, 0.2)),
+    ("nested_map", (0.35,)),
+]
+
+
+@pytest.mark.parametrize("name,point", OP_POINTS,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(OP_POINTS)])
+def test_dual_eval_every_scalar_op_matches_fd(name, point):
+    m = parse_ir(OPS_SRC)
+    k = len(point)
+    seeded = tuple(Dual(v, tuple(1.0 if j == i else 0.0 for j in range(k)))
+                   for i, v in enumerate(point))
+    out = dual_eval(m, name, seeded)
+    assert out.p == eval_function(m, name, point)[0]
+    h = 1e-6
+    for i in range(k):
+        hi = list(point)
+        lo = list(point)
+        hi[i] += h
+        lo[i] -= h
+        fd = (eval_function(m, name, tuple(hi))[0]
+              - eval_function(m, name, tuple(lo))[0]) / (2 * h)
+        assert rel(out.t[i], fd) < 1e-6, (name, point, i, out.t[i], fd)
+
+
+def test_dual_eval_rejects_tensor_in_scalar_callee():
+    m = parse_ir(OPS_SRC)
+    with pytest.raises(EvalError) as err:
+        dual_eval(m, "calls_tensor", (Dual(0.5, (1.0,)),))
+    assert isinstance(err.value.__cause__, DomainError)
+    assert "forward mode runs scalar code only" in str(err.value)

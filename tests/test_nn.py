@@ -9,7 +9,7 @@ import pytest
 from ssagrad import DANConfig, Module, dan_step, train, verify
 from ssagrad.interp import Machine
 from ssagrad.nn_train import (MetricsHistory, _weight_args, build_eval_ir,
-                              build_loss_ir, build_model_ir, evaluate,
+                              build_loss_ir, evaluate,
                               init_params, make_synthetic)
 
 from conftest import rel
@@ -59,12 +59,6 @@ def test_magnitude_code_carries_dataset_identity():
     m0 = sum(mags[0]) / len(mags[0])
     m1 = sum(mags[1]) / len(mags[1])
     assert m1 > 3 * m0
-
-
-def test_model_ir_verifies():
-    m = build_model_ir(sizes(SMALL))
-    assert "model_forward" in m.functions
-    assert verify(m) == []
 
 
 def test_loss_is_one_function():

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from ssagrad import (ADError, DenseTensor, Machine, augment,
+from ssagrad import (ADError, DenseTensor, Machine, StructureError, augment,
                      build_grad_function, eval_function, finite_diff, grad,
                      grad_of_grad, parse_ir, print_ir, trace_grad, verify)
 
@@ -194,3 +194,18 @@ def test_grad_matches_fd_on_mapped(analytic):
     fd = finite_diff(analytic, "mapped", (x, 0.7), (1.0,))
     assert max_rel(g[0], fd[0]) < 1e-6
     assert rel(g[1], fd[1]) < 1e-6
+
+
+def test_augment_unknown_jump_target_is_structure_error():
+    # the parser rejects unknown targets, so the edit is made on the IR
+    m = parse_ir("""
+func @f(%x: f64) -> f64 {
+^entry:
+  jmp ^b(%x)
+^b(%y: f64):
+  ret %y
+}
+""")
+    m.get("f").blocks[0].term.target = "__nowhere"
+    with pytest.raises(StructureError, match=r"^@f \^entry: terminator targets unknown block \^__nowhere$"):
+        augment(m, "f")

@@ -186,9 +186,3 @@ def test_stack_unstack_take():
     assert T.take(s, 1, 0).flat() == [3.0, 4.0]
     col = T.take(t((3,), [7, 8, 9]), 2, 0)
     assert col == 9.0
-
-
-def test_elementwise_zip():
-    out = T.elementwise_zip(lambda a, b: a - b, t((2,), [5, 7]), 1.0)
-    assert out.flat() == [4.0, 6.0]
-    assert T.elementwise_zip(lambda a, b: a - b, 5.0, 1.0) == 4.0
