@@ -37,8 +37,13 @@ from .structure import StructureError
 from .tensor import DenseTensor
 from .verify import verify
 
+
+class InvalidModule(Exception):
+    """verify's diagnostics, one per line."""
+
+
 _FAILURES = (ParseError, EvalError, ADError, BatchError, StructureError,
-             OpTypeError)
+             OpTypeError, InvalidModule)
 
 TAPE_TOL = 1e-12
 FD_TOL = 1e-5
@@ -55,6 +60,14 @@ def _load_module(path: str) -> Module:
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")
     return parse_ir(text)
+
+
+def _load_verified(path: str) -> Module:
+    module = _load_module(path)
+    diags = verify(module)
+    if diags:
+        raise InvalidModule("\n".join(map(str, diags)))
+    return module
 
 
 def _entry(module: Module, name: str):
@@ -141,11 +154,8 @@ def _max_dev(x, y) -> float:
 
 
 def cmd_check(args) -> int:
-    module = _load_module(args.file)
-    diags = verify(module)
-    for d in diags:
-        print(d, file=sys.stderr)
-    return 1 if diags else 0
+    _load_verified(args.file)
+    return 0
 
 
 def cmd_print(args) -> int:
@@ -154,7 +164,7 @@ def cmd_print(args) -> int:
 
 
 def cmd_run(args) -> int:
-    module = _load_module(args.file)
+    module = _load_verified(args.file)
     fn = _entry(module, args.entry)
     vals = _decode_args(fn, _parse_json("--args", args.args))
     out = eval_function(module, fn.name, vals)
@@ -163,7 +173,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_grad(args) -> int:
-    module = _load_module(args.file)
+    module = _load_verified(args.file)
     fn = _entry(module, args.entry)
     if args.emit_ir:
         augment(module, fn.name)
@@ -189,7 +199,7 @@ def cmd_grad(args) -> int:
 def cmd_batch(args) -> int:
     if args.lanes < 1:
         raise UsageError("-B must be at least 1")
-    module = _load_module(args.file)
+    module = _load_verified(args.file)
     fn = _entry(module, args.entry)
     raw = _parse_json("--args", args.args)
     if not isinstance(raw, list) or len(raw) != args.lanes:
@@ -214,7 +224,7 @@ def cmd_batch(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    module = _load_module(args.file)
+    module = _load_verified(args.file)
     fn = _entry(module, args.entry)
     seeds = _unit_seeds(fn)
     rng = random.Random(args.seed)

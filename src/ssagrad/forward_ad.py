@@ -5,24 +5,24 @@ arguments with identity rows and running once yields the value plus
 all k partial derivatives; fused_pack stores these as rows of one
 tensor so the reverse pass can contract against them later.
 
-Forward mode restates no op.  Primals are computed by
-``Machine.dispatch`` on unboxed operands, so the primal row of a pack
-is bit-identical to a plain fused_map evaluation.  Partials come from
-the adjoint rules in ``RULES``, run on the numeric builder with a unit
-cotangent: the tangent of an op is the sum over operands of
-partial_i * tangent_i.  Ops without a rule (const, itof) get zero
-tangents; ints and bools pass through unboxed.  Any other value (a
-tensor, a mask, a tape) raises DomainError: forward mode runs scalar
-code only.
+Forward mode restates no op.  It is a Machine whose kernel table wraps
+each entry of ``KERNELS``: the wrapper runs the plain kernel on unboxed
+primals, so the primal row of a pack is bit-identical to a plain
+fused_map evaluation.  Partials come from the adjoint rules in
+``RULES``, run on the numeric builder with a unit cotangent: the
+tangent of an op is the sum over operands of partial_i * tangent_i.
+Ops without a rule (const, itof) get zero tangents; ints and bools
+pass through unboxed.  Any other value (a tensor, a mask, a tape)
+raises DomainError: forward mode runs scalar code only.
 """
 
 from __future__ import annotations
 
 from . import tensor as T
 from .ir import F64, Function, Module
-from .interp import DEFAULT_STEP_LIMIT, Machine, run_blocks, _spread_flat
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine
 from .rules import NUMERIC, RULES, saved_values
-from .tensor import DenseTensor, DomainError
+from .tensor import DomainError
 
 
 class Dual:
@@ -42,39 +42,46 @@ def _lift(v, k: int) -> Dual:
     return Dual(float(v), (0.0,) * k)
 
 
-class _DualRunner:
-    """Machine.dispatch over unboxed primals, tangents from RULES."""
+def _dual_kernel(op: str, kernel):
+    """kernel on unboxed primals, plus the tangent from op's rule."""
+    rule = RULES.get(op)
 
-    def __init__(self, machine: Machine, k: int):
-        self.machine = machine
-        self.zero = (0.0,) * k
-
-    def call(self, fn: Function, args: tuple) -> tuple:
-        return run_blocks(fn, args, self.dispatch, self.machine.budget)
-
-    def dispatch(self, ins, env):
-        op = ins.op
-        boxed = [env[o] for o in ins.operands]
-        if op in ("call", "fused_map"):
-            # every value here is a scalar, so a fused_map is a plain call
-            return self.call(self.machine.module.get(ins.attrs["fn"].name), tuple(boxed))[0]
+    def dual(m, attrs, env, a):
+        boxed = [env[o] for o in a]
         prims = [v.p if isinstance(v, Dual) else v for v in boxed]
-        value = self.machine.dispatch(ins, dict(zip(ins.operands, prims)))
+        value = kernel(m, attrs, prims, range(len(prims)))
         if not isinstance(value, float):
             if isinstance(value, int):
                 return value
             raise DomainError(f"op '{op}' is not scalar; forward mode runs scalar code only")
-        rule = RULES.get(op)
         if rule is None:
-            return Dual(value, self.zero)
+            return Dual(value, m.zero)
         partials = rule.backward(
-            NUMERIC, ins.attrs, (F64,) * len(prims), saved_values(rule, prims, value), 1.0
+            NUMERIC, attrs, (F64,) * len(prims), saved_values(rule, prims, value), 1.0
         )
-        t = self.zero
+        t = m.zero
         for d, v in zip(partials, boxed):
             if d is not None:
                 t = [s + d * x for s, x in zip(t, v.t)]
         return Dual(value, tuple(t))
+    return dual
+
+
+class _DualMachine(Machine):
+    """Machine over Dual values; draws on the budget it is given."""
+
+    # every value here is a scalar, so a fused_map is a plain call, and
+    # calls run boxed through the same walker
+    kernels = {
+        **{op: _dual_kernel(op, k) for op, k in KERNELS.items()},
+        "call": KERNELS["call"],
+        "fused_map": KERNELS["call"],
+    }
+
+    def __init__(self, module: Module, budget: list[int], k: int):
+        self.module = module
+        self.budget = budget
+        self.zero = (0.0,) * k
 
 
 def _check_scalar_fn(fn: Function):
@@ -98,8 +105,7 @@ def dual_eval(
     if len(widths) > 1:
         raise ValueError(f"mixed tangent widths {sorted(widths)}")
     k = widths.pop() if widths else 0
-    runner = _DualRunner(Machine(module, step_limit), k)
-    return runner.call(fn, tuple(_lift(v, k) for v in args))[0]
+    return _DualMachine(module, [step_limit], k).run(fn, tuple(_lift(v, k) for v in args))[0]
 
 
 def pack_rows(machine: Machine, fn: Function, args: tuple) -> list[float]:
@@ -113,7 +119,7 @@ def pack_rows(machine: Machine, fn: Function, args: tuple) -> list[float]:
         Dual(float(v), tuple(1.0 if j == i else 0.0 for j in range(k)))
         for i, v in enumerate(args)
     )
-    out = _DualRunner(machine, k).call(fn, seeded)[0]
+    out = _DualMachine(machine.module, machine.budget, k).run(fn, seeded)[0]
     return [out.p, *out.t]
 
 
@@ -133,20 +139,11 @@ def fused_map_with_partials(
     _check_scalar_fn(fn)
     if len(args) != len(fn.params):
         raise ValueError(f"@{fn.name} takes {len(fn.params)} arguments, got {len(args)}")
-    machine = Machine(module, step_limit)
-    k = len(args)
-    shape: tuple[int, ...] = ()
-    for v in args:
-        if isinstance(v, DenseTensor):
-            shape = T.broadcast_shapes(shape, v.shape)
-    if not shape:
-        rows = pack_rows(machine, fn, tuple(float(v) for v in args))
+    pack = Machine(module, step_limit)._fused_pack(fn, list(args))
+    if len(pack.shape) == 1:
+        rows = pack.flat()
         return rows[0], rows[1:]
-    flat = [_spread_flat(v, shape) for v in args]
-    cols = [pack_rows(machine, fn, tuple(col[i] for col in flat)) for i in range(len(flat[0]))]
-    primal = DenseTensor.from_flat(shape, [c[0] for c in cols])
-    partials = [DenseTensor.from_flat(shape, [c[1 + i] for c in cols]) for i in range(k)]
-    return primal, partials
+    return T.take(pack, 0, 0), [T.take(pack, 1 + i, 0) for i in range(len(args))]
 
 
 def fused_map_pullback(partials, arg_types, ybar):

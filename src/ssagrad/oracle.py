@@ -7,7 +7,8 @@ list of differentiable primitives in execution order.  tape_backprop
 then sweeps that list once, backwards, with the shared numeric rule
 backend.
 
-Computation goes through the reference Machine dispatch on unboxed
+The tracer is a Machine whose kernel table wraps each entry of
+``KERNELS``: values are computed by the plain kernels on unboxed
 operands, so traced results are bit-identical to plain evaluation.
 
 Executed comparisons are logged with their margins |a - b|; input
@@ -20,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .ir import BOOL, F64, I64, Function, Module, Type, tensor_type
-from .interp import DEFAULT_STEP_LIMIT, Machine, zero_of
+from .ir import BOOL, F64, I64, Module, Type, tensor_type
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
 from .rules import NUMERIC, RULES, saved_values
 from .tensor import DenseTensor
 
@@ -74,9 +75,52 @@ def _rt_type(v) -> Type:
     return F64
 
 
-class _Tracer:
+def _traced_kernel(op: str, kernel):
+    """kernel on unboxed values; records op's trace node and compare margin."""
+    rule = RULES.get(op)
+    compare = op in ("lt", "gt", "eq")
+
+    def traced(m, attrs, env, a):
+        boxed = [env[o] for o in a]
+        vals = [b.v for b in boxed]
+        value = kernel(m, attrs, vals, range(len(vals)))
+        if compare and not all(isinstance(v, int) for v in vals):
+            m.trace.compare_margins.append(_margin(vals[0], vals[1]))
+        if rule is None:
+            return m.fresh(value)
+        return _record(m, op, attrs, boxed, vals, saved_values(rule, vals, value), value)
+    return traced
+
+
+def _traced_fused_map(m, attrs, env, a):
+    """A fused_map saves its whole pack; the result is the primal row."""
+    boxed = [env[o] for o in a]
+    vals = [b.v for b in boxed]
+    pack = KERNELS["fused_pack"](m, attrs, vals, range(len(vals)))
+    return _record(m, "fused_map", attrs, boxed, vals, (pack,), T.take(pack, 0, 0))
+
+
+def _record(m, op, attrs, boxed, vals, saved, value) -> Tracked:
+    res = m.fresh(value)
+    m.trace.nodes.append(TraceNode(
+        op, attrs, tuple(b.slot for b in boxed), tuple(_rt_type(v) for v in vals),
+        saved, res.slot,
+    ))
+    return res
+
+
+class _Tracer(Machine):
+    """Machine over Tracked values that appends to one Trace."""
+
+    # calls run boxed through the same walker, so slots cross them
+    kernels = {
+        **{op: _traced_kernel(op, k) for op, k in KERNELS.items()},
+        "call": KERNELS["call"],
+        "fused_map": _traced_fused_map,
+    }
+
     def __init__(self, module: Module, step_limit: int):
-        self.machine = Machine(module, step_limit)
+        super().__init__(module, step_limit)
         self.trace = Trace()
         self._next_slot = 0
 
@@ -84,55 +128,6 @@ class _Tracer:
         s = self._next_slot
         self._next_slot += 1
         return Tracked(v, s)
-
-    def run(self, fn: Function, args: tuple) -> tuple:
-        from .interp import run_blocks
-
-        boxed = tuple(self.fresh(a) for a in args)
-        for (vid, ty), b in zip(fn.params, boxed):
-            self.trace.params.append((vid, ty, b.slot))
-        out = run_blocks(fn, boxed, self.dispatch, self.machine.budget)
-        self.trace.result_slots = tuple(b.slot for b in out)
-        return tuple(b.v for b in out)
-
-    def _call_traced(self, fn: Function, boxed_args: tuple) -> tuple:
-        from .interp import run_blocks
-
-        return run_blocks(fn, boxed_args, self.dispatch, self.machine.budget)
-
-    def dispatch(self, ins, env) -> Tracked:
-        op = ins.op
-        boxed = tuple(env[o] for o in ins.operands)
-        vals = tuple(b.v for b in boxed)
-
-        if op == "call":
-            callee = self.machine.module.get(ins.attrs["fn"].name)
-            return self._call_traced(callee, boxed)[0]
-
-        if op == "fused_map":
-            pack = self.machine._fused_pack(ins, list(vals))
-            res = self.fresh(T.take(pack, 0, 0))
-            self.trace.nodes.append(TraceNode(
-                op, ins.attrs, tuple(b.slot for b in boxed),
-                tuple(_rt_type(v) for v in vals), (pack,), res.slot,
-            ))
-            return res
-
-        fake = {o: v for o, v in zip(ins.operands, vals)}
-        value = self.machine.dispatch(ins, fake)
-        res = self.fresh(value)
-
-        if op in ("lt", "gt", "eq") and not all(isinstance(v, int) for v in vals):
-            self.trace.compare_margins.append(_margin(vals[0], vals[1]))
-
-        rule = RULES.get(op)
-        if rule is not None:
-            self.trace.nodes.append(TraceNode(
-                op, ins.attrs, tuple(b.slot for b in boxed),
-                tuple(_rt_type(v) for v in vals),
-                saved_values(rule, vals, value), res.slot,
-            ))
-        return res
 
 
 def _margin(a, b) -> float:
@@ -149,8 +144,12 @@ def trace_eval(
 ) -> tuple[tuple, Trace]:
     """Evaluate @name while recording its differentiable primitives."""
     tr = _Tracer(module, step_limit)
-    out = tr.run(module.get(name), args)
-    return out, tr.trace
+    fn = module.get(name)
+    boxed = tuple(tr.fresh(a) for a in args)
+    tr.trace.params = [(vid, ty, b.slot) for (vid, ty), b in zip(fn.params, boxed)]
+    out = tr.run(fn, boxed)
+    tr.trace.result_slots = tuple(b.slot for b in out)
+    return tuple(b.v for b in out), tr.trace
 
 
 def tape_backprop(trace: Trace, seeds: tuple) -> dict:

@@ -650,17 +650,21 @@ def grad(
     if len(seeds) != len(fn.results):
         raise ValueError(f"expected {len(fn.results)} seeds, got {len(seeds)}")
     aug_fn, pb_fn = augment(module, name)
+    return run_aug_pb(module, fn, aug_fn.name, pb_fn.name, args, seeds, step_limit)
+
+
+def run_aug_pb(module: Module, fn: Function, aug_name: str, pb_name: str, args: tuple,
+               seeds: tuple, step_limit: int) -> CotangentMap:
+    """Run @aug_name on args, then @pb_name on its two traces and seeds.
+
+    Returns the pullback's cotangents keyed by fn's differentiable
+    parameters, in order.
+    """
     machine = Machine(module, step_limit)
-    out = machine.call(aug_fn.name, tuple(args))
+    out = machine.call(aug_name, tuple(args))
     n = len(fn.results)
-    cots = machine.call(pb_fn.name, (out[n], out[n + 1]) + tuple(seeds))
-    result: CotangentMap = {}
-    i = 0
-    for pv, ty in fn.params:
-        if ty.is_differentiable:
-            result[pv] = cots[i]
-            i += 1
-    return result
+    cots = machine.call(pb_name, (out[n], out[n + 1]) + tuple(seeds))
+    return dict(zip((pv for pv, ty in fn.params if ty.is_differentiable), cots))
 
 
 def build_grad_function(module: Module, name: str) -> Function:

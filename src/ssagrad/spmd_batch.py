@@ -26,7 +26,7 @@ from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
 from .structure import (
     SCopy, SEmitter, SFunc, SIf, SInstr, SWhile, flatten,
 )
-from .reverse_ad import augment, inline_sfunc
+from .reverse_ad import augment, inline_sfunc, run_aug_pb
 
 
 class BatchError(Exception):
@@ -718,22 +718,10 @@ def batched_grad(module: Module, name: str, lanes: int, stacked_args: tuple,
     ``stacked_args`` and ``seeds`` carry a leading lane axis.  Returns
     the same mapping as ``grad`` with each cotangent holding all lanes.
     """
-    from .interp import DEFAULT_STEP_LIMIT, Machine
+    from .interp import DEFAULT_STEP_LIMIT
 
-    fn = module.get(name)
     aug_fn, pb_fn = augment(module, name)
     vaug = vectorize(module, aug_fn.name, lanes)
     vpb = vectorize(module, pb_fn.name, lanes)
-
-    machine = Machine(module, step_limit or DEFAULT_STEP_LIMIT)
-    outs = machine.call(vaug.name, tuple(stacked_args))
-    nres = len(fn.results)
-    blog, vstack = outs[nres], outs[nres + 1]
-    cots = machine.call(vpb.name, (blog, vstack) + tuple(seeds))
-    out: dict[int, object] = {}
-    i = 0
-    for pv, ty in fn.params:
-        if ty.is_differentiable:
-            out[pv] = cots[i]
-            i += 1
-    return out
+    return run_aug_pb(module, module.get(name), vaug.name, vpb.name, stacked_args, seeds,
+                      step_limit or DEFAULT_STEP_LIMIT)

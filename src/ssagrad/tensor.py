@@ -92,15 +92,6 @@ class DenseTensor:
     def full(shape: Sequence[int], value: float) -> "DenseTensor":
         return DenseTensor(np.full(tuple(shape), float(value), dtype=np.float64))
 
-    # -------------------------------------------------------- json
-
-    def to_json(self) -> dict:
-        return {"shape": list(self.shape), "data": self.flat()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DenseTensor":
-        return DenseTensor.from_flat(tuple(obj["shape"]), obj["data"])
-
 
 # ------------------------------------------------------- broadcasting
 

@@ -323,3 +323,69 @@ def test_stdout_deterministic(abs_file, tmp_path, capsys):
     ):
         runs = {capture(argv) for _ in range(3)}
         assert len(runs) == 1, argv
+
+
+MALFORMED = {
+    "ill_typed_op": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %y = matmul %x, %x
+  ret %y
+}
+""", "matmul on f64, f64"),
+    "undefined_value": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %y = mul %x, %z
+  ret %y
+}
+""", "use of undefined value %z"),
+    "use_not_dominated": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %y = mul %x, %x
+  jmp ^join()
+^b:
+  jmp ^join()
+^join:
+  ret %y
+}
+""", "%y does not dominate its use"),
+    "missing_terminator": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %y = mul %x, %x
+}
+""", "expected a terminator"),
+    "unknown_callee": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @nowhere}
+  ret %y
+}
+""", "unknown function @nowhere"),
+}
+
+COMMANDS = {
+    "run": ["--args", "[1.0]"],
+    "grad": ["--args", "[1.0]"],
+    "batch": ["-B", "2", "--args", "[1.0, 2.0]"],
+    "gradcheck": ["--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_module_is_a_diagnostic(case, command, tmp_path, capsys):
+    text, message = MALFORMED[case]
+    p = tmp_path / f"{case}.ssair"
+    p.write_text(text)
+    assert main([command, str(p), "--entry", "f", *COMMANDS[command]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from ssagrad import DenseTensor, EvalError, eval_function, parse_ir
+from ssagrad import (DenseTensor, Dual, EvalError, dual_eval, eval_function,
+                     fused_map_with_partials, parse_ir, trace_eval)
+from ssagrad.interp import DEFAULT_STEP_LIMIT
 
 
 def test_straight_line(analytic):
@@ -151,3 +153,81 @@ func @two(%x: f64) -> (f64, f64) {
 }
 """)
     assert eval_function(m, "two", (3.0,)) == (6.0, 9.0)
+
+
+FAULTS_SRC = """
+func @lg(%x: f64) -> f64 {
+^entry:
+  %y = log %x
+  ret %y
+}
+
+func @spin(%x: f64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  %n = const i64 1000
+  jmp ^head(%i0)
+^head(%i: i64):
+  %going = lt %i, %n
+  br %going, ^body(), ^out()
+^body:
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2)
+^out:
+  ret %x
+}
+
+func @call_lg(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @lg}
+  ret %y
+}
+
+func @fused_map_lg(%x: f64) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @lg}
+  ret %y
+}
+
+func @call_spin(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @spin}
+  ret %y
+}
+
+func @fused_map_spin(%x: f64) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @spin}
+  ret %y
+}
+"""
+
+# every entry point that runs IR, each on (module, name, x, step_limit)
+RUNNERS = {
+    "eval_function": lambda m, name, x, limit: eval_function(m, name, (x,), limit),
+    "trace_eval": lambda m, name, x, limit: trace_eval(m, name, (x,), limit),
+    "fused_map_with_partials":
+        lambda m, name, x, limit: fused_map_with_partials(m, name, (x,), limit),
+    "dual_eval": lambda m, name, x, limit: dual_eval(m, name, (Dual(x, (1.0,)),), limit),
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("via", ["call", "fused_map"])
+@pytest.mark.parametrize("callee, x, limit, unknown_op, want", [
+    ("lg", -1.0, DEFAULT_STEP_LIMIT, None,
+     ("lg", "entry", 0, "log of non-positive value -1.0")),
+    # 4 steps reach the loop, 5 per trip: the 51st step is trip 9's br
+    ("spin", 1.0, 50, None, ("spin", "head", 1, "step limit exhausted")),
+    ("lg", 2.0, DEFAULT_STEP_LIMIT, "frobnicate",
+     ("lg", "entry", 0, "op 'frobnicate' has no evaluation rule")),
+], ids=["log_domain", "step_limit", "unknown_op"])
+def test_fault_location_same_on_every_path(runner, via, callee, x, limit, unknown_op, want):
+    m = parse_ir(FAULTS_SRC)
+    if unknown_op is not None:
+        m.get(callee).blocks[0].body[0].op = unknown_op
+    with pytest.raises(EvalError) as info:
+        RUNNERS[runner](m, f"{via}_{callee}", x, limit)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == want
