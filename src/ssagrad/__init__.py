@@ -10,9 +10,8 @@ from .parser import ParseError, parse_ir
 from .progen import GenError, generate_suite, random_program, sample_inputs, stable_inputs
 from .reverse_ad import ADError, augment, build_grad_function, grad, grad_of_grad
 from .spmd_batch import BatchError, batched_grad, stack_lanes, unstack_lanes, vectorize
-from .structure import SEmitter, SIf, SWhile, StructureError, flatten, structurize
+from .structure import SEmitter, SIf, SWhile, StructureError, flatten, structurize, verify
 from .tensor import DenseTensor
-from .verify import verify
 
 __version__ = "0.1.0"
 

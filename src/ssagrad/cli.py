@@ -33,9 +33,8 @@ from .parser import ParseError, parse_ir
 from .progen import stable_inputs
 from .reverse_ad import ADError, augment, grad
 from .spmd_batch import BatchError, stack_lanes, unstack_lanes, vectorize
-from .structure import StructureError
+from .structure import StructureError, verify
 from .tensor import DenseTensor
-from .verify import verify
 
 
 class InvalidModule(Exception):
@@ -256,12 +255,43 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-_CFG_KEYS = {
-    "lambda": "lam", "lam": "lam", "lr": "lr", "epochs": "epochs",
-    "batch_size": "batch_size", "seed": "seed", "rho": "rho", "dim": "dim",
-    "n_samples": "n_samples", "trunk_sizes": "trunk_sizes",
-    "head_sizes": "head_sizes",
-}
+def _dan_config(raw: dict) -> DANConfig:
+    """The training config a JSON object names; UsageError if it cannot run.
+
+    Keys are DANConfig's fields, with "lambda" accepted for lam.
+    """
+    kw = {}
+    for k, v in raw.items():
+        field = "lam" if k == "lambda" else k
+        if field not in DANConfig.__dataclass_fields__:
+            raise UsageError(f"unknown config key {k!r}")
+        default = getattr(DANConfig, field)
+        if isinstance(default, tuple):
+            want = "a list of at least two positive integers"
+            ok = isinstance(v, list) and len(v) >= 2 and all(_is_int(d) and d >= 1 for d in v)
+        elif isinstance(default, float):
+            want, ok = "a number", _is_int(v) or isinstance(v, float)
+        else:
+            want, ok = "an integer", _is_int(v)
+        if not ok:
+            raise UsageError(f"config key {k!r} must be {want}, got {v!r}")
+        kw[field] = type(default)(v)
+    cfg = DANConfig(**kw)
+    if not 1 <= cfg.batch_size <= cfg.n_samples:
+        raise UsageError(f"batch_size must be between 1 and n_samples ({cfg.n_samples}), "
+                         f"got {cfg.batch_size}")
+    if cfg.trunk_sizes[0] != cfg.dim:
+        raise UsageError(f"trunk_sizes must start at dim ({cfg.dim}), got {list(cfg.trunk_sizes)}")
+    if cfg.head_sizes[0] != cfg.trunk_sizes[-1]:
+        raise UsageError(f"head_sizes must start at the last trunk size "
+                         f"({cfg.trunk_sizes[-1]}), got {list(cfg.head_sizes)}")
+    if cfg.head_sizes[-1] != 1:
+        raise UsageError(f"head_sizes must end at 1, got {list(cfg.head_sizes)}")
+    return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def cmd_train_dan(args) -> int:
@@ -276,12 +306,7 @@ def cmd_train_dan(args) -> int:
             raise UsageError(f"cannot read {raw}: {e.strerror}")
     if not isinstance(cfg_json, dict):
         raise UsageError("--config must be a JSON object")
-    kw = {}
-    for k, v in cfg_json.items():
-        if k not in _CFG_KEYS:
-            raise UsageError(f"unknown config key {k!r}")
-        kw[_CFG_KEYS[k]] = tuple(v) if isinstance(v, list) else v
-    history = train(DANConfig(**kw))
+    history = train(_dan_config(cfg_json))
     try:
         history.write(args.out)
     except OSError as e:

@@ -23,7 +23,7 @@ import operator
 from itertools import repeat
 
 from . import tensor as T
-from .ir import Br, Function, Jmp, Module, Ret, Type
+from .ir import Function, Jmp, Module, Ret, Type, term_uses
 from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
@@ -303,22 +303,27 @@ class Machine:
                     env[ins.result] = kernel(self, ins.attrs, env, ins.operands)
                 except DomainError as e:
                     raise EvalError(fn.name, cur.name, i, str(e)) from e
+                except KeyError:
+                    _raise_unbound(fn, cur.name, i, env, ins.operands)
+                    raise
             budget[0] -= 1
             if budget[0] < 0:
                 raise EvalError(fn.name, cur.name, len(cur.body), "step limit exhausted")
             t = cur.term
             if t is None:
                 raise EvalError(fn.name, cur.name, len(cur.body), "missing terminator")
-            if isinstance(t, Ret):
-                return tuple(env[v] for v in t.values)
-            if isinstance(t, Jmp):
-                cur, binds = blocks[t.target], tuple(env[a] for a in t.args)
-            else:
-                assert isinstance(t, Br)
-                if env[t.cond]:
+            try:
+                if isinstance(t, Ret):
+                    return tuple(env[v] for v in t.values)
+                if isinstance(t, Jmp):
+                    cur, binds = blocks[t.target], tuple(env[a] for a in t.args)
+                elif env[t.cond]:
                     cur, binds = blocks[t.then_target], tuple(env[a] for a in t.then_args)
                 else:
                     cur, binds = blocks[t.else_target], tuple(env[a] for a in t.else_args)
+            except KeyError:
+                _raise_unbound(fn, cur.name, len(cur.body), env, term_uses(cur))
+                raise
 
     # fused scalar kernels
 
@@ -337,6 +342,15 @@ class Machine:
         cols = [pack_rows(self, fn, p) for p in points]
         data = [c[r] for r in range(1 + k) for c in cols]
         return DenseTensor.from_flat((1 + k,) + shape, data)
+
+
+def _raise_unbound(fn: Function, block: str, index: int, env: dict, ids) -> None:
+    """Raise a located EvalError for the first of ids with no value in env;
+    return if all are bound, so the caller re-raises its own KeyError."""
+    for v in ids:
+        if v not in env:
+            raise EvalError(fn.name, block, index,
+                            f"%{fn.value_name(v)} has no value on this path")
 
 
 def _fused_points(vals: list) -> tuple[tuple[int, ...], list[tuple]]:

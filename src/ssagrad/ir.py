@@ -3,8 +3,9 @@
 The IR is a module of functions in SSA form with block arguments.  There
 are no phi nodes: every cross-block value flows through the parameter
 list of the target block.  Control flow is structured by construction,
-meaning the only shapes the verifier admits are if/else diamonds that
-reconverge at a join block and while loops with a single header.
+meaning the only shapes ``structure.structurize`` (and so ``verify``)
+admits are if/else diamonds that reconverge at a join block and while
+loops with a single header.
 
 Invariants the rest of the package relies on:
 
@@ -131,6 +132,18 @@ class Block:
     term: Terminator | None = None
 
 
+def term_uses(block: Block) -> tuple[int, ...]:
+    """The values a block's terminator reads."""
+    t = block.term
+    if isinstance(t, Ret):
+        return t.values
+    if isinstance(t, Jmp):
+        return t.args
+    if isinstance(t, Br):
+        return (t.cond,) + t.then_args + t.else_args
+    return ()
+
+
 @dataclass
 class Function:
     """A function: entry block first, explicit result types.
@@ -149,12 +162,6 @@ class Function:
     @property
     def params(self) -> list[tuple[int, Type]]:
         return self.blocks[0].params if self.blocks else []
-
-    def block(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(f"no block ^{name} in @{self.name}")
 
     def new_value(self, name: str) -> int:
         vid = self.next_id

@@ -485,10 +485,7 @@ def generate_suite(
     while len(suite) < count:
         nm = f"gen{attempt}"
         attempt += 1
-        try:
-            random_program(module, rng, nm, scalar_only=scalar_only)
-        except GenError:
-            continue
+        random_program(module, rng, nm, scalar_only=scalar_only)
         batch = []
         for _ in range(inputs_per):
             args = stable_inputs(module, nm, rng, margin=margin)

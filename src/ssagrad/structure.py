@@ -6,10 +6,14 @@ straight-line instructions, parallel copies, if/else diamonds and while
 loops.  ``structurize`` rejects anything that is not in that shape, and
 ``flatten`` lowers a tree back to blocks, always in canonical shape.
 
-The well-formedness checks live here once: ``analyze_cfg`` for the
-block graph and ``compute_types`` for typing.  ``structurize`` runs
-both before it recovers the tree, and the verifier reports their
-``StructureError`` as a diagnostic.
+Every well-formedness rule lives here once, in the checks
+``structurize`` runs before it recovers the tree: ``analyze_cfg`` for
+the block graph, ``check_ssa`` for single definition and dominance,
+``compute_types`` for typing and ``check_terminators`` for edge, ``ret``
+and ``br`` types.  Each raises ``StructureError`` at its first
+violation, so every transform rejects ill-formed code before touching
+it, and ``verify`` is a loop that reports each function's error as a
+diagnostic.
 
 Canonical loop form, which the transforms require:
 
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret, Type
+from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret,
+                 Type, tensor_type, term_uses)
 from .ops import OpTypeError, result_type
 
 
@@ -37,7 +42,7 @@ class StructureError(Exception):
     """Raised when a function is ill-formed or not in structured form.
 
     ``diagnostic`` pins the failure to its function and block (empty
-    when it concerns the whole function); the verifier reports it as is.
+    when it concerns the whole function); ``verify`` reports it as is.
     """
 
     def __init__(self, function: str, block: str, message: str):
@@ -136,6 +141,44 @@ def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list
     return dom, preds
 
 
+def check_ssa(fn: Function, dom: dict[str, frozenset[str]]) -> None:
+    """Every value defined once, and every definition dominating its uses.
+
+    Raises StructureError at the first violation; definitions are all
+    checked before any use.  A terminator's reads count as uses at the
+    end of its block.
+    """
+    defblock: dict[int, str] = {}
+    for b in fn.blocks:
+        for vid in [pv for pv, _ in b.params] + [ins.result for ins in b.body]:
+            if vid in defblock:
+                raise StructureError(fn.name, b.name,
+                                     f"%{fn.value_name(vid)} defined more than once")
+            defblock[vid] = b.name
+
+    for b in fn.blocks:
+        strict = dom[b.name] - {b.name}  # blocks whose values b may read anywhere
+        seen = {vid for vid, _ in b.params}  # values b has defined so far
+        for ins in b.body:
+            for o in ins.operands:
+                if o not in seen and defblock.get(o) not in strict:
+                    raise _use_error(fn, b.name, o, defblock.get(o))
+            seen.add(ins.result)
+        for o in term_uses(b):
+            if o not in seen and defblock.get(o) not in strict:
+                raise _use_error(fn, b.name, o, defblock.get(o))
+
+
+def _use_error(fn: Function, block: str, vid: int, site: str | None) -> StructureError:
+    if site is None:
+        msg = f"use of undefined value %{fn.value_name(vid)}"
+    elif site == block:
+        msg = f"%{fn.value_name(vid)} used before its definition"
+    else:
+        msg = f"%{fn.value_name(vid)} does not dominate its use"
+    return StructureError(fn.name, block, msg)
+
+
 def postdominators(fn: Function) -> dict[str, frozenset[str]]:
     """Postdominator sets, computed toward the single ret block."""
     rets = [b.name for b in fn.blocks if isinstance(b.term, Ret)]
@@ -174,11 +217,12 @@ def immediate_postdominator(pdom: dict[str, frozenset[str]], name: str) -> str |
 
 
 def compute_types(fn: Function, module: Module | None = None) -> dict[int, Type]:
-    """Type of every value; raises StructureError on an ill-typed op.
+    """Type of every value of an SSA-checked function.
 
-    Blocks are walked in reverse postorder, which sees every dominating
-    definition before its uses; cross-block cycles only flow through
-    typed block parameters.
+    Raises StructureError on an ill-typed op.  Blocks are walked in
+    reverse postorder, which sees every dominating definition before
+    its uses; cross-block cycles only flow through typed block
+    parameters.
     """
     types: dict[int, Type] = {}
     blocks = {b.name: b for b in fn.blocks}
@@ -187,18 +231,49 @@ def compute_types(fn: Function, module: Module | None = None) -> dict[int, Type]
         for vid, ty in b.params:
             types[vid] = ty
         for ins in b.body:
-            try:
-                opnd = tuple(types[o] for o in ins.operands)
-            except KeyError as e:
-                raise StructureError(
-                    fn.name, name,
-                    f"%{fn.value_name(ins.result)} uses an undefined or unreachable value",
-                ) from e
+            opnd = tuple(types[o] for o in ins.operands)
             try:
                 types[ins.result] = result_type(ins.op, opnd, ins.attrs, module)
             except OpTypeError as e:
                 raise StructureError(fn.name, name, f"%{fn.value_name(ins.result)}: {e}") from e
     return types
+
+
+def check_terminators(fn: Function, types: dict[int, Type]) -> None:
+    """Edge arity and argument types, ret arity and types, bool br conditions.
+
+    Raises StructureError at the first violation, in block order.
+    """
+    params = {b.name: b.params for b in fn.blocks}
+
+    def fail(block: str, msg: str):
+        raise StructureError(fn.name, block, msg)
+
+    def check_edge(block: str, target: str, args: tuple[int, ...]):
+        want = params[target]
+        if len(args) != len(want):
+            fail(block, f"edge to ^{target} passes {len(args)} args for {len(want)} params")
+        for a, (pv, pty) in zip(args, want):
+            if types[a] != pty:
+                fail(block, f"edge to ^{target}: %{fn.value_name(a)} has type {types[a]}, "
+                            f"param %{fn.value_name(pv)} wants {pty}")
+
+    for b in fn.blocks:
+        t = b.term
+        if isinstance(t, Ret):
+            if len(t.values) != len(fn.results):
+                fail(b.name, f"ret carries {len(t.values)} values for {len(fn.results)} results")
+            for v, rty in zip(t.values, fn.results):
+                if types[v] != rty:
+                    fail(b.name, f"ret value %{fn.value_name(v)} has type {types[v]}, want {rty}")
+        elif isinstance(t, Jmp):
+            check_edge(b.name, t.target, t.args)
+        else:
+            if types[t.cond] != BOOL:
+                fail(b.name, f"br condition %{fn.value_name(t.cond)} has type {types[t.cond]}, "
+                             "want bool")
+            check_edge(b.name, t.then_target, t.then_args)
+            check_edge(b.name, t.else_target, t.else_args)
 
 
 # ----------------------------------------------------- region queries
@@ -311,9 +386,15 @@ class SFunc:
 
 
 def structurize(fn: Function, module: Module | None = None) -> SFunc:
-    """Recover the structured tree of a function or raise StructureError."""
+    """Recover the structured tree of a well-formed function.
+
+    Raises StructureError at the first well-formedness violation, or
+    when the function is not in structured form.
+    """
     dom, preds = analyze_cfg(fn)
+    check_ssa(fn, dom)
     types = compute_types(fn, module)
+    check_terminators(fn, types)
     blocks = {b.name: b for b in fn.blocks}
     pdom = postdominators(fn)
 
@@ -447,6 +528,17 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
     )
 
 
+def verify(module: Module) -> list[Diagnostic]:
+    """The first well-formedness failure of each function; empty when clean."""
+    diags: list[Diagnostic] = []
+    for fn in module.functions.values():
+        try:
+            structurize(fn, module)
+        except StructureError as e:
+            diags.append(e.diagnostic)
+    return diags
+
+
 # --------------------------------------------------------- emission
 
 
@@ -573,19 +665,15 @@ class SEmitter:
         return vid
 
     def const_f64(self, x: float, name: str = "c") -> int:
-        from .ir import F64
         return self.emit("const", (), {"ty": F64, "value": float(x)}, name)
 
     def const_i64(self, x: int, name: str = "c") -> int:
-        from .ir import I64
         return self.emit("const", (), {"ty": I64, "value": int(x)}, name)
 
     def const_bool(self, x: bool, name: str = "c") -> int:
-        from .ir import BOOL
         return self.emit("const", (), {"ty": BOOL, "value": bool(x)}, name)
 
     def const_tensor(self, shape: tuple[int, ...], values, name: str = "c") -> int:
-        from .ir import tensor_type
         vals = tuple(float(v) for v in values)
         return self.emit("const", (), {"ty": tensor_type(*shape), "value": vals}, name)
 

@@ -54,9 +54,6 @@ class DenseTensor:
     def rank(self) -> int:
         return self.data.ndim
 
-    def tolist(self) -> list:
-        return self.data.tolist()
-
     def flat(self) -> list[float]:
         return self.data.reshape(-1).tolist()
 

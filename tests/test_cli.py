@@ -389,3 +389,26 @@ def test_malformed_module_is_a_diagnostic(case, command, tmp_path, capsys):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"batch_size":0}', "batch_size must be between 1 and n_samples (320), got 0"),
+    ('{"batch_size":1000,"epochs":1}', "batch_size must be between 1 and n_samples (320), got 1000"),
+    ('{"epochs":"x"}', "config key 'epochs' must be an integer, got 'x'"),
+    ('{"epochs":true}', "config key 'epochs' must be an integer, got True"),
+    ('{"trunk_sizes":[16]}', "config key 'trunk_sizes' must be a list of at least two positive integers"),
+    ('{"head_sizes":[8,0]}', "config key 'head_sizes' must be a list of at least two positive integers"),
+    ('{"dim":8}', "trunk_sizes must start at dim (8), got [16, 8]"),
+    ('{"head_sizes":[4,1]}', "head_sizes must start at the last trunk size (8), got [4, 1]"),
+    ('{"head_sizes":[8,2]}', "head_sizes must end at 1, got [8, 2]"),
+    ('{"lr":"a"}', "config key 'lr' must be a number, got 'a'"),
+], ids=["batch_size_0", "batch_size_over_n_samples", "epochs_str", "epochs_bool",
+        "trunk_one_size", "head_zero_size", "dim_mismatch", "head_trunk_mismatch",
+        "head_not_one", "lr_str"])
+def test_train_dan_rejects_configs_it_cannot_run(config, message, tmp_path, capsys):
+    out_file = tmp_path / "metrics.jsonl"
+    assert main(["train-dan", "--config", config, "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out_file.exists()

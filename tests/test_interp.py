@@ -231,3 +231,68 @@ def test_fault_location_same_on_every_path(runner, via, callee, x, limit, unknow
         RUNNERS[runner](m, f"{via}_{callee}", x, limit)
     e = info.value
     assert (e.function, e.block, e.index, e.message) == want
+
+
+UNBOUND_SRC = """
+func @operand(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %y = mul %x, %x
+  jmp ^join()
+^b:
+  jmp ^join()
+^join:
+  %w = add %y, %x
+  ret %w
+}
+
+func @terminator(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %y = mul %x, %x
+  jmp ^join()
+^b:
+  jmp ^join()
+^join:
+  %u = add %x, %x
+  ret %y
+}
+
+func @h(%x: f64) -> f64 {
+^entry:
+  ret %x
+}
+
+func @calls_h(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @h}
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("name, index", [("operand", 0), ("terminator", 1)])
+def test_unbound_value_is_a_located_eval_error(runner, name, index):
+    # unverified code: %y's definition does not dominate its read, and
+    # x = -1 takes the path that skips it
+    m = parse_ir(UNBOUND_SRC)
+    with pytest.raises(EvalError) as info:
+        RUNNERS[runner](m, name, -1.0, DEFAULT_STEP_LIMIT)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == (
+        name, "join", index, "%y has no value on this path")
+
+
+@pytest.mark.parametrize("runner", ["eval_function", "trace_eval", "dual_eval"])
+def test_kernel_key_error_keeps_its_message(runner):
+    m = parse_ir(UNBOUND_SRC)
+    del m.functions["h"]
+    with pytest.raises(KeyError, match="no function @h in module"):
+        RUNNERS[runner](m, "calls_h", 1.0, DEFAULT_STEP_LIMIT)

@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from ssagrad import ParseError, parse_ir, print_ir, verify
+from ssagrad import (DenseTensor, ParseError, StructureError, augment, batched_grad,
+                     build_grad_function, grad, grad_of_grad, parse_ir, print_ir,
+                     structurize, vectorize, verify)
 from ssagrad.ir import Br, Jmp
 
 
@@ -153,3 +155,105 @@ func @f(%x: f64) -> f64 {
     d = diags[0]
     assert d.function == "f" and d.block == "join"
     assert str(d) == "@f ^join: %t does not dominate its use"
+
+
+# ------------------------------------- ill-formed code at every entry point
+
+ILL_FORMED = {
+    "not_dominated": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %y = mul %x, %x
+  jmp ^join()
+^b:
+  jmp ^join()
+^join:
+  ret %y
+}
+""", "@f ^join: %y does not dominate its use"),
+    "edge_arity": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  jmp ^b(%x, %z)
+^b(%v: f64):
+  ret %v
+}
+""", "@f ^entry: edge to ^b passes 2 args for 1 params"),
+    "ret_type": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  ret %c
+}
+""", "@f ^entry: ret value %c has type bool, want f64"),
+    "br_condition_type": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  br %x, ^a(), ^b()
+^a:
+  jmp ^join(%x)
+^b:
+  %n = neg %x
+  jmp ^join(%n)
+^join(%v: f64):
+  ret %v
+}
+""", "@f ^entry: br condition %x has type f64, want bool"),
+    # the parser rejects a duplicate name, so the second definition is
+    # made in memory below
+    "duplicate_definition": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %a = mul %x, %x
+  %b = add %a, %x
+  ret %b
+}
+""", "@f ^entry: %a defined more than once"),
+    "use_before_definition": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %b = add %a, %x
+  %a = mul %x, %x
+  ret %b
+}
+""", "@f ^entry: %a used before its definition"),
+}
+
+
+def _ill_formed(case):
+    m = parse_ir(ILL_FORMED[case][0])
+    if case == "duplicate_definition":
+        body = m.get("f").blocks[0].body
+        body[1].result = body[0].result
+    return m
+
+
+def _lanes(*xs):
+    return DenseTensor.from_flat((len(xs),), list(xs))
+
+
+ENTRY_POINTS = {
+    "structurize": lambda m: structurize(m.get("f"), m),
+    "augment": lambda m: augment(m, "f"),
+    "grad": lambda m: grad(m, "f", (1.0,)),
+    "build_grad_function": lambda m: build_grad_function(m, "f"),
+    "grad_of_grad": lambda m: grad_of_grad(m, "f", 1.0),
+    "vectorize": lambda m: vectorize(m, "f", 2),
+    "batched_grad": lambda m: batched_grad(m, "f", 2, (_lanes(1.0, 2.0),), (_lanes(1.0, 1.0),)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", ILL_FORMED)
+def test_entry_points_reject_what_verify_rejects(case, entry):
+    diags = verify(_ill_formed(case))
+    assert [str(d) for d in diags] == [ILL_FORMED[case][1]]
+    with pytest.raises(StructureError) as info:
+        ENTRY_POINTS[entry](_ill_formed(case))
+    assert str(info.value.diagnostic) == str(diags[0])
