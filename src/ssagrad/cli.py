@@ -23,6 +23,7 @@ import argparse
 import json
 import random
 import sys
+from math import prod
 
 from .interp import EvalError, eval_function
 from .ir import Module, print_ir
@@ -122,10 +123,7 @@ def _unit_seeds(fn) -> tuple:
     out = []
     for ty in fn.results:
         if ty.kind == "tensor":
-            n = 1
-            for d in ty.shape:
-                n *= d
-            out.append(DenseTensor.from_flat(ty.shape, [1.0] * n))
+            out.append(DenseTensor.from_flat(ty.shape, [1.0] * prod(ty.shape)))
         elif ty.kind == "f64":
             out.append(1.0)
         elif ty.kind == "i64":

@@ -9,7 +9,7 @@ Forward mode restates no op.  It is a Machine whose kernel table wraps
 each entry of ``KERNELS``: the wrapper runs the plain kernel on unboxed
 primals, so the primal row of a pack is bit-identical to a plain
 fused_map evaluation.  Partials come from the adjoint rules in
-``RULES``, run on the numeric builder with a unit cotangent: the
+``RULES``, run on their numeric backend with a unit cotangent: the
 tangent of an op is the sum over operands of partial_i * tangent_i.
 Ops without a rule (const, itof) get zero tangents; ints and bools
 pass through unboxed.  Any other value (a tensor, a mask, a tape)
@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import tensor as T
 from .ir import F64, Function, Module
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine
-from .rules import NUMERIC, RULES, saved_values
+from .rules import NUMERIC, RULES, reduce_like, saved_values
 from .tensor import DomainError
 
 
@@ -153,6 +153,6 @@ def fused_map_pullback(partials, arg_types, ybar):
     each cotangent matches its operand.
     """
     return tuple(
-        NUMERIC.reduce_like(T.mul(ybar, part), ty)
+        reduce_like(NUMERIC, T.mul(ybar, part), ty)
         for part, ty in zip(partials, arg_types)
     )

@@ -316,14 +316,21 @@ class Machine:
                 if isinstance(t, Ret):
                     return tuple(env[v] for v in t.values)
                 if isinstance(t, Jmp):
-                    cur, binds = blocks[t.target], tuple(env[a] for a in t.args)
+                    nxt, binds = blocks[t.target], tuple(env[a] for a in t.args)
                 elif env[t.cond]:
-                    cur, binds = blocks[t.then_target], tuple(env[a] for a in t.then_args)
+                    nxt, binds = blocks[t.then_target], tuple(env[a] for a in t.then_args)
                 else:
-                    cur, binds = blocks[t.else_target], tuple(env[a] for a in t.else_args)
-            except KeyError:
+                    nxt, binds = blocks[t.else_target], tuple(env[a] for a in t.else_args)
+            except KeyError as e:
                 _raise_unbound(fn, cur.name, len(cur.body), env, term_uses(cur))
-                raise
+                # every read is bound, so the missing key is a block name
+                raise EvalError(fn.name, cur.name, len(cur.body),
+                                f"terminator targets unknown block ^{e.args[0]}") from None
+            if len(binds) != len(nxt.params):
+                raise EvalError(fn.name, cur.name, len(cur.body),
+                                f"edge to ^{nxt.name} passes {len(binds)} args "
+                                f"for {len(nxt.params)} params")
+            cur = nxt
 
     # fused scalar kernels
 

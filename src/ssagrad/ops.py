@@ -21,6 +21,8 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+from math import prod
+
 from .ir import BOOL, F64, I64, TAPE, FnRef, Function, Module, Type, tapes_type, tensor_type
 from .tensor import broadcast_shapes, can_expand
 
@@ -36,15 +38,6 @@ def _fail(msg: str):
 _NUMERIC_BINOPS = ("add", "sub", "mul", "div")
 _UNARY_MATH = ("exp", "log", "tanh", "sigmoid", "relu")
 _COMPARES = ("lt", "gt", "eq")
-
-ALL_OPS = frozenset(
-    ("const", "neg", "pow_int", "itof", "select", "matmul", "bmm", "transpose",
-     "reshape", "reduce_sum", "bcast", "reduce_to", "stack", "unstack",
-     "fused_map", "fused_pack", "call", "tape_new", "tape_push", "tape_top",
-     "tape_rest", "tape_spread", "tape_expect_empty")
-    + _NUMERIC_BINOPS + _UNARY_MATH + _COMPARES
-)
-
 
 def _expect_arity(op: str, operands: tuple[Type, ...], n: int):
     if len(operands) != n:
@@ -103,9 +96,7 @@ def result_type(
         _expect_arity(op, operands, 0)
         value = attrs.get("value")
         if ty.is_tensor:
-            n = 1
-            for d in ty.shape:
-                n *= d
+            n = prod(ty.shape)
             if not isinstance(value, tuple) or len(value) != n:
                 _fail(f"const {ty} needs {n} values")
         return ty
@@ -210,12 +201,7 @@ def result_type(
         (a,) = operands
         if not a.is_tensor:
             _fail(f"reshape on {a}")
-        na = nb = 1
-        for d in a.shape:
-            na *= d
-        for d in shape:
-            nb *= d
-        if na != nb:
+        if prod(a.shape) != prod(shape):
             _fail(f"reshape {a.shape} to {shape} changes element count")
         return tensor_type(*shape)
 

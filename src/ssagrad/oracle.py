@@ -4,8 +4,8 @@ trace_eval runs a function while boxing every value with a slot id.
 Binding a block argument moves the box, so a value keeps one identity
 across blocks and calls without any analysis; the trace is just the
 list of differentiable primitives in execution order.  tape_backprop
-then sweeps that list once, backwards, with the shared numeric rule
-backend.
+then sweeps that list once, backwards, running the adjoint rules on
+their numeric backend (``rules.NUMERIC``).
 
 The tracer is a Machine whose kernel table wraps each entry of
 ``KERNELS``: values are computed by the plain kernels on unboxed
@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .ir import BOOL, F64, I64, Module, Type, tensor_type
+from .ir import Module, Type
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
-from .rules import NUMERIC, RULES, saved_values
+from .rules import NUMERIC, RULES, runtime_type, saved_values
 from .tensor import DenseTensor
 
 
@@ -65,16 +65,6 @@ class Trace:
         return min(self.compare_margins, default=float("inf"))
 
 
-def _rt_type(v) -> Type:
-    if isinstance(v, bool):
-        return BOOL
-    if isinstance(v, int):
-        return I64
-    if isinstance(v, DenseTensor):
-        return tensor_type(*v.shape)
-    return F64
-
-
 def _traced_kernel(op: str, kernel):
     """kernel on unboxed values; records op's trace node and compare margin."""
     rule = RULES.get(op)
@@ -103,7 +93,7 @@ def _traced_fused_map(m, attrs, env, a):
 def _record(m, op, attrs, boxed, vals, saved, value) -> Tracked:
     res = m.fresh(value)
     m.trace.nodes.append(TraceNode(
-        op, attrs, tuple(b.slot for b in boxed), tuple(_rt_type(v) for v in vals),
+        op, attrs, tuple(b.slot for b in boxed), tuple(runtime_type(v) for v in vals),
         saved, res.slot,
     ))
     return res

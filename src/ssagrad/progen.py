@@ -21,6 +21,7 @@ values before an input sample is accepted.
 from __future__ import annotations
 
 import random
+from math import prod
 
 from .ir import F64, I64, Function, Module, tensor_type
 from .interp import EvalError
@@ -34,13 +35,6 @@ _SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 2))
 
 class GenError(Exception):
     pass
-
-
-def _size(shape: tuple[int, ...]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 class _Gen:
@@ -242,7 +236,7 @@ class _Gen:
         elif kind == "reduce_all":
             a = rng.choice(pool)
             v = em.emit("reduce_sum", (a,), {"axis": "all"}, "rs")
-            self.add_float(v, self.bound[a] * _size(shape))
+            self.add_float(v, self.bound[a] * prod(shape))
         elif kind == "reduce_axis":
             a = rng.choice(pool)
             ax = rng.randrange(len(shape))
@@ -433,7 +427,7 @@ def sample_inputs(fn: Function, rng: random.Random) -> tuple:
         elif ty.kind == "i64":
             args.append(rng.randint(1, 8))
         elif ty.is_tensor:
-            vals = [rng.uniform(-2.0, 2.0) for _ in range(_size(ty.shape))]
+            vals = [rng.uniform(-2.0, 2.0) for _ in range(prod(ty.shape))]
             args.append(DenseTensor.from_flat(ty.shape, vals))
         else:
             raise GenError(f"cannot sample input of type {ty}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import BOOL, F64, TAPE, Function, Instruction, Module, Type
 from .ops import result_type
-from .rules import RULES, Rule
+from .rules import RULES, Rule, saved_values
 from .structure import (
     SCopy,
     SEmitter,
@@ -91,81 +91,6 @@ def inline_sfunc(module: Module, fn: Function, _active: tuple[str, ...] = ()) ->
 
     splice_region(em, sf, sf.region, valmap, expand)
     return em.finish(tuple(valmap[v] for v in sf.ret_vals))
-
-
-# --------------------------------------------------- symbolic builder
-
-
-class SymbolicBuilder:
-    """Rule backend that emits IR instead of computing values."""
-
-    def __init__(self, em: SEmitter):
-        self.em = em
-
-    def add(self, a, b):
-        return self.em.emit("add", (a, b), name="g")
-
-    def sub(self, a, b):
-        return self.em.emit("sub", (a, b), name="g")
-
-    def mul(self, a, b):
-        return self.em.emit("mul", (a, b), name="g")
-
-    def div(self, a, b):
-        return self.em.emit("div", (a, b), name="g")
-
-    def neg(self, a):
-        return self.em.emit("neg", (a,), name="g")
-
-    def const_f64(self, x: float):
-        return self.em.const_f64(x, "g")
-
-    def const_tensor(self, shape, values):
-        return self.em.const_tensor(tuple(shape), values, "g")
-
-    def pow_int(self, a, n: int):
-        return self.em.emit("pow_int", (a,), {"n": n}, "g")
-
-    def gt_zero_mask(self, a):
-        z = self.em.const_f64(0.0, "g")
-        m = self.em.emit("gt", (a, z), name="g")
-        if self.em.types[a].kind == "f64":
-            one = self.em.const_f64(1.0, "g")
-            return self.em.emit("select", (m, one, z), name="g")
-        return m
-
-    def select(self, c, x, y):
-        return self.em.emit("select", (c, x, y), name="g")
-
-    def matmul(self, a, b):
-        return self.em.emit("matmul", (a, b), name="g")
-
-    def bmm(self, a, b):
-        return self.em.emit("bmm", (a, b), name="g")
-
-    def transpose(self, a):
-        return self.em.emit("transpose", (a,), name="g")
-
-    def reshape(self, a, shape):
-        return self.em.emit("reshape", (a,), {"shape": tuple(shape)}, "g")
-
-    def bcast(self, a, shape):
-        return self.em.emit("bcast", (a,), {"shape": tuple(shape)}, "g")
-
-    def take(self, a, index: int, axis: int):
-        return self.em.emit("unstack", (a,), {"index": index, "axis": axis}, "g")
-
-    def reduce_like(self, x, ref_ty: Type):
-        xty = self.em.types[x]
-        if ref_ty.kind == "f64":
-            if xty.is_tensor:
-                return self.em.emit("reduce_sum", (x,), {"axis": "all"}, "g")
-            return x
-        if not xty.is_tensor:
-            return self.em.emit("bcast", (x,), {"shape": ref_ty.shape}, "g")
-        if xty.shape == ref_ty.shape:
-            return x
-        return self.em.emit("reduce_to", (x,), {"shape": ref_ty.shape}, "g")
 
 
 # ------------------------------------------------------ forward clone
@@ -231,8 +156,7 @@ class _Augmenter:
         if rule is not None:
             vid = em.emit(ins.op, ops, dict(ins.attrs), name)
             valmap[ins.result] = vid
-            for sel in rule.saves:
-                v = vid if sel == "res" else ops[0 if sel == "o0" else 1]
+            for v in saved_values(rule, ops, vid):
                 vstack = em.emit("tape_push", (vstack, v), None, "vs")
             return blog, vstack
 
@@ -328,12 +252,14 @@ class _Augmenter:
 
 
 class _PullbackBuilder:
+    """Emits the pullback; it is also the rule backend that ``RULES``
+    bodies run on here, so their ops become instructions named ``g``."""
+
     def __init__(self, module: Module, sf: SFunc, name: str):
         self.module = module
         self.sf = sf
         out = tuple(ty for _, ty in sf.params if ty.is_differentiable)
         self.em = SEmitter(name, out, module)
-        self.sym = SymbolicBuilder(self.em)
         # maps a trace vid to the tape_top that reads it, scoped to the
         # region being walked; a pop emits its top and rest side by side
         # in one region, and sibling regions may pop the same source, so
@@ -367,6 +293,14 @@ class _PullbackBuilder:
                 rets.append(self.zero(ty) if got is None else got)
         return em.finish(tuple(rets))
 
+    # the rule backend
+
+    def emit(self, op: str, operands: tuple[int, ...], attrs: dict | None = None) -> int:
+        return self.em.emit(op, operands, attrs, "g")
+
+    def type_of(self, vid: int) -> Type:
+        return self.em.types[vid]
+
     # cotangent bookkeeping
 
     def acc(self, cot: CotangentMap, vid: int, new: int):
@@ -377,7 +311,7 @@ class _PullbackBuilder:
             # traces thread linearly; a second write replaces
             cot[vid] = new
         else:
-            cot[vid] = self.em.emit("add", (cur, new), name="g")
+            cot[vid] = self.emit("add", (cur, new))
 
     def zero(self, ty: Type) -> int:
         if ty.kind == "bool":
@@ -422,34 +356,28 @@ class _PullbackBuilder:
     def instr(self, ins: Instruction, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
         sf = self.sf
         opnd_tys = tuple(sf.types[o] for o in ins.operands)
+        rty = sf.types[ins.result]
 
         if ins.op == "fused_map":
-            pack_ty = result_type("fused_pack", opnd_tys, ins.attrs, self.module)
-            pack, vstack = self.pop(vstack, pack_ty)
-            ybar = self.grab(cot, ins.result, sf.types[ins.result])
-            cots = RULES["fused_map"].backward(self.sym, ins.attrs, opnd_tys, (pack,), ybar)
-            for o, oty, c in zip(ins.operands, opnd_tys, cots):
-                if c is not None and oty.is_differentiable:
-                    self.acc(cot, o, c)
-            return blog, vstack
+            rule = RULES["fused_map"]
+            saved_tys = (result_type("fused_pack", opnd_tys, ins.attrs, self.module),)
+        else:
+            rule = _recorded_rule(sf, ins)
+            if rule is None:
+                if ins.op in _TAPE_OPS:
+                    return self.tape_instr(ins, cot, blog, vstack)
+                return blog, vstack
+            saved_tys = saved_values(rule, opnd_tys, rty)
 
-        rule = _recorded_rule(sf, ins)
-        if rule is not None:
-            popped = []
-            for sel in reversed(rule.saves):
-                ty = sf.types[ins.result] if sel == "res" else opnd_tys[0 if sel == "o0" else 1]
-                v, vstack = self.pop(vstack, ty)
-                popped.append(v)
-            saved = tuple(reversed(popped))
-            ybar = self.grab(cot, ins.result, sf.types[ins.result])
-            cots = rule.backward(self.sym, ins.attrs, opnd_tys, saved, ybar)
-            for o, oty, c in zip(ins.operands, opnd_tys, cots):
-                if c is not None and oty.is_differentiable:
-                    self.acc(cot, o, c)
-            return blog, vstack
-
-        if ins.op in _TAPE_OPS:
-            return self.tape_instr(ins, cot, blog, vstack)
+        popped = []
+        for ty in reversed(saved_tys):
+            v, vstack = self.pop(vstack, ty)
+            popped.append(v)
+        ybar = self.grab(cot, ins.result, rty)
+        cots = rule.backward(self, ins.attrs, opnd_tys, tuple(reversed(popped)), ybar)
+        for o, oty, c in zip(ins.operands, opnd_tys, cots):
+            if c is not None and oty.is_differentiable:
+                self.acc(cot, o, c)
         return blog, vstack
 
     # structural adjoints of trace traffic (second-order path): the

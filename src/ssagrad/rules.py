@@ -1,22 +1,22 @@
-"""Adjoint rules, written once against an op-builder protocol.
+"""Adjoint rules, written once against a two-call op protocol.
 
 Each rule states what the forward pass must save and how to turn a
-result cotangent into operand cotangents.  The same rule bodies drive
-two backends: the tracing oracle's numeric builder (values are floats
-and tensors, evaluated immediately) and the transform's symbolic
-builder (values are IR value ids, operations are emitted).  Gradient
-disagreements between the two paths therefore isolate transform bugs
-from rule bugs.  Forward mode is the third user of the numeric
-builder: it runs a rule with a unit cotangent to read off an op's
+result cotangent into operand cotangents.  A rule body reaches ops only
+through its backend ``b``:
+
+    b.emit(op, operands, attrs=None)   apply an IR op, return its value
+    b.type_of(value)                   the IR Type of a value
+
+so every op a rule uses means what ``interp.KERNELS`` and
+``ops.result_type`` say it means.  Two backends run the same bodies.
+``NUMERIC`` evaluates at once: values are floats and tensors, ``emit``
+runs the op's kernel and ``type_of`` is ``runtime_type``.  The
+transform's pullback emits IR instead: values are value ids, ``emit``
+appends an instruction named ``g`` and ``type_of`` reads the emitter's
+types.  Gradient disagreements between the two paths therefore isolate
+transform bugs from rule bugs.  Forward mode is the third user of
+``NUMERIC``: it runs a rule with a unit cotangent to read off an op's
 partials, so no derivative is written anywhere but here.
-
-Builder protocol, duck-typed:
-    add sub mul div neg pow_int select transpose matmul bmm
-    const_f64 const_tensor reshape bcast take gt_zero_mask reduce_like
-
-``reduce_like(x, ref_ty)`` collapses a broadcast cotangent back to the
-operand's type: summing over expanded leading axes and over axes the
-operand held at extent 1, or over everything for an f64 operand.
 
 Saved-value selectors: "o0"/"o1" are operands, "res" is the result.
 Pushes happen in selector order; pops must mirror them reversed.
@@ -24,8 +24,11 @@ Pushes happen in selector order; pops must mirror them reversed.
 
 from __future__ import annotations
 
-from . import tensor as T
-from .ir import Type
+from math import prod
+from types import SimpleNamespace
+
+from .interp import KERNELS
+from .ir import BOOL, F64, I64, Type, tensor_type
 from .tensor import DenseTensor
 
 
@@ -37,139 +40,175 @@ class Rule:
         self.backward = backward
 
 
-# rule bodies: (builder, attrs, operand_types, saved, ybar) -> cotangents
+def _f64(b, x: float):
+    return b.emit("const", (), {"ty": F64, "value": float(x)})
+
+
+def reduce_like(b, x, ref_ty: Type):
+    """Collapse a broadcast cotangent back to the operand's type.
+
+    Sums over expanded leading axes and over axes the operand held at
+    extent 1, or over everything for an f64 operand.
+    """
+    xty = b.type_of(x)
+    if ref_ty.kind == "f64":
+        if xty.is_tensor:
+            return b.emit("reduce_sum", (x,), {"axis": "all"})
+        return x
+    if not xty.is_tensor:
+        return b.emit("bcast", (x,), {"shape": ref_ty.shape})
+    if xty.shape == ref_ty.shape:
+        return x
+    return b.emit("reduce_to", (x,), {"shape": ref_ty.shape})
+
+
+def relu_mask(b, a):
+    """1.0 where a > 0 and 0.0 elsewhere: an f64, or a mask like a."""
+    zero = _f64(b, 0.0)
+    m = b.emit("gt", (a, zero))
+    if b.type_of(a).kind == "f64":
+        return b.emit("select", (m, _f64(b, 1.0), zero))
+    return m
+
+
+# rule bodies: (backend, attrs, operand_types, saved, ybar) -> cotangents
 
 
 def _add(b, attrs, ts, sv, ybar):
-    return (b.reduce_like(ybar, ts[0]), b.reduce_like(ybar, ts[1]))
+    return (reduce_like(b, ybar, ts[0]), reduce_like(b, ybar, ts[1]))
 
 
 def _sub(b, attrs, ts, sv, ybar):
-    return (b.reduce_like(ybar, ts[0]), b.reduce_like(b.neg(ybar), ts[1]))
+    return (reduce_like(b, ybar, ts[0]), reduce_like(b, b.emit("neg", (ybar,)), ts[1]))
 
 
 def _mul(b, attrs, ts, sv, ybar):
     a, v = sv
     return (
-        b.reduce_like(b.mul(ybar, v), ts[0]),
-        b.reduce_like(b.mul(ybar, a), ts[1]),
+        reduce_like(b, b.emit("mul", (ybar, v)), ts[0]),
+        reduce_like(b, b.emit("mul", (ybar, a)), ts[1]),
     )
 
 
 def _div(b, attrs, ts, sv, ybar):
     a, v = sv
-    da = b.reduce_like(b.div(ybar, v), ts[0])
-    dv = b.reduce_like(b.neg(b.div(b.mul(ybar, a), b.mul(v, v))), ts[1])
-    return (da, dv)
+    da = reduce_like(b, b.emit("div", (ybar, v)), ts[0])
+    q = b.emit("div", (b.emit("mul", (ybar, a)), b.emit("mul", (v, v))))
+    return (da, reduce_like(b, b.emit("neg", (q,)), ts[1]))
 
 
 def _neg(b, attrs, ts, sv, ybar):
-    return (b.neg(ybar),)
+    return (b.emit("neg", (ybar,)),)
 
 
 def _exp(b, attrs, ts, sv, ybar):
     (y,) = sv
-    return (b.mul(ybar, y),)
+    return (b.emit("mul", (ybar, y)),)
 
 
 def _log(b, attrs, ts, sv, ybar):
     (a,) = sv
-    return (b.div(ybar, a),)
+    return (b.emit("div", (ybar, a)),)
 
 
 def _tanh(b, attrs, ts, sv, ybar):
     (y,) = sv
-    return (b.mul(ybar, b.sub(b.const_f64(1.0), b.mul(y, y))),)
+    d = b.emit("sub", (_f64(b, 1.0), b.emit("mul", (y, y))))
+    return (b.emit("mul", (ybar, d)),)
 
 
 def _sigmoid(b, attrs, ts, sv, ybar):
     (y,) = sv
-    return (b.mul(ybar, b.mul(y, b.sub(b.const_f64(1.0), y))),)
+    d = b.emit("mul", (y, b.emit("sub", (_f64(b, 1.0), y))))
+    return (b.emit("mul", (ybar, d)),)
 
 
 def _relu(b, attrs, ts, sv, ybar):
     (a,) = sv
-    return (b.mul(ybar, b.gt_zero_mask(a)),)
+    return (b.emit("mul", (ybar, relu_mask(b, a))),)
 
 
 def _pow_int(b, attrs, ts, sv, ybar):
     (a,) = sv
     n = attrs["n"]
     if n == 0:
-        return (b.mul(ybar, b.const_f64(0.0)),)
-    return (b.mul(ybar, b.mul(b.const_f64(float(n)), b.pow_int(a, n - 1))),)
+        return (b.emit("mul", (ybar, _f64(b, 0.0))),)
+    d = b.emit("mul", (_f64(b, float(n)), b.emit("pow_int", (a,), {"n": n - 1})))
+    return (b.emit("mul", (ybar, d)),)
 
 
 def _select(b, attrs, ts, sv, ybar):
     (c,) = sv
-    zero = b.const_f64(0.0)
-    da = b.reduce_like(b.select(c, ybar, zero), ts[1])
-    dv = b.reduce_like(b.select(c, zero, ybar), ts[2])
+    # a bool picks a whole value, so the unpicked arm's zero has its type;
+    # a mask broadcasts an f64 zero
+    ty = ts[1] if ts[0] == BOOL else F64
+    value = (0.0,) * prod(ty.shape) if ty.is_tensor else 0.0
+    zero = b.emit("const", (), {"ty": ty, "value": value})
+    da = reduce_like(b, b.emit("select", (c, ybar, zero)), ts[1])
+    dv = reduce_like(b, b.emit("select", (c, zero, ybar)), ts[2])
     return (None, da, dv)
 
 
-def _matmul(b, attrs, ts, sv, ybar):
-    a, v = sv
-    return (b.matmul(ybar, b.transpose(v)), b.matmul(b.transpose(a), ybar))
+def _product(op: str):
+    """The rule of matmul or bmm: each operand's cotangent is a product
+    of ybar with the other operand transposed."""
 
-
-def _bmm(b, attrs, ts, sv, ybar):
-    a, v = sv
-    return (b.bmm(ybar, b.transpose(v)), b.bmm(b.transpose(a), ybar))
+    def backward(b, attrs, ts, sv, ybar):
+        a, v = sv
+        return (b.emit(op, (ybar, b.emit("transpose", (v,)))),
+                b.emit(op, (b.emit("transpose", (a,)), ybar)))
+    return backward
 
 
 def _transpose(b, attrs, ts, sv, ybar):
-    return (b.transpose(ybar),)
+    return (b.emit("transpose", (ybar,)),)
 
 
 def _reshape(b, attrs, ts, sv, ybar):
-    return (b.reshape(ybar, ts[0].shape),)
+    return (b.emit("reshape", (ybar,), {"shape": ts[0].shape}),)
 
 
 def _reduce_sum(b, attrs, ts, sv, ybar):
     src = ts[0].shape
     axis = attrs.get("axis", "all")
-    if axis == "all":
-        return (b.bcast(ybar, src),)
     if axis == "tail":
-        lead = (src[0],) + (1,) * (len(src) - 1)
-        return (b.bcast(b.reshape(ybar, lead), src),)
-    if len(src) == 1:
-        return (b.bcast(ybar, src),)
-    keep = src[:axis] + (1,) + src[axis + 1:]
-    return (b.bcast(b.reshape(ybar, keep), src),)
+        keep = (src[0],) + (1,) * (len(src) - 1)
+    elif axis != "all" and len(src) > 1:
+        keep = src[:axis] + (1,) + src[axis + 1:]
+    else:
+        return (b.emit("bcast", (ybar,), {"shape": src}),)
+    return (b.emit("bcast", (b.emit("reshape", (ybar,), {"shape": keep}),), {"shape": src}),)
 
 
 def _bcast(b, attrs, ts, sv, ybar):
-    return (b.reduce_like(ybar, ts[0]),)
+    return (reduce_like(b, ybar, ts[0]),)
 
 
 def _reduce_to(b, attrs, ts, sv, ybar):
-    return (b.bcast(ybar, ts[0].shape),)
+    return (b.emit("bcast", (ybar,), {"shape": ts[0].shape}),)
 
 
 def _stack(b, attrs, ts, sv, ybar):
     axis = attrs.get("axis", 0)
-    return tuple(b.take(ybar, i, axis) for i in range(len(ts)))
+    return tuple(b.emit("unstack", (ybar,), {"index": i, "axis": axis}) for i in range(len(ts)))
 
 
 def _unstack(b, attrs, ts, sv, ybar):
     src = ts[0].shape
     axis = attrs.get("axis", 0)
     index = attrs["index"]
-    hot = [0.0] * _count(src)
-    stride = _count(src[axis + 1:])
-    outer = _count(src[:axis])
+    hot = [0.0] * prod(src)
+    stride = prod(src[axis + 1:])
     span = src[axis] * stride
-    for o in range(outer):
+    for o in range(prod(src[:axis])):
         base = o * span + index * stride
         for i in range(stride):
             hot[base + i] = 1.0
-    onehot = b.const_tensor(src, tuple(hot))
+    onehot = b.emit("const", (), {"ty": tensor_type(*src), "value": tuple(hot)})
     if len(src) == 1:
-        return (b.mul(onehot, ybar),)
+        return (b.emit("mul", (onehot, ybar)),)
     keep = src[:axis] + (1,) + src[axis + 1:]
-    return (b.mul(onehot, b.reshape(ybar, keep)),)
+    return (b.emit("mul", (onehot, b.emit("reshape", (ybar,), {"shape": keep}))),)
 
 
 def _fused_map(b, attrs, ts, sv, ybar):
@@ -178,16 +217,9 @@ def _fused_map(b, attrs, ts, sv, ybar):
     (pack,) = sv
     cots = []
     for i, t in enumerate(ts):
-        part = b.take(pack, 1 + i, 0)
-        cots.append(b.reduce_like(b.mul(ybar, part), t))
+        part = b.emit("unstack", (pack,), {"index": 1 + i, "axis": 0})
+        cots.append(reduce_like(b, b.emit("mul", (ybar, part)), t))
     return tuple(cots)
-
-
-def _count(shape: tuple[int, ...]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 RULES: dict[str, Rule] = {
@@ -203,8 +235,8 @@ RULES: dict[str, Rule] = {
     "relu": Rule(("o0",), _relu),
     "pow_int": Rule(("o0",), _pow_int),
     "select": Rule(("o0",), _select),
-    "matmul": Rule(("o0", "o1"), _matmul),
-    "bmm": Rule(("o0", "o1"), _bmm),
+    "matmul": Rule(("o0", "o1"), _product("matmul")),
+    "bmm": Rule(("o0", "o1"), _product("bmm")),
     "transpose": Rule((), _transpose),
     "reshape": Rule((), _reshape),
     "reduce_sum": Rule((), _reduce_sum),
@@ -221,6 +253,8 @@ RULES: dict[str, Rule] = {
 
 
 def saved_values(rule: Rule, operands: tuple, result):
+    """What rule saves, picked from an op's operands and result: values
+    to push (or record), or their types to pop."""
     out = []
     for sel in rule.saves:
         if sel == "res":
@@ -237,76 +271,20 @@ def saved_values(rule: Rule, operands: tuple, result):
 # ------------------------------------------------- numeric backend
 
 
-class NumericBuilder:
-    """Evaluates rule bodies directly on runtime values."""
-
-    def add(self, a, b):
-        return T.add(a, b)
-
-    def sub(self, a, b):
-        return T.sub(a, b)
-
-    def mul(self, a, b):
-        return T.mul(a, b)
-
-    def div(self, a, b):
-        return T.div(a, b)
-
-    def neg(self, a):
-        return T.neg(a)
-
-    def const_f64(self, x: float) -> float:
-        return float(x)
-
-    def const_tensor(self, shape, values) -> DenseTensor:
-        return DenseTensor.from_flat(shape, values)
-
-    def pow_int(self, a, n: int):
-        if isinstance(a, DenseTensor):
-            return T.pow_int(a, n)
-        return T.scalar_pow_int(a, n)
-
-    def gt_zero_mask(self, a):
-        if isinstance(a, DenseTensor):
-            return T.compare("gt", a, 0.0)
-        return 1.0 if a > 0.0 else 0.0
-
-    def select(self, c, x, y):
-        if isinstance(c, bool):
-            return x if c else y
-        return T.select_mask(c, x, y)
-
-    def matmul(self, a, b):
-        return T.matmul(a, b)
-
-    def bmm(self, a, b):
-        return T.bmm(a, b)
-
-    def transpose(self, a):
-        return T.transpose(a)
-
-    def reshape(self, a, shape):
-        return T.reshape(a, tuple(shape))
-
-    def bcast(self, a, shape):
-        shape = tuple(shape)
-        if not isinstance(a, DenseTensor):
-            return DenseTensor.full(shape, float(a))
-        return T.bcast_to(a, shape)
-
-    def take(self, a, index, axis):
-        return T.take(a, index, axis)
-
-    def reduce_like(self, x, ref_ty: Type):
-        if ref_ty.kind == "f64":
-            if isinstance(x, DenseTensor):
-                return T.reduce_sum(x, "all")
-            return x
-        if not isinstance(x, DenseTensor):
-            return DenseTensor.full(ref_ty.shape, float(x))
-        if x.shape == ref_ty.shape:
-            return x
-        return T.reduce_to(x, ref_ty.shape)
+def runtime_type(v) -> Type:
+    """The IR Type of a runtime value."""
+    if isinstance(v, bool):
+        return BOOL
+    if isinstance(v, int):
+        return I64
+    if isinstance(v, DenseTensor):
+        return tensor_type(*v.shape)
+    return F64
 
 
-NUMERIC = NumericBuilder()
+def _run_kernel(op: str, operands, attrs: dict | None = None):
+    return KERNELS[op](None, attrs, operands, range(len(operands)))
+
+
+# evaluates rule bodies directly on runtime values
+NUMERIC = SimpleNamespace(emit=_run_kernel, type_of=runtime_type)

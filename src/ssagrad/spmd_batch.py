@@ -22,11 +22,14 @@ dead lanes.
 
 from __future__ import annotations
 
+from . import tensor as T
+from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
 from .structure import (
     SCopy, SEmitter, SFunc, SIf, SInstr, SWhile, flatten,
 )
 from .reverse_ad import augment, inline_sfunc, run_aug_pb
+from .tensor import DenseTensor
 
 
 class BatchError(Exception):
@@ -50,11 +53,6 @@ def batched_type(ty: Type, lanes: int) -> Type:
 
 def _lane_shape(ty: Type) -> tuple[int, ...]:
     return ty.shape if ty.kind == "tensor" else ()
-
-
-def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    from .tensor import broadcast_shapes
-    return broadcast_shapes(a, b)
 
 
 # ----------------------------------------------------- lane analysis
@@ -209,7 +207,8 @@ class _Vectorizer:
     def common_lane(self, operands: tuple[int, ...]) -> tuple[int, ...]:
         s: tuple[int, ...] = ()
         for o in operands:
-            s = _broadcast(s, self.lane_of(o) if self.is_b(o) else _lane_shape(self.sf.types[o]))
+            lane = self.lane_of(o) if self.is_b(o) else _lane_shape(self.sf.types[o])
+            s = T.broadcast_shapes(s, lane)
         return s
 
     def elem(self, o: int, lane: tuple[int, ...]) -> int:
@@ -685,9 +684,6 @@ def vectorize(module: Module, name: str, lanes: int) -> Function:
 
 def stack_lanes(ty: Type, vals: list):
     """Pack per-sample runtime values into one lane-leading argument."""
-    from . import tensor as T
-    from .tensor import DenseTensor
-
     if ty.kind == "tensor":
         return T.stack([v for v in vals], 0)
     if ty.kind == "bool":
@@ -697,8 +693,6 @@ def stack_lanes(ty: Type, vals: list):
 
 def unstack_lanes(ty: Type, value, lanes: int) -> list:
     """Split a lane-leading result back into per-sample values."""
-    from . import tensor as T
-
     out = []
     for i in range(lanes):
         v = T.take(value, i, 0)
@@ -718,8 +712,6 @@ def batched_grad(module: Module, name: str, lanes: int, stacked_args: tuple,
     ``stacked_args`` and ``seeds`` carry a leading lane axis.  Returns
     the same mapping as ``grad`` with each cotangent holding all lanes.
     """
-    from .interp import DEFAULT_STEP_LIMIT
-
     aug_fn, pb_fn = augment(module, name)
     vaug = vectorize(module, aug_fn.name, lanes)
     vpb = vectorize(module, pb_fn.name, lanes)

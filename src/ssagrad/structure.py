@@ -32,6 +32,7 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret,
                  Type, tensor_type, term_uses)
@@ -71,47 +72,60 @@ def predecessors(fn: Function) -> dict[str, list[str]]:
 
 
 def reverse_postorder(fn: Function) -> list[str]:
+    """The blocks reachable from the entry, in reverse postorder.
+
+    The depth-first search keeps its own stack, so a long chain of
+    blocks does not exhaust Python's recursion limit.
+    """
     blocks = {b.name: b for b in fn.blocks}
-    seen: dict[str, bool] = {}
+    entry = fn.blocks[0].name
+    seen = {entry}
     order: list[str] = []
-
-    def visit(name: str):
-        if name in seen:
-            return
-        seen[name] = True
-        for s in successors(blocks[name]):
-            visit(s)
-        order.append(name)
-
-    visit(fn.blocks[0].name)
+    stack = [(entry, iter(successors(blocks[entry])))]
+    while stack:
+        name, succs = stack[-1]
+        for s in succs:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(successors(blocks[s]))))
+                break
+        else:
+            stack.pop()
+            order.append(name)
     order.reverse()
     return order
 
 
-def dominators(fn: Function) -> dict[str, frozenset[str]]:
-    """Dominator sets for reachable blocks (iterative dataflow)."""
-    rpo = reverse_postorder(fn)
-    preds = predecessors(fn)
-    entry = fn.blocks[0].name
-    every = frozenset(rpo)
-    dom: dict[str, frozenset[str]] = {n: every for n in rpo}
-    dom[entry] = frozenset([entry])
+def _dominance(order: list[str], start: str,
+               inputs: dict[str, list[str]]) -> dict[str, frozenset[str]]:
+    """Dominator sets by iterative dataflow: each block is dominated by
+    itself and by whatever dominates all of its inputs.
+
+    Dominators take predecessors as inputs and sweep in reverse
+    postorder; postdominators take successors and sweep in postorder.
+    Either way a block's inputs mostly come before it, so an acyclic
+    chain settles in one sweep.
+    """
+    every = frozenset(order)
+    sets = {n: every for n in order}
+    sets[start] = frozenset([start])
     changed = True
     while changed:
         changed = False
-        for n in rpo:
-            if n == entry:
+        for n in order:
+            if n == start:
                 continue
-            ps = [dom[p] for p in preds[n] if p in dom]
-            new = frozenset.intersection(*ps) | {n} if ps else frozenset([n])
-            if new != dom[n]:
-                dom[n] = new
+            ins = [sets[p] for p in inputs[n]]
+            new = frozenset.intersection(*ins) | {n} if ins else frozenset([n])
+            if new != sets[n]:
+                sets[n] = new
                 changed = True
-    return dom
+    return sets
 
 
-def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list[str]]]:
-    """Dominators and predecessors of a well-formed block graph.
+def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list[str]], list[str]]:
+    """Dominators, predecessors and reverse postorder of a well-formed
+    block graph.
 
     Raises StructureError at the first violation: no blocks, a duplicate
     block name, a missing terminator, a jump to an unknown block, an
@@ -130,15 +144,16 @@ def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list
         for t in successors(b):
             if t not in names:
                 raise StructureError(fn.name, b.name, f"terminator targets unknown block ^{t}")
-    dom = dominators(fn)
+    rpo = reverse_postorder(fn)
+    reached = set(rpo)
     for b in fn.blocks:
-        if b.name not in dom:
+        if b.name not in reached:
             raise StructureError(fn.name, b.name, "unreachable block")
     preds = predecessors(fn)
     entry = fn.blocks[0].name
     if preds[entry]:
         raise StructureError(fn.name, entry, "entry block has predecessors")
-    return dom, preds
+    return _dominance(rpo, entry, preds), preds, rpo
 
 
 def check_ssa(fn: Function, dom: dict[str, frozenset[str]]) -> None:
@@ -179,29 +194,13 @@ def _use_error(fn: Function, block: str, vid: int, site: str | None) -> Structur
     return StructureError(fn.name, block, msg)
 
 
-def postdominators(fn: Function) -> dict[str, frozenset[str]]:
+def postdominators(fn: Function, rpo: list[str]) -> dict[str, frozenset[str]]:
     """Postdominator sets, computed toward the single ret block."""
     rets = [b.name for b in fn.blocks if isinstance(b.term, Ret)]
     if len(rets) != 1:
         raise StructureError(fn.name, "", f"expected exactly one ret block, found {len(rets)}")
-    exit_name = rets[0]
     succs = {b.name: successors(b) for b in fn.blocks}
-    names = [b.name for b in fn.blocks]
-    every = frozenset(names)
-    pdom: dict[str, frozenset[str]] = {n: every for n in names}
-    pdom[exit_name] = frozenset([exit_name])
-    changed = True
-    while changed:
-        changed = False
-        for n in names:
-            if n == exit_name:
-                continue
-            ss = [pdom[s] for s in succs[n]]
-            new = frozenset.intersection(*ss) | {n} if ss else frozenset([n])
-            if new != pdom[n]:
-                pdom[n] = new
-                changed = True
-    return pdom
+    return _dominance(rpo[::-1], rets[0], succs)
 
 
 def immediate_postdominator(pdom: dict[str, frozenset[str]], name: str) -> str | None:
@@ -216,17 +215,17 @@ def immediate_postdominator(pdom: dict[str, frozenset[str]], name: str) -> str |
 # --------------------------------------------------------- type walk
 
 
-def compute_types(fn: Function, module: Module | None = None) -> dict[int, Type]:
+def compute_types(fn: Function, module: Module | None, rpo: list[str]) -> dict[int, Type]:
     """Type of every value of an SSA-checked function.
 
     Raises StructureError on an ill-typed op.  Blocks are walked in
-    reverse postorder, which sees every dominating definition before
-    its uses; cross-block cycles only flow through typed block
+    reverse postorder ``rpo``, which sees every dominating definition
+    before its uses; cross-block cycles only flow through typed block
     parameters.
     """
     types: dict[int, Type] = {}
     blocks = {b.name: b for b in fn.blocks}
-    for name in reverse_postorder(fn):
+    for name in rpo:
         b = blocks[name]
         for vid, ty in b.params:
             types[vid] = ty
@@ -391,12 +390,12 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
     Raises StructureError at the first well-formedness violation, or
     when the function is not in structured form.
     """
-    dom, preds = analyze_cfg(fn)
+    dom, preds, rpo = analyze_cfg(fn)
     check_ssa(fn, dom)
-    types = compute_types(fn, module)
+    types = compute_types(fn, module, rpo)
     check_terminators(fn, types)
     blocks = {b.name: b for b in fn.blocks}
-    pdom = postdominators(fn)
+    pdom = postdominators(fn, rpo)
 
     # back edges and loop membership
     headers: dict[str, str] = {}  # header -> back edge source
@@ -681,10 +680,7 @@ class SEmitter:
         if ty.kind == "f64":
             return self.const_f64(0.0, name)
         if ty.is_tensor:
-            n = 1
-            for d in ty.shape:
-                n *= d
-            return self.const_tensor(ty.shape, (0.0,) * n, name)
+            return self.const_tensor(ty.shape, (0.0,) * prod(ty.shape), name)
         if ty.kind == "tape":
             return self.emit("tape_new", (), None, name)
         raise OpTypeError(f"no zero value for type {ty}")

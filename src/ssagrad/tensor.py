@@ -74,10 +74,7 @@ class DenseTensor:
     def from_flat(shape: Sequence[int], values: Iterable[float]) -> "DenseTensor":
         shape = tuple(int(d) for d in shape)
         arr = np.array(list(values), dtype=np.float64)
-        n = 1
-        for d in shape:
-            n *= d
-        if arr.size != n:
+        if arr.size != math.prod(shape):
             raise ValueError(f"{arr.size} values for shape {shape}")
         return DenseTensor(arr.reshape(shape))
 
@@ -338,10 +335,7 @@ def transpose(t: DenseTensor) -> DenseTensor:
 
 
 def reshape(t: DenseTensor, shape: tuple[int, ...]) -> DenseTensor:
-    n = 1
-    for d in shape:
-        n *= d
-    if n != t.data.size:
+    if math.prod(shape) != t.data.size:
         raise ValueError(f"cannot reshape {t.shape} to {shape}")
     return DenseTensor(t.data.reshape(shape))
 

@@ -192,6 +192,20 @@ def test_check_structure_error_has_one_prefix(tmp_path, capsys):
     assert err == "@g: expected exactly one ret block, found 2\n"
 
 
+def test_check_long_block_chain(tmp_path, capsys):
+    # 2,000 blocks in one jmp chain: deeper than Python's recursion limit
+    n = 2000
+    lines = ["func @chain(%x: f64) -> f64 {", "^entry:", "  jmp ^b0(%x)"]
+    for i in range(n):
+        lines += [f"^b{i}(%v{i}: f64):", f"  %w{i} = add %v{i}, %v{i}",
+                  f"  jmp ^b{i + 1}(%w{i})" if i + 1 < n else f"  ret %w{i}"]
+    p = tmp_path / "chain.ssair"
+    p.write_text("\n".join(lines + ["}"]) + "\n")
+    assert main(["check", str(p)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ""
+
+
 def test_check_parse_error(tmp_path, capsys):
     p = tmp_path / "junk.ssair"
     p.write_text("funk @nope")

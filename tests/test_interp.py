@@ -296,3 +296,37 @@ def test_kernel_key_error_keeps_its_message(runner):
     del m.functions["h"]
     with pytest.raises(KeyError, match="no function @h in module"):
         RUNNERS[runner](m, "calls_h", 1.0, DEFAULT_STEP_LIMIT)
+
+
+BAD_EDGE_SRC = """
+func @unknown_target(%x: f64) -> f64 {
+^entry:
+  jmp ^b(%x)
+^b(%y: f64):
+  ret %y
+}
+
+func @extra_arg(%x: f64) -> f64 {
+^entry:
+  %z = const f64 1.0
+  jmp ^b(%x, %z)
+^b(%y: f64):
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("name, index, message", [
+    ("unknown_target", 0, "terminator targets unknown block ^nowhere"),
+    ("extra_arg", 1, "edge to ^b passes 2 args for 1 params"),
+], ids=["unknown_target", "extra_arg"])
+def test_bad_edge_is_a_located_eval_error(runner, name, index, message):
+    # unverified code; the parser rejects unknown targets, so that edit
+    # is made on the IR
+    m = parse_ir(BAD_EDGE_SRC)
+    m.get("unknown_target").blocks[0].term.target = "nowhere"
+    with pytest.raises(EvalError) as info:
+        RUNNERS[runner](m, name, 3.0, DEFAULT_STEP_LIMIT)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == (name, "entry", index, message)

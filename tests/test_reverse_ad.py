@@ -6,6 +6,7 @@ exact values and the structural properties pin what augment emits.
 """
 
 import math
+from math import prod
 
 import pytest
 
@@ -13,7 +14,10 @@ from ssagrad import (ADError, DenseTensor, Machine, StructureError, augment,
                      build_grad_function, eval_function, finite_diff, grad,
                      grad_of_grad, parse_ir, print_ir, trace_grad, verify)
 
+from ssagrad.rules import RULES
+
 from conftest import max_rel, rel
+from test_acceptance import FD_TOL
 
 
 def test_product_rule(analytic):
@@ -209,3 +213,222 @@ func @f(%x: f64) -> f64 {
     m.get("f").blocks[0].term.target = "__nowhere"
     with pytest.raises(StructureError, match=r"^@f \^entry: terminator targets unknown block \^__nowhere$"):
         augment(m, "f")
+
+
+# one function per adjoint rule, each applying its op once to its
+# parameters; shapes make the broadcasting rules fold cotangents back
+RULE_SRC = """
+func @add(%a: tensor<2x3xf64>, %b: tensor<3xf64>) -> tensor<2x3xf64> {
+^entry:
+  %r = add %a, %b
+  ret %r
+}
+func @sub(%a: f64, %b: tensor<2x2xf64>) -> tensor<2x2xf64> {
+^entry:
+  %r = sub %a, %b
+  ret %r
+}
+func @mul(%a: tensor<2x3xf64>, %b: tensor<2x1xf64>) -> tensor<2x3xf64> {
+^entry:
+  %r = mul %a, %b
+  ret %r
+}
+func @div(%a: tensor<3xf64>, %b: f64) -> tensor<3xf64> {
+^entry:
+  %r = div %a, %b
+  ret %r
+}
+func @neg(%a: f64) -> f64 {
+^entry:
+  %r = neg %a
+  ret %r
+}
+func @exp(%a: tensor<3xf64>) -> tensor<3xf64> {
+^entry:
+  %r = exp %a
+  ret %r
+}
+func @log(%a: f64) -> f64 {
+^entry:
+  %r = log %a
+  ret %r
+}
+func @tanh(%a: tensor<2x2xf64>) -> tensor<2x2xf64> {
+^entry:
+  %r = tanh %a
+  ret %r
+}
+func @sigmoid(%a: f64) -> f64 {
+^entry:
+  %r = sigmoid %a
+  ret %r
+}
+func @relu_f64(%a: f64) -> f64 {
+^entry:
+  %r = relu %a
+  ret %r
+}
+func @relu_tensor(%a: tensor<4xf64>) -> tensor<4xf64> {
+^entry:
+  %r = relu %a
+  ret %r
+}
+func @pow_int(%a: tensor<3xf64>) -> tensor<3xf64> {
+^entry:
+  %r = pow_int %a {n = 3}
+  ret %r
+}
+func @pow_int_0(%a: f64) -> f64 {
+^entry:
+  %r = pow_int %a {n = 0}
+  ret %r
+}
+func @select_bool(%c: bool, %a: tensor<3xf64>, %b: tensor<3xf64>) -> tensor<3xf64> {
+^entry:
+  %r = select %c, %a, %b
+  ret %r
+}
+func @select_mask(%c: tensor<3xf64>, %a: tensor<3xf64>, %b: f64) -> tensor<3xf64> {
+^entry:
+  %r = select %c, %a, %b
+  ret %r
+}
+func @matmul(%a: tensor<2x3xf64>, %b: tensor<3x2xf64>) -> tensor<2x2xf64> {
+^entry:
+  %r = matmul %a, %b
+  ret %r
+}
+func @bmm(%a: tensor<2x2x3xf64>, %b: tensor<2x3x2xf64>) -> tensor<2x2x2xf64> {
+^entry:
+  %r = bmm %a, %b
+  ret %r
+}
+func @transpose(%a: tensor<2x3xf64>) -> tensor<3x2xf64> {
+^entry:
+  %r = transpose %a
+  ret %r
+}
+func @reshape(%a: tensor<2x3xf64>) -> tensor<3x2xf64> {
+^entry:
+  %r = reshape %a {shape = [3, 2]}
+  ret %r
+}
+func @reduce_sum_all(%a: tensor<2x3xf64>) -> f64 {
+^entry:
+  %r = reduce_sum %a {axis = all}
+  ret %r
+}
+func @reduce_sum_tail(%a: tensor<2x3xf64>) -> tensor<2xf64> {
+^entry:
+  %r = reduce_sum %a {axis = tail}
+  ret %r
+}
+func @reduce_sum_1(%a: tensor<2x3xf64>) -> tensor<2xf64> {
+^entry:
+  %r = reduce_sum %a {axis = 1}
+  ret %r
+}
+func @bcast(%a: tensor<3xf64>) -> tensor<2x3xf64> {
+^entry:
+  %r = bcast %a {shape = [2, 3]}
+  ret %r
+}
+func @reduce_to(%a: tensor<2x3xf64>) -> tensor<1x3xf64> {
+^entry:
+  %r = reduce_to %a {shape = [1, 3]}
+  ret %r
+}
+func @stack(%a: tensor<3xf64>, %b: tensor<3xf64>) -> tensor<3x2xf64> {
+^entry:
+  %r = stack %a, %b {axis = 1}
+  ret %r
+}
+func @unstack(%a: tensor<2x3xf64>) -> tensor<2xf64> {
+^entry:
+  %r = unstack %a {index = 1, axis = 1}
+  ret %r
+}
+func @fused_map(%a: tensor<3xf64>, %b: f64) -> tensor<3xf64> {
+^entry:
+  %r = fused_map %a, %b {fn = @scal}
+  ret %r
+}
+func @scal(%x: f64, %y: f64) -> f64 {
+^entry:
+  %p = mul %x, %y
+  %s = sigmoid %p
+  %q = add %s, %x
+  ret %q
+}
+"""
+
+
+def _t(shape, *vals):
+    return DenseTensor.from_flat(shape, vals)
+
+
+RULE_ARGS = {
+    "add": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4), _t((3,), 0.9, -1.2, 0.5)),
+    "sub": (0.7, _t((2, 2), 0.3, -0.5, 0.8, 1.1)),
+    "mul": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4), _t((2, 1), 1.3, -0.6)),
+    "div": (_t((3,), 0.3, -0.5, 0.8), -1.7),
+    "neg": (0.9,),
+    "exp": (_t((3,), 0.3, -0.5, 0.8),),
+    "log": (1.9,),
+    "tanh": (_t((2, 2), 0.3, -0.5, 0.8, 1.1),),
+    "sigmoid": (-0.6,),
+    "relu_f64": (0.4,),
+    "relu_tensor": (_t((4,), 0.3, -0.5, 0.8, -1.1),),
+    "pow_int": (_t((3,), 0.3, -0.5, 0.8),),
+    "pow_int_0": (1.3,),
+    "select_bool": (False, _t((3,), 0.3, -0.5, 0.8), _t((3,), 1.1, 0.2, -0.4)),
+    "select_mask": (_t((3,), 1.0, 0.0, 1.0), _t((3,), 0.3, -0.5, 0.8), 0.6),
+    "matmul": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),
+               _t((3, 2), 0.9, -1.2, 0.5, 0.7, -0.3, 1.4)),
+    "bmm": (_t((2, 2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4, 0.6, 0.1, -0.9, 1.2, -0.7, 0.4),
+            _t((2, 3, 2), 0.9, -1.2, 0.5, 0.7, -0.3, 1.4, 0.2, 0.8, -0.6, 1.0, 0.3, -1.1)),
+    "transpose": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "reshape": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "reduce_sum_all": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "reduce_sum_tail": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "reduce_sum_1": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "bcast": (_t((3,), 0.9, -1.2, 0.5),),
+    "reduce_to": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "stack": (_t((3,), 0.3, -0.5, 0.8), _t((3,), 1.1, 0.2, -0.4)),
+    "unstack": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "fused_map": (_t((3,), 0.3, -0.5, 0.8), 0.7),
+}
+
+
+def _seed(ty):
+    # uneven weights, so a cotangent routed to the wrong element shows
+    if ty.kind == "f64":
+        return 1.0
+    return DenseTensor.from_flat(ty.shape, [0.5 + 0.25 * i for i in range(prod(ty.shape))])
+
+
+def _bits(v):
+    if isinstance(v, DenseTensor):
+        return v.shape, v.data.tobytes()
+    return v.hex()
+
+
+def test_rule_table_covers_every_rule():
+    m = parse_ir(RULE_SRC)
+    assert {m.get(name).blocks[0].body[0].op for name in RULE_ARGS} == set(RULES)
+
+
+@pytest.mark.parametrize("name", RULE_ARGS)
+def test_every_adjoint_rule_three_ways(name):
+    m = parse_ir(RULE_SRC)
+    fn = m.get(name)
+    assert len(fn.blocks) == 1 and len(fn.blocks[0].body) == 1
+    args = RULE_ARGS[name]
+    seeds = (_seed(fn.results[0]),)
+    g = grad(m, name, args, seeds)
+    t = trace_grad(m, name, args, seeds)
+    fd = finite_diff(m, name, args, seeds)
+    assert g.keys() == t.keys() == fd.keys()
+    for vid in g:
+        assert _bits(g[vid]) == _bits(t[vid])
+        assert max_rel(g[vid], fd[vid]) <= FD_TOL
