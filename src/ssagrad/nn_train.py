@@ -117,11 +117,10 @@ def _declare_weights(em: SEmitter, layer_sizes) -> list[list[tuple[int, int]]]:
     return chains
 
 
-def init_params(layer_sizes, rng: random.Random,
-                trunk_bias: float = 0.4) -> ModelParams:
+def init_params(layer_sizes, rng: random.Random) -> ModelParams:
     """Uniform init scaled by fan-in and fan-out.
 
-    Head biases start at zero.  Trunk biases start at ``trunk_bias``:
+    Head biases start at zero.  Trunk biases start at 0.4:
     with zero bias, tanh units are odd functions and the magnitude
     signature in the synthetic data is invisible to every first-step
     gradient; a small constant offset breaks that symmetry so the
@@ -140,7 +139,7 @@ def init_params(layer_sizes, rng: random.Random,
         return out
 
     t, c, d = layer_sizes
-    return ModelParams(chain(t, trunk_bias), chain(c, 0.0), chain(d, 0.0))
+    return ModelParams(chain(t, 0.4), chain(c, 0.0), chain(d, 0.0))
 
 
 # ------------------------------------------------------- IR builders
@@ -335,8 +334,9 @@ def dan_step(
     return new, {"c_loss": c_loss, "d_loss": d_loss}
 
 
-def _domain_probe_acc(H: DenseTensor, yd: list[int], alpha: float = 0.1) -> float:
-    """Ridge-fit linear probe on frozen trunk features predicting y_d.
+def _domain_probe_acc(H: DenseTensor, yd: list[int]) -> float:
+    """Ridge-fit (penalty 0.1) linear probe on frozen trunk features
+    predicting y_d.
 
     Two-fold cross-validated: fit on one half, score the other, and
     average, so the number reflects decodable signal rather than an
@@ -347,7 +347,7 @@ def _domain_probe_acc(H: DenseTensor, yd: list[int], alpha: float = 0.1) -> floa
     acc = 0.0
     for tr, te in ((slice(0, None, 2), slice(1, None, 2)),
                    (slice(1, None, 2), slice(0, None, 2))):
-        gram = X[tr].T @ X[tr] + alpha * np.eye(X.shape[1])
+        gram = X[tr].T @ X[tr] + 0.1 * np.eye(X.shape[1])
         w = np.linalg.solve(gram, X[tr].T @ t[tr])
         acc += float(np.mean((X[te] @ w >= 0.0) == (t[te] > 0.0)))
     return acc / 2.0

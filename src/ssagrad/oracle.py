@@ -76,7 +76,9 @@ def _traced_kernel(op: str, kernel):
         value = kernel(m, attrs, vals, range(len(vals)))
         if compare and not all(isinstance(v, int) for v in vals):
             m.trace.compare_margins.append(_margin(vals[0], vals[1]))
-        if rule is None:
+        # as in the transform, rules fire only on differentiable
+        # results; an i64 add is plain bookkeeping
+        if rule is None or not isinstance(value, (float, DenseTensor)):
             return m.fresh(value)
         return _record(m, op, attrs, boxed, vals, saved_values(rule, vals, value), value)
     return traced

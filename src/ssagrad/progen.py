@@ -30,6 +30,10 @@ from .structure import SEmitter, SIf, SWhile, flatten
 from .tensor import DenseTensor
 
 _LIMIT = 80.0
+# stable_inputs: the closest a float compare may come to a tie, and the
+# samples it draws before giving up on a program
+_MARGIN = 1e-3
+_TRIES = 64
 _SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 2))
 
 
@@ -45,10 +49,9 @@ class _Gen:
     is handled by snapshot/restore around if arms and loop bodies.
     """
 
-    def __init__(self, rng: random.Random, em: SEmitter, scalar_only: bool):
+    def __init__(self, rng: random.Random, em: SEmitter):
         self.rng = rng
         self.em = em
-        self.scalar_only = scalar_only
         self.floats: list[int] = []
         self.tens: dict[tuple[int, ...], list[int]] = {}
         self.ints: list[int] = []
@@ -353,7 +356,7 @@ class _Gen:
                 self.if_stmt(depth)
             else:
                 self.loop_stmt(depth)
-        elif not self.scalar_only and self.tens and roll < 0.55:
+        elif self.tens and roll < 0.55:
             self.tensor_stmt()
         else:
             self.scalar_stmt()
@@ -377,12 +380,7 @@ class _Gen:
         return r
 
 
-def random_program(
-    module: Module,
-    rng: random.Random,
-    name: str,
-    scalar_only: bool = False,
-) -> Function:
+def random_program(module: Module, rng: random.Random, name: str) -> Function:
     """Build one random function into the module and return it.
 
     Every program takes one to three f64 params, optionally a small
@@ -390,13 +388,13 @@ def random_program(
     combining the live values.  All randomness flows through ``rng``.
     """
     em = SEmitter(name, (F64,), module)
-    g = _Gen(rng, em, scalar_only)
+    g = _Gen(rng, em)
 
     for k in range(rng.randint(1, 3)):
         v = em.param(f"x{k}", F64)
         g.add_float(v, 2.0)
     int_param = None
-    if not scalar_only and rng.random() < 0.6:
+    if rng.random() < 0.6:
         shape = rng.choice(_SHAPES)
         v = em.param("tin", tensor_type(*shape))
         g.add_tensor(v, shape, 2.0)
@@ -434,28 +432,22 @@ def sample_inputs(fn: Function, rng: random.Random) -> tuple:
     return tuple(args)
 
 
-def stable_inputs(
-    module: Module,
-    name: str,
-    rng: random.Random,
-    margin: float = 1e-3,
-    tries: int = 64,
-) -> tuple | None:
+def stable_inputs(module: Module, name: str, rng: random.Random) -> tuple | None:
     """Sample inputs whose branch decisions sit away from the boundary.
 
     Finite differencing perturbs the inputs, so any float compare that
-    lands within ``margin`` of a tie could flip and invalidate the
+    lands within ``_MARGIN`` of a tie could flip and invalidate the
     probe.  Returns None when no acceptable sample turns up, which the
     caller should treat as a reason to discard the program.
     """
     fn = module.get(name)
-    for _ in range(tries):
+    for _ in range(_TRIES):
         args = sample_inputs(fn, rng)
         try:
             _, trace = trace_eval(module, name, args)
         except EvalError:
             continue
-        if trace.min_compare_margin() > margin:
+        if trace.min_compare_margin() > _MARGIN:
             return args
     return None
 
@@ -465,8 +457,6 @@ def generate_suite(
     rng: random.Random,
     count: int,
     inputs_per: int = 5,
-    scalar_only: bool = False,
-    margin: float = 1e-3,
 ) -> list[tuple[str, list[tuple]]]:
     """Generate ``count`` programs, each with accepted input samples.
 
@@ -479,10 +469,10 @@ def generate_suite(
     while len(suite) < count:
         nm = f"gen{attempt}"
         attempt += 1
-        random_program(module, rng, nm, scalar_only=scalar_only)
+        random_program(module, rng, nm)
         batch = []
         for _ in range(inputs_per):
-            args = stable_inputs(module, nm, rng, margin=margin)
+            args = stable_inputs(module, nm, rng)
             if args is None:
                 break
             batch.append(args)

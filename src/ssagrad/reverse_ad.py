@@ -35,15 +35,13 @@ from .ir import BOOL, F64, TAPE, Function, Instruction, Module, Type
 from .ops import result_type
 from .rules import RULES, Rule, saved_values
 from .structure import (
-    SCopy,
     SEmitter,
     SFunc,
     SIf,
     SInstr,
     SWhile,
     flatten,
-    region_defs,
-    region_uses,
+    free_values,
     splice_function,
     splice_region,
     structurize,
@@ -129,15 +127,10 @@ class _Augmenter:
         for node in nodes:
             if isinstance(node, SInstr):
                 blog, vstack = self.instr(node.ins, valmap, blog, vstack)
-            elif isinstance(node, SCopy):
-                for dst, src in node.pairs:
-                    valmap[dst] = valmap[src]
             elif isinstance(node, SIf):
                 blog, vstack = self.branch(node, valmap, blog, vstack)
-            elif isinstance(node, SWhile):
-                blog, vstack = self.loop(node, valmap, blog, vstack)
             else:
-                raise TypeError(f"unknown structured node {node!r}")
+                blog, vstack = self.loop(node, valmap, blog, vstack)
         return blog, vstack
 
     def instr(self, ins: Instruction, valmap: dict, blog: int, vstack: int) -> tuple[int, int]:
@@ -338,17 +331,10 @@ class _PullbackBuilder:
             for node in reversed(nodes):
                 if isinstance(node, SInstr):
                     blog, vstack = self.instr(node.ins, cot, blog, vstack)
-                elif isinstance(node, SCopy):
-                    for dst, src in node.pairs:
-                        got = cot.get(dst)
-                        if got is not None and _carries_cot(self.sf.types[src]):
-                            self.acc(cot, src, got)
                 elif isinstance(node, SIf):
                     blog, vstack = self.branch(node, cot, blog, vstack)
-                elif isinstance(node, SWhile):
-                    blog, vstack = self.loop(node, cot, blog, vstack)
                 else:
-                    raise TypeError(f"unknown structured node {node!r}")
+                    blog, vstack = self.loop(node, cot, blog, vstack)
         finally:
             self._level_tops = outer_tops
         return blog, vstack
@@ -433,7 +419,7 @@ class _PullbackBuilder:
         free = set()
         for region, args in ((node.then_region, node.then_args),
                              (node.else_region, node.else_args)):
-            free |= (region_uses(region) | set(args)) - region_defs(region)
+            free |= free_values(region, args)
         outside = sorted(v for v in free if _carries_cot(sf.types[v]))
 
         base = dict(cot)
@@ -475,8 +461,7 @@ class _PullbackBuilder:
 
         carried_ids = {cv for cv, _ in node.carried}
         header_ids = {ins.result for ins in node.header}
-        free = (region_uses(node.body_region) | set(node.body_args)) \
-            - region_defs(node.body_region) - carried_ids - header_ids
+        free = free_values(node.body_region, node.body_args) - carried_ids - header_ids
         outside = sorted(v for v in free if _carries_cot(sf.types[v]))
         diff = [j for j, (_, cty) in enumerate(node.carried) if _carries_cot(cty)]
 

@@ -25,9 +25,7 @@ from __future__ import annotations
 from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
-from .structure import (
-    SCopy, SEmitter, SFunc, SIf, SInstr, SWhile, flatten,
-)
+from .structure import SEmitter, SFunc, SIf, SInstr, SWhile, flatten
 from .reverse_ad import augment, inline_sfunc, run_aug_pb
 from .tensor import DenseTensor
 
@@ -88,10 +86,6 @@ def _scan_batched(sf: SFunc) -> set[int]:
         for node in nodes:
             if isinstance(node, SInstr):
                 instr(node.ins, sf.types)
-            elif isinstance(node, SCopy):
-                for dst, src in node.pairs:
-                    if src in batched:
-                        batched.add(dst)
             elif isinstance(node, SIf):
                 walk(node.then_region)
                 walk(node.else_region)
@@ -451,15 +445,10 @@ class _Vectorizer:
         for node in nodes:
             if isinstance(node, SInstr):
                 self.instr(node.ins)
-            elif isinstance(node, SCopy):
-                for dst, src in node.pairs:
-                    self.vmap[dst] = self.val(src)
             elif isinstance(node, SIf):
                 self.branch(node)
-            elif isinstance(node, SWhile):
-                self.loop(node)
             else:
-                raise TypeError(f"unknown structured node {node!r}")
+                self.loop(node)
 
     def branch(self, node: SIf):
         em = self.em

@@ -1,19 +1,23 @@
 """Structured view of functions: recovery, emission, and CFG analyses.
 
 The transforms in this package (adjoint generation, batching) do not
-walk raw block graphs.  They run on a structured tree recovered here:
-straight-line instructions, parallel copies, if/else diamonds and while
-loops.  ``structurize`` rejects anything that is not in that shape, and
-``flatten`` lowers a tree back to blocks, always in canonical shape.
+walk raw block graphs.  They run on a structured tree recovered here,
+of three node kinds: instructions (``SInstr``), if/else diamonds
+(``SIf``) and while loops (``SWhile``).  A jump into a block with one
+predecessor is no node at all: ``structurize`` reads the block's
+parameters as renames of the jump's arguments.  It rejects anything
+that is not in that shape, and ``flatten`` lowers a tree back to
+blocks, always in canonical shape.
 
 Every well-formedness rule lives here once, in the checks
 ``structurize`` runs before it recovers the tree: ``analyze_cfg`` for
-the block graph, ``check_ssa`` for single definition and dominance,
-``compute_types`` for typing and ``check_terminators`` for edge, ``ret``
-and ``br`` types.  Each raises ``StructureError`` at its first
-violation, so every transform rejects ill-formed code before touching
-it, and ``verify`` is a loop that reports each function's error as a
-diagnostic.
+the block graph and its dominator tree (a ``DomTree``, as are the
+postdominators that place each join), ``check_ssa`` for single
+definition and dominance, ``compute_types`` for typing and
+``check_terminators`` for edge, ``ret`` and ``br`` types.  Each raises
+``StructureError`` at its first violation, so every transform rejects
+ill-formed code before touching it, and ``verify`` is a loop that
+reports each function's error as a diagnostic.
 
 Canonical loop form, which the transforms require:
 
@@ -71,23 +75,22 @@ def predecessors(fn: Function) -> dict[str, list[str]]:
     return preds
 
 
-def reverse_postorder(fn: Function) -> list[str]:
-    """The blocks reachable from the entry, in reverse postorder.
+def reverse_postorder(start: str, edges: dict[str, list[str]]) -> list[str]:
+    """The nodes reachable from ``start`` along ``edges``, in reverse
+    postorder.
 
     The depth-first search keeps its own stack, so a long chain of
     blocks does not exhaust Python's recursion limit.
     """
-    blocks = {b.name: b for b in fn.blocks}
-    entry = fn.blocks[0].name
-    seen = {entry}
+    seen = {start}
     order: list[str] = []
-    stack = [(entry, iter(successors(blocks[entry])))]
+    stack = [(start, iter(edges[start]))]
     while stack:
         name, succs = stack[-1]
         for s in succs:
             if s not in seen:
                 seen.add(s)
-                stack.append((s, iter(successors(blocks[s]))))
+                stack.append((s, iter(edges[s])))
                 break
         else:
             stack.pop()
@@ -96,36 +99,70 @@ def reverse_postorder(fn: Function) -> list[str]:
     return order
 
 
-def _dominance(order: list[str], start: str,
-               inputs: dict[str, list[str]]) -> dict[str, frozenset[str]]:
-    """Dominator sets by iterative dataflow: each block is dominated by
-    itself and by whatever dominates all of its inputs.
+class DomTree:
+    """The dominator tree over ``order``, a reverse postorder from its
+    root ``order[0]``, with each node's ``inputs`` as its predecessors.
 
-    Dominators take predecessors as inputs and sweep in reverse
-    postorder; postdominators take successors and sweep in postorder.
-    Either way a block's inputs mostly come before it, so an acyclic
-    chain settles in one sweep.
+    ``idom`` maps each node but the root to its immediate dominator, by
+    Cooper, Harvey and Kennedy's iteration ("A Simple, Fast Dominance
+    Algorithm", 2001); inputs outside ``order`` are ignored.  Each
+    node's subtree is an interval of preorder numbers, so a dominance
+    query is two comparisons.
     """
-    every = frozenset(order)
-    sets = {n: every for n in order}
-    sets[start] = frozenset([start])
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n == start:
-                continue
-            ins = [sets[p] for p in inputs[n]]
-            new = frozenset.intersection(*ins) | {n} if ins else frozenset([n])
-            if new != sets[n]:
-                sets[n] = new
-                changed = True
-    return sets
+
+    def __init__(self, order: list[str], inputs: dict[str, list[str]]):
+        root = order[0]
+        if len(order) == 1:  # one node: nothing to iterate
+            self.idom, self._span = {}, {root: (0, 1)}
+            return
+        index = {n: i for i, n in enumerate(order)}
+        idom = {root: root}
+
+        def meet(a: str, b: str) -> str:
+            while a != b:
+                while index[a] > index[b]:
+                    a = idom[a]
+                while index[b] > index[a]:
+                    b = idom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for n in order[1:]:
+                new = None
+                for p in inputs[n]:
+                    if p in idom:
+                        new = p if new is None else meet(p, new)
+                if idom.get(n) != new:
+                    idom[n] = new
+                    changed = True
+        del idom[root]
+        self.idom = idom
+
+        # a node comes before its whole subtree in order: sizes add up
+        # bottom-up, and preorder numbers are handed out top-down
+        size = dict.fromkeys(order, 1)
+        for n in reversed(order[1:]):
+            size[idom[n]] += size[n]
+        self._span = {root: (0, size[root])}
+        free = {root: 1}  # the next number to give out in each subtree
+        for n in order[1:]:
+            lo = free[idom[n]]
+            free[idom[n]] = lo + size[n]
+            free[n] = lo + 1
+            self._span[n] = (lo, lo + size[n])
+
+    def dominates(self, a: str, b: str) -> bool:
+        """Whether every path from the root to ``b`` passes ``a``; a node
+        dominates itself."""
+        lo, hi = self._span[a]
+        return lo <= self._span[b][0] < hi
 
 
-def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list[str]], list[str]]:
-    """Dominators, predecessors and reverse postorder of a well-formed
-    block graph.
+def analyze_cfg(fn: Function) -> tuple[DomTree, dict[str, list[str]], list[str]]:
+    """Dominator tree, predecessors and reverse postorder of a
+    well-formed block graph.
 
     Raises StructureError at the first violation: no blocks, a duplicate
     block name, a missing terminator, a jump to an unknown block, an
@@ -144,19 +181,19 @@ def analyze_cfg(fn: Function) -> tuple[dict[str, frozenset[str]], dict[str, list
         for t in successors(b):
             if t not in names:
                 raise StructureError(fn.name, b.name, f"terminator targets unknown block ^{t}")
-    rpo = reverse_postorder(fn)
+    entry = fn.blocks[0].name
+    rpo = reverse_postorder(entry, {b.name: successors(b) for b in fn.blocks})
     reached = set(rpo)
     for b in fn.blocks:
         if b.name not in reached:
             raise StructureError(fn.name, b.name, "unreachable block")
     preds = predecessors(fn)
-    entry = fn.blocks[0].name
     if preds[entry]:
         raise StructureError(fn.name, entry, "entry block has predecessors")
-    return _dominance(rpo, entry, preds), preds, rpo
+    return DomTree(rpo, preds), preds, rpo
 
 
-def check_ssa(fn: Function, dom: dict[str, frozenset[str]]) -> None:
+def check_ssa(fn: Function, dom: DomTree) -> None:
     """Every value defined once, and every definition dominating its uses.
 
     Raises StructureError at the first violation; definitions are all
@@ -172,16 +209,17 @@ def check_ssa(fn: Function, dom: dict[str, frozenset[str]]) -> None:
             defblock[vid] = b.name
 
     for b in fn.blocks:
-        strict = dom[b.name] - {b.name}  # blocks whose values b may read anywhere
         seen = {vid for vid, _ in b.params}  # values b has defined so far
-        for ins in b.body:
-            for o in ins.operands:
-                if o not in seen and defblock.get(o) not in strict:
-                    raise _use_error(fn, b.name, o, defblock.get(o))
-            seen.add(ins.result)
-        for o in term_uses(b):
-            if o not in seen and defblock.get(o) not in strict:
-                raise _use_error(fn, b.name, o, defblock.get(o))
+        for ins in [*b.body, None]:  # None stands for the terminator
+            for o in ins.operands if ins else term_uses(b):
+                if o not in seen:
+                    # a value b has not defined itself is readable when
+                    # its block strictly dominates b
+                    site = defblock.get(o)
+                    if site is None or site == b.name or not dom.dominates(site, b.name):
+                        raise _use_error(fn, b.name, o, site)
+            if ins:
+                seen.add(ins.result)
 
 
 def _use_error(fn: Function, block: str, vid: int, site: str | None) -> StructureError:
@@ -192,24 +230,6 @@ def _use_error(fn: Function, block: str, vid: int, site: str | None) -> Structur
     else:
         msg = f"%{fn.value_name(vid)} does not dominate its use"
     return StructureError(fn.name, block, msg)
-
-
-def postdominators(fn: Function, rpo: list[str]) -> dict[str, frozenset[str]]:
-    """Postdominator sets, computed toward the single ret block."""
-    rets = [b.name for b in fn.blocks if isinstance(b.term, Ret)]
-    if len(rets) != 1:
-        raise StructureError(fn.name, "", f"expected exactly one ret block, found {len(rets)}")
-    succs = {b.name: successors(b) for b in fn.blocks}
-    return _dominance(rpo[::-1], rets[0], succs)
-
-
-def immediate_postdominator(pdom: dict[str, frozenset[str]], name: str) -> str | None:
-    rest = pdom[name] - {name}
-    if not rest:
-        return None
-    # postdominator sets nest along the chain; the immediate one has the
-    # largest set among them
-    return max(rest, key=lambda p: (len(pdom[p]), p))
 
 
 # --------------------------------------------------------- type walk
@@ -278,56 +298,32 @@ def check_terminators(fn: Function, types: dict[int, Type]) -> None:
 # ----------------------------------------------------- region queries
 
 
-def region_uses(nodes: list) -> set[int]:
-    """Every value id a region reads, including nested regions."""
-    used: set[int] = set()
-
-    def scan(ns: list):
-        for n in ns:
-            if isinstance(n, SInstr):
-                used.update(n.ins.operands)
-            elif isinstance(n, SCopy):
-                used.update(src for _, src in n.pairs)
-            elif isinstance(n, SIf):
-                used.add(n.cond)
-                used.update(n.then_args)
-                used.update(n.else_args)
-                scan(n.then_region)
-                scan(n.else_region)
-            elif isinstance(n, SWhile):
-                used.update(n.init)
-                used.update(i for ins in n.header for i in ins.operands)
-                used.add(n.cond)
-                used.update(n.body_args)
-                used.update(n.exit_args)
-                scan(n.body_region)
-
-    scan(nodes)
-    return used
-
-
-def region_defs(nodes: list) -> set[int]:
-    """Every value id a region defines, including nested regions."""
+def free_values(nodes: list, out_args: tuple[int, ...] = ()) -> set[int]:
+    """The values a region, together with the edge arguments it passes
+    out, reads but does not define."""
+    used: set[int] = set(out_args)
     defs: set[int] = set()
 
     def scan(ns: list):
         for n in ns:
             if isinstance(n, SInstr):
+                used.update(n.ins.operands)
                 defs.add(n.ins.result)
-            elif isinstance(n, SCopy):
-                defs.update(dst for dst, _ in n.pairs)
             elif isinstance(n, SIf):
+                used.update((n.cond, *n.then_args, *n.else_args))
                 defs.update(v for v, _ in n.merged)
                 scan(n.then_region)
                 scan(n.else_region)
-            elif isinstance(n, SWhile):
-                defs.update(v for v, _ in n.carried)
-                defs.update(ins.result for ins in n.header)
-                defs.update(v for v, _ in n.exits)
+            else:
+                used.update((*n.init, n.cond, *n.body_args, *n.exit_args))
+                defs.update(v for v, _ in n.carried + n.exits)
+                for ins in n.header:
+                    used.update(ins.operands)
+                    defs.add(ins.result)
                 scan(n.body_region)
 
     scan(nodes)
-    return defs
+    return used - defs
 
 
 # ------------------------------------------------------- tree nodes
@@ -336,14 +332,6 @@ def region_defs(nodes: list) -> set[int]:
 @dataclass
 class SInstr:
     ins: Instruction
-
-
-@dataclass
-class SCopy:
-    """Parallel copies dst <- src, the structured form of a jump into a
-    parameterized linear block."""
-
-    pairs: list[tuple[int, int]]  # (dst, src)
 
 
 @dataclass
@@ -395,13 +383,17 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
     types = compute_types(fn, module, rpo)
     check_terminators(fn, types)
     blocks = {b.name: b for b in fn.blocks}
-    pdom = postdominators(fn, rpo)
+    rets = [b.name for b in fn.blocks if isinstance(b.term, Ret)]
+    if len(rets) != 1:
+        raise StructureError(fn.name, "", f"expected exactly one ret block, found {len(rets)}")
+    # blocks that never reach the ret are not in the postdominator tree
+    pdom = DomTree(reverse_postorder(rets[0], preds), {b.name: successors(b) for b in fn.blocks})
 
     # back edges and loop membership
     headers: dict[str, str] = {}  # header -> back edge source
     for b in fn.blocks:
         for s in successors(b):
-            if s in dom[b.name]:  # edge into a dominator: back edge
+            if dom.dominates(s, b.name):  # edge into a dominator: back edge
                 if not isinstance(b.term, Jmp):
                     raise StructureError(fn.name, b.name, "back edges must be unconditional jumps")
                 if s in headers:
@@ -423,6 +415,22 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
                     work.append(p)
         return frozenset(body)
 
+    # a jump into a block with one predecessor is a rename: its
+    # parameters stand for the values the jump passes, and every later
+    # read goes through this map
+    rename: dict[int, int] = {}
+
+    def read(vids: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(rename.get(v, v) for v in vids) if rename else vids
+
+    def instrs(body: list[Instruction]) -> list[Instruction]:
+        # instructions with no renamed operand are shared with fn
+        if not rename:
+            return body
+        return [ins if rename.keys().isdisjoint(ins.operands)
+                else Instruction(ins.result, ins.op, read(ins.operands), ins.attrs)
+                for ins in body]
+
     ret_box: list[tuple[int, ...]] = []
 
     def make_while(name: str, init: tuple[int, ...]) -> tuple[SWhile, str]:
@@ -439,24 +447,24 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             raise StructureError(fn.name, name, "cannot split loop body from exit")
         if not t_in:
             raise StructureError(fn.name, name, "loop body must sit on the taken branch edge")
-        body_entry, body_entry_args = b.term.then_target, b.term.then_args
-        exit_name, exit_args = b.term.else_target, b.term.else_args
+        header = instrs(b.body)
+        body_entry, body_entry_args = b.term.then_target, read(b.term.then_args)
+        exit_name, exit_args = b.term.else_target, read(b.term.else_args)
         if len(preds[exit_name]) != 1:
             raise StructureError(fn.name, exit_name, "loop exit must have one predecessor")
         body_nodes, back_args = walk(body_entry, body_entry_args, True, name)
         param_ids = {vid for vid, _ in b.params}
         header_defs = {ins.result for ins in b.body}
-        interior = region_uses(body_nodes) | set(back_args)
         canonical = (
             all(a in param_ids for a in exit_args)
-            and not (header_defs & interior)
+            and not (header_defs & free_values(body_nodes, back_args))
             and not (header_defs & set(body_entry_args))
         )
         node = SWhile(
             carried=list(b.params),
             init=init,
-            header=list(b.body),
-            cond=b.term.cond,
+            header=header,
+            cond=rename.get(b.term.cond, b.term.cond),
             body_region=body_nodes,
             body_args=back_args,
             exits=list(blocks[exit_name].params),
@@ -487,29 +495,28 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             if bind:
                 if preds[cur] and len(preds[cur]) != 1:
                     raise StructureError(fn.name, cur, "unstructured merge point")
-                if b.params:
-                    nodes.append(SCopy(list(zip((vid for vid, _ in b.params), args))))
-            nodes.extend(SInstr(ins) for ins in b.body)
+                for (pv, _), a in zip(b.params, args):
+                    rename[pv] = a
+            nodes.extend(SInstr(ins) for ins in instrs(b.body))
             t = b.term
             if isinstance(t, Ret):
                 if stop is not None:
                     raise StructureError(fn.name, cur, "ret inside a structured region")
-                ret_box.append(t.values)
+                ret_box.append(read(t.values))
                 return nodes, ()
             if isinstance(t, Jmp):
-                cur, args, bind = t.target, t.args, True
+                cur, args, bind = t.target, read(t.args), True
                 continue
             assert isinstance(t, Br)
-            join = immediate_postdominator(pdom, cur)
+            join = pdom.idom.get(cur)
             if join is None:
                 raise StructureError(fn.name, cur, "branch arms never reconverge")
             if len(preds[join]) != 2:
                 raise StructureError(fn.name, join, "join must have two predecessors")
-            then_nodes, then_args = walk(t.then_target, t.then_args, True, join)
-            else_nodes, else_args = walk(t.else_target, t.else_args, True, join)
-            nodes.append(
-                SIf(t.cond, then_nodes, then_args, else_nodes, else_args, list(blocks[join].params))
-            )
+            then_nodes, then_args = walk(t.then_target, read(t.then_args), True, join)
+            else_nodes, else_args = walk(t.else_target, read(t.else_args), True, join)
+            nodes.append(SIf(rename.get(t.cond, t.cond), then_nodes, then_args,
+                             else_nodes, else_args, list(blocks[join].params)))
             cur, args, bind = join, (), False
 
     region, _ = walk(fn.blocks[0].name, (), False, None)
@@ -562,11 +569,6 @@ def flatten(sf: SFunc) -> Function:
         for node in nodes:
             if isinstance(node, SInstr):
                 cur.body.append(node.ins)
-            elif isinstance(node, SCopy):
-                params = [(dst, sf.types[dst]) for dst, _ in node.pairs]
-                nxt = new_block("b", params)
-                cur.term = Jmp(nxt.name, tuple(src for _, src in node.pairs))
-                cur = nxt
             elif isinstance(node, SIf):
                 then_b = new_block("then")
                 else_b = new_block("else")
@@ -577,7 +579,7 @@ def flatten(sf: SFunc) -> Function:
                 e_end = emit_region(node.else_region, else_b)
                 e_end.term = Jmp(join_b.name, node.else_args)
                 cur = join_b
-            elif isinstance(node, SWhile):
+            else:
                 head_b = new_block("head", list(node.carried))
                 body_b = new_block("body")
                 exit_b = new_block("exit", list(node.exits))
@@ -587,8 +589,6 @@ def flatten(sf: SFunc) -> Function:
                 b_end = emit_region(node.body_region, body_b)
                 b_end.term = Jmp(head_b.name, node.body_args)
                 cur = exit_b
-            else:
-                raise TypeError(f"unknown structured node {node!r}")
         return cur
 
     last = emit_region(sf.region, entry)
@@ -730,10 +730,6 @@ def splice_region(em: SEmitter, src: SFunc, nodes: list, valmap: dict[int, int],
             valmap[ins.result] = vid
             em.append(SInstr(Instruction(vid, ins.op, tuple(m(o) for o in ins.operands),
                                          dict(ins.attrs))))
-        elif isinstance(node, SCopy):
-            # copies are pure renames; fold them into the map
-            for dst, s in node.pairs:
-                valmap[dst] = m(s)
         elif isinstance(node, SIf):
             em.push_region()
             splice_region(em, src, node.then_region, valmap, expand_call)
@@ -749,7 +745,7 @@ def splice_region(em: SEmitter, src: SFunc, nodes: list, valmap: dict[int, int],
                 valmap[pv] = nv
                 merged.append((nv, pty))
             em.append(SIf(m(node.cond), then_nodes, then_args, else_nodes, else_args, merged))
-        elif isinstance(node, SWhile):
+        else:
             init = tuple(m(a) for a in node.init)
             carried = []
             for pv, pty in node.carried:
@@ -774,8 +770,6 @@ def splice_region(em: SEmitter, src: SFunc, nodes: list, valmap: dict[int, int],
                 exits.append((nv, pty))
             em.append(SWhile(carried, init, header, m(node.cond), body_nodes, body_args,
                              exits, exit_args, node.canonical))
-        else:
-            raise TypeError(f"unknown structured node {node!r}")
 
 
 def splice_function(em: SEmitter, src: SFunc, args: tuple[int, ...],

@@ -169,8 +169,17 @@ def neg(a):
     return DenseTensor(np.negative(a.data))
 
 
+def scalar_exp(x: float) -> float:
+    """math.exp, except that an overflow gives +inf, as numpy and the
+    other kernels do, instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def scalar_sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
+    return 1.0 / (1.0 + scalar_exp(-x))
 
 
 def scalar_relu(x: float) -> float:
@@ -192,7 +201,7 @@ def scalar_log(x: float) -> float:
 
 
 SCALAR_UNARY: dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
+    "exp": scalar_exp,
     "log": scalar_log,
     "tanh": math.tanh,
     "sigmoid": scalar_sigmoid,

@@ -142,3 +142,10 @@ def max_rel(x, y) -> float:
     if hasattr(x, "flat"):
         return max(map(rel, x.flat(), y.flat()), default=0.0)
     return rel(x, y)
+
+
+def bits(v):
+    """A value's exact bits, so that equality is bit for bit (0.0 is not -0.0)."""
+    if hasattr(v, "data"):
+        return v.shape, v.data.tobytes()
+    return float(v).hex()

@@ -151,6 +151,51 @@ def test_batch_lane_mismatch(abs_file, capsys):
     assert rc == 2
 
 
+EXP_SRC = """
+func @e(%x: f64) -> f64 {
+^entry:
+  %y = exp %x
+  ret %y
+}
+
+func @sg(%x: f64) -> f64 {
+^entry:
+  %y = sigmoid %x
+  ret %y
+}
+
+func @either(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %e = exp %x
+  jmp ^j(%e)
+^b:
+  %n = neg %x
+  %f = exp %n
+  jmp ^j(%f)
+^j(%r: f64):
+  ret %r
+}
+"""
+
+
+def test_exp_overflow_is_infinity_not_a_traceback(tmp_path, capsys):
+    p = tmp_path / "exp.ssair"
+    p.write_text(EXP_SRC)
+    runs = [("e", 1000), ("sg", -1000), ("either", -1000), ("either", 1000)]
+    for entry, x in runs:
+        assert main(["run", str(p), "--entry", entry, "--args", f"[{x}]"]) == 0
+    # batching also runs the arm each lane does not take
+    assert main(["batch", str(p), "--entry", "either", "-B", "2",
+                 "--args", "[-1000,1000]"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == ["Infinity", "0.0", "0.0", "0.0", "[0.0,0.0]"]
+    assert "Traceback" not in err
+
+
 def test_check_valid_silent(mul_file, capsys):
     assert main(["check", mul_file]) == 0
     out, err = capsys.readouterr()

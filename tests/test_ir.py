@@ -8,8 +8,8 @@ import random
 import pytest
 
 from ssagrad import (DenseTensor, ParseError, StructureError, augment, batched_grad,
-                     build_grad_function, grad, grad_of_grad, parse_ir, print_ir,
-                     structurize, vectorize, verify)
+                     build_grad_function, flatten, grad, grad_of_grad, parse_ir,
+                     print_ir, structurize, vectorize, verify)
 from ssagrad.ir import Br, Jmp
 
 
@@ -157,6 +157,30 @@ func @f(%x: f64) -> f64 {
     assert str(d) == "@f ^join: %t does not dominate its use"
 
 
+def test_one_predecessor_jumps_are_renames():
+    # such a jump is no tree node: the block's parameters read as the
+    # jump's arguments, and untouched instructions are shared
+    m = parse_ir("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %a = mul %x, %x
+  jmp ^b(%a, %x)
+^b(%p: f64, %q: f64):
+  %s = add %p, %q
+  jmp ^c(%s)
+^c(%r: f64):
+  ret %r
+}
+""")
+    fn = m.get("f")
+    x, a, s = fn.params[0][0], fn.blocks[0].body[0].result, fn.blocks[1].body[0].result
+    sf = structurize(fn, m)
+    assert [n.ins.operands for n in sf.region] == [(x, x), (a, x)]
+    assert sf.region[0].ins is fn.blocks[0].body[0]
+    assert sf.ret_vals == (s,)
+    assert len(flatten(sf).blocks) == 1
+
+
 # ------------------------------------- ill-formed code at every entry point
 
 ILL_FORMED = {
@@ -223,6 +247,31 @@ func @f(%x: f64) -> f64 {
   ret %b
 }
 """, "@f ^entry: %a used before its definition"),
+    # ^y's arms loop forever and never reach the ret
+    "never_reconverge": ("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  br %c, ^a(), ^q()
+^a:
+  br %c, ^t(), ^y()
+^q:
+  jmp ^t()
+^t:
+  ret %x
+^y:
+  br %c, ^y1(), ^y2()
+^y1:
+  jmp ^w()
+^y2:
+  jmp ^w()
+^w:
+  jmp ^w2()
+^w2:
+  jmp ^w()
+}
+""", "@f ^y: branch arms never reconverge"),
 }
 
 

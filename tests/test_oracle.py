@@ -56,6 +56,12 @@ def test_trace_grad_skips_int_param(analytic):
     assert rel(g[0], 4 * 2.0 ** 3) < 1e-12
 
 
+def test_trace_records_only_differentiable_results(analytic):
+    # the i64 counter's adds are bookkeeping, as in the transform
+    _, trace = trace_eval(analytic, "powloop", (1.5, 8))
+    assert [n.op for n in trace.nodes] == ["mul"] * 8
+
+
 def test_compare_margin_records_float_compares(analytic):
     _, trace = trace_eval(analytic, "absval", (0.001,))
     assert trace.min_compare_margin() == pytest.approx(0.001)

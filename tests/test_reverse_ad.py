@@ -16,7 +16,7 @@ from ssagrad import (ADError, DenseTensor, Machine, StructureError, augment,
 
 from ssagrad.rules import RULES
 
-from conftest import max_rel, rel
+from conftest import bits, max_rel, rel
 from test_acceptance import FD_TOL
 
 
@@ -407,12 +407,6 @@ def _seed(ty):
     return DenseTensor.from_flat(ty.shape, [0.5 + 0.25 * i for i in range(prod(ty.shape))])
 
 
-def _bits(v):
-    if isinstance(v, DenseTensor):
-        return v.shape, v.data.tobytes()
-    return v.hex()
-
-
 def test_rule_table_covers_every_rule():
     m = parse_ir(RULE_SRC)
     assert {m.get(name).blocks[0].body[0].op for name in RULE_ARGS} == set(RULES)
@@ -430,5 +424,5 @@ def test_every_adjoint_rule_three_ways(name):
     fd = finite_diff(m, name, args, seeds)
     assert g.keys() == t.keys() == fd.keys()
     for vid in g:
-        assert _bits(g[vid]) == _bits(t[vid])
+        assert bits(g[vid]) == bits(t[vid])
         assert max_rel(g[vid], fd[vid]) <= FD_TOL

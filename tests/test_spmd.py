@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ssagrad import (BatchError, DenseTensor, batched_grad, eval_function,
-                     grad, stack_lanes, unstack_lanes, vectorize, verify)
+from ssagrad import (ADError, BatchError, DenseTensor, batched_grad, eval_function,
+                     grad, parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize,
+                     verify)
 from ssagrad.ir import BOOL, F64, I64, tensor_type
 
-from conftest import max_rel
+from conftest import bits, max_rel
 
 
 def run_lanes(module, name, lanes, per_lane_args):
@@ -150,3 +151,271 @@ def test_batched_type_mapping():
     assert batched_type(TAPE, 3) == tapes_type(3)
     with pytest.raises(BatchError):
         batched_type(tapes_type(2), 3)
+
+
+# ------------------------------------- batching paths, lane by lane exact
+
+BATCH_SRC = """
+func @uniform_branch(%x: f64) -> f64 {
+^entry:
+  %one = const f64 1.0
+  %two = const f64 2.0
+  %c = lt %one, %two
+  br %c, ^a(), ^b()
+^a:
+  jmp ^j(%one)
+^b:
+  %y = mul %x, %x
+  jmp ^j(%y)
+^j(%r: f64):
+  %o = mul %r, %x
+  ret %o
+}
+
+func @uniform_select(%t: tensor<3xf64>) -> f64 {
+^entry:
+  %one = const f64 1.0
+  %two = const f64 2.0
+  %c = gt %one, %two
+  %k = const tensor<3xf64> [0.5, -1.0, 2.0]
+  %s = select %c, %k, %t
+  %u = mul %s, %t
+  %r = reduce_sum %u {axis = all}
+  ret %r
+}
+
+func @stack_unstack(%a: tensor<3xf64>, %b: tensor<3xf64>) -> f64 {
+^entry:
+  %k = const tensor<3xf64> [0.5, -1.0, 2.0]
+  %s = stack %a, %b, %k {axis = 1}
+  %u = unstack %s {index = 1, axis = 1}
+  %w = unstack %s {index = 2, axis = 0}
+  %p = mul %u, %a
+  %q = reduce_sum %p {axis = all}
+  %z = reduce_sum %w {axis = all}
+  %r = mul %q, %z
+  ret %r
+}
+
+func @reduce_to(%a: tensor<2x3xf64>) -> f64 {
+^entry:
+  %r1 = reduce_to %a {shape = [1, 3]}
+  %r2 = reduce_to %a {shape = [3]}
+  %f = reshape %r1 {shape = [3]}
+  %p = mul %f, %r2
+  %r = reduce_sum %p {axis = all}
+  ret %r
+}
+
+func @reduce_tail(%a: tensor<2x3xf64>) -> f64 {
+^entry:
+  %t = reduce_sum %a {axis = tail}
+  %s = tanh %t
+  %r = reduce_sum %s {axis = all}
+  ret %r
+}
+
+func @exit_reads_header(%x: f64, %n: i64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  jmp ^head(%i0, %x)
+^head(%i: i64, %acc: f64):
+  %h = tanh %acc
+  %more = lt %i, %n
+  br %more, ^body(), ^exit(%h)
+^body:
+  %a2 = mul %acc, %x
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %a2)
+^exit(%r: f64):
+  ret %r
+}
+
+func @const_trip(%x: f64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  %n = const i64 3
+  %z = const f64 0.0
+  jmp ^head(%i0, %x)
+^head(%i: i64, %acc: f64):
+  %more = lt %i, %n
+  br %more, ^body(), ^exit(%acc)
+^body:
+  %pos = gt %acc, %z
+  br %pos, ^a(), ^b()
+^a:
+  %s = tanh %acc
+  jmp ^j(%s)
+^b:
+  %m = mul %acc, %x
+  jmp ^j(%m)
+^j(%v: f64):
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %v)
+^exit(%r: f64):
+  ret %r
+}
+"""
+
+# lanes per function; exit_reads_header's trip counts differ per lane
+_T3 = [(0.3, -0.5, 0.8), (1.1, 0.2, -0.4), (-0.7, 0.9, 0.1)]
+_T23 = [(0.3, -0.5, 0.8, 1.1, 0.2, -0.4), (0.6, 0.1, -0.9, 1.2, -0.7, 0.4),
+        (-0.2, 0.7, 0.5, -1.3, 0.8, 0.9)]
+BATCH_LANES = {
+    "uniform_branch": [(-1.5,), (0.25,), (2.0,)],
+    "uniform_select": [(DenseTensor.from_flat((3,), v),) for v in _T3],
+    "stack_unstack": [(DenseTensor.from_flat((3,), a), DenseTensor.from_flat((3,), b))
+                      for a, b in zip(_T3, _T3[1:] + _T3[:1])],
+    "reduce_to": [(DenseTensor.from_flat((2, 3), v),) for v in _T23],
+    "reduce_tail": [(DenseTensor.from_flat((2, 3), v),) for v in _T23],
+    "exit_reads_header": [(0.9, 0), (1.1, 2), (-0.8, 5)],
+    "const_trip": [(-0.6,), (0.4,), (1.3,)],
+}
+
+
+def assert_lanes_exact(module, name, per_lane):
+    """vectorize and batched_grad give, in every lane, the per-sample
+    eval_function and grad results bit for bit.  A non-canonical loop
+    makes grad and batched_grad raise the same ADError."""
+    fn = module.get(name)
+    lanes = len(per_lane)
+    cols = run_lanes(module, name, lanes, per_lane)
+    for i, args in enumerate(per_lane):
+        want = eval_function(module, name, args)
+        assert [bits(col[i]) for col in cols] == [bits(w) for w in want]
+
+    stacked = tuple(stack_lanes(ty, [la[k] for la in per_lane])
+                    for k, (_, ty) in enumerate(fn.params))
+    seeds = (stack_lanes(F64, [1.0] * lanes),)
+    try:
+        per = [grad(module, name, args) for args in per_lane]
+    except ADError as e:
+        with pytest.raises(ADError, match=str(e)):
+            batched_grad(module, name, lanes, stacked, seeds)
+        return
+    bg = batched_grad(module, name, lanes, stacked, seeds)
+    for pv, ty in fn.params:
+        if ty.is_differentiable:
+            col = unstack_lanes(ty, bg[pv], lanes)
+            assert [bits(c) for c in col] == [bits(g[pv]) for g in per]
+
+
+@pytest.mark.parametrize("name", BATCH_LANES)
+def test_batching_paths_lane_exact(name):
+    m = parse_ir(BATCH_SRC)
+    assert_lanes_exact(m, name, BATCH_LANES[name])
+
+
+def test_exit_reading_header_is_not_differentiable():
+    m = parse_ir(BATCH_SRC)
+    with pytest.raises(ADError, match="not in transformable shape"):
+        grad(m, "exit_reads_header", (0.9, 2))
+
+
+EXP_SRC = """
+func @exp_either(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  br %c, ^a(), ^b()
+^a:
+  %e = exp %x
+  jmp ^j(%e)
+^b:
+  %n = neg %x
+  %f = exp %n
+  jmp ^j(%f)
+^j(%r: f64):
+  ret %r
+}
+"""
+
+
+def test_exp_overflow_in_the_untaken_arm():
+    # batching runs both arms in every lane, so exp(1000) is computed
+    # for the lanes that never take that arm
+    m = parse_ir(EXP_SRC)
+    per_lane = [(-1000.0,), (1000.0,), (0.5,)]
+    assert [eval_function(m, "exp_either", a) for a in per_lane[:2]] == [(0.0,), (0.0,)]
+    assert_lanes_exact(m, "exp_either", per_lane)
+
+
+# ------------------------------- jumps into one-predecessor parameter blocks
+
+RENAME_SRC = """
+func @straight(%x: f64) -> f64 {
+^entry:
+  %a = mul %x, %x
+  jmp ^b(%a, %x)
+^b(%p: f64, %q: f64):
+  %s = add %p, %q
+  %t = tanh %s
+  jmp ^c(%t)
+^c(%r: f64):
+  ret %r
+}
+
+func @arms(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  jmp ^pick(%c, %x)
+^pick(%cc: bool, %y: f64):
+  br %cc, ^a(%y), ^b(%y, %z)
+^a(%u: f64):
+  %n = neg %u
+  jmp ^a2(%n)
+^a2(%v: f64):
+  %w = mul %v, %u
+  jmp ^join(%w)
+^b(%s: f64, %k: f64):
+  %e = sigmoid %s
+  %f = add %e, %k
+  jmp ^join(%f)
+^join(%r: f64):
+  %o = mul %r, %y
+  ret %o
+}
+
+func @into_body(%x: f64, %n: i64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  jmp ^pre(%x, %n)
+^pre(%x1: f64, %n1: i64):
+  jmp ^head(%i0, %x1)
+^head(%i: i64, %acc: f64):
+  %more = lt %i, %n1
+  br %more, ^body(%acc), ^exit(%acc)
+^body(%a: f64):
+  %t = tanh %a
+  %m = mul %t, %x1
+  jmp ^step(%m, %i)
+^step(%v: f64, %j: i64):
+  %one = const i64 1
+  %i2 = add %j, %one
+  jmp ^head(%i2, %v)
+^exit(%r: f64):
+  ret %r
+}
+"""
+
+RENAME_LANES = {
+    "straight": [(-1.5,), (0.25,), (2.0,)],
+    "arms": [(-1.5,), (0.25,), (2.0,)],
+    "into_body": [(0.9, 0), (1.1, 2), (-0.8, 5)],
+}
+
+
+@pytest.mark.parametrize("name", RENAME_LANES)
+def test_one_predecessor_blocks_through_every_transform(name):
+    m = parse_ir(RENAME_SRC)
+    assert verify(m) == []
+    for args in RENAME_LANES[name]:
+        g = grad(m, name, args)
+        t = trace_grad(m, name, args, (1.0,))
+        assert g.keys() == t.keys()
+        assert all(bits(g[v]) == bits(t[v]) for v in g)
+    assert_lanes_exact(m, name, RENAME_LANES[name])
+    assert verify(m) == []  # with the generated __aug, __pb and batched functions

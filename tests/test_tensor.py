@@ -63,6 +63,14 @@ def test_unary_math_matches_scalar_loop():
     assert out.flat() == [math.tanh(v) for v in a.flat()]
 
 
+def test_exp_overflow_gives_inf():
+    assert T.scalar_exp(1000.0) == math.inf
+    assert T.scalar_sigmoid(-1000.0) == 0.0
+    xs = [-1000.0, -3.25, 0.0, 0.7, 88.5, 709.78]  # all finite
+    out = T.unary_math("exp", t((7,), xs + [710.0]))
+    assert [v.hex() for v in out.flat()] == [math.exp(x).hex() for x in xs] + [math.inf.hex()]
+
+
 def test_log_domain():
     with pytest.raises(T.DomainError):
         T.unary_math("log", t((2,), [1.0, 0.0]))
