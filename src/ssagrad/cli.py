@@ -76,6 +76,16 @@ def _entry(module: Module, name: str):
     return module.functions[name]
 
 
+def _json_entry(module: Module, name: str):
+    """@name, if its parameters and results all have a JSON form; a trace has none."""
+    fn = _entry(module, name)
+    for verb, tys in (("takes", [t for _, t in fn.params]), ("returns", fn.results)):
+        for ty in tys:
+            if ty.kind in ("tape", "tapes"):
+                raise UsageError(f"@{fn.name} {verb} a {ty}, which has no JSON form")
+    return fn
+
+
 def _encode(v) -> object:
     if isinstance(v, DenseTensor):
         return {"shape": list(v.shape), "data": v.flat()}
@@ -162,7 +172,7 @@ def cmd_print(args) -> int:
 
 def cmd_run(args) -> int:
     module = _load_verified(args.file)
-    fn = _entry(module, args.entry)
+    fn = _json_entry(module, args.entry)
     vals = _decode_args(fn, _parse_json("--args", args.args))
     out = eval_function(module, fn.name, vals)
     _emit([_encode(v) for v in out] if len(out) != 1 else _encode(out[0]))
@@ -171,11 +181,11 @@ def cmd_run(args) -> int:
 
 def cmd_grad(args) -> int:
     module = _load_verified(args.file)
-    fn = _entry(module, args.entry)
     if args.emit_ir:
-        augment(module, fn.name)
+        augment(module, _entry(module, args.entry).name)
         sys.stdout.write(print_ir(module))
         return 0
+    fn = _json_entry(module, args.entry)
     if args.args is None:
         raise UsageError("--args is required unless --emit-ir is given")
     vals = _decode_args(fn, _parse_json("--args", args.args))
@@ -197,7 +207,7 @@ def cmd_batch(args) -> int:
     if args.lanes < 1:
         raise UsageError("-B must be at least 1")
     module = _load_verified(args.file)
-    fn = _entry(module, args.entry)
+    fn = _json_entry(module, args.entry)
     raw = _parse_json("--args", args.args)
     if not isinstance(raw, list) or len(raw) != args.lanes:
         raise UsageError(f"--args must be a JSON list of {args.lanes} lane(s)")
@@ -222,7 +232,7 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     module = _load_verified(args.file)
-    fn = _entry(module, args.entry)
+    fn = _json_entry(module, args.entry)
     seeds = _unit_seeds(fn)
     rng = random.Random(args.seed)
     worst_tape = worst_fd = 0.0

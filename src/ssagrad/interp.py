@@ -177,11 +177,8 @@ def _call(m, attrs, env, a):
 
 def _tape_push(m, attrs, env, a):
     t, v = env[a[0]], env[a[1]]
-    per_lane = bool(attrs.get("per_lane", False))
-    if isinstance(t, Tape) and per_lane:
-        t = TapeBatch((t,) * v.shape[0])
     if isinstance(t, TapeBatch):
-        if per_lane:
+        if attrs.get("per_lane"):
             rows = T.unstack(v) if len(v.shape) > 1 else list(v.data)
             return TapeBatch(tuple(Tape(r, l) for r, l in zip(rows, t.lanes)))
         return TapeBatch(tuple(Tape(v, l) for l in t.lanes))
@@ -303,6 +300,10 @@ class Machine:
                     env[ins.result] = kernel(self, ins.attrs, env, ins.operands)
                 except DomainError as e:
                     raise EvalError(fn.name, cur.name, i, str(e)) from e
+                except RecursionError:
+                    # Python's message varies with where the limit is hit
+                    raise EvalError(fn.name, cur.name, i,
+                                    "maximum recursion depth exceeded") from None
                 except KeyError:
                     _raise_unbound(fn, cur.name, i, env, ins.operands)
                     raise

@@ -1,9 +1,10 @@
 """Operation signatures: static typing rules for every IR op.
 
-``result_type`` is the single authority consulted by the verifier, the
-builders and the transforms.  It raises OpTypeError with a human
-message when operand types, attributes or cross-function references do
-not line up.
+``result_type`` is the single authority on op typing: ``structurize``
+(and so ``verify``) types every parsed instruction with it, and
+``SEmitter.emit`` types every instruction a transform emits.  It raises
+OpTypeError with a human message when operand types, attributes or
+cross-function references do not line up.
 
 Conventions baked in here:
 
@@ -311,9 +312,7 @@ def result_type(
         per_lane = bool(attrs.get("per_lane", False))
         if t.kind == "tape":
             if per_lane:
-                if not v.is_tensor:
-                    _fail("per-lane tape_push needs a tensor operand")
-                return tapes_type(v.shape[0])
+                _fail("per-lane tape_push onto tape")
             return TAPE
         if t.kind == "tapes":
             if per_lane and (not v.is_tensor or v.shape[0] != t.lanes):

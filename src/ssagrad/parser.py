@@ -15,14 +15,18 @@ Grammar sketch (whitespace-insensitive, // comments):
             | "br" "%" ident "," "^" ident args? "," "^" ident args?
     attrs  := "{" ident "=" value ("," ...)* "}"
 
-Value names resolve in a second phase, so textually forward references
-parse fine and are left for the verifier's dominance check to judge.
+One pass builds the IR.  A value gets its id the first time its name is
+seen, as a definition or a use, so textually forward references parse
+fine and are left for the verifier's dominance check to judge.  A second
+definition is reported at once.  Names never defined and jumps to blocks
+that never appear are reported when the function ends, at the first
+``%`` or ``^`` that named them, in text order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .ir import (
     BOOL,
@@ -37,6 +41,7 @@ from .ir import (
     Jmp,
     Module,
     Ret,
+    Terminator,
     Type,
     tapes_type,
     tensor_type,
@@ -62,10 +67,12 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_INT_RE = re.compile(r"-?[0-9]+")
+
+_SCALAR_TYPES = {"f64": F64, "bool": BOOL, "i64": I64, "tape": TAPE}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "tensor" | "num" | "ident" | "arrow" | "punct" | "eof"
     text: str
     line: int
@@ -92,33 +99,16 @@ def _lex(src: str) -> list[_Tok]:
     return toks
 
 
-# Raw (unresolved) forms built during the first phase.
-
-
-@dataclass
-class _RawInstr:
-    result: str
-    op: str
-    operands: list[str]
-    attrs: dict[str, object]
-    line: int
-    col: int
-
-
-@dataclass
-class _RawBlock:
-    name: str
-    params: list[tuple[str, Type]]
-    body: list[_RawInstr] = field(default_factory=list)
-    term: tuple | None = None  # ("ret", names) | ("jmp", tgt, names) | ("br", ...)
-    tline: int = 0
-    tcol: int = 0
-
-
 class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
         self.i = 0
+        # per function: value ids by name, block names seen, and the
+        # first token naming each value or block not yet defined
+        self.fn = Function("")
+        self.ids: dict[str, int] = {}
+        self.blocks: set[str] = set()
+        self.unresolved: dict[str, tuple[_Tok, str]] = {}
 
     # ------------------------------------------------- token helpers
 
@@ -134,21 +124,40 @@ class _Parser:
         t = tok or self.peek()
         raise ParseError(t.line, t.col, msg)
 
+    def at(self, text: str) -> bool:
+        # the eof token's text is empty, so it matches no caller's text
+        return self.toks[self.i].text == text
+
     def expect(self, text: str) -> _Tok:
         t = self.peek()
-        if t.text != text or t.kind == "eof":
+        if t.text != text:
             got = "end of input" if t.kind == "eof" else repr(t.text)
             self.error(f"expected {text!r}, got {got}")
         return self.next()
 
     def expect_ident(self, what: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "ident":
+        if self.peek().kind != "ident":
             self.error(f"expected {what}")
         return self.next()
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+    def commas(self, item: Callable[[], object]) -> list:
+        """One or more items separated by commas."""
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def enclosed(self, open_: str, close: str, item: Callable[[], object]) -> list:
+        """Items between open_ and close, each optionally followed by a comma."""
+        self.expect(open_)
+        out = []
+        while not self.at(close):
+            out.append(item())
+            if self.at(","):
+                self.next()
+        self.expect(close)
+        return out
 
     # ------------------------------------------------------- pieces
 
@@ -156,26 +165,20 @@ class _Parser:
         t = self.peek()
         if t.kind == "tensor":
             dims = [int(d) for d in t.text[len("tensor<"):-len("xf64>")].split("x")]
-            self.next()
             if any(d < 1 for d in dims):
                 self.error("tensor extents must be positive", t)
+            self.next()
             return tensor_type(*dims)
-        if t.text == "f64":
+        if t.text in _SCALAR_TYPES:
             self.next()
-            return F64
-        if t.text == "bool":
-            self.next()
-            return BOOL
-        if t.text == "i64":
-            self.next()
-            return I64
-        if t.text == "tape":
-            self.next()
-            return TAPE
+            return _SCALAR_TYPES[t.text]
         if t.text == "tapes":
             self.next()
             self.expect("<")
+            n = self.peek()
             lanes = self.parse_int("lane count")
+            if lanes < 1:
+                self.error("tapes lane count must be positive", n)
             self.expect(">")
             return tapes_type(lanes)
         self.error("unknown type literal")
@@ -183,44 +186,47 @@ class _Parser:
 
     def parse_int(self, what: str) -> int:
         t = self.peek()
-        if t.kind != "num" or not re.fullmatch(r"-?[0-9]+", t.text):
+        if t.kind != "num" or not _INT_RE.fullmatch(t.text):
             self.error(f"expected integer {what}")
         self.next()
         return int(t.text)
 
     def parse_float(self) -> float:
         t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return float(t.text)
-        if t.kind == "ident" and t.text in ("inf", "nan"):
+        if t.kind == "num" or t.text in ("inf", "nan"):
             self.next()
             return float(t.text)
         self.error("expected number")
         raise AssertionError
 
-    def parse_value_name(self) -> str:
-        self.expect("%")
-        return self.expect_ident("value name").text
+    def use(self) -> int:
+        """A value read: its id, allocated here if the name is new."""
+        tok = self.expect("%")
+        name = self.expect_ident("value name").text
+        vid = self.ids.get(name)
+        if vid is None:
+            vid = self.ids[name] = self.fn.new_value(name)
+            self.unresolved["%" + name] = (tok, f"use of undefined value %{name}")
+        return vid
 
-    def parse_operand_names(self) -> list[str]:
-        names = [self.parse_value_name()]
-        while self.at(","):
-            self.next()
-            names.append(self.parse_value_name())
-        return names
+    def define(self) -> int:
+        """A value definition: its id; a second definition is an error."""
+        tok = self.expect("%")
+        name = self.expect_ident("value name").text
+        vid = self.ids.get(name)
+        if vid is None:
+            vid = self.ids[name] = self.fn.new_value(name)
+        elif self.unresolved.pop("%" + name, None) is None:
+            self.error(f"redefinition of %{name}", tok)
+        return vid
 
-    def parse_params(self) -> list[tuple[str, Type]]:
-        params: list[tuple[str, Type]] = []
-        if not self.at("%"):
-            return params
-        while True:
-            name = self.parse_value_name()
-            self.expect(":")
-            params.append((name, self.parse_type()))
-            if not self.at(","):
-                return params
-            self.next()
+    def parse_param(self) -> tuple[int, Type]:
+        vid = self.define()
+        self.expect(":")
+        return vid, self.parse_type()
+
+    def parse_params(self) -> list[tuple[int, Type]]:
+        return self.commas(self.parse_param) if self.at("%") else []
 
     def parse_attr_value(self) -> object:
         t = self.peek()
@@ -228,24 +234,14 @@ class _Parser:
             self.next()
             return FnRef(self.expect_ident("function name").text)
         if t.text == "[":
+            return tuple(self.enclosed("[", "]", lambda: self.parse_int("extent")))
+        if t.text in ("true", "false"):
             self.next()
-            dims = []
-            while not self.at("]"):
-                dims.append(self.parse_int("extent"))
-                if self.at(","):
-                    self.next()
-            self.expect("]")
-            return tuple(dims)
-        if t.text == "true":
-            self.next()
-            return True
-        if t.text == "false":
-            self.next()
-            return False
-        if t.kind == "num" and re.fullmatch(r"-?[0-9]+", t.text):
+            return t.text == "true"
+        if t.kind == "num" and _INT_RE.fullmatch(t.text):
             self.next()
             return int(t.text)
-        if t.kind == "tensor" or t.text in ("f64", "bool", "i64", "tape", "tapes"):
+        if t.kind == "tensor" or t.text in _SCALAR_TYPES or t.text == "tapes":
             return self.parse_type()
         if t.kind == "ident":
             self.next()
@@ -253,17 +249,10 @@ class _Parser:
         self.error("expected attribute value")
         raise AssertionError
 
-    def parse_attrs(self) -> dict[str, object]:
-        attrs: dict[str, object] = {}
-        self.expect("{")
-        while not self.at("}"):
-            key = self.expect_ident("attribute name").text
-            self.expect("=")
-            attrs[key] = self.parse_attr_value()
-            if self.at(","):
-                self.next()
-        self.expect("}")
-        return attrs
+    def parse_attr(self) -> tuple[str, object]:
+        key = self.expect_ident("attribute name").text
+        self.expect("=")
+        return key, self.parse_attr_value()
 
     def parse_const_payload(self, ty: Type, tok: _Tok) -> object:
         if ty.kind == "f64":
@@ -272,186 +261,112 @@ class _Parser:
             return self.parse_int("constant")
         if ty.kind == "bool":
             t = self.next()
-            if t.text == "true":
-                return True
-            if t.text == "false":
-                return False
-            self.error("expected true or false", t)
+            if t.text not in ("true", "false"):
+                self.error("expected true or false", t)
+            return t.text == "true"
         if ty.is_tensor:
-            self.expect("[")
-            vals = []
-            while not self.at("]"):
-                vals.append(self.parse_float())
-                if self.at(","):
-                    self.next()
-            self.expect("]")
-            return tuple(vals)
+            return tuple(self.enclosed("[", "]", self.parse_float))
         self.error(f"constants of type {ty} are not allowed", tok)
         raise AssertionError
 
     # ----------------------------------------------- blocks and funcs
 
-    def parse_instr(self) -> _RawInstr:
-        start = self.peek()
-        result = self.parse_value_name()
+    def parse_instr(self) -> Instruction:
+        result = self.define()
         self.expect("=")
         op_tok = self.expect_ident("op name")
         op = op_tok.text
         if op == "const":
             ty = self.parse_type()
-            value = self.parse_const_payload(ty, op_tok)
-            return _RawInstr(result, op, [], {"ty": ty, "value": value}, start.line, start.col)
+            return Instruction(result, op, (), {"ty": ty, "value": self.parse_const_payload(ty, op_tok)})
         # operands live on the op's line; a % opening the next line is the
         # next instruction (matters for zero-operand ops like tape_new)
         has_operands = self.at("%") and self.peek().line == op_tok.line
-        operands = self.parse_operand_names() if has_operands else []
-        attrs = self.parse_attrs() if self.at("{") else {}
-        return _RawInstr(result, op, operands, attrs, start.line, start.col)
+        operands = tuple(self.commas(self.use)) if has_operands else ()
+        attrs = dict(self.enclosed("{", "}", self.parse_attr)) if self.at("{") else {}
+        return Instruction(result, op, operands, attrs)
 
-    def parse_block_ref(self) -> tuple[str, list[str]]:
-        self.expect("^")
+    def parse_block_ref(self, verb: str) -> tuple[str, tuple[int, ...]]:
+        tok = self.expect("^")
         name = self.expect_ident("block name").text
-        args: list[str] = []
+        if name not in self.blocks:
+            self.unresolved.setdefault("^" + name, (tok, f"{verb} to unknown block ^{name}"))
+        args: tuple[int, ...] = ()
         if self.at("("):
             self.next()
             if self.at("%"):
-                args = self.parse_operand_names()
+                args = tuple(self.commas(self.use))
             self.expect(")")
         return name, args
 
-    def parse_terminator(self) -> tuple:
+    def parse_terminator(self) -> Terminator:
         t = self.peek()
         if t.text == "ret":
             self.next()
-            values = self.parse_operand_names() if self.at("%") else []
-            return ("ret", values)
+            return Ret(tuple(self.commas(self.use)) if self.at("%") else ())
         if t.text == "jmp":
             self.next()
-            name, args = self.parse_block_ref()
-            return ("jmp", name, args)
+            return Jmp(*self.parse_block_ref("jump"))
         if t.text == "br":
             self.next()
-            cond = self.parse_value_name()
+            cond = self.use()
             self.expect(",")
-            t_name, t_args = self.parse_block_ref()
+            then_target, then_args = self.parse_block_ref("branch")
             self.expect(",")
-            e_name, e_args = self.parse_block_ref()
-            return ("br", cond, t_name, t_args, e_name, e_args)
+            return Br(cond, then_target, then_args, *self.parse_block_ref("branch"))
         self.error("expected a terminator (ret, jmp or br)")
         raise AssertionError
 
-    def parse_block(self, is_entry: bool) -> _RawBlock:
-        self.expect("^")
+    def parse_block(self, header: list[tuple[int, Type]] | None) -> Block:
+        """A block; the entry block gets the function's header parameters."""
+        tok = self.expect("^")
         name_tok = self.expect_ident("block name")
-        params: list[tuple[str, Type]] = []
+        name = name_tok.text
+        if name in self.blocks:
+            self.error(f"redefinition of block ^{name}", tok)
+        self.blocks.add(name)
+        self.unresolved.pop("^" + name, None)
+        params = header or []
         if self.at("("):
-            if is_entry:
-                self.error(
-                    "entry block takes its parameters from the function header",
-                    name_tok,
-                )
+            if header is not None:
+                self.error("entry block takes its parameters from the function header", name_tok)
             self.next()
             params = self.parse_params()
             self.expect(")")
         self.expect(":")
-        block = _RawBlock(name_tok.text, params)
+        block = Block(name, params)
         while self.at("%"):
             block.body.append(self.parse_instr())
-        ttok = self.peek()
         block.term = self.parse_terminator()
-        block.tline, block.tcol = ttok.line, ttok.col
         return block
 
     def parse_results(self) -> tuple[Type, ...]:
-        if self.at("("):
-            self.next()
-            if self.at(")"):
-                self.next()
-                return ()
-            tys = [self.parse_type()]
-            while self.at(","):
-                self.next()
-                tys.append(self.parse_type())
-            self.expect(")")
-            return tuple(tys)
-        tys = [self.parse_type()]
-        while self.at(","):
-            self.next()
-            tys.append(self.parse_type())
+        if not self.at("("):
+            return tuple(self.commas(self.parse_type))
+        self.next()
+        tys = [] if self.at(")") else self.commas(self.parse_type)
+        self.expect(")")
         return tuple(tys)
 
     def parse_function(self) -> Function:
         self.expect("func")
         self.expect("@")
-        name = self.expect_ident("function name").text
+        self.fn = fn = Function(self.expect_ident("function name").text)
+        self.ids, self.blocks, self.unresolved = {}, set(), {}
         self.expect("(")
-        header_params = self.parse_params()
+        header = self.parse_params()
         self.expect(")")
         self.expect("->")
-        results = self.parse_results()
+        fn.results = self.parse_results()
         self.expect("{")
-        raw_blocks: list[_RawBlock] = []
-        seen_blocks: set[str] = set()
+        fn.blocks.append(self.parse_block(header))
         while not self.at("}"):
-            tok = self.peek()
-            block = self.parse_block(is_entry=not raw_blocks)
-            if block.name in seen_blocks:
-                self.error(f"redefinition of block ^{block.name}", tok)
-            seen_blocks.add(block.name)
-            raw_blocks.append(block)
+            fn.blocks.append(self.parse_block(None))
         self.expect("}")
-        raw_blocks[0].params = header_params
-        return self.resolve(name, results, raw_blocks)
-
-    def resolve(self, name: str, results: tuple[Type, ...], raw: list[_RawBlock]) -> Function:
-        fn = Function(name, results)
-        ids: dict[str, int] = {}
-
-        def define(vname: str, where: _RawInstr | None = None) -> int:
-            if vname in ids:
-                line = where.line if where else 0
-                col = where.col if where else 0
-                raise ParseError(line, col, f"redefinition of %{vname}")
-            vid = fn.new_value(vname)
-            ids[vname] = vid
-            return vid
-
-        # definitions first, in textual order
-        for rb in raw:
-            for pname, _ in rb.params:
-                define(pname)
-            for ri in rb.body:
-                define(ri.result, ri)
-
-        def use(vname: str, ri: _RawInstr | None = None) -> int:
-            if vname not in ids:
-                line = ri.line if ri else 0
-                col = ri.col if ri else 0
-                raise ParseError(line, col, f"use of undefined value %{vname}")
-            return ids[vname]
-
-        block_names = {rb.name for rb in raw}
-        for rb in raw:
-            block = Block(rb.name, [(ids[p], t) for p, t in rb.params])
-            for ri in rb.body:
-                block.body.append(
-                    Instruction(ids[ri.result], ri.op, tuple(use(n, ri) for n in ri.operands), ri.attrs)
-                )
-            term = rb.term
-            assert term is not None
-            if term[0] == "ret":
-                block.term = Ret(tuple(use(n) for n in term[1]))
-            elif term[0] == "jmp":
-                if term[1] not in block_names:
-                    raise ParseError(rb.tline, rb.tcol, f"jump to unknown block ^{term[1]}")
-                block.term = Jmp(term[1], tuple(use(n) for n in term[2]))
-            else:
-                _, cond, tn, ta, en, ea = term
-                for tgt in (tn, en):
-                    if tgt not in block_names:
-                        raise ParseError(rb.tline, rb.tcol, f"branch to unknown block ^{tgt}")
-                block.term = Br(use(cond), tn, tuple(use(n) for n in ta), en, tuple(use(n) for n in ea))
-            fn.blocks.append(block)
+        if self.unresolved:
+            # entries go in in text order and never come back once removed
+            tok, msg = next(iter(self.unresolved.values()))
+            self.error(msg, tok)
         return fn
 
     def parse_module(self) -> Module:

@@ -412,11 +412,7 @@ class _Vectorizer:
                 v = em.emit("reduce_sum", (v,), {"axis": 2}, nm)
             self.vmap[ins.result] = v
             return
-        ax = int(axis)
-        if len(lane) == 1:
-            self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": 1}, nm)
-            return
-        self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": ax + 1}, nm)
+        self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": int(axis) + 1}, nm)
 
     def reduce_to(self, ins: Instruction):
         em = self.em

@@ -471,3 +471,51 @@ def test_train_dan_rejects_configs_it_cannot_run(config, message, tmp_path, caps
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out_file.exists()
+
+
+TRACE_SRC = """
+func @t(%x: f64) -> tape {
+^entry:
+  %e = tape_new
+  %p = tape_push %e, %x
+  ret %p
+}
+
+func @u(%s: tape, %x: f64) -> f64 {
+^entry:
+  %p = tape_push %s, %x
+  %y = mul %x, %x
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--entry", "t", "--args", "[1.0]"], "@t returns a tape"),
+    (["grad", "--entry", "t", "--args", "[1.0]"], "@t returns a tape"),
+    (["batch", "--entry", "t", "-B", "2", "--args", "[1.0, 2.0]"], "@t returns a tape"),
+    (["gradcheck", "--entry", "t", "--trials", "2"], "@t returns a tape"),
+    (["gradcheck", "--entry", "u", "--trials", "2"], "@u takes a tape"),
+], ids=["run", "grad", "batch", "gradcheck", "gradcheck_param"])
+def test_trace_entry_is_a_usage_error(argv, message, tmp_path, capsys):
+    p = tmp_path / "trace.ssair"
+    p.write_text(TRACE_SRC)
+    assert main([argv[0], str(p), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}, which has no JSON form\n"
+
+
+def test_run_unbounded_recursion_is_exit_one(tmp_path, capsys):
+    p = tmp_path / "self.ssair"
+    p.write_text("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @f}
+  ret %y
+}
+""")
+    assert main(["run", str(p), "--entry", "f", "--args", "[1.0]"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "@f ^entry instr 0: maximum recursion depth exceeded\n"

@@ -330,3 +330,29 @@ def test_bad_edge_is_a_located_eval_error(runner, name, index, message):
         RUNNERS[runner](m, name, 3.0, DEFAULT_STEP_LIMIT)
     e = info.value
     assert (e.function, e.block, e.index, e.message) == (name, "entry", index, message)
+
+
+RECURSIVE_SRC = """
+func @call_self(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @call_self}
+  ret %y
+}
+
+func @fused_map_self(%x: f64) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @fused_map_self}
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("via", ["call", "fused_map"])
+def test_unbounded_recursion_is_a_located_eval_error(runner, via):
+    m = parse_ir(RECURSIVE_SRC)
+    with pytest.raises(EvalError) as info:
+        RUNNERS[runner](m, f"{via}_self", 1.0, DEFAULT_STEP_LIMIT)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == (
+        f"{via}_self", "entry", 0, "maximum recursion depth exceeded")

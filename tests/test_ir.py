@@ -2,15 +2,18 @@
 kit used by the acceptance suite: every single-edit fault must draw at
 least one diagnostic."""
 
+import ast
 import copy
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from ssagrad import (DenseTensor, ParseError, StructureError, augment, batched_grad,
+from ssagrad import (DenseTensor, Module, ParseError, StructureError, augment, batched_grad,
                      build_grad_function, flatten, grad, grad_of_grad, parse_ir,
                      print_ir, structurize, vectorize, verify)
-from ssagrad.ir import Br, Jmp
+from ssagrad.ir import TAPE, Br, Jmp
 
 
 def test_round_trip_identity(analytic):
@@ -63,7 +66,8 @@ def test_parse_garbage():
 
 
 def test_parse_forward_reference_ok():
-    # textual forward references within a function resolve in phase 2
+    # a value gets its id when first named, so textual forward
+    # references parse and are left to the verifier
     src = """
 func @f(%x: f64) -> f64 {
 ^entry:
@@ -306,3 +310,196 @@ def test_entry_points_reject_what_verify_rejects(case, entry):
     with pytest.raises(StructureError) as info:
         ENTRY_POINTS[entry](_ill_formed(case))
     assert str(info.value.diagnostic) == str(diags[0])
+
+
+# ------------------------------------------------- parser diagnostics
+
+PARSE_FAULTS = {
+    "undefined_ret_operand": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  ret %nope\n}\n",
+        3, 7, "use of undefined value %nope"),
+    "redefined_block_param": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  jmp ^b(%x)\n^b(%x: f64):\n  ret %x\n}\n",
+        4, 4, "redefinition of %x"),
+    "no_blocks": ("func @f(%x: f64) -> f64 { }", 1, 27, "expected '^', got '}'"),
+    "zero_lanes": (
+        "func @f(%t: tapes<0>) -> f64 {\n^entry:\n  %z = const f64 0.0\n  ret %z\n}\n",
+        1, 19, "tapes lane count must be positive"),
+    "undefined_branch_condition": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  br %c, ^a(), ^nowhere()\n^a:\n  ret %x\n}\n",
+        3, 6, "use of undefined value %c"),
+    "unknown_jump_target": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  jmp ^b(%x)\n^c(%y: f64):\n  ret %y\n}\n",
+        3, 7, "jump to unknown block ^b"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_FAULTS)
+def test_parse_error_points_at_its_token(case):
+    text, line, col, message = PARSE_FAULTS[case]
+    with pytest.raises(ParseError) as info:
+        parse_ir(text)
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_FUZZ_TOKEN = re.compile(
+    r"\s+|//[^\n]*|tensor<[0-9x]+xf64>|-?[0-9][0-9.eE+-]*|[A-Za-z_][A-Za-z0-9_]*|->|\S")
+
+
+def _module_texts() -> list[str]:
+    """Every module text written in the test files, and the benchmark's fused module."""
+    texts = []
+    for path in sorted(_ROOT.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "func @" in node.value:
+                texts.append(node.value)
+    texts.append((_ROOT / "perfbench" / "fused.ssair").read_text())
+    return texts
+
+
+def test_parser_fuzz_gives_module_or_located_error():
+    # single-token deletes, duplicates, replacements and truncations
+    rng = random.Random(20261018)
+    sources = [_FUZZ_TOKEN.findall(t) for t in _module_texts()]
+    outcomes = {"module": 0, "error": 0}
+    for _ in range(3000):
+        toks = list(rng.choice(sources))
+        spots = [i for i, t in enumerate(toks) if not t.isspace() and not t.startswith("//")]
+        i = rng.choice(spots)
+        edit = rng.randrange(4)
+        if edit == 0:
+            toks[i] = ""
+        elif edit == 1:
+            toks[i] += " " + toks[i]
+        elif edit == 2:
+            toks[i] = toks[rng.choice(spots)]
+        else:
+            del toks[i:]
+        try:
+            assert isinstance(parse_ir("".join(toks)), Module)
+            outcomes["module"] += 1
+        except ParseError as e:
+            assert e.line >= 1 and e.col >= 1, str(e)
+            outcomes["error"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+# ---------------------------------------------- type-rule diagnostics
+
+TYPED_SRC = """
+func @f(%x: f64, %i: i64, %b: bool, %v: tensor<3xf64>, %c: tensor<2xf64>,
+        %m: tensor<2x3xf64>, %t: tape, %ts: tapes<2>) -> f64 {
+^entry:
+  INSTR
+  ret %x
+}
+
+func @sq(%a: f64) -> f64 {
+^entry:
+  %r = mul %a, %a
+  ret %r
+}
+
+func @mul2(%a: f64, %d: f64) -> f64 {
+^entry:
+  %r = mul %a, %d
+  ret %r
+}
+
+func @two(%a: f64) -> (f64, f64) {
+^entry:
+  ret %a, %a
+}
+"""
+
+
+def _const_tape(ins):
+    ins.attrs["ty"] = TAPE
+
+
+# one ill-typed instruction per result_type rejection: (instruction,
+# in-memory edit or None, message)
+TYPE_FAULTS = {
+    "const_type": ("%y = const f64 1.0", _const_tape,
+                   "const needs ty in {f64, i64, bool, tensor<...>}"),
+    "const_count": ("%y = const tensor<3xf64> [1.0]", None, "const tensor<3xf64> needs 3 values"),
+    "arity": ("%y = neg %x, %x", None, "neg takes 1 operand(s), got 2"),
+    "arith_kind": ("%y = add %b, %x", None, "add on bool and f64"),
+    "arith_shapes": ("%y = add %v, %c", None, "add: shapes (3,) and (2,) do not broadcast"),
+    "i64_div": ("%y = div %i, %i", None, "div is not defined on i64"),
+    "neg_kind": ("%y = neg %b", None, "neg on bool"),
+    "unary_kind": ("%y = exp %i", None, "exp on i64"),
+    "pow_int_n": ("%y = pow_int %x {n = -1}", None,
+                  "pow_int needs attribute n = non-negative integer"),
+    "pow_int_kind": ("%y = pow_int %i {n = 2}", None, "pow_int on i64"),
+    "itof_kind": ("%y = itof %x", None, "itof on f64"),
+    "compare_kind": ("%y = lt %i, %x", None, "lt on i64 and f64"),
+    "select_arms": ("%y = select %b, %x, %i", None, "select arms differ: f64 vs i64"),
+    "select_traces": ("%y = select %v, %ts, %ts", None,
+                      "select on tensor<3xf64>, tapes<2>, tapes<2>"),
+    "select_condition": ("%y = select %x, %x, %x", None,
+                         "select condition must be bool or mask tensor, got f64"),
+    "matmul_kind": ("%y = matmul %x, %m", None, "matmul on f64, tensor<2x3xf64>"),
+    "matmul_extents": ("%y = matmul %m, %m", None, "matmul inner extents differ: (2, 3) x (2, 3)"),
+    "bmm_kind": ("%y = bmm %m, %m", None, "bmm on tensor<2x3xf64>, tensor<2x3xf64>"),
+    "transpose_rank": ("%y = transpose %v", None, "transpose on tensor<3xf64>"),
+    "shape_attr": ("%y = reshape %v", None, "reshape needs attribute shape = [positive extents]"),
+    "reshape_kind": ("%y = reshape %x {shape = [1]}", None, "reshape on f64"),
+    "reshape_count": ("%y = reshape %v {shape = [2]}", None,
+                      "reshape (3,) to (2,) changes element count"),
+    "reduce_sum_kind": ("%y = reduce_sum %x {axis = all}", None, "reduce_sum on f64"),
+    "reduce_sum_axis": ("%y = reduce_sum %v {axis = 1}", None,
+                        "reduce_sum axis must be all, tail or an axis of tensor<3xf64>"),
+    "bcast_shape": ("%y = bcast %v {shape = [2]}", None, "bcast of tensor<3xf64> to (2,)"),
+    "reduce_to_shape": ("%y = reduce_to %v {shape = [2]}", None,
+                        "reduce_to of tensor<3xf64> to (2,)"),
+    "stack_empty": ("%y = stack", None, "stack needs at least one operand"),
+    "stack_kind": ("%y = stack %x, %x", None, "stack of ['f64', 'f64']"),
+    "stack_axis": ("%y = stack %v, %v {axis = 2}", None,
+                   "stack axis 2 out of range for tensor<3xf64>"),
+    "unstack_kind": ("%y = unstack %x {index = 0}", None, "unstack on f64"),
+    "unstack_axis": ("%y = unstack %v {axis = 1, index = 0}", None,
+                     "unstack axis 1 out of range for tensor<3xf64>"),
+    "unstack_index": ("%y = unstack %v {index = 3}", None,
+                      "unstack index 3 out of range for tensor<3xf64> axis 0"),
+    "fn_attr": ("%y = fused_map %x", None, "fused_map needs attribute fn = @function"),
+    "fn_unknown": ("%y = fused_map %x {fn = @nowhere}", None,
+                   "fused_map: unknown function @nowhere"),
+    "fused_map_callee": ("%y = fused_map %x {fn = @two}", None,
+                         "fused_map: @two must map f64 parameters to one f64 result"),
+    "fused_map_arity": ("%y = fused_map %x, %x {fn = @sq}", None,
+                        "fused_map: @sq takes 1 args, got 2"),
+    "fused_map_shapes": ("%y = fused_map %v, %c {fn = @mul2}", None,
+                         "fused_map: shapes (3,) and (2,) do not broadcast"),
+    "fused_map_kind": ("%y = fused_map %i {fn = @sq}", None, "fused_map operand of type i64"),
+    "call_results": ("%y = call %x {fn = @two}", None, "call: @two must have exactly one result"),
+    "call_operands": ("%y = call %i {fn = @sq}", None,
+                      "call @sq: operand types ['i64'] do not match parameters ['f64']"),
+    "tape_new_arity": ("%y = tape_new %t", None, "tape_new takes 0 operand(s), got 1"),
+    "per_lane_push_onto_tape": ("%y = tape_push %t, %v {per_lane = true}", None,
+                                "per-lane tape_push onto tape"),
+    "per_lane_push_lanes": ("%y = tape_push %ts, %v {per_lane = true}", None,
+                            "per-lane tape_push of tensor<3xf64> onto tapes<2>"),
+    "push_kind": ("%y = tape_push %x, %x", None, "tape_push onto f64"),
+    "top_ty": ("%y = tape_top %t", None, "tape_top needs attribute ty = type"),
+    "top_per_lane": ("%y = tape_top %ts {ty = f64}", None,
+                     "tape_top of f64 from tapes<2> must be per-lane with leading 2"),
+    "top_kind": ("%y = tape_top %x {ty = f64}", None, "tape_top on f64"),
+    "rest_kind": ("%y = tape_rest %x", None, "tape_rest on f64"),
+    "spread_lanes": ("%y = tape_spread %t", None,
+                     "tape_spread needs attribute lanes = positive integer"),
+    "spread_kind": ("%y = tape_spread %ts {lanes = 2}", None, "tape_spread on tapes<2>"),
+    "expect_empty_kind": ("%y = tape_expect_empty %x", None, "tape_expect_empty on f64"),
+    "unknown_op": ("%y = frobnicate %x", None, "unknown op 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_FAULTS)
+def test_type_rule_diagnostics(case):
+    instr, edit, message = TYPE_FAULTS[case]
+    m = parse_ir(TYPED_SRC.replace("INSTR", instr))
+    if edit is not None:
+        edit(m.get("f").blocks[0].body[0])
+    assert [str(d) for d in verify(m)] == [f"@f ^entry: %y: {message}"]
