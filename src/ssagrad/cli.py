@@ -20,6 +20,7 @@ integral result prints as 6.0 rather than 6.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -327,7 +328,9 @@ def cmd_train_dan(args) -> int:
 # ---------------------------------------------------------- dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="ssagrad",
         description="Verify, run, differentiate, and batch textual IR.")
@@ -384,9 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -1,6 +1,6 @@
 """Forward-mode evaluation of scalar subfunctions.
 
-A Dual carries a primal float and a k-wide tangent row.  Seeding the
+A Dual carries a primal and a k-wide tangent row.  Seeding the
 arguments with identity rows and running once yields the value plus
 all k partial derivatives; fused_pack stores these as rows of one
 tensor so the reverse pass can contract against them later.
@@ -12,17 +12,22 @@ fused_map evaluation.  Partials come from the adjoint rules in
 ``RULES``, run on their numeric backend with a unit cotangent: the
 tangent of an op is the sum over operands of partial_i * tangent_i.
 Ops without a rule (const, itof) get zero tangents; ints and bools
-pass through unboxed.  Any other value (a tensor, a mask, a tape)
-raises DomainError: forward mode runs scalar code only.
+pass through unboxed.
+
+Over tensors a pack runs once on whole rows (see ``interp``): primals,
+tangents and masks are rows, and rules see each operand as the map's
+tensor type, so ``reduce_like`` broadcasts a scalar partial instead of
+summing a row.  At one point, a value that is not a scalar (a tensor,
+a tape) raises DomainError: forward mode runs scalar code only.
 """
 
 from __future__ import annotations
 
 from . import tensor as T
-from .ir import F64, Function, Module
+from .ir import F64, Function, Module, Type
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine
 from .rules import NUMERIC, RULES, reduce_like, saved_values
-from .tensor import DomainError
+from .tensor import DenseTensor, DomainError
 
 
 class Dual:
@@ -36,12 +41,6 @@ class Dual:
         return f"Dual({self.p!r}, {self.t!r})"
 
 
-def _lift(v, k: int) -> Dual:
-    if isinstance(v, Dual):
-        return v
-    return Dual(float(v), (0.0,) * k)
-
-
 def _dual_kernel(op: str, kernel):
     """kernel on unboxed primals, plus the tangent from op's rule."""
     rule = RULES.get(op)
@@ -50,37 +49,38 @@ def _dual_kernel(op: str, kernel):
         boxed = [env[o] for o in a]
         prims = [v.p if isinstance(v, Dual) else v for v in boxed]
         value = kernel(m, attrs, prims, range(len(prims)))
-        if not isinstance(value, float):
+        if not (isinstance(value, float) or m.ty.is_tensor and isinstance(value, DenseTensor)):
             if isinstance(value, int):
                 return value
             raise DomainError(f"op '{op}' is not scalar; forward mode runs scalar code only")
         if rule is None:
-            return Dual(value, m.zero)
+            # a mask, the row form of a bool, passes through unboxed
+            return value if isinstance(value, DenseTensor) else Dual(value, m.zero)
         partials = rule.backward(
-            NUMERIC, attrs, (F64,) * len(prims), saved_values(rule, prims, value), 1.0
+            NUMERIC, attrs, (m.ty,) * len(prims), saved_values(rule, prims, value), 1.0
         )
         t = m.zero
         for d, v in zip(partials, boxed):
             if d is not None:
-                t = [s + d * x for s, x in zip(t, v.t)]
+                t = [T.add(s, T.mul(d, x)) for s, x in zip(t, v.t)]
         return Dual(value, tuple(t))
     return dual
 
 
 class _DualMachine(Machine):
-    """Machine over Dual values; draws on the budget it is given."""
+    """Machine over Dual values, on the budget it is given.  Rules see
+    each operand as ty: f64 at one point, a tensor type over rows."""
 
-    # every value here is a scalar, so a fused_map is a plain call, and
-    # calls run boxed through the same walker
+    # every value here is a scalar or a row, so a fused_map is a plain
+    # call, and calls run boxed through the same walker
     kernels = {
         **{op: _dual_kernel(op, k) for op, k in KERNELS.items()},
         "call": KERNELS["call"],
         "fused_map": KERNELS["call"],
     }
 
-    def __init__(self, module: Module, budget: list[int], k: int):
-        self.module = module
-        self.budget = budget
+    def __init__(self, module: Module, budget: list[int], k: int, ty: Type = F64):
+        self.module, self.budget, self.ty = module, budget, ty
         self.zero = (0.0,) * k
 
 
@@ -105,21 +105,17 @@ def dual_eval(
     if len(widths) > 1:
         raise ValueError(f"mixed tangent widths {sorted(widths)}")
     k = widths.pop() if widths else 0
-    return _DualMachine(module, [step_limit], k).run(fn, tuple(_lift(v, k) for v in args))[0]
+    args = tuple(v if isinstance(v, Dual) else Dual(float(v), (0.0,) * k) for v in args)
+    return _DualMachine(module, [step_limit], k).run(fn, args)[0]
 
 
-def pack_rows(machine: Machine, fn: Function, args: tuple) -> list[float]:
-    """Value and all partials of a scalar function at one point.
-
-    Returns 1+k floats: the primal followed by d/d(arg i) for each i.
-    Draws on the calling machine's step budget.
-    """
+def pack_rows(machine: Machine, fn: Function, args: tuple, ty: Type = F64) -> list:
+    """fn's value and its partial d/d(arg i) for each i, at one point or
+    on rows of type ty; draws on the machine's step budget."""
     k = len(args)
-    seeded = tuple(
-        Dual(float(v), tuple(1.0 if j == i else 0.0 for j in range(k)))
-        for i, v in enumerate(args)
-    )
-    out = _DualMachine(machine.module, machine.budget, k).run(fn, seeded)[0]
+    seeded = tuple(Dual(v if ty.is_tensor else float(v), tuple(float(j == i) for j in range(k)))
+                   for i, v in enumerate(args))
+    out = _DualMachine(machine.module, machine.budget, k, ty).run(fn, seeded)[0]
     return [out.p, *out.t]
 
 
@@ -139,11 +135,9 @@ def fused_map_with_partials(
     _check_scalar_fn(fn)
     if len(args) != len(fn.params):
         raise ValueError(f"@{fn.name} takes {len(fn.params)} arguments, got {len(args)}")
-    pack = Machine(module, step_limit)._fused_pack(fn, list(args))
-    if len(pack.shape) == 1:
-        rows = pack.flat()
-        return rows[0], rows[1:]
-    return T.take(pack, 0, 0), [T.take(pack, 1 + i, 0) for i in range(len(args))]
+    m = Machine(module, step_limit)
+    primal, *partials = m._fused(fn, list(args), lambda ty, a: pack_rows(m, fn, a, ty))
+    return primal, partials
 
 
 def fused_map_pullback(partials, arg_types, ybar):

@@ -15,15 +15,27 @@ as zeros; batched code reads lanes speculatively for the same reason.
 entry of ``KERNELS``; forward mode and the tape oracle are Machines
 whose tables wrap these entries, so all three share the walker, the
 step budget and the EvalError locations.
+
+A fused_map or fused_pack over tensors runs its scalar body once, on
+whole rows, where the kernels are elementwise and bit-identical to one
+point.  That needs the body and all it reaches to be single blocks of
+elementwise ops (``_rows_exact``), since a br on a row mask would read
+as true.  The run is charged its steps once per element.  Control flow,
+and a row run that fails or would overdraw the budget, run the body at
+each point instead, so a fault is raised where it arises there.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import repeat
+from math import prod
+
+import numpy as np
 
 from . import tensor as T
-from .ir import Function, Jmp, Module, Ret, Type, term_uses
+from .ir import F64, Function, Jmp, Module, Ret, Type, tensor_type, term_uses
 from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
@@ -336,20 +348,71 @@ class Machine:
     # fused scalar kernels
 
     def _fused_map(self, fn: Function, vals: list):
-        """fn at every point of its broadcast operands, as a plain machine call."""
-        shape, points = _fused_points(vals)
-        out = [self.run(fn, p)[0] for p in points]
-        return DenseTensor.from_flat(shape, out) if shape else out[0]
+        """fn at every point of its broadcast operands."""
+        rows = _RowMachine(self.module, self.budget)
+        return self._fused(
+            fn, vals, lambda ty, args: [(rows if ty.is_tensor else self).run(fn, args)[0]])[0]
 
     def _fused_pack(self, fn: Function, vals: list) -> DenseTensor:
         """fn's value and partials at every point: rows 0 and 1+i of a (1+k,)+shape tensor."""
         from .forward_ad import pack_rows
 
-        k = len(vals)
-        shape, points = _fused_points(vals)
-        cols = [pack_rows(self, fn, p) for p in points]
-        data = [c[r] for r in range(1 + k) for c in cols]
-        return DenseTensor.from_flat((1 + k,) + shape, data)
+        rows = self._fused(fn, vals, lambda ty, args: pack_rows(self, fn, args, ty))
+        return _stack(self, {}, rows, range(len(rows)))
+
+    def _fused(self, fn: Function, vals: list, point) -> list:
+        """fn's outputs from point(ty, args) at each broadcast point of vals
+        (ty is f64), or from one run on whole rows (ty is a tensor type)."""
+        shape = reduce(T.broadcast_shapes,
+                       (v.shape for v in vals if isinstance(v, DenseTensor)), ())
+        if not shape:
+            return point(F64, tuple(vals))
+        args = [T.bcast_to(v, shape) if isinstance(v, DenseTensor) else float(v) for v in vals]
+        budget, left = self.budget, self.budget[0]
+        if _rows_exact(self.module, fn):
+            try:
+                with np.errstate(all="ignore"):
+                    rows = point(tensor_type(*shape), tuple(args))
+            except Exception:  # raised again below, at its own point
+                rows = None
+            # straight-line code takes the same steps at every point
+            cost, budget[0] = (left - budget[0]) * prod(shape), left
+            if rows is not None and cost <= left:
+                budget[0] -= cost
+                return [T.bcast_to(r, shape) for r in rows]
+        cols = [a.flat() if isinstance(a, DenseTensor) else repeat(a) for a in args]
+        return [DenseTensor.from_flat(shape, r) for r in zip(*(point(F64, p) for p in zip(*cols)))]
+
+
+class _RowMachine(Machine):
+    """Machine over the rows of a fused body, on the budget it is given;
+    its values are rows already, so a nested fused_map is a plain call."""
+
+    kernels = {**KERNELS, "fused_map": KERNELS["call"]}
+
+    def __init__(self, module: Module, budget: list[int]):
+        self.module, self.budget = module, budget
+
+
+# the ops a body may use to run on rows, with scalar constants only:
+# each is elementwise on tensors and bit-identical there to one point
+_ROW_OPS = frozenset("const add sub mul div neg exp log tanh sigmoid relu pow_int "
+                     "lt gt eq select call fused_map".split())
+
+
+def _rows_exact(module: Module, fn: Function, path: tuple[str, ...] = ()) -> bool:
+    """Whether fn and all it reaches are single blocks of _ROW_OPS, without recursion."""
+    if fn.name in path or len(fn.blocks) != 1 or not isinstance(fn.blocks[0].term, Ret):
+        return False
+    path += (fn.name,)
+    for ins in fn.blocks[0].body:
+        if ins.op not in _ROW_OPS or ins.op == "const" and ins.attrs["ty"].is_tensor:
+            return False
+        if ins.op in ("call", "fused_map"):
+            callee = module.functions.get(ins.attrs["fn"].name)
+            if callee is None or not _rows_exact(module, callee, path):
+                return False
+    return True
 
 
 def _raise_unbound(fn: Function, block: str, index: int, env: dict, ids) -> None:
@@ -359,20 +422,6 @@ def _raise_unbound(fn: Function, block: str, index: int, env: dict, ids) -> None
         if v not in env:
             raise EvalError(fn.name, block, index,
                             f"%{fn.value_name(v)} has no value on this path")
-
-
-def _fused_points(vals: list) -> tuple[tuple[int, ...], list[tuple]]:
-    """The broadcast shape of a fused kernel's operands and its points in row-major order."""
-    shape: tuple[int, ...] = ()
-    for v in vals:
-        if isinstance(v, DenseTensor):
-            shape = T.broadcast_shapes(shape, v.shape)
-    if not shape:
-        return shape, [tuple(vals)]
-    # at least one operand is a tensor, so its column bounds the zip
-    cols = [T.bcast_to(v, shape).flat() if isinstance(v, DenseTensor) else repeat(float(v))
-            for v in vals]
-    return shape, list(zip(*cols))
 
 
 def _lane_value(v, lane_shape: tuple[int, ...]):

@@ -417,13 +417,15 @@ def random_program(module: Module, rng: random.Random, name: str) -> Function:
 
 
 def sample_inputs(fn: Function, rng: random.Random) -> tuple:
-    """One input tuple for fn: floats U[-2,2], trip counts in [1,8]."""
+    """One input tuple for fn: floats U[-2,2], trip counts in [1,8], fair bools."""
     args = []
     for _, ty in fn.params:
         if ty.kind == "f64":
             args.append(rng.uniform(-2.0, 2.0))
         elif ty.kind == "i64":
             args.append(rng.randint(1, 8))
+        elif ty.kind == "bool":
+            args.append(rng.random() < 0.5)
         elif ty.is_tensor:
             vals = [rng.uniform(-2.0, 2.0) for _ in range(prod(ty.shape))]
             args.append(DenseTensor.from_flat(ty.shape, vals))

@@ -321,11 +321,14 @@ class _Vectorizer:
             if op == "fused_map":
                 self.vmap[res] = em.emit("fused_map", opnds, dict(ins.attrs), nm)
                 return
-            if lane:
-                raise BatchError("derivative packs over tensors do not batch")
             packed = em.emit("fused_pack", opnds, dict(ins.attrs), nm)
             # the pack axis comes out first; lanes must lead for the trace
-            self.vmap[res] = em.emit("transpose", (packed,), None, nm)
+            if not lane:
+                self.vmap[res] = em.emit("transpose", (packed,), None, nm)
+                return
+            rows = [em.emit("unstack", (packed,), {"index": r, "axis": 0}, nm)
+                    for r in range(1 + len(opnds))]
+            self.vmap[res] = em.emit("stack", tuple(rows), {"axis": 1}, nm)
             return
         if op == "call":
             raise BatchError("calls are inlined before batching")

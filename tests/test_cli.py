@@ -281,6 +281,21 @@ def test_gradcheck(abs_file, capsys):
     assert rep["max_fd_dev"] <= 1e-5
 
 
+def test_gradcheck_bool_parameter(tmp_path, capsys):
+    p = tmp_path / "b.ssair"
+    p.write_text("""
+func @b(%x: f64, %c: bool) -> f64 {
+^entry:
+  %r = select %c, %x, %x
+  ret %r
+}
+""")
+    assert main(["gradcheck", str(p), "--entry", "b", "--trials", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is True
+    assert "Traceback" not in err
+
+
 def test_gradcheck_zero_trials_is_usage_error(abs_file):
     assert main(["gradcheck", abs_file, "--entry", "absval",
                  "--trials", "0"]) == 2

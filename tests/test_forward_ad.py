@@ -1,16 +1,19 @@
 import math
 import random
+import warnings
 
 import pytest
 
 from ssagrad import (DenseTensor, Dual, EvalError, Machine, dual_eval,
                      eval_function, finite_diff, fused_map_pullback,
                      fused_map_with_partials, grad, parse_ir)
+from ssagrad import tensor as T
 from ssagrad.forward_ad import pack_rows
+from ssagrad.interp import _rows_exact
 from ssagrad.ir import F64, tensor_type
 from ssagrad.tensor import DomainError
 
-from conftest import rel
+from conftest import bits, rel
 
 SRC = """
 func @poly(%x: f64) -> f64 {
@@ -313,3 +316,138 @@ def test_dual_eval_rejects_tensor_in_scalar_callee():
         dual_eval(m, "calls_tensor", (Dual(0.5, (1.0,)),))
     assert isinstance(err.value.__cause__, DomainError)
     assert "forward mode runs scalar code only" in str(err.value)
+
+
+# bodies that run over whole rows: together they use every op the row
+# path accepts, and a nested call and fused_map
+ROWS_SRC = """
+func @sq(%t: f64) -> f64 {
+^entry:
+  %s = mul %t, %t
+  ret %s
+}
+
+func @every(%a: f64, %b: f64) -> f64 {
+^entry:
+  %one = const f64 1.0
+  %s = add %a, %b
+  %d = sub %a, %b
+  %p = mul %s, %d
+  %e = exp %a
+  %q = div %p, %e
+  %n = neg %q
+  %b2 = call %b {fn = @sq}
+  %u = add %b2, %one
+  %l = log %u
+  %t = tanh %l
+  %g = sigmoid %n
+  %r = relu %d
+  %w = pow_int %s {n = 3}
+  %c1 = lt %a, %b
+  %c2 = gt %a, %one
+  %c3 = eq %a, %b
+  %x1 = select %c1, %t, %g
+  %x2 = select %c2, %r, %w
+  %x3 = select %c3, %one, %x2
+  %m = fused_map %x1, %x3 {fn = @sq_sum}
+  %y = add %m, %q
+  ret %y
+}
+
+func @sq_sum(%a: f64, %b: f64) -> f64 {
+^entry:
+  %s = add %a, %b
+  %r = call %s {fn = @sq}
+  ret %r
+}
+
+func @consts(%a: f64, %b: f64) -> f64 {
+^entry:
+  %c = const f64 1.5
+  %z = const f64 -0.0
+  %r = add %c, %z
+  ret %r
+}
+
+func @nested(%a: f64, %b: f64) -> f64 {
+^entry:
+  %y = fused_map %a, %b {fn = @every}
+  %z = call %y {fn = @sq}
+  ret %z
+}
+"""
+
+ROW_SHAPES = {
+    "64x64": ((64,), (64,)),
+    "3x4_scalar": ((3, 4), ()),
+    "scalar_3x4": ((), (3, 4)),
+    "2x1_3": ((2, 1), (3,)),
+    "scalar_scalar": ((), ()),
+}
+
+
+def _operand(rng, shape):
+    if not shape:
+        return rng.uniform(-2, 2)
+    n = math.prod(shape)
+    # exact ties exercise eq and the kinks of relu and select
+    vals = [rng.choice([0.0, 1.0, -0.5]) if i % 5 == 0 else rng.uniform(-2, 2)
+            for i in range(n)]
+    return DenseTensor.from_flat(shape, vals)
+
+
+def _points(args):
+    """Each point of args' broadcast, row-major, and the broadcast shape."""
+    shape = ()
+    for a in args:
+        if isinstance(a, DenseTensor):
+            shape = T.broadcast_shapes(shape, a.shape)
+    if not shape:
+        return [tuple(args)], shape
+    cols = [T.bcast_to(a, shape).flat() if isinstance(a, DenseTensor) else [a] * math.prod(shape)
+            for a in args]
+    return list(zip(*cols)), shape
+
+
+@pytest.mark.parametrize("shapes", ROW_SHAPES.values(), ids=ROW_SHAPES)
+@pytest.mark.parametrize("name", ["every", "consts", "nested", "sq_sum"])
+def test_row_run_bit_identical_to_each_point(name, shapes, monkeypatch):
+    m = parse_ir(ROWS_SRC)
+    fn = m.get(name)
+    assert _rows_exact(m, fn)
+    rng = random.Random(f"{name}-{shapes}")
+    args = tuple(_operand(rng, s) for s in shapes)
+    points, shape = _points(args)
+    # the per-element path: one plain run and one pack per point
+    plain = [eval_function(m, name, p)[0] for p in points]
+    packs = [pack_rows(Machine(m), fn, p) for p in points]
+    runs = []
+    walk = Machine.run
+    monkeypatch.setattr(Machine, "run", lambda self, f, a: runs.append(f.name) or walk(self, f, a))
+    pack_rows(Machine(m), fn, points[0])
+    per_point = len(runs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        primal, parts = fused_map_with_partials(m, name, args)
+        mapped = Machine(m)._fused_map(fn, list(args))
+    # each map walked its body once, whatever the element count
+    assert len(runs) == 3 * per_point
+
+    def at(rows):
+        return DenseTensor.from_flat(shape, rows) if shape else rows[0]
+
+    assert bits(primal) == bits(at(plain)) == bits(mapped)
+    assert bits(primal) == bits(at([c[0] for c in packs]))
+    for i, part in enumerate(parts):
+        assert bits(part) == bits(at([c[1 + i] for c in packs])), i
+
+
+def test_row_run_prints_no_overflow_warning():
+    # numpy warns where the scalar arithmetic of a single point does not
+    m = parse_ir(ROWS_SRC)
+    x = DenseTensor.from_flat((3,), [1e200, -1e200, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        primal, (part,) = fused_map_with_partials(m, "sq", (x,))
+    assert primal.flat() == [math.inf, math.inf, 0.25]
+    assert part.flat() == [2e200, -2e200, 1.0]

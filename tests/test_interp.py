@@ -3,7 +3,9 @@ import math
 import pytest
 
 from ssagrad import (DenseTensor, Dual, EvalError, dual_eval, eval_function,
-                     fused_map_with_partials, parse_ir, trace_eval)
+                     fused_map_with_partials, grad, parse_ir, trace_eval)
+from ssagrad import interp
+from ssagrad.forward_ad import pack_rows
 from ssagrad.interp import DEFAULT_STEP_LIMIT
 
 
@@ -356,3 +358,139 @@ def test_unbounded_recursion_is_a_located_eval_error(runner, via):
     e = info.value
     assert (e.function, e.block, e.index, e.message) == (
         f"{via}_self", "entry", 0, "maximum recursion depth exceeded")
+
+
+MAP_FAULTS_SRC = """
+func @lg_div(%x: f64) -> f64 {
+^entry:
+  %l = log %x
+  %two = const f64 2.0
+  %d = sub %x, %two
+  %q = div %l, %d
+  ret %q
+}
+
+func @three(%x: f64) -> f64 {
+^entry:
+  %a = mul %x, %x
+  %b = add %a, %x
+  ret %b
+}
+
+func @map_lg_div(%x: tensor<4xf64>) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @lg_div}
+  %s = reduce_sum %y {axis = all}
+  ret %s
+}
+
+func @map_three(%x: tensor<64xf64>) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @three}
+  %s = reduce_sum %y {axis = all}
+  ret %s
+}
+
+func @branchy(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %pos = gt %x, %z
+  br %pos, ^a(), ^b()
+^a:
+  %one = const f64 1.0
+  %u = add %x, %one
+  %l = log %u
+  jmp ^join(%l)
+^b:
+  %n = neg %x
+  %e = exp %n
+  jmp ^join(%e)
+^join(%v: f64):
+  ret %v
+}
+
+func @loop(%x: f64) -> f64 {
+^entry:
+  %i0 = const i64 0
+  %n = const i64 3
+  jmp ^head(%i0, %x)
+^head(%i: i64, %acc: f64):
+  %more = lt %i, %n
+  br %more, ^body(), ^out()
+^body:
+  %a2 = mul %acc, %x
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %a2)
+^out:
+  ret %acc
+}
+"""
+
+# each runner maps @body over a tensor x, directly or through @map_body
+MAP_RUNNERS = {
+    "eval_function": lambda m, body, x, limit: eval_function(m, f"map_{body}", (x,), limit),
+    "trace_eval": lambda m, body, x, limit: trace_eval(m, f"map_{body}", (x,), limit),
+    "fused_map_with_partials":
+        lambda m, body, x, limit: fused_map_with_partials(m, body, (x,), limit),
+    "grad": lambda m, body, x, limit: grad(m, f"map_{body}", (x,), None, limit),
+}
+
+
+def _eval_error(run) -> tuple:
+    with pytest.raises(EvalError) as info:
+        run()
+    e = info.value
+    return (e.function, e.block, e.index, e.message)
+
+
+@pytest.mark.parametrize("runner", MAP_RUNNERS)
+@pytest.mark.parametrize("body, x, limit", [
+    # point 0 divides by zero at instr 3 before point 1 takes a log of
+    # -1 at instr 0, which is where a run over whole rows stops first
+    ("lg_div", DenseTensor.from_flat((4,), [2.0, -1.0, 3.0, 4.0]), DEFAULT_STEP_LIMIT),
+    # the budget runs out partway through the map
+    ("three", DenseTensor.from_flat((64,), [0.01 * i for i in range(64)]), 100),
+], ids=["div_before_log", "step_limit"])
+def test_fault_in_a_tensor_map_is_the_per_element_fault(runner, body, x, limit, monkeypatch):
+    m = parse_ir(MAP_FAULTS_SRC)
+    got = _eval_error(lambda: MAP_RUNNERS[runner](m, body, x, limit))
+    assert got[0] == body
+    if body == "lg_div":
+        assert got == ("lg_div", "entry", 3, "division by zero")
+    monkeypatch.setattr(interp, "_rows_exact", lambda module, fn: False)
+    assert _eval_error(lambda: MAP_RUNNERS[runner](m, body, x, limit)) == got
+
+
+def test_tensor_map_charges_its_steps_once_per_element():
+    m = parse_ir(MAP_FAULTS_SRC)
+    x = DenseTensor.from_flat((64,), [0.01 * i for i in range(64)])
+    # three steps at each of 64 points
+    fused_map_with_partials(m, "three", (x,), 192)
+    with pytest.raises(EvalError) as info:
+        fused_map_with_partials(m, "three", (x,), 191)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == (
+        "three", "entry", 2, "step limit exhausted")
+    # and the fused_map, the reduce_sum and the ret around them
+    machine = interp.Machine(m, 1000)
+    machine.call("map_three", (x,))
+    assert machine.budget == [1000 - 195]
+    with pytest.raises(EvalError) as info:
+        eval_function(m, "map_three", (x,), 194)
+    e = info.value
+    assert (e.function, e.block, e.index, e.message) == (
+        "map_three", "entry", 2, "step limit exhausted")
+
+
+@pytest.mark.parametrize("body", ["branchy", "loop"])
+def test_control_flow_body_maps_each_point(body):
+    m = parse_ir(MAP_FAULTS_SRC)
+    fn = m.get(body)
+    assert not interp._rows_exact(m, fn)
+    vals = [-1.5, -0.25, 0.0, 0.5, 2.0, -3.0]
+    x = DenseTensor.from_flat((2, 3), vals)
+    primal, (part,) = fused_map_with_partials(m, body, (x,))
+    mapped = interp.Machine(m)._fused_map(fn, [x])
+    assert primal.flat() == mapped.flat() == [eval_function(m, body, (v,))[0] for v in vals]
+    assert part.flat() == [pack_rows(interp.Machine(m), fn, (v,))[1] for v in vals]

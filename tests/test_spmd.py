@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,23 @@ def test_batched_grad_matches_per_sample(analytic):
             for vid in g:
                 got = unstack_lanes(F64, bg[vid], lanes)[i]
                 assert max_rel(got, g[vid]) < 1e-12
+
+
+@pytest.mark.parametrize("lanes", [4, 64])
+def test_batched_grad_of_tensor_fused_map_is_per_lane_grad(lanes):
+    # the derivative pack of a fused_map over tensors moves behind the lane axis
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "fused.ssair").read_text()
+    m = parse_ir(text)
+    fn = m.get("fused")
+    rng = random.Random(lanes)
+    per = [tuple(DenseTensor.from_flat((64,), [rng.uniform(-2, 2) for _ in range(64)])
+                 for _ in range(2)) + (rng.uniform(-2, 2),) for _ in range(lanes)]
+    stacked = tuple(stack_lanes(ty, [la[i] for la in per]) for i, (_, ty) in enumerate(fn.params))
+    bg = batched_grad(m, "fused", lanes, stacked, (stack_lanes(F64, [1.0] * lanes),))
+    for i, args in enumerate(per):
+        g = grad(parse_ir(text), "fused", args)
+        for vid, ty in fn.params:
+            assert bits(unstack_lanes(ty, bg[vid], lanes)[i]) == bits(g[vid])
 
 
 def test_batched_grad_divergent_trips(analytic):
