@@ -12,13 +12,11 @@ fused_map evaluation.  Partials come from the adjoint rules in
 ``RULES``, run on their numeric backend with a unit cotangent: the
 tangent of an op is the sum over operands of partial_i * tangent_i.
 Ops without a rule (const, itof) get zero tangents; ints and bools
-pass through unboxed.
-
-Over tensors a pack runs once on whole rows (see ``interp``): primals,
-tangents and masks are rows, and rules see each operand as the map's
-tensor type, so ``reduce_like`` broadcasts a scalar partial instead of
-summing a row.  At one point, a value that is not a scalar (a tensor,
-a tape) raises DomainError: forward mode runs scalar code only.
+pass through unboxed.  Over tensors a pack runs once on whole rows
+(see ``interp``): primals, tangents and masks are rows, and rules see
+each operand as the map's tensor type, so ``reduce_like`` broadcasts a
+scalar partial instead of summing a row.  At one point any other value
+(a tensor, a tape) raises DomainError: forward mode runs scalar code only.
 """
 
 from __future__ import annotations
@@ -39,6 +37,12 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.p!r}, {self.t!r})"
+
+
+def _lift(v, k: int) -> Dual:
+    if isinstance(v, Dual):
+        return v
+    return Dual(float(v), (0.0,) * k)
 
 
 def _dual_kernel(op: str, kernel):
@@ -62,14 +66,14 @@ def _dual_kernel(op: str, kernel):
         t = m.zero
         for d, v in zip(partials, boxed):
             if d is not None:
-                t = [T.add(s, T.mul(d, x)) for s, x in zip(t, v.t)]
+                t = ([s + d * x for s, x in zip(t, v.t)] if m.ty is F64
+                     else [T.add(s, T.mul(d, x)) for s, x in zip(t, v.t)])
         return Dual(value, tuple(t))
     return dual
 
 
 class _DualMachine(Machine):
-    """Machine over Dual values, on the budget it is given.  Rules see
-    each operand as ty: f64 at one point, a tensor type over rows."""
+    """Machine over Duals on the budget it is given; rules see operands as ty."""
 
     # every value here is a scalar or a row, so a fused_map is a plain
     # call, and calls run boxed through the same walker
@@ -80,7 +84,9 @@ class _DualMachine(Machine):
     }
 
     def __init__(self, module: Module, budget: list[int], k: int, ty: Type = F64):
-        self.module, self.budget, self.ty = module, budget, ty
+        self.module = module
+        self.budget = budget
+        self.ty = ty
         self.zero = (0.0,) * k
 
 
@@ -105,8 +111,7 @@ def dual_eval(
     if len(widths) > 1:
         raise ValueError(f"mixed tangent widths {sorted(widths)}")
     k = widths.pop() if widths else 0
-    args = tuple(v if isinstance(v, Dual) else Dual(float(v), (0.0,) * k) for v in args)
-    return _DualMachine(module, [step_limit], k).run(fn, args)[0]
+    return _DualMachine(module, [step_limit], k).run(fn, tuple(_lift(v, k) for v in args))[0]
 
 
 def pack_rows(machine: Machine, fn: Function, args: tuple, ty: Type = F64) -> list:

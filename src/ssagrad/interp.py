@@ -363,8 +363,7 @@ class Machine:
     def _fused(self, fn: Function, vals: list, point) -> list:
         """fn's outputs from point(ty, args) at each broadcast point of vals
         (ty is f64), or from one run on whole rows (ty is a tensor type)."""
-        shape = reduce(T.broadcast_shapes,
-                       (v.shape for v in vals if isinstance(v, DenseTensor)), ())
+        shape = reduce(T.broadcast_shapes, (v.shape for v in vals if isinstance(v, DenseTensor)), ())
         if not shape:
             return point(F64, tuple(vals))
         args = [T.bcast_to(v, shape) if isinstance(v, DenseTensor) else float(v) for v in vals]
@@ -385,8 +384,7 @@ class Machine:
 
 
 class _RowMachine(Machine):
-    """Machine over the rows of a fused body, on the budget it is given;
-    its values are rows already, so a nested fused_map is a plain call."""
+    """Machine over rows on the budget it is given; a nested fused_map is a call."""
 
     kernels = {**KERNELS, "fused_map": KERNELS["call"]}
 

@@ -323,9 +323,6 @@ class _Vectorizer:
                 return
             packed = em.emit("fused_pack", opnds, dict(ins.attrs), nm)
             # the pack axis comes out first; lanes must lead for the trace
-            if not lane:
-                self.vmap[res] = em.emit("transpose", (packed,), None, nm)
-                return
             rows = [em.emit("unstack", (packed,), {"index": r, "axis": 0}, nm)
                     for r in range(1 + len(opnds))]
             self.vmap[res] = em.emit("stack", tuple(rows), {"axis": 1}, nm)

@@ -7,6 +7,7 @@ from ssagrad import (ADError, BatchError, DenseTensor, batched_grad, eval_functi
                      grad, parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize,
                      verify)
 from ssagrad.ir import BOOL, F64, I64, tensor_type
+from ssagrad.progen import sample_inputs
 
 from conftest import bits, max_rel
 
@@ -128,19 +129,38 @@ def test_batched_grad_matches_per_sample(analytic):
                 assert max_rel(got, g[vid]) < 1e-12
 
 
-@pytest.mark.parametrize("lanes", [4, 64])
-def test_batched_grad_of_tensor_fused_map_is_per_lane_grad(lanes):
-    # the derivative pack of a fused_map over tensors moves behind the lane axis
+SCALAR_MAP = """
+func @g(%x: f64, %y: f64) -> f64 {
+^entry:
+  %p = mul %x, %y
+  %e = exp %p
+  %r = add %e, %x
+  ret %r
+}
+
+func @h(%a: f64, %b: f64) -> f64 {
+^entry:
+  %m = fused_map %a, %b {fn = @g}
+  %q = mul %m, %a
+  ret %q
+}
+"""
+
+
+@pytest.mark.parametrize("entry,lanes", [("fused", 4), ("fused", 64), ("h", 1), ("h", 4)])
+def test_batched_grad_of_fused_map_is_per_lane_grad(entry, lanes):
+    # the derivative pack's rows come out first; they move behind the lane axis,
+    # over tensor lanes (@fused) and f64 lanes (@h) alike
     text = (Path(__file__).resolve().parents[1] / "perfbench" / "fused.ssair").read_text()
+    text += SCALAR_MAP
     m = parse_ir(text)
-    fn = m.get("fused")
+    fn = m.get(entry)
     rng = random.Random(lanes)
-    per = [tuple(DenseTensor.from_flat((64,), [rng.uniform(-2, 2) for _ in range(64)])
-                 for _ in range(2)) + (rng.uniform(-2, 2),) for _ in range(lanes)]
+    per = [sample_inputs(fn, rng) for _ in range(lanes)]
     stacked = tuple(stack_lanes(ty, [la[i] for la in per]) for i, (_, ty) in enumerate(fn.params))
-    bg = batched_grad(m, "fused", lanes, stacked, (stack_lanes(F64, [1.0] * lanes),))
+    bg = batched_grad(m, entry, lanes, stacked, (stack_lanes(F64, [1.0] * lanes),))
     for i, args in enumerate(per):
-        g = grad(parse_ir(text), "fused", args)
+        g = grad(parse_ir(text), entry, args)
         for vid, ty in fn.params:
             assert bits(unstack_lanes(ty, bg[vid], lanes)[i]) == bits(g[vid])
 
