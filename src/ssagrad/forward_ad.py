@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import tensor as T
 from .ir import F64, Function, Module, Type
-from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, EvalError, Machine
 from .rules import NUMERIC, RULES, reduce_like, saved_values
 from .tensor import DenseTensor, DomainError
 
@@ -121,6 +121,8 @@ def pack_rows(machine: Machine, fn: Function, args: tuple, ty: Type = F64) -> li
     seeded = tuple(Dual(v if ty.is_tensor else float(v), tuple(float(j == i) for j in range(k)))
                    for i, v in enumerate(args))
     out = _DualMachine(machine.module, machine.budget, k, ty).run(fn, seeded)[0]
+    if not isinstance(out, Dual):
+        raise EvalError(fn.name, "", -1, f"returns a {type(out).__name__}, not an f64")
     return [out.p, *out.t]
 
 

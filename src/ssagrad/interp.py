@@ -1,10 +1,11 @@
 """Reference evaluator.
 
 Runtime values are float, bool, int, DenseTensor, Tape (a persistent
-cons list) and TapeBatch (one Tape per lane).  Tapes are immutable so
-a push never disturbs older references; the batching transform leans
-on this to discard a lane's speculative pushes by keeping the older
-tape value.
+cons list) and TapeBatch: a batched trace, one node per lane in a table
+of nodes shared by the traces of one tape_spread (``_Table``), so that
+its kernels cost a few numpy calls at any lane count.  A push never
+disturbs older references; the batching transform leans on this to
+discard a lane's speculative pushes by keeping the older trace value.
 
 Reading an empty tape is not an error: tape_top yields a zero of the
 requested type and tape_rest stays empty.  The second-order transform
@@ -66,11 +67,14 @@ class Tape:
     def empty(self) -> bool:
         return self.rest is None
 
-    def __len__(self) -> int:
-        n, t = 0, self
+    def __iter__(self):
+        t = self
         while not t.empty:
-            n, t = n + 1, t.rest
-        return n
+            yield t.top
+            t = t.rest
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
     def __repr__(self):
         return f"<tape depth={len(self)}>"
@@ -79,16 +83,86 @@ class Tape:
 EMPTY_TAPE = Tape()
 
 
+class _Table:
+    """The append-only nodes of one family of batched traces.
+
+    Node 0 is the empty trace.  Every other node holds (value, per_lane),
+    its parent and its depth: a per-lane value is a (lanes, ...) tensor
+    whose row i belongs to lane i, any other value is shared by every
+    lane.  Nodes never change once written.
+    """
+
+    __slots__ = ("lanes", "values", "parent", "depth")
+
+    def __init__(self, lanes: int):
+        self.lanes, self.values, self.depth = lanes, [(None, False)], [0]
+        self.parent = np.zeros(8, np.int64)
+
+    def append(self, value, per_lane: bool, at):
+        """One node holding value on each distinct node of at; the lanes' new nodes."""
+        n = len(self.values)
+        nodes = [at] if isinstance(at, int) else np.array(sorted(set(at.tolist())))
+        new = n if isinstance(at, int) else nodes.searchsorted(at) + n
+        if n + len(nodes) > len(self.parent):
+            self.parent = np.resize(self.parent, 2 * (n + len(nodes)))
+        self.parent[n:n + len(nodes)] = nodes
+        self.depth += [self.depth[p] + 1 for p in nodes]
+        self.values += [(value, per_lane)] * len(nodes)
+        return new
+
+    def adopt(self, t: "TapeBatch") -> "TapeBatch":
+        """t in this table, by a copy of the nodes t reaches."""
+        src, new, at = t.table, {0: 0}, np.ravel(t.at).tolist()
+        todo = list(at)
+        while todo:
+            n = todo.pop()
+            if n not in new:
+                new[n] = None
+                todo.append(int(src.parent[n]))
+        for n in sorted(new)[1:]:  # a parent is older than its children
+            new[n] = self.append(*src.values[n], new[int(src.parent[n])])
+        return TapeBatch(self, _merged(np.array([new[n] for n in at])))
+
+
 class TapeBatch:
-    """One independent tape per lane."""
+    """A batched trace: each lane's node in a shared _Table, one int while
+    every lane is at the same node, else an int64 array of length lanes."""
 
-    __slots__ = ("lanes",)
+    __slots__ = ("table", "at")
 
-    def __init__(self, lanes: tuple[Tape, ...]):
-        self.lanes = lanes
+    def __init__(self, table: _Table, at):
+        self.table, self.at = table, at
+
+    def top(self, shape: tuple[int, ...]) -> DenseTensor:
+        """Each lane's top as one (lanes, ...) tensor, by _lane_value's rules."""
+        if isinstance(self.at, int):
+            out = self._fill(self.at, shape)
+        else:
+            first, *rest = sorted(set(self.at.tolist()))
+            at, out = self.at.reshape((-1,) + (1,) * (len(shape) - 1)), self._fill(first, shape)
+            for n in rest:
+                out = np.where(at == n, self._fill(n, shape), out)
+        return DenseTensor(out if np.shape(out) == shape else np.full(shape, out))
+
+    def _fill(self, n: int, shape: tuple[int, ...]):
+        """Node n's entries as an array or float that broadcasts to shape."""
+        v, per_lane = self.table.values[n]
+        if per_lane:
+            return v.data if v.shape[1:] == shape[1:] else 0.0
+        v = _lane_value(v, shape[1:])
+        return 0.0 if v is None else v.data if isinstance(v, DenseTensor) else v
+
+    def depths(self) -> list[int]:
+        at = [self.at] * self.table.lanes if isinstance(self.at, int) else self.at.tolist()
+        return [self.table.depth[n] for n in at]
 
     def __repr__(self):
-        return f"<tapes {'/'.join(str(len(t)) for t in self.lanes)}>"
+        return f"<tapes {'/'.join(map(str, self.depths()))}>"
+
+
+def _merged(at: np.ndarray) -> "int | np.ndarray":
+    """at, or its one node when every lane is there."""
+    return at if len(set(at.tolist())) > 1 else int(at[0])
 
 
 def zero_of(ty: Type):
@@ -103,7 +177,7 @@ def zero_of(ty: Type):
     if ty.kind == "tape":
         return EMPTY_TAPE
     if ty.kind == "tapes":
-        return TapeBatch((EMPTY_TAPE,) * ty.lanes)
+        return TapeBatch(_Table(ty.lanes), 0)
     raise ValueError(f"no zero for {ty}")
 
 
@@ -170,9 +244,8 @@ def _select(m, attrs, env, a):
     if isinstance(c, bool):
         return x if c else y
     if isinstance(x, TapeBatch):
-        return TapeBatch(tuple(
-            xt if c.data[i] != 0.0 else yt for i, (xt, yt) in enumerate(zip(x.lanes, y.lanes))
-        ))
+        y = y if y.table is x.table else x.table.adopt(y)
+        return TapeBatch(x.table, _merged(np.where(c.data != 0.0, x.at, y.at)))
     return T.select_mask(c, x, y)
 
 
@@ -190,22 +263,18 @@ def _call(m, attrs, env, a):
 def _tape_push(m, attrs, env, a):
     t, v = env[a[0]], env[a[1]]
     if isinstance(t, TapeBatch):
-        if attrs.get("per_lane"):
-            rows = T.unstack(v) if len(v.shape) > 1 else list(v.data)
-            return TapeBatch(tuple(Tape(r, l) for r, l in zip(rows, t.lanes)))
-        return TapeBatch(tuple(Tape(v, l) for l in t.lanes))
+        per_lane = bool(attrs.get("per_lane"))
+        if per_lane and not (isinstance(v, DenseTensor) and v.shape[0] == t.table.lanes):
+            got = f"shape {v.shape}" if isinstance(v, DenseTensor) else f"a {type(v).__name__}"
+            raise ValueError(f"per-lane tape_push of {got} onto tapes<{t.table.lanes}>")
+        return TapeBatch(t.table, t.table.append(v, per_lane, t.at))
     return Tape(v, t)
 
 
 def _tape_top(m, attrs, env, a):
     t, ty = env[a[0]], attrs["ty"]
     if isinstance(t, TapeBatch):
-        lane_shape = ty.shape[1:]
-        out = [_lane_value(l.top, lane_shape) if not l.empty else None for l in t.lanes]
-        if lane_shape:
-            z = DenseTensor.zeros(lane_shape)
-            return T.stack([z if v is None else v for v in out], 0)
-        return DenseTensor.from_flat(ty.shape, [0.0 if v is None else v for v in out])
+        return t.top(ty.shape)
     if t.empty:
         return zero_of(ty)
     return t.top
@@ -214,16 +283,23 @@ def _tape_top(m, attrs, env, a):
 def _tape_rest(m, attrs, env, a):
     t = env[a[0]]
     if isinstance(t, TapeBatch):
-        return TapeBatch(tuple(l.rest if not l.empty else l for l in t.lanes))
+        at = t.table.parent[t.at]
+        return TapeBatch(t.table, int(at) if isinstance(t.at, int) else _merged(at))
     return t.rest if not t.empty else t
+
+
+def _tape_spread(m, attrs, env, a):
+    table, at = _Table(attrs["lanes"]), 0
+    for v in reversed(list(env[a[0]])):
+        at = table.append(v, False, at)
+    return TapeBatch(table, at)
 
 
 def _tape_expect_empty(m, attrs, env, a):
     t = env[a[0]]
-    lanes = t.lanes if isinstance(t, TapeBatch) else (t,)
-    left = [len(l) for l in lanes if not l.empty]
+    left = max(t.depths()) if isinstance(t, TapeBatch) else len(t)
     if left:
-        raise DomainError(f"trace should be used up, {max(left)} entries remain")
+        raise DomainError(f"trace should be used up, {left} entries remain")
     return True
 
 
@@ -259,7 +335,7 @@ KERNELS = {
     "tape_push": _tape_push,
     "tape_top": _tape_top,
     "tape_rest": _tape_rest,
-    "tape_spread": lambda m, attrs, env, a: TapeBatch((env[a[0]],) * attrs["lanes"]),
+    "tape_spread": _tape_spread,
     "tape_expect_empty": _tape_expect_empty,
 }
 
@@ -310,7 +386,7 @@ class Machine:
                                     f"op '{ins.op}' has no evaluation rule") from None
                 try:
                     env[ins.result] = kernel(self, ins.attrs, env, ins.operands)
-                except DomainError as e:
+                except (TypeError, AttributeError, ValueError, IndexError) as e:
                     raise EvalError(fn.name, cur.name, i, str(e)) from e
                 except RecursionError:
                     # Python's message varies with where the limit is hit

@@ -10,9 +10,9 @@ Control flow is where lanes disagree.  A branch on a lane-dependent
 condition runs both sides and merges with masked selects; a loop keeps
 an active-lane mask and iterates until every lane is done, freezing the
 carried values of lanes that already left.  Traces survive both tricks
-because they are persistent: a lane that did not take a branch simply
-keeps its old trace value, and any speculative pushes on the other arm
-are unreachable from it.
+because a batched trace is one index per lane into a table of nodes that
+never change: a select keeps the old node of a lane that did not take a
+branch, and the nodes the other arm pushed stay unreachable from it.
 
 Partial ops need care under speculation: a masked-off lane may hold
 values that were never meant to reach a divide or a log, so divisors

@@ -494,3 +494,37 @@ def test_control_flow_body_maps_each_point(body):
     mapped = interp.Machine(m)._fused_map(fn, [x])
     assert primal.flat() == mapped.flat() == [eval_function(m, body, (v,))[0] for v in vals]
     assert part.flat() == [pack_rows(interp.Machine(m), fn, (v,))[1] for v in vals]
+
+
+ILL_TYPED_SRC = """
+func @mm(%x: f64) -> f64 {
+^entry:
+  %y = matmul %x, %x
+  ret %y
+}
+
+func @flag(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  ret %c
+}
+"""
+
+
+def test_kernel_type_error_is_a_located_eval_error():
+    # unverified code: a kernel that meets a value of the wrong kind
+    m = parse_ir(ILL_TYPED_SRC)
+    assert _eval_error(lambda: eval_function(m, "mm", (2.0,))) == (
+        "mm", "entry", 0, "'float' object has no attribute 'rank'")
+
+
+@pytest.mark.parametrize("x", [0.5, DenseTensor.from_flat((3,), [-1.0, 0.5, 2.0])],
+                         ids=["point", "rows"])
+def test_pack_of_a_non_f64_result_names_the_function(x):
+    # over rows the run fails on a mask and falls back to each point,
+    # which fails the same way on a bool
+    m = parse_ir(ILL_TYPED_SRC)
+    assert interp._rows_exact(m, m.get("flag"))
+    assert _eval_error(lambda: fused_map_with_partials(m, "flag", (x,))) == (
+        "flag", "", -1, "returns a bool, not an f64")

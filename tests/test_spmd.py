@@ -176,6 +176,28 @@ def test_batched_grad_divergent_trips(analytic):
         assert max_rel(per[i], n * x ** (n - 1)) < 1e-12
 
 
+
+def test_batched_grad_at_64_lanes_is_per_lane_grad(corpus):
+    # criterion 5 stops at 8 lanes; a slice of the corpus at 64, where
+    # lanes spread over many trace positions
+    module, suite = corpus
+    rng = random.Random(64)
+    divergent = 0
+    for name, inputs in suite[:20]:
+        fn = module.get(name)
+        pick = [rng.randrange(len(inputs)) for _ in range(64)]
+        divergent += len({tuple(a for a in inputs[j] if isinstance(a, int)) for j in pick}) > 1
+        stacked = tuple(stack_lanes(ty, [inputs[j][i] for j in pick])
+                        for i, (_, ty) in enumerate(fn.params))
+        bg = batched_grad(module, name, 64, stacked, (stack_lanes(F64, [1.0] * 64),))
+        want = {j: grad(module, name, inputs[j], (1.0,)) for j in set(pick)}
+        ptype = dict(fn.params)
+        assert set(bg) == set(want[pick[0]])
+        for vid, col in bg.items():
+            got = unstack_lanes(ptype[vid], col, 64)
+            assert [bits(v) for v in got] == [bits(want[j][vid]) for j in pick]
+    assert divergent >= 5
+
 def test_lane_count_positive(analytic):
     with pytest.raises(BatchError):
         vectorize(analytic, "prod", 0)
