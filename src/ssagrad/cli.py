@@ -14,7 +14,8 @@ go to stderr.  Exit codes: 0 success, 1 domain or verification failure,
 Values cross the boundary as JSON: scalars as plain numbers or
 booleans, tensors as {"shape": [...], "data": [...]} records with
 row-major data.  Floats render in Python's shortest-repr form, so an
-integral result prints as 6.0 rather than 6.
+integral result prints as 6.0 rather than 6, and a non-finite float as
+the string "Infinity", "-Infinity" or "NaN", so payloads are strict JSON.
 """
 
 from __future__ import annotations
@@ -145,7 +146,9 @@ def _unit_seeds(fn) -> tuple:
 
 
 def _emit(payload: object) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
+    # strict JSON: json spells inf and nan as bare constants; read back, they are strings
+    strict = json.loads(json.dumps(payload), parse_constant=str)
+    print(json.dumps(strict, separators=(",", ":"), allow_nan=False))
 
 
 def _rel_dev(a: float, b: float) -> float:

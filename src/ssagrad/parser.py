@@ -21,6 +21,12 @@ fine and are left for the verifier's dominance check to judge.  A second
 definition is reported at once.  Names never defined and jumps to blocks
 that never appear are reported when the function ends, at the first
 ``%`` or ``^`` that named them, in text order.
+
+The lexer is one ``findall``: each match is a token, a ``//`` comment or
+a stray character, with the whitespace before it.  The matches tile the
+text, so lines (ended by newlines only) and columns are exact.  Trailing
+whitespace is cut off first, or it would be rescanned from each of its
+characters.
 """
 
 from __future__ import annotations
@@ -56,18 +62,18 @@ class ParseError(Exception):
         self.message = message
 
 
+# whitespace, then a tensor type, number, name, arrow, comment (to the end
+# of its line) or any other non-space character, which is an error
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<tensor>tensor<[0-9]+(?:x[0-9]+)*xf64>)
-    | (?P<num>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-inf)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<arrow>->)
-    | (?P<punct>[@%^(){}\[\],:=<>])
-    """,
-    re.VERBOSE,
+    r"(\s*)(tensor<[0-9]+(?:x[0-9]+)*xf64>"
+    r"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-inf"
+    r"|[A-Za-z_][A-Za-z0-9_]*|->|//[^\n]*|\S)"
 )
 _INT_RE = re.compile(r"-?[0-9]+")
+
+# token kind by first character; "t", "-" and "/" start more than one kind
+_KIND_OF = {**dict.fromkeys("@%^(){}[],:=<>", "punct"), **dict.fromkeys("0123456789", "num"),
+            **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrsuvwxyz", "ident")}
 
 _SCALAR_TYPES = {"f64": F64, "bool": BOOL, "i64": I64, "tape": TAPE}
 
@@ -81,21 +87,28 @@ class _Tok(NamedTuple):
 
 def _lex(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(line, pos - bol + 1, f"unexpected character {src[pos]!r}")
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, text, line, m.start() - bol + 1))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            bol = m.start() + text.rindex("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, len(src) - bol + 1))
+    # tuple.__new__ builds a _Tok without the Python-level _Tok.__new__
+    append, new, kinds = toks.append, tuple.__new__, _KIND_OF
+    line, col = 1, 1
+    for ws, text in _TOKEN_RE.findall(src.rstrip()):
+        if "\n" in ws:
+            line += ws.count("\n")
+            col = len(ws) - ws.rindex("\n")
+        else:
+            col += len(ws)
+        kind = kinds.get(text[0])
+        if kind is None:
+            if text[0] == "t":
+                kind = "tensor" if text[-1] == ">" else "ident"
+            elif text[0] == "-" and text != "-":
+                kind = "arrow" if text == "->" else "num"
+            elif text[:2] == "//":
+                continue  # a newline or the end of the text follows
+            else:
+                raise ParseError(line, col, f"unexpected character {text!r}")
+        append(new(_Tok, (kind, text, line, col)))
+        col += len(text)
+    append(_Tok("eof", "", src.count("\n") + 1, len(src) - src.rfind("\n")))
     return toks
 
 

@@ -616,15 +616,18 @@ class SEmitter:
         self.next_id = 0
         self.params: list[tuple[int, Type]] = []
         self.stack: list[list] = [[]]
-        self._used_names: set[str] = set()
+        # taken names, each with the next suffix to try; every lower one is taken
+        self._used_names: dict[str, int] = {}
 
     def fresh(self, name: str, ty: Type) -> int:
-        base = name
-        k = 1
-        while name in self._used_names:
-            name = f"{base}_{k}"
-            k += 1
-        self._used_names.add(name)
+        """A new value called ``name``, else ``name_k`` for the smallest free k >= 1."""
+        k = self._used_names.get(name)
+        if k is not None:
+            base = name
+            while (name := f"{base}_{k}") in self._used_names:
+                k += 1
+            self._used_names[base] = k + 1
+        self._used_names[name] = 1
         vid = self.next_id
         self.next_id += 1
         self.vnames[vid] = name

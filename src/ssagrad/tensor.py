@@ -362,11 +362,6 @@ def stack(tensors: Sequence[DenseTensor], axis: int = 0) -> DenseTensor:
     return DenseTensor(np.stack([t.data for t in tensors], axis=axis))
 
 
-def unstack(t: DenseTensor, axis: int = 0) -> list["DenseTensor | float"]:
-    """Split along an axis into the full list of slices."""
-    return [take(t, i, axis) for i in range(t.shape[axis])]
-
-
 def take(t: DenseTensor, index: int, axis: int = 0) -> "DenseTensor | float":
     """One slice along an axis; rank-1 input yields a plain float."""
     if not 0 <= index < t.shape[axis]:

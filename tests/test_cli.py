@@ -192,8 +192,46 @@ def test_exp_overflow_is_infinity_not_a_traceback(tmp_path, capsys):
     assert main(["batch", str(p), "--entry", "either", "-B", "2",
                  "--args", "[-1000,1000]"]) == 0
     out, err = capsys.readouterr()
-    assert out.split() == ["Infinity", "0.0", "0.0", "0.0", "[0.0,0.0]"]
+    assert out.split() == ['"Infinity"', "0.0", "0.0", "0.0", "[0.0,0.0]"]
     assert "Traceback" not in err
+
+
+NONFINITE_SRC = """
+func @f(%x: f64, %v: tensor<2xf64>) -> (f64, f64, tensor<2xf64>) {
+^entry:
+  %e = exp %x
+  %n = sub %e, %e
+  %m = neg %e
+  %w = exp %v
+  ret %n, %m, %w
+}
+"""
+
+
+def _no_constants(name):
+    raise AssertionError(f"payload is not strict JSON: {name}")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_payloads_are_strict_json(tmp_path, capsys):
+    p = tmp_path / "nonfinite.ssair"
+    p.write_text(NONFINITE_SRC)
+    lane = '[1000, {"shape": [2], "data": [1000, 0]}]'
+    commands = [
+        ["run", str(p), "--entry", "f", "--args", lane],
+        ["grad", str(p), "--entry", "f", "--args", lane],
+        ["batch", str(p), "--entry", "f", "-B", "2", "--args",
+         f'[{lane}, [0, {{"shape": [2], "data": [0, -1000]}}]]'],
+    ]
+    payloads = []
+    for argv in commands:
+        assert main(argv) == 0
+        payloads.append(json.loads(capsys.readouterr().out, parse_constant=_no_constants))
+    inf_row = {"shape": [2], "data": ["Infinity", 1.0]}
+    assert payloads[0] == ["NaN", "-Infinity", inf_row]
+    assert payloads[1] == {"x": "-Infinity", "v": inf_row}
+    assert payloads[2] == [["NaN", 0.0], ["-Infinity", -1.0],
+                           [inf_row, {"shape": [2], "data": [1.0, 0.0]}]]
 
 
 def test_check_valid_silent(mul_file, capsys):

@@ -4,6 +4,7 @@ least one diagnostic."""
 
 import ast
 import copy
+import itertools
 import random
 import re
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 from ssagrad import (DenseTensor, Module, ParseError, StructureError, augment, batched_grad,
                      build_grad_function, flatten, grad, grad_of_grad, parse_ir,
                      print_ir, structurize, vectorize, verify)
-from ssagrad.ir import TAPE, Br, Jmp
+from ssagrad.ir import F64, TAPE, Br, Jmp
+from ssagrad.parser import _lex
+from ssagrad.structure import SEmitter
 
 
 def test_round_trip_identity(analytic):
@@ -359,11 +362,10 @@ def _module_texts() -> list[str]:
     return texts
 
 
-def test_parser_fuzz_gives_module_or_located_error():
-    # single-token deletes, duplicates, replacements and truncations
+def _token_mutations():
+    """3,000 seeded single-token deletes, duplicates, replacements and truncations."""
     rng = random.Random(20261018)
     sources = [_FUZZ_TOKEN.findall(t) for t in _module_texts()]
-    outcomes = {"module": 0, "error": 0}
     for _ in range(3000):
         toks = list(rng.choice(sources))
         spots = [i for i, t in enumerate(toks) if not t.isspace() and not t.startswith("//")]
@@ -377,13 +379,100 @@ def test_parser_fuzz_gives_module_or_located_error():
             toks[i] = toks[rng.choice(spots)]
         else:
             del toks[i:]
+        yield "".join(toks)
+
+
+def test_parser_fuzz_gives_module_or_located_error():
+    outcomes = {"module": 0, "error": 0}
+    for text in _token_mutations():
         try:
-            assert isinstance(parse_ir("".join(toks)), Module)
+            assert isinstance(parse_ir(text), Module)
             outcomes["module"] += 1
         except ParseError as e:
             assert e.line >= 1 and e.col >= 1, str(e)
             outcomes["error"] += 1
     assert min(outcomes.values()) > 50, outcomes
+
+
+# A per-token lexer: one regex match per token, whitespace included.
+# parser._lex must agree with it token for token and error for error.
+_ORACLE_TOKEN = re.compile(
+    r"""
+      (?P<ws>\s+|//[^\n]*)
+    | (?P<tensor>tensor<[0-9]+(?:x[0-9]+)*xf64>)
+    | (?P<num>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-inf)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<arrow>->)
+    | (?P<punct>[@%^(){}\[\],:=<>])
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_lex(src):
+    toks = []
+    pos, line, bol = 0, 1, 0
+    while pos < len(src):
+        m = _ORACLE_TOKEN.match(src, pos)
+        if m is None:
+            raise ParseError(line, pos - bol + 1, f"unexpected character {src[pos]!r}")
+        kind = m.lastgroup or ""
+        text = m.group()
+        if kind != "ws":
+            toks.append((kind, text, line, m.start() - bol + 1))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            bol = m.start() + text.rindex("\n") + 1
+        pos = m.end()
+    toks.append(("eof", "", line, len(src) - bol + 1))
+    return toks
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except ParseError as e:
+        return (e.line, e.col, e.message)
+
+
+def _char_insertions():
+    """Each piece at 8 seeded places in every module text: whitespace that
+    columns count, a comment, prefixes of several token kinds, non-ASCII."""
+    rng = random.Random(20261019)
+    texts = _module_texts()
+    for piece in ("\t", "\r", "//x\n", "-", "->", "-inf", "1e5", "tensor<", "\u00e9", "\u00a0"):
+        for text in texts:
+            for _ in range(8):
+                i = rng.randrange(len(text) + 1)
+                yield text[:i] + piece + text[i:]
+
+
+def test_lexer_matches_per_token_oracle():
+    errors = 0
+    for text in itertools.chain(_token_mutations(), _char_insertions()):
+        want = _lexed(_oracle_lex, text)
+        assert _lexed(_lex, text) == want, text
+        errors += isinstance(want, tuple)
+    assert errors > 1000, errors
+
+
+# ------------------------------------------------------- fresh names
+
+
+def _names(em, *names):
+    return [em.vnames[em.fresh(n, F64)] for n in names]
+
+
+def test_fresh_takes_the_smallest_free_suffix():
+    em = SEmitter("f", (F64,))
+    assert _names(em, *["g"] * 1000) == ["g"] + [f"g_{k}" for k in range(1, 1000)]
+    em = SEmitter("f", (F64,))
+    assert _names(em, "g_5", *["g"] * 7) == ["g_5", "g", "g_1", "g_2", "g_3", "g_4", "g_6", "g_7"]
+    em = SEmitter("f", (F64,))
+    assert _names(em, "g", "g", "g_1", "g_1", "g") == ["g", "g_1", "g_1_1", "g_1_2", "g_2"]
+    em = SEmitter("f", (F64,))
+    assert _names(em, "g", "h", "g", "h", "h", "g") == ["g", "h", "g_1", "h_1", "h_2", "g_2"]
 
 
 # ---------------------------------------------- type-rule diagnostics

@@ -16,7 +16,7 @@ import pytest
 from ssagrad import DenseTensor, EvalError, eval_function, parse_ir
 from ssagrad.interp import EMPTY_TAPE, KERNELS, Tape
 from ssagrad.ir import tensor_type
-from ssagrad.tensor import DomainError, unstack
+from ssagrad.tensor import DomainError, take
 
 from conftest import bits
 
@@ -41,7 +41,7 @@ def expect_empty(t):
 
 def model_push(lanes, v, per_lane):
     if per_lane:
-        rows = unstack(v) if v.rank > 1 else list(v.data)
+        rows = [take(v, i) for i in range(v.shape[0])] if v.rank > 1 else list(v.data)
         return tuple(Tape(r, t) for r, t in zip(rows, lanes))
     return tuple(Tape(v, t) for t in lanes)
 
