@@ -16,6 +16,8 @@ booleans, tensors as {"shape": [...], "data": [...]} records with
 row-major data.  Floats render in Python's shortest-repr form, so an
 integral result prints as 6.0 rather than 6, and a non-finite float as
 the string "Infinity", "-Infinity" or "NaN", so payloads are strict JSON.
+Arguments are read the same way, so a printed value can be passed back;
+the bare tokens NaN and Infinity are not JSON and are refused.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ def _encode(v) -> object:
     return v
 
 
+def _number(x) -> float:
+    """A JSON number, or a string _emit writes for a non-finite float, as a float."""
+    if type(x) in (int, float) or x in ("Infinity", "-Infinity", "NaN"):
+        return float(x)
+    raise ValueError(f"{x!r} is not a number")
+
+
 def _decode(ty, v):
     if ty.kind == "tensor":
         if not isinstance(v, dict) or set(v) != {"shape", "data"}:
@@ -102,13 +111,16 @@ def _decode(ty, v):
         if tuple(v["shape"]) != ty.shape:
             raise UsageError(f"shape {v['shape']} does not match {ty}")
         try:
-            return DenseTensor.from_flat(
-                ty.shape, [float(x) for x in v["data"]])
-        except (TypeError, ValueError) as e:
+            # floats, the common case, need no check
+            data = [x if type(x) is float else _number(x) for x in v["data"]]
+            return DenseTensor.from_flat(ty.shape, data)
+        except (TypeError, ValueError, OverflowError) as e:
             raise UsageError(f"bad tensor data for {ty}: {e}")
-    if ty.kind == "f64" and isinstance(v, (int, float)) \
-            and not isinstance(v, bool):
-        return float(v)
+    if ty.kind == "f64":
+        try:
+            return _number(v)
+        except (ValueError, OverflowError):
+            pass
     if ty.kind == "i64" and isinstance(v, int) and not isinstance(v, bool):
         return v
     if ty.kind == "bool" and isinstance(v, bool):
@@ -125,9 +137,12 @@ def _decode_args(fn, raw: object) -> tuple:
 
 
 def _parse_json(flag: str, text: str) -> object:
+    def bare(name):
+        raise UsageError(f'{flag}: invalid JSON: bare {name} (write the string "{name}")')
+
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(text, parse_constant=bare)
+    except ValueError as e:  # a JSONDecodeError, or an int of too many digits
         raise UsageError(f"{flag}: invalid JSON: {e}")
 
 

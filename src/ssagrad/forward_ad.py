@@ -21,6 +21,8 @@ scalar partial instead of summing a row.  At one point any other value
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import tensor as T
 from .ir import F64, Function, Module, Type
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, EvalError, Machine
@@ -98,6 +100,7 @@ def _check_scalar_fn(fn: Function):
             raise ValueError(f"@{fn.name} takes a non-f64 parameter")
 
 
+@np.errstate(all="ignore")
 def dual_eval(
     module: Module,
     name: str,
@@ -126,6 +129,7 @@ def pack_rows(machine: Machine, fn: Function, args: tuple, ty: Type = F64) -> li
     return [out.p, *out.t]
 
 
+@np.errstate(all="ignore")
 def fused_map_with_partials(
     module: Module,
     name: str,

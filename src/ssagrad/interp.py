@@ -13,17 +13,22 @@ differentiates tape traffic itself and needs reads past the end to act
 as zeros; batched code reads lanes speculatively for the same reason.
 
 ``Machine.run`` is the only block walker.  Each op's semantics is one
-entry of ``KERNELS``; forward mode and the tape oracle are Machines
-whose tables wrap these entries, so all three share the walker, the
-step budget and the EvalError locations.
+entry of ``KERNELS``, keyed like ``ops.OPS``; forward mode and the tape
+oracle are Machines whose tables wrap these entries, so all three share
+the walker, the step budget and the EvalError locations.
 
 A fused_map or fused_pack over tensors runs its scalar body once, on
 whole rows, where the kernels are elementwise and bit-identical to one
 point.  That needs the body and all it reaches to be single blocks of
-elementwise ops (``_rows_exact``), since a br on a row mask would read
-as true.  The run is charged its steps once per element.  Control flow,
-and a row run that fails or would overdraw the budget, run the body at
-each point instead, so a fault is raised where it arises there.
+ops that ``ops.OPS`` declares elementwise (``_rows_exact``), since a br
+on a row mask would read as true.  The run is charged its steps once
+per element.  Control flow, and a row run that fails or would overdraw
+the budget, run the body at each point instead, so a fault is raised
+where it arises there.
+
+Kernels let inf and nan flow and raise on domain faults; each public
+function that runs the walker turns numpy's floating-point warnings off
+once (``np.errstate``), as a scope costs more than most kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from . import tensor as T
 from .ir import F64, Function, Jmp, Module, Ret, Type, tensor_type, term_uses
+from .ops import OPS
 from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
@@ -446,8 +452,7 @@ class Machine:
         budget, left = self.budget, self.budget[0]
         if _rows_exact(self.module, fn):
             try:
-                with np.errstate(all="ignore"):
-                    rows = point(tensor_type(*shape), tuple(args))
+                rows = point(tensor_type(*shape), tuple(args))
             except Exception:  # raised again below, at its own point
                 rows = None
             # straight-line code takes the same steps at every point
@@ -468,19 +473,19 @@ class _RowMachine(Machine):
         self.module, self.budget = module, budget
 
 
-# the ops a body may use to run on rows, with scalar constants only:
-# each is elementwise on tensors and bit-identical there to one point
-_ROW_OPS = frozenset("const add sub mul div neg exp log tanh sigmoid relu pow_int "
-                     "lt gt eq select call fused_map".split())
+# an elementwise op is bit-identical on rows to one point
+_ELEMENTWISE = frozenset(op for op, d in OPS.items() if d.elementwise)
 
 
 def _rows_exact(module: Module, fn: Function, path: tuple[str, ...] = ()) -> bool:
-    """Whether fn and all it reaches are single blocks of _ROW_OPS, without recursion."""
+    """Whether fn and all it reaches are single blocks of elementwise ops,
+    scalar constants and calls (which run on rows too), without recursion."""
     if fn.name in path or len(fn.blocks) != 1 or not isinstance(fn.blocks[0].term, Ret):
         return False
     path += (fn.name,)
     for ins in fn.blocks[0].body:
-        if ins.op not in _ROW_OPS or ins.op == "const" and ins.attrs["ty"].is_tensor:
+        if ins.op == "const" and ins.attrs["ty"].is_tensor \
+                or ins.op not in _ELEMENTWISE and ins.op not in ("const", "call"):
             return False
         if ins.op in ("call", "fused_map"):
             callee = module.functions.get(ins.attrs["fn"].name)
@@ -513,6 +518,7 @@ def _lane_value(v, lane_shape: tuple[int, ...]):
     return None
 
 
+@np.errstate(all="ignore")
 def eval_function(
     module: Module,
     name: str,

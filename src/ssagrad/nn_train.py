@@ -293,6 +293,7 @@ def _batch_tensors(batch: list[SyntheticSample]) -> tuple:
     return X, Yc, Yd
 
 
+@np.errstate(all="ignore")
 def dan_step(
     module: Module,
     params: ModelParams,
@@ -353,6 +354,7 @@ def _domain_probe_acc(H: DenseTensor, yd: list[int]) -> float:
     return acc / 2.0
 
 
+@np.errstate(all="ignore")
 def evaluate(
     module: Module,
     params: ModelParams,

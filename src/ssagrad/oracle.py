@@ -23,6 +23,7 @@ import numpy as np
 from . import tensor as T
 from .ir import Module, Type
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
+from .ops import OPS
 from .rules import NUMERIC, RULES, runtime_type, saved_values
 from .tensor import DenseTensor
 
@@ -68,7 +69,8 @@ class Trace:
 def _traced_kernel(op: str, kernel):
     """kernel on unboxed values; records op's trace node and compare margin."""
     rule = RULES.get(op)
-    compare = op in ("lt", "gt", "eq")
+    # an elementwise op whose result takes no cotangent is a comparison
+    compare = OPS[op].elementwise and OPS[op].no_cotangent
 
     def traced(m, attrs, env, a):
         boxed = [env[o] for o in a]
@@ -128,6 +130,7 @@ def _margin(a, b) -> float:
     return float(np.min(np.abs(da - db)))
 
 
+@np.errstate(all="ignore")
 def trace_eval(
     module: Module,
     name: str,
@@ -204,6 +207,7 @@ def _objective(module: Module, name: str, args: tuple, seeds: tuple, step_limit:
     return total
 
 
+@np.errstate(all="ignore")
 def finite_diff(
     module: Module,
     name: str,

@@ -30,9 +30,11 @@ back with a unit seed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import BOOL, F64, TAPE, Function, Instruction, Module, Type
-from .ops import result_type
+from .ops import OPS, result_type
 from .rules import RULES, Rule, saved_values
 from .structure import (
     SEmitter,
@@ -51,14 +53,6 @@ from .structure import (
 # and traces (their adjoint is a trace of cotangents); batched traces do
 # not, second order stays per-sample
 CotangentMap = dict[int, object]
-
-# ops with no rule that are legitimate on a differentiated path; their
-# results take no cotangent
-_BARRIER_OPS = frozenset(("const", "lt", "gt", "eq", "itof"))
-
-_TAPE_OPS = frozenset(
-    ("tape_new", "tape_push", "tape_top", "tape_rest", "tape_spread", "tape_expect_empty")
-)
 
 
 class ADError(Exception):
@@ -157,15 +151,11 @@ class _Augmenter:
             raise ADError(f"@{sf.name}: cannot differentiate a select over traces")
         if ins.op == "tape_spread":
             raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
-        if (
-            rty.is_differentiable
-            and ins.op not in RULES
-            and ins.op not in _BARRIER_OPS
-            and ins.op not in _TAPE_OPS
-        ):
+        d = OPS[ins.op]
+        if rty.is_differentiable and ins.op not in RULES and not (d.no_cotangent or d.trace):
             raise ADError(f"@{sf.name}: op '{ins.op}' (%{name}) has no derivative rule")
 
-        # barriers, integer bookkeeping, and trace traffic pass through
+        # ops with no cotangent, integer bookkeeping, and trace traffic pass through
         valmap[ins.result] = em.emit(ins.op, ops, dict(ins.attrs), name)
         return blog, vstack
 
@@ -350,7 +340,7 @@ class _PullbackBuilder:
         else:
             rule = _recorded_rule(sf, ins)
             if rule is None:
-                if ins.op in _TAPE_OPS:
+                if OPS[ins.op].trace:
                     return self.tape_instr(ins, cot, blog, vstack)
                 return blog, vstack
             saved_tys = saved_values(rule, opnd_tys, rty)
@@ -566,6 +556,7 @@ def grad(
     return run_aug_pb(module, fn, aug_fn.name, pb_fn.name, args, seeds, step_limit)
 
 
+@np.errstate(all="ignore")
 def run_aug_pb(module: Module, fn: Function, aug_name: str, pb_name: str, args: tuple,
                seeds: tuple, step_limit: int) -> CotangentMap:
     """Run @aug_name on args, then @pb_name on its two traces and seeds.

@@ -247,9 +247,9 @@ RULES: dict[str, Rule] = {
     "fused_map": Rule(("pack",), _fused_map),
 }
 
-# every other op is a leaf for reverse mode: constants, comparisons,
-# itof (integer side has no cotangent), and the trace carriers, whose
-# reversal is structural rather than rule-driven
+# an op with no rule is a leaf for reverse mode when ops.OPS declares that
+# its result takes no cotangent or that it is a trace op, whose reversal
+# is structural; calls are inlined first, and augment refuses any other
 
 
 def saved_values(rule: Rule, operands: tuple, result):

@@ -15,9 +15,12 @@ never change: a select keeps the old node of a lane that did not take a
 branch, and the nodes the other arm pushed stay unreachable from it.
 
 Partial ops need care under speculation: a masked-off lane may hold
-values that were never meant to reach a divide or a log, so divisors
-and log arguments are routed through selects that substitute 1.0 in
-dead lanes.
+values that were never meant to reach a divide or a log, so the
+operands ``ops.OPS`` declares partial (divisors and log arguments) are
+routed through selects that substitute 1.0 in dead lanes.
+
+Each op's batched form is an entry of ``_CASES``: elementwise ops share
+one, and an op that cannot be batched has its reason in ``_BATCH_ERRORS``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
+from .ops import OPS
 from .structure import SEmitter, SFunc, SIf, SInstr, SWhile, flatten
 from .reverse_ad import augment, inline_sfunc, run_aug_pb
 from .tensor import DenseTensor
@@ -201,8 +205,7 @@ class _Vectorizer:
     def common_lane(self, operands: tuple[int, ...]) -> tuple[int, ...]:
         s: tuple[int, ...] = ()
         for o in operands:
-            lane = self.lane_of(o) if self.is_b(o) else _lane_shape(self.sf.types[o])
-            s = T.broadcast_shapes(s, lane)
+            s = T.broadcast_shapes(s, self.lane_of(o))
         return s
 
     def elem(self, o: int, lane: tuple[int, ...]) -> int:
@@ -235,205 +238,130 @@ class _Vectorizer:
     # ------------------------------------------------------- op cases
 
     def instr(self, ins: Instruction):
-        sf, em = self.sf, self.em
-        op, res = ins.op, ins.result
-        nm = self.name_of(res)
+        case = _CASES.get(ins.op) if self.is_b(ins.result) else _Vectorizer.lanewise
+        if case is None:
+            raise BatchError(_BATCH_ERRORS[ins.op])
+        self.vmap[ins.result] = case(self, ins, self.name_of(ins.result))
 
-        if op == "const":
-            self.vmap[res] = em.emit("const", (), dict(ins.attrs), nm)
-            return
+    def lanewise(self, ins: Instruction, nm: str) -> int:
+        """An elementwise op, or any op of a uniform island, which is
+        cloned as is.  Operands a dead lane must not reach get a live-lane
+        guard, as partial ops may be speculated under a mask."""
+        lane = self.common_lane(ins.operands) if self.is_b(ins.result) else None
+        partial = OPS[ins.op].partial
+        opnds = []
+        for i, o in enumerate(ins.operands):
+            ev = self.val(o) if lane is None else self.elem(o, lane)
+            opnds.append(self.guard(o, ev) if i in partial else ev)
+        return self.em.emit(ins.op, tuple(opnds), dict(ins.attrs), nm)
 
-        if not self.is_b(res):
-            # uniform island: clone as is, but partial ops still need a
-            # live-lane guard when speculated under a mask
-            opnds = []
-            for i, o in enumerate(ins.operands):
-                ev = self.val(o)
-                if (op == "div" and i == 1) or (op == "log" and i == 0):
-                    ev = self.guard(o, ev)
-                opnds.append(ev)
-            self.vmap[res] = em.emit(op, tuple(opnds), dict(ins.attrs), nm)
-            return
+    def same_op(self, ins: Instruction, nm: str) -> int:
+        """Lanes lead and traces are per lane, so the op is unchanged."""
+        return self.em.emit(ins.op, tuple(self.val(o) for o in ins.operands), None, nm)
 
-        if op in ("add", "sub", "mul", "div", "neg", "exp", "log", "tanh",
-                  "sigmoid", "relu", "pow_int", "lt", "gt", "eq"):
-            lane = self.common_lane(ins.operands)
-            opnds = []
-            for i, o in enumerate(ins.operands):
-                ev = self.elem(o, lane)
-                if (op == "div" and i == 1) or (op == "log" and i == 0):
-                    ev = self.guard(o, ev)
-                opnds.append(ev)
-            self.vmap[res] = em.emit(op, tuple(opnds), dict(ins.attrs), nm)
-            return
-
-        if op == "select":
-            self.select(ins)
-            return
-        if op == "itof":
-            # batched counters already live as rows of floats
-            self.vmap[res] = self.val(ins.operands[0])
-            return
-        if op == "matmul":
-            a, b = ins.operands
-            av = self.val(a) if self.is_b(a) else em.emit(
-                "bcast", (self.val(a),), {"shape": (self.B, *sf.types[a].shape)}, nm)
-            bv = self.val(b) if self.is_b(b) else em.emit(
-                "bcast", (self.val(b),), {"shape": (self.B, *sf.types[b].shape)}, nm)
-            self.vmap[res] = em.emit("bmm", (av, bv), None, nm)
-            return
-        if op == "bmm":
-            raise BatchError("bmm is already lane-shaped; batching it again needs rank 4")
-        if op == "transpose":
-            # lanes lead, so swapping the trailing two axes is untouched
-            self.vmap[res] = em.emit("transpose", (self.val(ins.operands[0]),), None, nm)
-            return
-        if op == "reshape":
-            self.vmap[res] = em.emit(
-                "reshape", (self.val(ins.operands[0]),),
-                {"shape": (self.B, *ins.attrs["shape"])}, nm)
-            return
-        if op == "reduce_sum":
-            self.reduce_sum(ins)
-            return
-        if op == "bcast":
-            (o,) = ins.operands
-            shape = ins.attrs["shape"]
-            v = self.pad_lane(self.val(o), self.lane_of(o), len(shape))
-            self.vmap[res] = em.emit("bcast", (v,), {"shape": (self.B, *shape)}, nm)
-            return
-        if op == "reduce_to":
-            self.reduce_to(ins)
-            return
-        if op == "stack":
-            axis = ins.attrs.get("axis", 0)
-            vals = tuple(self.materialize(o) for o in ins.operands)
-            self.vmap[res] = em.emit("stack", vals, {"axis": axis + 1}, nm)
-            return
-        if op == "unstack":
-            self.vmap[res] = em.emit(
-                "unstack", (self.val(ins.operands[0]),),
-                {"index": ins.attrs["index"], "axis": ins.attrs.get("axis", 0) + 1}, nm)
-            return
-        if op in ("fused_map", "fused_pack"):
-            lane = self.common_lane(ins.operands)
-            opnds = tuple(self.elem(o, lane) for o in ins.operands)
-            if op == "fused_map":
-                self.vmap[res] = em.emit("fused_map", opnds, dict(ins.attrs), nm)
-                return
-            packed = em.emit("fused_pack", opnds, dict(ins.attrs), nm)
-            # the pack axis comes out first; lanes must lead for the trace
-            rows = [em.emit("unstack", (packed,), {"index": r, "axis": 0}, nm)
-                    for r in range(1 + len(opnds))]
-            self.vmap[res] = em.emit("stack", tuple(rows), {"axis": 1}, nm)
-            return
-        if op == "call":
-            raise BatchError("calls are inlined before batching")
-
-        if op == "tape_new":
-            t = em.emit("tape_new", (), None, nm)
-            self.vmap[res] = em.emit("tape_spread", (t,), {"lanes": self.B}, nm)
-            return
-        if op == "tape_push":
-            t, v = ins.operands
-            if self.is_b(v):
-                self.vmap[res] = em.emit(
-                    "tape_push", (self.val(t), self.val(v)), {"per_lane": True}, nm)
-            else:
-                self.vmap[res] = em.emit("tape_push", (self.val(t), self.val(v)), None, nm)
-            return
-        if op == "tape_top":
-            ty = batched_type(ins.attrs["ty"], self.B)
-            self.vmap[res] = em.emit(
-                "tape_top", (self.val(ins.operands[0]),), {"ty": ty, "per_lane": True}, nm)
-            return
-        if op == "tape_rest":
-            self.vmap[res] = em.emit("tape_rest", (self.val(ins.operands[0]),), None, nm)
-            return
-        if op == "tape_expect_empty":
-            self.vmap[res] = em.emit("tape_expect_empty", (self.val(ins.operands[0]),), None, nm)
-            return
-        if op == "tape_spread":
-            raise BatchError("tape_spread input is already per-lane")
-
-        raise BatchError(f"op '{op}' has no batching rule")
-
-    def select(self, ins: Instruction):
-        sf, em = self.sf, self.em
+    def select(self, ins: Instruction, nm: str) -> int:
         c, a, b = ins.operands
-        nm = self.name_of(ins.result)
-        arm_ty = sf.types[a]
+        if self.is_b(c) or self.sf.types[a].kind == "tape":
+            return self.lanewise(ins, nm)
+        # uniform condition over lane-dependent arms; a plain select
+        # wants both arms at exactly the same type
+        lane = self.common_lane((a, b))
+        target = (self.B, *lane)
 
-        if arm_ty.kind == "tape":
-            self.vmap[ins.result] = em.emit(
-                "select", (self.val(c), self.val(a), self.val(b)), None, nm)
-            return
+        def lift(v: int) -> int:
+            ev = self.materialize(v)
+            s = self.lane_of(v)
+            if s != lane:
+                ev = self.pad_lane(ev, s, len(lane))
+                ev = self.em.emit("bcast", (ev,), {"shape": target}, nm)
+            return ev
 
-        if not self.is_b(c):
-            # uniform condition over lane-dependent arms; a plain select
-            # wants both arms at exactly the same type
-            lane = self.common_lane((a, b))
-            target = (self.B, *lane)
+        return self.em.emit("select", (self.val(c), lift(a), lift(b)), None, nm)
 
-            def lift(v: int) -> int:
-                ev = self.materialize(v)
-                s = self.lane_of(v) if self.is_b(v) else _lane_shape(sf.types[v])
-                if s != lane:
-                    ev = self.pad_lane(ev, s, len(lane))
-                    ev = em.emit("bcast", (ev,), {"shape": target}, nm)
-                return ev
+    def itof(self, ins: Instruction, nm: str) -> int:
+        # batched counters already live as rows of floats
+        return self.val(ins.operands[0])
 
-            self.vmap[ins.result] = em.emit(
-                "select", (self.val(c), lift(a), lift(b)), None, nm)
-            return
+    def matmul(self, ins: Instruction, nm: str) -> int:
+        a, b = ins.operands
+        av = self.val(a) if self.is_b(a) else self.em.emit(
+            "bcast", (self.val(a),), {"shape": (self.B, *self.sf.types[a].shape)}, nm)
+        bv = self.val(b) if self.is_b(b) else self.em.emit(
+            "bcast", (self.val(b),), {"shape": (self.B, *self.sf.types[b].shape)}, nm)
+        return self.em.emit("bmm", (av, bv), None, nm)
 
-        lane = self.common_lane(ins.operands)
-        cv = self.elem(c, lane)
-        av = self.elem(a, lane)
-        bv = self.elem(b, lane)
-        self.vmap[ins.result] = em.emit("select", (cv, av, bv), None, nm)
-        return
+    def reshape(self, ins: Instruction, nm: str) -> int:
+        return self.em.emit("reshape", (self.val(ins.operands[0]),),
+                            {"shape": (self.B, *ins.attrs["shape"])}, nm)
 
-    def reduce_sum(self, ins: Instruction):
+    def reduce_sum(self, ins: Instruction, nm: str) -> int:
         em = self.em
         (o,) = ins.operands
         axis = ins.attrs.get("axis", "all")
-        lane = self.lane_of(o)
         v = self.val(o)
-        nm = self.name_of(ins.result)
-
         if axis == "all":
             # per-lane full fold, leading axis preserved
-            self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": "tail"}, nm)
-            return
+            return em.emit("reduce_sum", (v,), {"axis": "tail"}, nm)
         if axis == "tail":
             # fold every lane axis after the first, in the same order
-            for _ in range(max(len(lane) - 1, 0)):
+            for _ in range(max(len(self.lane_of(o)) - 1, 0)):
                 v = em.emit("reduce_sum", (v,), {"axis": 2}, nm)
-            self.vmap[ins.result] = v
-            return
-        self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": int(axis) + 1}, nm)
+            return v
+        return em.emit("reduce_sum", (v,), {"axis": int(axis) + 1}, nm)
 
-    def reduce_to(self, ins: Instruction):
+    def bcast(self, ins: Instruction, nm: str) -> int:
+        (o,) = ins.operands
+        shape = ins.attrs["shape"]
+        v = self.pad_lane(self.val(o), self.lane_of(o), len(shape))
+        return self.em.emit("bcast", (v,), {"shape": (self.B, *shape)}, nm)
+
+    def reduce_to(self, ins: Instruction, nm: str) -> int:
         em = self.em
         (o,) = ins.operands
         shape = ins.attrs["shape"]
         lane = list(self.lane_of(o))
         v = self.val(o)
-        nm = self.name_of(ins.result)
-
         while len(lane) > max(len(shape), 1):
             v = em.emit("reduce_sum", (v,), {"axis": 1}, nm)
             lane.pop(0)
         if not shape:
-            self.vmap[ins.result] = em.emit("reduce_sum", (v,), {"axis": 1}, nm)
-            return
+            return em.emit("reduce_sum", (v,), {"axis": 1}, nm)
         for ax in range(len(shape)):
             if shape[ax] == 1 and lane[ax] != 1:
                 v = em.emit("reduce_sum", (v,), {"axis": ax + 1}, nm)
                 lane[ax] = 1
                 v = em.emit("reshape", (v,), {"shape": (self.B, *lane)}, nm)
-        self.vmap[ins.result] = v
+        return v
+
+    def stack(self, ins: Instruction, nm: str) -> int:
+        vals = tuple(self.materialize(o) for o in ins.operands)
+        return self.em.emit("stack", vals, {"axis": ins.attrs.get("axis", 0) + 1}, nm)
+
+    def unstack(self, ins: Instruction, nm: str) -> int:
+        return self.em.emit(
+            "unstack", (self.val(ins.operands[0]),),
+            {"index": ins.attrs["index"], "axis": ins.attrs.get("axis", 0) + 1}, nm)
+
+    def fused_pack(self, ins: Instruction, nm: str) -> int:
+        packed = self.lanewise(ins, nm)
+        # the pack axis comes out first; lanes must lead for the trace
+        rows = [self.em.emit("unstack", (packed,), {"index": r, "axis": 0}, nm)
+                for r in range(1 + len(ins.operands))]
+        return self.em.emit("stack", tuple(rows), {"axis": 1}, nm)
+
+    def tape_new(self, ins: Instruction, nm: str) -> int:
+        t = self.em.emit("tape_new", (), None, nm)
+        return self.em.emit("tape_spread", (t,), {"lanes": self.B}, nm)
+
+    def tape_push(self, ins: Instruction, nm: str) -> int:
+        t, v = ins.operands
+        attrs = {"per_lane": True} if self.is_b(v) else None
+        return self.em.emit("tape_push", (self.val(t), self.val(v)), attrs, nm)
+
+    def tape_top(self, ins: Instruction, nm: str) -> int:
+        ty = batched_type(ins.attrs["ty"], self.B)
+        return self.em.emit(
+            "tape_top", (self.val(ins.operands[0]),), {"ty": ty, "per_lane": True}, nm)
 
     # --------------------------------------------------- control flow
 
@@ -491,20 +419,15 @@ class _Vectorizer:
 
         self.mask = outer
         for (mv, mty), tv, ev in zip(node.merged, then_vals, else_vals):
-            nm = self.name_of(mv)
-            if mty.kind == "tape":
-                self.vmap[mv] = em.emit("select", (m, tv, ev), None, nm)
-                continue
-            lane = _lane_shape(mty)
             self.vmap[mv] = em.emit(
-                "select", (self.pad_mask(m, lane), tv, ev), None, nm)
+                "select", (self.pad_mask(m, _lane_shape(mty)), tv, ev), None, self.name_of(mv))
 
     def loop(self, node: SWhile):
         em, sf = self.em, self.sf
         if not self.is_b(node.cond):
             self.uniform_loop(node)
             return
-        if any(ins.op.startswith("tape_") for ins in node.header):
+        if any(OPS[ins.op].trace for ins in node.header):
             raise BatchError("trace traffic in a lane-varying loop header")
 
         outer = self.mask
@@ -557,12 +480,8 @@ class _Vectorizer:
         for (cv, cty), ba in zip(node.carried, node.body_args):
             p = self.val(cv)
             nv = self.materialize(ba)
-            if cty.kind == "tape":
-                back.append(em.emit("select", (act, nv, p), None, self.name_of(cv)))
-            else:
-                lane = _lane_shape(cty)
-                back.append(em.emit(
-                    "select", (self.pad_mask(act, lane), nv, p), None, self.name_of(cv)))
+            back.append(em.emit(
+                "select", (self.pad_mask(act, _lane_shape(cty)), nv, p), None, self.name_of(cv)))
         back.extend(frozen_now[ea] for ea in frozen)
         body_nodes = em.pop_region()
         self.mask = outer
@@ -643,6 +562,21 @@ class _Vectorizer:
         self.walk(sf.region)
         rets = tuple(self.materialize(rv) for rv in sf.ret_vals)
         return em.finish(rets)
+
+
+# each op's batched form when its result is lane-dependent: elementwise
+# ops map lane-wise (a const never depends on a lane, so it is cloned),
+# the rest have a case of their name or a reason they cannot batch
+_CASES = {op: _Vectorizer.lanewise for op, d in OPS.items() if d.elementwise or op == "const"}
+_CASES.update({op: getattr(_Vectorizer, op) for op in (
+    "select", "itof", "matmul", "reshape", "reduce_sum", "bcast", "reduce_to", "stack",
+    "unstack", "fused_pack", "tape_new", "tape_push", "tape_top")})
+_CASES.update(dict.fromkeys(("transpose", "tape_rest", "tape_expect_empty"), _Vectorizer.same_op))
+_BATCH_ERRORS = {
+    "bmm": "bmm is already lane-shaped; batching it again needs rank 4",
+    "call": "calls are inlined before batching",
+    "tape_spread": "tape_spread input is already per-lane",
+}
 
 
 def vectorize(module: Module, name: str, lanes: int) -> Function:

@@ -212,7 +212,6 @@ def _no_constants(name):
     raise AssertionError(f"payload is not strict JSON: {name}")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 def test_payloads_are_strict_json(tmp_path, capsys):
     p = tmp_path / "nonfinite.ssair"
     p.write_text(NONFINITE_SRC)
@@ -232,6 +231,54 @@ def test_payloads_are_strict_json(tmp_path, capsys):
     assert payloads[1] == {"x": "-Infinity", "v": inf_row}
     assert payloads[2] == [["NaN", 0.0], ["-Infinity", -1.0],
                            [inf_row, {"shape": [2], "data": [1.0, 0.0]}]]
+
+
+SAME_SRC = """
+func @same(%x: f64, %v: tensor<2xf64>) -> (f64, tensor<2xf64>) {
+^entry:
+  ret %x, %v
+}
+"""
+
+# the values test_payloads_are_strict_json reads from run, grad and batch
+PAYLOAD_VALUES = ["NaN", "-Infinity", "Infinity", 0.0, -1.0, 1.0]
+PAYLOAD_ROWS = [{"shape": [2], "data": ["Infinity", 1.0]}, {"shape": [2], "data": [1.0, 0.0]},
+                {"shape": [2], "data": ["NaN", "-Infinity"]}]
+
+
+def test_printed_values_read_back_as_args(tmp_path, capsys):
+    p = tmp_path / "same.ssair"
+    p.write_text(SAME_SRC)
+    lanes = [[x, row] for x in PAYLOAD_VALUES for row in PAYLOAD_ROWS]
+    for lane in lanes:
+        assert main(["run", str(p), "--entry", "same", "--args", json.dumps(lane)]) == 0
+        assert json.loads(capsys.readouterr().out, parse_constant=_no_constants) == lane
+    assert main(["batch", str(p), "--entry", "same", "-B", str(len(lanes)),
+                 "--args", json.dumps(lanes)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert out == [[x for x, _ in lanes], [row for _, row in lanes]]
+
+
+@pytest.mark.parametrize("args", [
+    '[Infinity, {"shape": [2], "data": [0, 0]}]',
+    '[NaN, {"shape": [2], "data": [0, 0]}]',
+    '[0, {"shape": [2], "data": [-Infinity, 0]}]',
+    '["inf", {"shape": [2], "data": [0, 0]}]',
+    '[0, {"shape": [2], "data": ["inf", 0]}]',
+    '[0, {"shape": [2], "data": [" 2 ", 0]}]',
+    '[0, {"shape": [2], "data": [true, 0]}]',
+    '[1' + '0' * 400 + ', {"shape": [2], "data": [0, 0]}]',
+    '[0, {"shape": [2], "data": [1' + '0' * 400 + ', 0]}]',
+    '[' + '1' * 5000 + ', {"shape": [2], "data": [0, 0]}]',
+], ids=["bare_inf", "bare_nan", "bare_in_data", "inf_string", "inf_string_in_data",
+        "padded_string_in_data", "bool_in_data", "huge_int", "huge_int_in_data",
+        "too_many_digits"])
+def test_args_take_numbers_and_printed_strings_only(tmp_path, capsys, args):
+    p = tmp_path / "same.ssair"
+    p.write_text(SAME_SRC)
+    assert main(["run", str(p), "--entry", "same", "--args", args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_valid_silent(mul_file, capsys):

@@ -13,15 +13,42 @@ import pytest
 
 from ssagrad import (DenseTensor, Module, ParseError, StructureError, augment, batched_grad,
                      build_grad_function, flatten, grad, grad_of_grad, parse_ir,
-                     print_ir, structurize, vectorize, verify)
+                     print_ir, random_program, structurize, vectorize, verify)
 from ssagrad.ir import F64, TAPE, Br, Jmp
+from ssagrad.nn_train import DANConfig, build_loss_ir
 from ssagrad.parser import _lex
 from ssagrad.structure import SEmitter
+
+from conftest import CORPUS_SEED
 
 
 def test_round_trip_identity(analytic):
     text = print_ir(analytic)
     assert print_ir(parse_ir(text)) == text
+
+
+def test_generated_code_round_trips():
+    # every function the transforms emit prints, re-parses to the same
+    # text, and verifies: a corpus slice and the DAN loss
+    module = Module()
+    rng = random.Random(CORPUS_SEED)
+    names = [random_program(module, rng, f"gen{i}").name for i in range(20)]
+    cfg = DANConfig()
+    names.append(build_loss_ir(module, (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes),
+                               cfg.batch_size).name)
+    emitted = []
+    for name in names:
+        aug, pb = augment(module, name)
+        emitted += [aug.name, pb.name]
+        if module.get(name).results == (F64,) and module.get(name).params[0][1] == F64:
+            emitted.append(build_grad_function(module, name).name)
+        emitted += [vectorize(module, f, 8).name for f in (name, aug.name, pb.name)]
+    assert sum(n.endswith("__grad") for n in emitted) >= 10
+    text = print_ir(module)
+    again = parse_ir(text)
+    assert print_ir(again) == text
+    assert verify(again) == []
+    assert set(emitted) <= set(again.functions)
 
 
 def test_print_is_canonical():

@@ -1,4 +1,5 @@
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -479,3 +480,27 @@ def test_one_predecessor_blocks_through_every_transform(name):
         assert all(bits(g[v]) == bits(t[v]) for v in g)
     assert_lanes_exact(m, name, RENAME_LANES[name])
     assert verify(m) == []  # with the generated __aug, __pb and batched functions
+
+
+NONFINITE_SRC = """
+func @f(%x: f64) -> f64 {
+^entry:
+  %e = exp %x
+  %n = sub %e, %e
+  ret %n
+}
+"""
+
+
+def test_nonfinite_lanes_raise_no_numpy_warning():
+    # a lane computing inf - inf gives nan, as a plain run does, and
+    # numpy's floating-point warnings stay off
+    m = parse_ir(NONFINITE_SRC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = batched_grad(m, "f", 2, (stack_lanes(F64, [1000.0, 0.0]),),
+                         (DenseTensor.from_flat((2,), [1.0, 1.0]),))
+        (col,) = run_lanes(m, "f", 2, [(1000.0,), (0.0,)])
+    assert [bits(v) for v in unstack_lanes(F64, g[m.get("f").params[0][0]], 2)] == \
+        [bits(float("nan")), bits(0.0)]
+    assert bits(col[0]) == bits(float("nan")) and col[1] == 0.0
