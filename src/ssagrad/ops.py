@@ -63,6 +63,10 @@ def _broadcast_result(op: str, a: Type, b: Type) -> Type:
     return tensor_type(*out)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # True is an int to Python
+
+
 def _shape_attr(op: str, attrs: dict, key: str) -> tuple[int, ...]:
     v = attrs.get(key)
     if not isinstance(v, tuple) or not v or any(not isinstance(d, int) or d < 1 for d in v):
@@ -115,7 +119,7 @@ def _unary(op, operands, attrs, module):
 
 def _pow_int(op, operands, attrs, module):
     n = attrs.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         _fail("pow_int needs attribute n = non-negative integer")
     return _unary(op, operands, attrs, module)
 
@@ -194,7 +198,7 @@ def _reduce_sum(op, operands, attrs, module):
         return F64
     if axis == "tail":
         return tensor_type(a.shape[0])
-    if isinstance(axis, int) and not isinstance(axis, bool) and 0 <= axis < len(a.shape):
+    if _is_int(axis) and 0 <= axis < len(a.shape):
         if len(a.shape) == 1:
             return F64
         s = list(a.shape)
@@ -228,7 +232,7 @@ def _stack(op, operands, attrs, module):
     if not first.is_tensor or any(t != first for t in operands):
         _fail(f"stack of {[str(t) for t in operands]}")
     axis = attrs.get("axis", 0)
-    if not isinstance(axis, int) or not 0 <= axis <= len(first.shape):
+    if not _is_int(axis) or not 0 <= axis <= len(first.shape):
         _fail(f"stack axis {axis!r} out of range for {first}")
     s = list(first.shape)
     s.insert(axis, len(operands))
@@ -241,9 +245,9 @@ def _unstack(op, operands, attrs, module):
         _fail(f"unstack on {a}")
     axis = attrs.get("axis", 0)
     index = attrs.get("index")
-    if not isinstance(axis, int) or not 0 <= axis < len(a.shape):
+    if not _is_int(axis) or not 0 <= axis < len(a.shape):
         _fail(f"unstack axis {axis!r} out of range for {a}")
-    if not isinstance(index, int) or not 0 <= index < a.shape[axis]:
+    if not _is_int(index) or not 0 <= index < a.shape[axis]:
         _fail(f"unstack index {index!r} out of range for {a} axis {axis}")
     if len(a.shape) == 1:
         return F64
@@ -322,7 +326,7 @@ def _tape_read(op, operands, attrs, module):
 
 def _tape_spread(op, operands, attrs, module):
     lanes = attrs.get("lanes")
-    if not isinstance(lanes, int) or lanes < 1:
+    if not _is_int(lanes) or lanes < 1:
         _fail("tape_spread needs attribute lanes = positive integer")
     if operands[0].kind != "tape":
         _fail(f"tape_spread on {operands[0]}")

@@ -173,11 +173,7 @@ class _Augmenter:
             ab = em.emit("tape_push", (ab, f), None, "bl")
             arm_nodes.append(em.pop_region())
             arm_outs.append(tuple(valmap[a] for a in args) + (ab, av))
-        merged = []
-        for mv, mty in node.merged:
-            nv = em.fresh(self.sf.vnames.get(mv, "m"), mty)
-            valmap[mv] = nv
-            merged.append((nv, mty))
+        merged = em.bind(node.merged, valmap, self.sf.vnames)
         blog2 = em.fresh("blog", TAPE)
         vstack2 = em.fresh("vstack", TAPE)
         merged += [(blog2, TAPE), (vstack2, TAPE)]
@@ -193,21 +189,12 @@ class _Augmenter:
         blog = em.emit("tape_push", (blog, pre), None, "bl")
 
         init = tuple(valmap[a] for a in node.init) + (blog, vstack)
-        carried = []
-        for cv, cty in node.carried:
-            nv = em.fresh(sf.vnames.get(cv, "c"), cty)
-            valmap[cv] = nv
-            carried.append((nv, cty))
+        carried = em.bind(node.carried, valmap, sf.vnames)
         blog_p = em.fresh("blog", TAPE)
         vstack_p = em.fresh("vstack", TAPE)
         carried += [(blog_p, TAPE), (vstack_p, TAPE)]
 
-        header = []
-        for ins in node.header:
-            vid = em.fresh(sf.vnames.get(ins.result, "h"), sf.types[ins.result])
-            valmap[ins.result] = vid
-            header.append(Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands),
-                                      dict(ins.attrs)))
+        header = [em.clone(ins, valmap, sf) for ins in node.header]
 
         em.push_region()
         bb, bv = self.region(node.body_region, valmap, blog_p, vstack_p)
@@ -216,11 +203,7 @@ class _Augmenter:
         body_nodes = em.pop_region()
         back = tuple(valmap[a] for a in node.body_args) + (bb, bv)
 
-        exits = []
-        for ev, ety in node.exits:
-            nv = em.fresh(sf.vnames.get(ev, "x"), ety)
-            valmap[ev] = nv
-            exits.append((nv, ety))
+        exits = em.bind(node.exits, valmap, sf.vnames)
         blog_x = em.fresh("blog", TAPE)
         vstack_x = em.fresh("vstack", TAPE)
         exits += [(blog_x, TAPE), (vstack_x, TAPE)]

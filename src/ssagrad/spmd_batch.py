@@ -199,6 +199,15 @@ class _Vectorizer:
             return self.em.emit("tape_spread", (ev,), {"lanes": self.B}, nm)
         raise BatchError(f"cannot batch {ty}")
 
+    def edge(self, dst: int, src: int) -> int:
+        """The value ``src`` passes along an edge to the binding ``dst``:
+        lane-carrying when ``dst`` carries lanes."""
+        return self.materialize(src) if self.is_b(dst) else self.val(src)
+
+    def lane_type(self, v: int, ty: Type) -> Type:
+        """The type of the binding that stands for ``v`` in batched code."""
+        return batched_type(ty, self.B) if self.is_b(v) else ty
+
     # elementwise ops share one adaptation scheme: batched operands get
     # their lane axes aligned, uniform operands ride on broadcasting
 
@@ -383,20 +392,9 @@ class _Vectorizer:
                                  (node.else_region, node.else_args)):
                 em.push_region()
                 self.walk(region)
-                outs = []
-                for (mv, mty), a in zip(node.merged, args):
-                    if self.is_b(mv) and not self.is_b(a):
-                        outs.append(self.materialize(a))
-                    else:
-                        outs.append(self.val(a))
+                arm_args.append(tuple(self.edge(mv, a) for (mv, _), a in zip(node.merged, args)))
                 arm_regions.append(em.pop_region())
-                arm_args.append(tuple(outs))
-            merged = []
-            for mv, mty in node.merged:
-                ty = batched_type(mty, self.B) if self.is_b(mv) else mty
-                nv = em.fresh(self.name_of(mv), ty)
-                self.vmap[mv] = nv
-                merged.append((nv, ty))
+            merged = em.bind(node.merged, self.vmap, self.sf.vnames, self.lane_type)
             em.append(SIf(self.val(node.cond), arm_regions[0], arm_args[0],
                           arm_regions[1], arm_args[1], merged))
             return
@@ -409,13 +407,11 @@ class _Vectorizer:
 
         self.mask = em.emit("mul", (enc, m), None, "tm")
         self.walk(node.then_region)
-        then_vals = [self.val(a) if self.is_b(a) or not self.is_b(mv) else self.materialize(a)
-                     for (mv, _), a in zip(node.merged, node.then_args)]
+        then_vals = [self.edge(mv, a) for (mv, _), a in zip(node.merged, node.then_args)]
 
         self.mask = em.emit("mul", (enc, inv), None, "em")
         self.walk(node.else_region)
-        else_vals = [self.val(a) if self.is_b(a) or not self.is_b(mv) else self.materialize(a)
-                     for (mv, _), a in zip(node.merged, node.else_args)]
+        else_vals = [self.edge(mv, a) for (mv, _), a in zip(node.merged, node.else_args)]
 
         self.mask = outer
         for (mv, mty), tv, ev in zip(node.merged, then_vals, else_vals):
@@ -433,15 +429,11 @@ class _Vectorizer:
         outer = self.mask
         enc = outer if outer is not None else self.ones_rows()
 
-        inits = [enc]
-        carried = [(em.fresh("active", tensor_type(self.B)), tensor_type(self.B))]
-        for (cv, cty), iv in zip(node.carried, node.init):
-            bty = batched_type(cty, self.B)
-            inits.append(self.materialize(iv))
-            p = em.fresh(self.name_of(cv), bty)
-            self.vmap[cv] = p
-            carried.append((p, bty))
-        active = carried[0][0]
+        # a lane-dependent condition makes every carried value lane-dependent
+        active = em.fresh("active", tensor_type(self.B))
+        inits = [enc, *(self.materialize(iv) for iv in node.init)]
+        carried = [(active, tensor_type(self.B)),
+                   *em.bind(node.carried, self.vmap, sf.vnames, self.lane_type)]
 
         # exit values that name a header result need their own frozen
         # slot: the joint loop keeps evaluating the header after a lane
@@ -486,39 +478,18 @@ class _Vectorizer:
         body_nodes = em.pop_region()
         self.mask = outer
 
-        exits = []
-        exit_args = []
-        slot_of = {cv: i + 1 for i, (cv, _) in enumerate(node.carried)}
-        for (ev, ety), ea in zip(node.exits, node.exit_args):
-            bty = batched_type(ety, self.B)
-            nv = em.fresh(self.name_of(ev), bty)
-            exits.append((nv, bty))
-            if ea in frozen:
-                exit_args.append(frozen_now[ea])
-            elif ea in slot_of:
-                exit_args.append(carried[slot_of[ea]][0])
-            else:
-                exit_args.append(self.materialize(ea))
-            self.vmap[ev] = nv
-            self.batched.add(ev)
+        exit_args = tuple(frozen_now[ea] if ea in frozen else self.materialize(ea)
+                          for ea in node.exit_args)
+        self.batched.update(ev for ev, _ in node.exits)
+        exits = em.bind(node.exits, self.vmap, sf.vnames, self.lane_type)
         em.append(SWhile(carried, tuple(inits), header_ins, cond, body_nodes,
-                         tuple(back), exits, tuple(exit_args), False))
+                         tuple(back), exits, exit_args, False))
 
     def uniform_loop(self, node: SWhile):
         """Same trip count in every lane: the loop shape survives as is."""
         em, sf = self.em, self.sf
-        inits = []
-        carried = []
-        for (cv, cty), iv in zip(node.carried, node.init):
-            if self.is_b(cv):
-                ty = batched_type(cty, self.B)
-                inits.append(self.materialize(iv))
-            else:
-                ty = cty
-                inits.append(self.val(iv))
-            p = em.fresh(self.name_of(cv), ty)
-            self.vmap[cv] = p
-            carried.append((p, ty))
+        inits = tuple(self.edge(cv, iv) for (cv, _), iv in zip(node.carried, node.init))
+        carried = em.bind(node.carried, self.vmap, sf.vnames, self.lane_type)
 
         em.push_region()
         for ins in node.header:
@@ -529,27 +500,13 @@ class _Vectorizer:
 
         em.push_region()
         self.walk(node.body_region)
-        back = []
-        for (cv, cty), ba in zip(node.carried, node.body_args):
-            if self.is_b(cv) and not self.is_b(ba):
-                back.append(self.materialize(ba))
-            else:
-                back.append(self.val(ba))
+        back = tuple(self.edge(cv, ba) for (cv, _), ba in zip(node.carried, node.body_args))
         body_nodes = em.pop_region()
 
-        exits = []
-        exit_args = []
-        for (ev, ety), ea in zip(node.exits, node.exit_args):
-            ty = batched_type(ety, self.B) if self.is_b(ev) else ety
-            nv = em.fresh(self.name_of(ev), ty)
-            exits.append((nv, ty))
-            if self.is_b(ev) and not self.is_b(ea):
-                exit_args.append(self.materialize(ea))
-            else:
-                exit_args.append(self.val(ea))
-            self.vmap[ev] = nv
-        em.append(SWhile(carried, tuple(inits), header_ins, cond, body_nodes,
-                         tuple(back), exits, tuple(exit_args), False))
+        exit_args = tuple(self.edge(ev, ea) for (ev, _), ea in zip(node.exits, node.exit_args))
+        exits = em.bind(node.exits, self.vmap, sf.vnames, self.lane_type)
+        em.append(SWhile(carried, inits, header_ins, cond, body_nodes, back, exits, exit_args,
+                         False))
 
     # ----------------------------------------------------------- entry
 
@@ -625,7 +582,7 @@ def unstack_lanes(ty: Type, value, lanes: int) -> list:
 
 
 def batched_grad(module: Module, name: str, lanes: int, stacked_args: tuple,
-                 seeds: tuple, step_limit: int | None = None) -> dict[int, object]:
+                 seeds: tuple, step_limit: int = DEFAULT_STEP_LIMIT) -> dict[int, object]:
     """Per-lane gradients in one batched forward and one batched pullback.
 
     ``stacked_args`` and ``seeds`` carry a leading lane axis.  Returns
@@ -635,4 +592,4 @@ def batched_grad(module: Module, name: str, lanes: int, stacked_args: tuple,
     vaug = vectorize(module, aug_fn.name, lanes)
     vpb = vectorize(module, pb_fn.name, lanes)
     return run_aug_pb(module, module.get(name), vaug.name, vpb.name, stacked_args, seeds,
-                      step_limit or DEFAULT_STEP_LIMIT)
+                      step_limit)

@@ -31,6 +31,11 @@ Canonical loop form, which the transforms require:
 (the refreshed lane mask).  Those still structurize, with ``canonical``
 set to False; they can be verified and interpreted but not transformed
 again.
+
+Transforms build their output with an ``SEmitter``.  When they copy a
+node, ``SEmitter.bind`` gives its merged, carried or exit values fresh
+values named like the source ones, and ``SEmitter.clone`` copies an
+instruction onto a fresh result.
 """
 
 from __future__ import annotations
@@ -639,6 +644,29 @@ class SEmitter:
         self.params.append((vid, ty))
         return vid
 
+    # copying nodes of a source tree
+
+    def bind(self, pairs: list[tuple[int, Type]], valmap: dict[int, int],
+             names: dict[int, str], ty=None) -> list[tuple[int, Type]]:
+        """Give each (value, type) pair a fresh value named like the
+        source value, typed ``ty(value, type)`` when ``ty`` is given;
+        record it in ``valmap`` and return the new pairs."""
+        out = []
+        for v, vty in pairs:
+            if ty is not None:
+                vty = ty(v, vty)
+            nv = self.fresh(names.get(v, "t"), vty)
+            valmap[v] = nv
+            out.append((nv, vty))
+        return out
+
+    def clone(self, ins: Instruction, valmap: dict[int, int], src: SFunc) -> Instruction:
+        """A copy of ``src``'s instruction on a fresh result, with operands
+        mapped through ``valmap``, which gains the result."""
+        vid = self.fresh(src.vnames.get(ins.result, "t"), src.types[ins.result])
+        valmap[ins.result] = vid
+        return Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands), dict(ins.attrs))
+
     # region management
 
     def push_region(self):
@@ -717,62 +745,36 @@ def splice_region(em: SEmitter, src: SFunc, nodes: list, valmap: dict[int, int],
     derivative-wrapper assembly.
     """
 
-    def m(v: int) -> int:
-        return valmap[v]
-
-    def name_of(v: int) -> str:
-        return src.vnames.get(v, "t")
+    def m(vs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(valmap[v] for v in vs)
 
     for node in nodes:
         if isinstance(node, SInstr):
             ins = node.ins
             if expand_call is not None and ins.op == "call":
-                valmap[ins.result] = expand_call(ins, tuple(m(o) for o in ins.operands))
-                continue
-            vid = em.fresh(name_of(ins.result), src.types[ins.result])
-            valmap[ins.result] = vid
-            em.append(SInstr(Instruction(vid, ins.op, tuple(m(o) for o in ins.operands),
-                                         dict(ins.attrs))))
+                valmap[ins.result] = expand_call(ins, m(ins.operands))
+            else:
+                em.append(SInstr(em.clone(ins, valmap, src)))
         elif isinstance(node, SIf):
             em.push_region()
             splice_region(em, src, node.then_region, valmap, expand_call)
             then_nodes = em.pop_region()
-            then_args = tuple(m(a) for a in node.then_args)
             em.push_region()
             splice_region(em, src, node.else_region, valmap, expand_call)
             else_nodes = em.pop_region()
-            else_args = tuple(m(a) for a in node.else_args)
-            merged = []
-            for pv, pty in node.merged:
-                nv = em.fresh(name_of(pv), pty)
-                valmap[pv] = nv
-                merged.append((nv, pty))
-            em.append(SIf(m(node.cond), then_nodes, then_args, else_nodes, else_args, merged))
+            merged = em.bind(node.merged, valmap, src.vnames)
+            em.append(SIf(valmap[node.cond], then_nodes, m(node.then_args), else_nodes,
+                          m(node.else_args), merged))
         else:
-            init = tuple(m(a) for a in node.init)
-            carried = []
-            for pv, pty in node.carried:
-                nv = em.fresh(name_of(pv), pty)
-                valmap[pv] = nv
-                carried.append((nv, pty))
-            header = []
-            for ins in node.header:
-                vid = em.fresh(name_of(ins.result), src.types[ins.result])
-                valmap[ins.result] = vid
-                header.append(Instruction(vid, ins.op, tuple(m(o) for o in ins.operands),
-                                          dict(ins.attrs)))
+            init = m(node.init)
+            carried = em.bind(node.carried, valmap, src.vnames)
+            header = [em.clone(ins, valmap, src) for ins in node.header]
             em.push_region()
             splice_region(em, src, node.body_region, valmap, expand_call)
             body_nodes = em.pop_region()
-            body_args = tuple(m(a) for a in node.body_args)
-            exits = []
-            exit_args = tuple(m(a) for a in node.exit_args)
-            for pv, pty in node.exits:
-                nv = em.fresh(name_of(pv), pty)
-                valmap[pv] = nv
-                exits.append((nv, pty))
-            em.append(SWhile(carried, init, header, m(node.cond), body_nodes, body_args,
-                             exits, exit_args, node.canonical))
+            exits = em.bind(node.exits, valmap, src.vnames)
+            em.append(SWhile(carried, init, header, valmap[node.cond], body_nodes,
+                             m(node.body_args), exits, m(node.exit_args), node.canonical))
 
 
 def splice_function(em: SEmitter, src: SFunc, args: tuple[int, ...],

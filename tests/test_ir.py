@@ -4,6 +4,7 @@ least one diagnostic."""
 
 import ast
 import copy
+import hashlib
 import itertools
 import random
 import re
@@ -14,12 +15,13 @@ import pytest
 from ssagrad import (DenseTensor, Module, ParseError, StructureError, augment, batched_grad,
                      build_grad_function, flatten, grad, grad_of_grad, parse_ir,
                      print_ir, random_program, structurize, vectorize, verify)
-from ssagrad.ir import F64, TAPE, Br, Jmp
+from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
 from ssagrad.nn_train import DANConfig, build_loss_ir
 from ssagrad.parser import _lex
-from ssagrad.structure import SEmitter
+from ssagrad.structure import SEmitter, splice_function
 
-from conftest import CORPUS_SEED
+from conftest import ANALYTIC_SRC, CORPUS_SEED
+from test_spmd import BATCH_SRC, RENAME_SRC
 
 
 def test_round_trip_identity(analytic):
@@ -27,9 +29,16 @@ def test_round_trip_identity(analytic):
     assert print_ir(parse_ir(text)) == text
 
 
+# SHA-256 of the module test_generated_code_round_trips prints.  A change
+# that alters emitted IR on purpose updates this constant and says why.
+EMITTED_IR_SHA256 = "a062311ec405d0e0c2538b22cf9236a71b8a75f82434141d012d272d527876b3"
+
+
 def test_generated_code_round_trips():
     # every function the transforms emit prints, re-parses to the same
-    # text, and verifies: a corpus slice and the DAN loss
+    # text, and verifies: a corpus slice and the DAN loss, plus the
+    # adjoints of each __grad, which run the structural trace adjoints;
+    # the digest pins that text byte for byte
     module = Module()
     rng = random.Random(CORPUS_SEED)
     names = [random_program(module, rng, f"gen{i}").name for i in range(20)]
@@ -41,7 +50,8 @@ def test_generated_code_round_trips():
         aug, pb = augment(module, name)
         emitted += [aug.name, pb.name]
         if module.get(name).results == (F64,) and module.get(name).params[0][1] == F64:
-            emitted.append(build_grad_function(module, name).name)
+            wrapper = build_grad_function(module, name).name
+            emitted += [wrapper, *(f.name for f in augment(module, wrapper))]
         emitted += [vectorize(module, f, 8).name for f in (name, aug.name, pb.name)]
     assert sum(n.endswith("__grad") for n in emitted) >= 10
     text = print_ir(module)
@@ -49,6 +59,7 @@ def test_generated_code_round_trips():
     assert print_ir(again) == text
     assert verify(again) == []
     assert set(emitted) <= set(again.functions)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_IR_SHA256
 
 
 def test_print_is_canonical():
@@ -502,6 +513,19 @@ def test_fresh_takes_the_smallest_free_suffix():
     assert _names(em, "g", "h", "g", "h", "h", "g") == ["g", "h", "g_1", "h_1", "h_2", "g_2"]
 
 
+@pytest.mark.parametrize("src", ["analytic", "batch", "rename"])
+def test_splicing_a_function_clones_it(src):
+    # splice_function copies every node kind, including the loop whose
+    # exit reads its header, which the corpus never produces
+    m = parse_ir({"analytic": ANALYTIC_SRC, "batch": BATCH_SRC, "rename": RENAME_SRC}[src])
+    for fn in m.functions.values():
+        sf = structurize(fn, m)
+        em = SEmitter(fn.name, sf.results, m)
+        params = tuple(em.param(sf.vnames[pv], ty) for pv, ty in sf.params)
+        clone = flatten(em.finish(splice_function(em, sf, params)))
+        assert print_function(clone) == print_function(flatten(sf))
+
+
 # ---------------------------------------------- type-rule diagnostics
 
 TYPED_SRC = """
@@ -575,11 +599,17 @@ TYPE_FAULTS = {
     "stack_kind": ("%y = stack %x, %x", None, "stack of ['f64', 'f64']"),
     "stack_axis": ("%y = stack %v, %v {axis = 2}", None,
                    "stack axis 2 out of range for tensor<3xf64>"),
+    "stack_axis_bool": ("%y = stack %v, %v {axis = true}", None,
+                        "stack axis True out of range for tensor<3xf64>"),
     "unstack_kind": ("%y = unstack %x {index = 0}", None, "unstack on f64"),
     "unstack_axis": ("%y = unstack %v {axis = 1, index = 0}", None,
                      "unstack axis 1 out of range for tensor<3xf64>"),
     "unstack_index": ("%y = unstack %v {index = 3}", None,
                       "unstack index 3 out of range for tensor<3xf64> axis 0"),
+    "unstack_axis_bool": ("%y = unstack %m {axis = true, index = true}", None,
+                          "unstack axis True out of range for tensor<2x3xf64>"),
+    "unstack_index_bool": ("%y = unstack %v {index = true}", None,
+                           "unstack index True out of range for tensor<3xf64> axis 0"),
     "fn_attr": ("%y = fused_map %x", None, "fused_map needs attribute fn = @function"),
     "fn_unknown": ("%y = fused_map %x {fn = @nowhere}", None,
                    "fused_map: unknown function @nowhere"),
@@ -606,6 +636,8 @@ TYPE_FAULTS = {
     "rest_kind": ("%y = tape_rest %x", None, "tape_rest on f64"),
     "spread_lanes": ("%y = tape_spread %t", None,
                      "tape_spread needs attribute lanes = positive integer"),
+    "spread_lanes_bool": ("%y = tape_spread %t {lanes = true}", None,
+                          "tape_spread needs attribute lanes = positive integer"),
     "spread_kind": ("%y = tape_spread %ts {lanes = 2}", None, "tape_spread on tapes<2>"),
     "expect_empty_kind": ("%y = tape_expect_empty %x", None, "tape_expect_empty on f64"),
     "unknown_op": ("%y = frobnicate %x", None, "unknown op 'frobnicate'"),

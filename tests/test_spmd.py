@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ssagrad import (ADError, BatchError, DenseTensor, batched_grad, eval_function,
-                     grad, parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize,
-                     verify)
+from ssagrad import (ADError, BatchError, DenseTensor, EvalError, batched_grad, eval_function,
+                     grad, parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize, verify)
 from ssagrad.ir import BOOL, F64, I64, tensor_type
 from ssagrad.progen import sample_inputs
 
@@ -176,6 +175,16 @@ def test_batched_grad_divergent_trips(analytic):
     for i, (x, n) in enumerate(lanes):
         assert max_rel(per[i], n * x ** (n - 1)) < 1e-12
 
+
+def test_batched_grad_step_limit_zero_is_exhausted_at_once(analytic):
+    # a limit of 0 is a limit, not "use the default"
+    with pytest.raises(EvalError) as scalar:
+        grad(analytic, "prod", (1.0, 2.0), step_limit=0)
+    lanes = stack_lanes(F64, [1.0, 2.0])
+    with pytest.raises(EvalError) as batched:
+        batched_grad(analytic, "prod", 2, (lanes, lanes), (lanes,), step_limit=0)
+    assert str(scalar.value) == "@prod__aug ^entry instr 0: step limit exhausted"
+    assert str(batched.value) == str(scalar.value).replace("__aug", "__aug__batched_B2")
 
 
 def test_batched_grad_at_64_lanes_is_per_lane_grad(corpus):
