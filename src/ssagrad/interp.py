@@ -148,7 +148,7 @@ class TapeBatch:
             at, out = self.at.reshape((-1,) + (1,) * (len(shape) - 1)), self._fill(first, shape)
             for n in rest:
                 out = np.where(at == n, self._fill(n, shape), out)
-        return DenseTensor(out if np.shape(out) == shape else np.full(shape, out))
+        return DenseTensor._own(out if np.shape(out) == shape else np.full(shape, out))
 
     def _fill(self, n: int, shape: tuple[int, ...]):
         """Node n's entries as an array or float that broadcasts to shape."""
@@ -374,7 +374,7 @@ class Machine:
                             f"expected {len(fn.params)} arguments, got {len(args)}")
         kernels = self.kernels
         budget = self.budget
-        blocks = {b.name: b for b in fn.blocks}
+        blocks = None  # built at the first jump: most calls never take one
         env: dict[int, object] = {}
         cur = fn.blocks[0]
         binds = args
@@ -410,6 +410,8 @@ class Machine:
             try:
                 if isinstance(t, Ret):
                     return tuple(env[v] for v in t.values)
+                if blocks is None:
+                    blocks = {b.name: b for b in fn.blocks}
                 if isinstance(t, Jmp):
                     nxt, binds = blocks[t.target], tuple(env[a] for a in t.args)
                 elif env[t.cond]:

@@ -34,7 +34,7 @@ from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import F64, Function, Module, tensor_type
 from .reverse_ad import augment
 from .structure import SEmitter, flatten
-from .tensor import DenseTensor
+from .tensor import DenseTensor, stack
 
 
 @dataclass
@@ -283,11 +283,7 @@ def make_synthetic(cfg: DANConfig) -> list[SyntheticSample]:
 
 
 def _batch_tensors(batch: list[SyntheticSample]) -> tuple:
-    dim = batch[0].x.shape[0]
-    rows = []
-    for s in batch:
-        rows.extend(s.x.flat())
-    X = DenseTensor.from_flat((len(batch), dim), rows)
+    X = stack([s.x for s in batch])
     Yc = DenseTensor.from_flat((len(batch),), [float(s.y_c) for s in batch])
     Yd = DenseTensor.from_flat((len(batch),), [float(s.y_d) for s in batch])
     return X, Yc, Yd
@@ -327,8 +323,8 @@ def dan_step(
         gw = g_c[2 * i].data + g_d[2 * i].data
         gb = g_c[2 * i + 1].data + g_d[2 * i + 1].data
         flat.append(DenseLayerParams(
-            DenseTensor(layer.W.data - cfg.lr * gw),
-            DenseTensor(layer.b.data - cfg.lr * gb),
+            DenseTensor._own(layer.W.data - cfg.lr * gw),
+            DenseTensor._own(layer.b.data - cfg.lr * gb),
         ))
     nt, nc = len(params.trunk), len(params.class_head)
     new = ModelParams(flat[:nt], flat[nt:nt + nc], flat[nt + nc:])

@@ -12,11 +12,19 @@ Transcendentals go through ``math`` one element at a time on purpose:
 the scalar interpreter uses the same calls, so scalar and tensor paths
 agree exactly.  That matters for the batching transform, whose contract
 is bitwise equality with per-lane execution.
+
+Every tensor holds a C-contiguous, read-only, rank >= 1 float64 array,
+whichever constructor made it.  Use ``DenseTensor(...)`` for caller
+data: it converts and validates.  Kernels wrap the float64, rank >= 1
+arrays they have just made with ``DenseTensor._own``, which checks
+neither, copies only an array that is not C-contiguous, and clears the
+write flag.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,8 +37,11 @@ class DomainError(ValueError):
 class DenseTensor:
     """An immutable rank >= 1 float64 tensor.
 
-    Wraps a C-contiguous ndarray with the write flag cleared.  All
-    operations return new tensors.
+    Wraps a C-contiguous, read-only, rank >= 1 float64 ndarray.  The
+    public constructor validates caller data and converts it to that
+    form; ``_own`` takes only an array a kernel has just made, already
+    float64 and rank >= 1, and gives the same invariant.  All operations
+    return new tensors.
     """
 
     __slots__ = ("data",)
@@ -42,6 +53,16 @@ class DenseTensor:
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "DenseTensor":
+        """Wrap a float64, rank >= 1 array a kernel has just made, unchecked."""
+        if not arr.flags.c_contiguous:
+            arr = arr.copy()
+        arr.setflags(write=False)
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", arr)
+        return t
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DenseTensor is immutable")
@@ -121,7 +142,7 @@ def bcast_to(x: "DenseTensor | float", shape: tuple[int, ...]) -> DenseTensor:
     if isinstance(x, DenseTensor):
         if not can_expand(x.shape, shape):
             raise ValueError(f"cannot broadcast {x.shape} to {shape}")
-        return DenseTensor(np.broadcast_to(x.data, shape))
+        return DenseTensor._own(np.broadcast_to(x.data, shape))
     return DenseTensor.full(shape, float(x))
 
 
@@ -131,7 +152,7 @@ def bcast_to(x: "DenseTensor | float", shape: tuple[int, ...]) -> DenseTensor:
 def _np2(op, a, b):
     da = a.data if isinstance(a, DenseTensor) else a
     db = b.data if isinstance(b, DenseTensor) else b
-    return DenseTensor(op(da, db))
+    return DenseTensor._own(op(da, db))
 
 
 def add(a, b):
@@ -166,7 +187,7 @@ def div(a, b):
 def neg(a):
     if not isinstance(a, DenseTensor):
         return -a
-    return DenseTensor(np.negative(a.data))
+    return DenseTensor._own(np.negative(a.data))
 
 
 def scalar_exp(x: float) -> float:
@@ -211,18 +232,15 @@ SCALAR_UNARY: dict[str, Callable[[float], float]] = {
 
 def unary_math(name: str, a: DenseTensor) -> DenseTensor:
     """Elementwise transcendental via per-element math.* calls."""
-    f = SCALAR_UNARY[name]
-    flat = a.data.reshape(-1)
-    out = np.fromiter((f(float(x)) for x in flat), dtype=np.float64, count=flat.size)
-    return DenseTensor(out.reshape(a.shape))
+    out = np.fromiter(map(SCALAR_UNARY[name], a.data.reshape(-1).tolist()),
+                      dtype=np.float64, count=a.data.size)
+    return DenseTensor._own(out.reshape(a.shape))
 
 
 def pow_int(a: DenseTensor, n: int) -> DenseTensor:
-    flat = a.data.reshape(-1)
-    out = np.fromiter(
-        (scalar_pow_int(float(x), n) for x in flat), dtype=np.float64, count=flat.size
-    )
-    return DenseTensor(out.reshape(a.shape))
+    out = np.fromiter(map(scalar_pow_int, a.data.reshape(-1).tolist(), repeat(n)),
+                      dtype=np.float64, count=a.data.size)
+    return DenseTensor._own(out.reshape(a.shape))
 
 
 def compare(op: str, a, b) -> DenseTensor:
@@ -237,15 +255,15 @@ def compare(op: str, a, b) -> DenseTensor:
         m = np.equal(da, db)
     else:
         raise ValueError(op)
-    return DenseTensor(m.astype(np.float64))
+    return DenseTensor._own(m.astype(np.float64))
 
 
-def select_mask(mask, a, b) -> DenseTensor:
-    """Pick ``a`` where the mask is nonzero, ``b`` elsewhere, exactly."""
-    md = mask.data if isinstance(mask, DenseTensor) else np.float64(mask)
-    da = a.data if isinstance(a, DenseTensor) else a
-    db = b.data if isinstance(b, DenseTensor) else b
-    return DenseTensor(np.where(md != 0.0, da, db))
+def select_mask(mask: DenseTensor, a, b) -> DenseTensor:
+    """Pick ``a`` where the mask tensor is nonzero, ``b`` elsewhere, exactly."""
+    md = mask.data
+    da = a.data if isinstance(a, DenseTensor) else float(a)
+    db = b.data if isinstance(b, DenseTensor) else float(b)
+    return DenseTensor._own(np.where(md != 0.0, da, db))
 
 
 # --------------------------------------------------------- reductions
@@ -256,7 +274,7 @@ def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     # ascending-order sum along the axis, bit-identical to a loop.
     if arr.shape[axis] == 1:
         return arr.take(0, axis=axis)
-    return np.cumsum(arr, axis=axis).take(-1, axis=axis)
+    return arr.cumsum(axis).take(-1, axis)
 
 
 def reduce_sum(t: DenseTensor, axis: "int | str") -> "DenseTensor | float":
@@ -276,19 +294,19 @@ def reduce_sum(t: DenseTensor, axis: "int | str") -> "DenseTensor | float":
         arr = t.data
         while arr.ndim > 1:
             arr = _reduce_axis(arr, 1)
-        return DenseTensor(arr)
+        return DenseTensor._own(arr)
     ax = int(axis)
     if not 0 <= ax < t.rank:
         raise ValueError(f"axis {ax} out of range for shape {t.shape}")
     if t.rank == 1:
         return float(_seq_sum(t.data))
-    return DenseTensor(_reduce_axis(t.data, ax))
+    return DenseTensor._own(_reduce_axis(t.data, ax))
 
 
 def _seq_sum(arr: np.ndarray) -> float:
     if arr.size == 1:
         return float(arr[0])
-    return float(np.cumsum(arr)[-1])
+    return float(arr.cumsum()[-1])
 
 
 def reduce_to(t: DenseTensor, shape: tuple[int, ...]) -> "DenseTensor | float":
@@ -309,7 +327,7 @@ def reduce_to(t: DenseTensor, shape: tuple[int, ...]) -> "DenseTensor | float":
     for ax in range(len(shape)):
         if shape[ax] == 1 and arr.shape[ax] != 1:
             arr = np.expand_dims(_reduce_axis(arr, ax), ax)
-    return DenseTensor(arr)
+    return DenseTensor._own(arr)
 
 
 # ------------------------------------------------------ linear algebra
@@ -325,7 +343,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     if a.rank != 2 or b.rank != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shapes {a.shape} x {b.shape}")
     prod = a.data[:, :, None] * b.data[None, :, :]
-    return DenseTensor(_reduce_axis(prod, 1))
+    return DenseTensor._own(_reduce_axis(prod, 1))
 
 
 def bmm(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -333,20 +351,20 @@ def bmm(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     if a.rank != 3 or b.rank != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"bmm shapes {a.shape} x {b.shape}")
     prod = a.data[:, :, :, None] * b.data[:, None, :, :]
-    return DenseTensor(_reduce_axis(prod, 2))
+    return DenseTensor._own(_reduce_axis(prod, 2))
 
 
 def transpose(t: DenseTensor) -> DenseTensor:
     """Swap the last two axes (rank >= 2)."""
     if t.rank < 2:
         raise ValueError("transpose needs rank >= 2")
-    return DenseTensor(np.swapaxes(t.data, -1, -2))
+    return DenseTensor._own(t.data.swapaxes(-1, -2))
 
 
 def reshape(t: DenseTensor, shape: tuple[int, ...]) -> DenseTensor:
-    if math.prod(shape) != t.data.size:
+    if not shape or math.prod(shape) != t.data.size:
         raise ValueError(f"cannot reshape {t.shape} to {shape}")
-    return DenseTensor(t.data.reshape(shape))
+    return DenseTensor._own(t.data.reshape(shape))
 
 
 # ------------------------------------------------------ stacking
@@ -359,7 +377,7 @@ def stack(tensors: Sequence[DenseTensor], axis: int = 0) -> DenseTensor:
     for t in tensors:
         if t.shape != shape:
             raise ValueError(f"stack of mismatched shapes {t.shape} vs {shape}")
-    return DenseTensor(np.stack([t.data for t in tensors], axis=axis))
+    return DenseTensor._own(np.stack([t.data for t in tensors], axis=axis))
 
 
 def take(t: DenseTensor, index: int, axis: int = 0) -> "DenseTensor | float":
@@ -369,4 +387,4 @@ def take(t: DenseTensor, index: int, axis: int = 0) -> "DenseTensor | float":
     sl = t.data.take(index, axis=axis)
     if sl.ndim == 0:
         return float(sl)
-    return DenseTensor(sl)
+    return DenseTensor._own(sl)

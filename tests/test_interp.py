@@ -519,6 +519,19 @@ def test_kernel_type_error_is_a_located_eval_error():
         "mm", "entry", 0, "'float' object has no attribute 'rank'")
 
 
+def test_select_on_a_scalar_condition_makes_no_rank_zero_tensor():
+    # unverified code: a select that is neither on a bool nor on a mask tensor
+    m = parse_ir("""
+func @pick(%x: f64) -> f64 {
+^entry:
+  %y = select %x, %x, %x
+  ret %y
+}
+""")
+    assert _eval_error(lambda: eval_function(m, "pick", (2.0,))) == (
+        "pick", "entry", 0, "'float' object has no attribute 'data'")
+
+
 @pytest.mark.parametrize("x", [0.5, DenseTensor.from_flat((3,), [-1.0, 0.5, 2.0])],
                          ids=["point", "rows"])
 def test_pack_of_a_non_f64_result_names_the_function(x):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ssagrad import DenseTensor
+from ssagrad import DenseTensor, parse_ir
 from ssagrad import tensor as T
+from ssagrad.interp import KERNELS, Machine, TapeBatch, _Table
+from ssagrad.ir import FnRef, tensor_type
 
 
 def t(shape, vals):
@@ -194,3 +196,154 @@ def test_stack_unstack_take():
     assert T.take(s, 1, 0).flat() == [3.0, 4.0]
     col = T.take(t((3,), [7, 8, 9]), 2, 0)
     assert col == 9.0
+
+
+# ------------------------------------------------ the tensor invariant
+
+
+def assert_invariant(out):
+    """C-contiguous, read-only, rank >= 1 float64, whichever constructor made it."""
+    assert isinstance(out, DenseTensor)
+    d = out.data
+    assert d.dtype == np.float64 and d.ndim >= 1
+    assert d.flags.c_contiguous and not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[(0,) * d.ndim] = 1.0
+
+
+def pos(shape, start=1.0):
+    """A tensor of distinct positive values, so div and log are defined."""
+    return t(shape, [start + 0.5 * i for i in range(math.prod(shape))])
+
+
+def operands(layout):
+    """a and b broadcast to (2, 3) and so does the mask m; r is (3, 2),
+    a3 is (2, 2, 3) and r3 is (2, 3, 2); each made as layout says."""
+    if layout == "contiguous":
+        return dict(a=pos((2, 3)), b=pos((2, 3), 4.0), m=t((2, 3), [1, 0, 1, 0, 0, 1]),
+                    r=pos((3, 2)), a3=pos((2, 2, 3)), r3=pos((2, 3, 2)))
+    if layout == "transposed":  # a from a transposed array, the rest by the transpose kernel
+        return dict(a=DenseTensor(pos((3, 2)).data.T), b=T.transpose(pos((3, 2), 4.0)),
+                    m=T.transpose(t((3, 2), [1, 0, 0, 0, 1, 1])),
+                    r=T.transpose(pos((2, 3))), a3=T.transpose(pos((2, 3, 2))),
+                    r3=T.transpose(pos((2, 2, 3))))
+    return dict(a=T.bcast_to(pos((3,)), (2, 3)), b=pos((1, 3), 4.0), m=t((3,), [0, 1, 1]),
+                r=T.bcast_to(pos((1, 2)), (3, 2)), a3=T.bcast_to(pos((2, 3)), (2, 2, 3)),
+                r3=T.bcast_to(pos((3, 2)), (2, 3, 2)))
+
+
+LAYOUTS = ["contiguous", "transposed", "broadcast"]
+
+
+def tensor_kernel_calls(a, b, m, r, a3, r3):
+    yield from (T.add(a, b), T.sub(a, b), T.mul(a, b), T.div(a, b),
+                T.add(a, 2.0), T.sub(2.0, b), T.mul(0.5, a), T.div(a, 4.0), T.div(1.0, b),
+                T.neg(a), T.neg(b))
+    yield from (T.unary_math(name, a) for name in T.SCALAR_UNARY)
+    yield from (T.pow_int(a, n) for n in (0, 1, 3))
+    yield from (T.compare(op, x, y) for op in ("lt", "gt", "eq") for x, y in ((a, b), (a, 3.0)))
+    yield from (T.select_mask(m, a, b), T.select_mask(m, 1.0, a), T.select_mask(m, a, 0))
+    yield from (T.bcast_to(b, (2, 2, 3)), T.bcast_to(a, (2, 3)), T.bcast_to(1.5, (2, 3)))
+    yield from (T.reduce_sum(a, 0), T.reduce_sum(a, 1), T.reduce_sum(a, "tail"),
+                T.reduce_sum(a3, 1), T.reduce_sum(a3, "tail"), T.reduce_sum(b, "tail"))
+    yield from (T.reduce_to(a, s) for s in ((3,), (1, 3), (2, 1), (2, 3)))
+    yield from (T.matmul(a, r), T.matmul(r, a), T.bmm(a3, r3), T.bmm(T.bcast_to(b, (2, 2, 3)), r3))
+    yield from (T.transpose(a), T.transpose(a3), T.transpose(r3))
+    yield from (T.reshape(a, s) for s in ((3, 2), (6,), (2, 3), (1, 6, 1)))
+    yield from (T.stack([a, a], axis) for axis in (0, 1, 2))
+    yield from (T.take(a, 1, 0), T.take(a, 2, 1), T.take(a3, 1, 1), T.take(r3, 0, 2))
+    yield from (DenseTensor.zeros((2, 3)), DenseTensor.full((3,), 2.0))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_tensor_kernel_keeps_the_invariant(layout):
+    ops = operands(layout)
+    for x in ops.values():
+        assert_invariant(x)
+    for out in tensor_kernel_calls(**ops):
+        assert_invariant(out)
+
+
+SCALAR_CALLEE = """
+func @sq(%x: f64) -> f64 {
+^entry:
+  %y = mul %x, %x
+  ret %y
+}
+"""
+
+# the ops whose kernels read no tensor operand or make no tensor
+NO_TENSOR_KERNEL = {"const", "itof", "tape_new", "tape_push", "tape_rest", "tape_spread",
+                    "tape_expect_empty"}
+
+
+def interp_kernel_calls(a, b, m, r, a3, r3):
+    """(op, attrs, operands) for every KERNELS entry that takes tensor operands."""
+    sq = {"fn": FnRef("sq")}
+    lanes = KERNELS["tape_push"](None, {"per_lane": True}, [TapeBatch(_Table(2), 0), a], [0, 1])
+    shared = KERNELS["tape_push"](None, {}, [lanes, pos((3,))], [0, 1])
+    mixed = KERNELS["select"](None, {}, [t((2,), [1, 0]), lanes, shared], [0, 1, 2])
+    yield from ((op, {}, (a, b)) for op in ("add", "sub", "mul", "div", "lt", "gt", "eq"))
+    yield from ((op, {}, (3.0, a)) for op in ("add", "sub", "mul", "div", "lt", "gt", "eq"))
+    yield from ((op, {}, (a,)) for op in ["neg", *T.SCALAR_UNARY])
+    yield from (("pow_int", {"n": n}, (a,)) for n in (0, 1, 3))
+    yield from (("select", {}, (m, a, b)), ("select", {}, (m, 2.0, a)), ("select", {}, (True, a, b)))
+    yield from (("matmul", {}, (a, r)), ("bmm", {}, (a3, r3)), ("transpose", {}, (a,)))
+    yield from (("reshape", {"shape": s}, (a,)) for s in ((3, 2), (2, 3)))
+    yield from (("reduce_sum", {"axis": ax}, (a,)) for ax in (0, 1, "tail"))
+    yield from (("reduce_to", {"shape": s}, (a,)) for s in ((3,), (2, 1), (2, 3)))
+    yield from (("bcast", {"shape": (2, 2, 3)}, (b,)), ("bcast", {"shape": (2, 3)}, (a,)))
+    yield from (("stack", {"axis": ax}, (a, a)) for ax in (0, 2))
+    yield from (("stack", {}, (1.0, 2.0)), ("unstack", {"index": 1, "axis": 1}, (a3,)))
+    yield from ((op, sq, (a,)) for op in ("fused_map", "fused_pack", "call"))
+    yield "fused_map", sq, (b,)
+    yield from (("tape_top", {"ty": tensor_type(2, 3)}, (tb,)) for tb in (lanes, shared, mixed))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_interp_kernel_keeps_the_invariant(layout):
+    machine = Machine(parse_ir(SCALAR_CALLEE))
+    calls = list(interp_kernel_calls(**operands(layout)))
+    assert {op for op, _, _ in calls} == set(KERNELS) - NO_TENSOR_KERNEL
+    with np.errstate(all="ignore"):
+        for op, attrs, vals in calls:
+            assert_invariant(KERNELS[op](machine, attrs, list(vals), range(len(vals))))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        DenseTensor(np.zeros(()))
+    src = np.arange(6.0).reshape(2, 3).T
+    x = DenseTensor(src)
+    assert x.data.flags.c_contiguous and not np.shares_memory(x.data, src)
+    assert x.data.tolist() == src.tolist()
+    assert_invariant(x)
+    assert_invariant(DenseTensor([[1, 2], [3, 4]]))
+
+
+# values that stress the scalar functions: signed zeros and infinities,
+# NaN, a subnormal and an argument past exp's overflow
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+            710.0, -745.5, 0.5, -2.25, 1e-8, 37.0]
+
+
+@pytest.mark.parametrize("name", sorted(T.SCALAR_UNARY))
+def test_unary_math_is_the_scalar_function_bit_for_bit(name):
+    f = T.SCALAR_UNARY[name]
+    # log is defined on the positive values; keep NaN and +inf in its input
+    vals = [v if name != "log" or not v <= 0.0 else 0.75 + i for i, v in enumerate(SPECIALS)]
+    x = T.transpose(t((3, 4), vals))
+    want = np.array([f(v) for v in x.data.tolist() for v in v]).reshape(x.shape)
+    assert T.unary_math(name, x).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_pow_int_is_the_scalar_function_bit_for_bit(n):
+    x = T.transpose(t((3, 4), SPECIALS))
+    want = np.array([T.scalar_pow_int(v, n) for v in x.data.tolist() for v in v]).reshape(x.shape)
+    assert T.pow_int(x, n).data.tobytes() == want.tobytes()
+
+
+def test_log_domain_error_names_the_first_bad_element():
+    with pytest.raises(T.DomainError, match=r"non-positive value -1\.0$"):
+        T.unary_math("log", t((2, 2), [2.0, -1.0, 0.0, 3.0]))
