@@ -304,6 +304,9 @@ def _dan_config(raw: dict) -> DANConfig:
             raise UsageError(f"config key {k!r} must be {want}, got {v!r}")
         kw[field] = type(default)(v)
     cfg = DANConfig(**kw)
+    for key, low in (("n_samples", 2), ("epochs", 0)):
+        if getattr(cfg, key) < low:
+            raise UsageError(f"{key} must be at least {low}, got {getattr(cfg, key)}")
     if not 1 <= cfg.batch_size <= cfg.n_samples:
         raise UsageError(f"batch_size must be between 1 and n_samples ({cfg.n_samples}), "
                          f"got {cfg.batch_size}")

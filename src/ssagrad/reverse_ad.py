@@ -37,6 +37,7 @@ from .ir import BOOL, F64, TAPE, Function, Instruction, Module, Type
 from .ops import OPS, result_type
 from .rules import RULES, Rule, saved_values
 from .structure import (
+    Copier,
     SEmitter,
     SFunc,
     SIf,
@@ -45,7 +46,6 @@ from .structure import (
     flatten,
     free_values,
     splice_function,
-    splice_region,
     structurize,
 )
 
@@ -66,23 +66,36 @@ def _carries_cot(ty: Type) -> bool:
 # ---------------------------------------------------------- inlining
 
 
-def inline_sfunc(module: Module, fn: Function, _active: tuple[str, ...] = ()) -> SFunc:
+def inline_sfunc(module: Module, fn: Function) -> SFunc:
     """Structurize a function with every call spliced away."""
-    if fn.name in _active:
-        raise ADError(f"@{fn.name} is recursive; calls cannot be flattened")
-    sf = structurize(fn, module)
-    em = SEmitter(fn.name, sf.results, module)
-    valmap = {}
-    for pv, ty in sf.params:
-        valmap[pv] = em.param(sf.vnames.get(pv, "p"), ty)
+    return _Inliner(module, fn, ()).run()
 
-    def expand(ins: Instruction, args: tuple[int, ...]) -> int:
-        callee = module.get(ins.attrs["fn"].name)
-        csf = inline_sfunc(module, callee, _active + (fn.name,))
-        return splice_function(em, csf, args, expand)[0]
 
-    splice_region(em, sf, sf.region, valmap, expand)
-    return em.finish(tuple(valmap[v] for v in sf.ret_vals))
+class _Inliner(Copier):
+    """Copies ``fn`` with each call replaced by the callee's inlined
+    body; ``active`` names the callers being inlined, which no call may
+    reach again."""
+
+    def __init__(self, module: Module, fn: Function, active: tuple[str, ...]):
+        if fn.name in active:
+            raise ADError(f"@{fn.name} is recursive; calls cannot be flattened")
+        sf = structurize(fn, module)
+        em = SEmitter(fn.name, sf.results, module)
+        super().__init__(em, sf, {pv: em.param(sf.vnames.get(pv, "p"), ty) for pv, ty in sf.params})
+        self.active = active + (fn.name,)
+
+    def instr(self, ins: Instruction, state: tuple) -> tuple:
+        if ins.op != "call":
+            return super().instr(ins, state)
+        em = self.em
+        callee = _Inliner(em.module, em.module.get(ins.attrs["fn"].name), self.active).run()
+        args = tuple(self.valmap[o] for o in ins.operands)
+        self.valmap[ins.result] = splice_function(em, callee, args)[0]
+        return state
+
+    def run(self) -> SFunc:
+        self.region(self.src.region)
+        return self.em.finish(tuple(self.valmap[v] for v in self.src.ret_vals))
 
 
 # ------------------------------------------------------ forward clone
@@ -100,35 +113,26 @@ def _recorded_rule(sf: SFunc, ins: Instruction) -> Rule | None:
     return RULES.get(ins.op)
 
 
-class _Augmenter:
+class _Augmenter(Copier):
+    """The forward clone: a copy of the source whose state is the two
+    traces it pushes onto."""
+
+    state = (("blog", TAPE), ("vstack", TAPE))
+
     def __init__(self, module: Module, sf: SFunc, name: str):
-        self.module = module
-        self.sf = sf
-        self.em = SEmitter(name, sf.results + (TAPE, TAPE), module)
+        super().__init__(SEmitter(name, sf.results + (TAPE, TAPE), module), sf, {})
 
     def build(self) -> SFunc:
-        sf, em = self.sf, self.em
-        valmap = {}
+        sf, em = self.src, self.em
         for pv, ty in sf.params:
-            valmap[pv] = em.param(sf.vnames.get(pv, "p"), ty)
-        blog = em.emit("tape_new", (), None, "blog")
-        vstack = em.emit("tape_new", (), None, "vstack")
-        blog, vstack = self.region(sf.region, valmap, blog, vstack)
-        rets = tuple(valmap[v] for v in sf.ret_vals) + (blog, vstack)
-        return em.finish(rets)
+            self.valmap[pv] = em.param(sf.vnames.get(pv, "p"), ty)
+        traces = tuple(em.emit("tape_new", (), None, n) for n, _ in self.state)
+        state = self.region(sf.region, traces)
+        return em.finish(tuple(self.valmap[v] for v in sf.ret_vals) + state)
 
-    def region(self, nodes: list, valmap: dict, blog: int, vstack: int) -> tuple[int, int]:
-        for node in nodes:
-            if isinstance(node, SInstr):
-                blog, vstack = self.instr(node.ins, valmap, blog, vstack)
-            elif isinstance(node, SIf):
-                blog, vstack = self.branch(node, valmap, blog, vstack)
-            else:
-                blog, vstack = self.loop(node, valmap, blog, vstack)
-        return blog, vstack
-
-    def instr(self, ins: Instruction, valmap: dict, blog: int, vstack: int) -> tuple[int, int]:
-        em, sf = self.em, self.sf
+    def instr(self, ins: Instruction, state: tuple) -> tuple:
+        em, sf, valmap = self.em, self.src, self.valmap
+        blog, vstack = state
         ops = tuple(valmap[o] for o in ins.operands)
         name = sf.vnames.get(ins.result, "t")
         rty = sf.types[ins.result]
@@ -156,62 +160,23 @@ class _Augmenter:
             raise ADError(f"@{sf.name}: op '{ins.op}' (%{name}) has no derivative rule")
 
         # ops with no cotangent, integer bookkeeping, and trace traffic pass through
-        valmap[ins.result] = em.emit(ins.op, ops, dict(ins.attrs), name)
-        return blog, vstack
+        return super().instr(ins, state)
 
-    def branch(self, node: SIf, valmap: dict, blog: int, vstack: int) -> tuple[int, int]:
-        em = self.em
-        arm_outs = []
-        arm_nodes = []
-        for region, args, flag in (
-            (node.then_region, node.then_args, True),
-            (node.else_region, node.else_args, False),
-        ):
-            em.push_region()
-            ab, av = self.region(region, valmap, blog, vstack)
-            f = em.const_bool(flag, "taken")
-            ab = em.emit("tape_push", (ab, f), None, "bl")
-            arm_nodes.append(em.pop_region())
-            arm_outs.append(tuple(valmap[a] for a in args) + (ab, av))
-        merged = em.bind(node.merged, valmap, self.sf.vnames)
-        blog2 = em.fresh("blog", TAPE)
-        vstack2 = em.fresh("vstack", TAPE)
-        merged += [(blog2, TAPE), (vstack2, TAPE)]
-        em.append(SIf(valmap[node.cond], arm_nodes[0], arm_outs[0],
-                      arm_nodes[1], arm_outs[1], merged))
-        return blog2, vstack2
+    def push_flag(self, state: tuple, value: bool, name: str) -> tuple:
+        blog, vstack = state
+        f = self.em.const_bool(value, name)
+        return self.em.emit("tape_push", (blog, f), None, "bl"), vstack
 
-    def loop(self, node: SWhile, valmap: dict, blog: int, vstack: int) -> tuple[int, int]:
-        em, sf = self.em, self.sf
+    def arm_end(self, taken: bool, state: tuple) -> tuple:
+        return self.push_flag(state, taken, "taken")
+
+    def loop_entry(self, node: SWhile, state: tuple) -> tuple:
         if not node.canonical:
-            raise ADError(f"@{sf.name}: loop is not in transformable shape")
-        pre = em.const_bool(False, "entered")
-        blog = em.emit("tape_push", (blog, pre), None, "bl")
+            raise ADError(f"@{self.src.name}: loop is not in transformable shape")
+        return self.push_flag(state, False, "entered")
 
-        init = tuple(valmap[a] for a in node.init) + (blog, vstack)
-        carried = em.bind(node.carried, valmap, sf.vnames)
-        blog_p = em.fresh("blog", TAPE)
-        vstack_p = em.fresh("vstack", TAPE)
-        carried += [(blog_p, TAPE), (vstack_p, TAPE)]
-
-        header = [em.clone(ins, valmap, sf) for ins in node.header]
-
-        em.push_region()
-        bb, bv = self.region(node.body_region, valmap, blog_p, vstack_p)
-        again = em.const_bool(True, "again")
-        bb = em.emit("tape_push", (bb, again), None, "bl")
-        body_nodes = em.pop_region()
-        back = tuple(valmap[a] for a in node.body_args) + (bb, bv)
-
-        exits = em.bind(node.exits, valmap, sf.vnames)
-        blog_x = em.fresh("blog", TAPE)
-        vstack_x = em.fresh("vstack", TAPE)
-        exits += [(blog_x, TAPE), (vstack_x, TAPE)]
-        exit_args = tuple(valmap[a] for a in node.exit_args) + (blog_p, vstack_p)
-
-        em.append(SWhile(carried, init, header, valmap[node.cond], body_nodes, back,
-                         exits, exit_args, True))
-        return blog_x, vstack_x
+    def back_edge(self, state: tuple) -> tuple:
+        return self.push_flag(state, True, "again")
 
 
 # ----------------------------------------------------------- pullback
@@ -252,12 +217,8 @@ class _PullbackBuilder:
         blog, vstack = self.region(sf.region, cot, blog, vstack)
         em.emit("tape_expect_empty", (blog,), None, "drained")
         em.emit("tape_expect_empty", (vstack,), None, "drained")
-        rets = []
-        for pv, ty in sf.params:
-            if ty.is_differentiable:
-                got = cot.get(pv)
-                rets.append(self.zero(ty) if got is None else got)
-        return em.finish(tuple(rets))
+        return em.finish(tuple(self.grab(cot, pv, ty) for pv, ty in sf.params
+                               if ty.is_differentiable))
 
     # the rule backend
 
@@ -279,16 +240,9 @@ class _PullbackBuilder:
         else:
             cot[vid] = self.emit("add", (cur, new))
 
-    def zero(self, ty: Type) -> int:
-        if ty.kind == "bool":
-            return self.em.const_bool(False, "z")
-        if ty.kind == "i64":
-            return self.em.const_i64(0, "z")
-        return self.em.zeros_like(ty)
-
     def grab(self, cot: CotangentMap, vid: int, ty: Type) -> int:
         got = cot.get(vid)
-        return self.zero(ty) if got is None else got
+        return self.em.zeros_like(ty) if got is None else got
 
     def pop(self, tape: int, ty: Type) -> tuple[int, int]:
         v = self.em.emit("tape_top", (tape,), {"ty": ty}, "sv")
@@ -365,13 +319,11 @@ class _PullbackBuilder:
             if rbar is None:
                 rbar = em.emit("tape_new", (), None, "ct")
             if top is not None:
-                zty = top.attrs["ty"]
-                zbar = self.grab(cot, top.result, zty)
+                zbar = self.grab(cot, top.result, top.attrs["ty"])
             else:
                 # a rest with no matching top drops the popped entry;
                 # its adjoint pushes a zero placeholder
-                zty = F64
-                zbar = self.zero(F64)
+                zbar = em.zeros_like(F64)
             cot[t] = em.emit("tape_push", (rbar, zbar), None, "ct")
             return blog, vstack
 

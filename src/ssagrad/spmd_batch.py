@@ -29,7 +29,7 @@ from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
 from .ops import OPS
-from .structure import SEmitter, SFunc, SIf, SInstr, SWhile, flatten
+from .structure import Copier, SEmitter, SFunc, SIf, SInstr, SWhile, flatten
 from .reverse_ad import augment, inline_sfunc, run_aug_pb
 from .tensor import DenseTensor
 
@@ -126,15 +126,16 @@ def _scan_batched(sf: SFunc) -> set[int]:
 # --------------------------------------------------------- rewriting
 
 
-class _Vectorizer:
+class _Vectorizer(Copier):
+    """A copy of the source in which lane-dependent values carry a
+    leading lane axis; control flow on a uniform condition is copied as
+    is, and on a lane-dependent one becomes masked code."""
+
     def __init__(self, module: Module, sf: SFunc, lanes: int, name: str):
-        self.module = module
-        self.sf = sf
         self.B = lanes
         self.batched = _scan_batched(sf)
         out = tuple(batched_type(t, lanes) for t in sf.results)
-        self.em = SEmitter(name, out, module)
-        self.vmap: dict[int, int] = {}
+        super().__init__(SEmitter(name, out, module), sf, {})
         # (B,) row of ones marking the lanes the current code runs for;
         # None at top level, where every lane is live
         self.mask: int | None = None
@@ -143,16 +144,16 @@ class _Vectorizer:
     # value plumbing
 
     def val(self, v: int) -> int:
-        return self.vmap[v]
+        return self.valmap[v]
 
     def is_b(self, v: int) -> bool:
         return v in self.batched
 
     def name_of(self, v: int) -> str:
-        return self.sf.vnames.get(v, "t")
+        return self.src.vnames.get(v, "t")
 
     def lane_of(self, v: int) -> tuple[int, ...]:
-        return _lane_shape(self.sf.types[v])
+        return _lane_shape(self.src.types[v])
 
     def ones_rows(self) -> int:
         if self._ones is None:
@@ -181,7 +182,7 @@ class _Vectorizer:
         """The full lane-carrying form of a value, copying uniforms out."""
         if self.is_b(v):
             return self.val(v)
-        ty = self.sf.types[v]
+        ty = self.src.types[v]
         ev = self.val(v)
         nm = self.name_of(v)
         if ty.kind == "f64":
@@ -195,8 +196,6 @@ class _Vectorizer:
             return self.em.emit(
                 "select", (ev, self.ones_rows(), self.rows_like(0.0, (), nm)), None, nm
             )
-        if ty.kind == "tape":
-            return self.em.emit("tape_spread", (ev,), {"lanes": self.B}, nm)
         raise BatchError(f"cannot batch {ty}")
 
     def edge(self, dst: int, src: int) -> int:
@@ -204,7 +203,7 @@ class _Vectorizer:
         lane-carrying when ``dst`` carries lanes."""
         return self.materialize(src) if self.is_b(dst) else self.val(src)
 
-    def lane_type(self, v: int, ty: Type) -> Type:
+    def bind_type(self, v: int, ty: Type) -> Type:
         """The type of the binding that stands for ``v`` in batched code."""
         return batched_type(ty, self.B) if self.is_b(v) else ty
 
@@ -220,7 +219,7 @@ class _Vectorizer:
     def elem(self, o: int, lane: tuple[int, ...]) -> int:
         if not self.is_b(o):
             ev = self.val(o)
-            if self.sf.types[o].kind == "i64":
+            if self.src.types[o].kind == "i64":
                 # uniform counters join lane arithmetic as plain floats
                 ev = self.em.emit("itof", (ev,), None, self.name_of(o))
             return ev
@@ -236,7 +235,7 @@ class _Vectorizer:
             return self.em.emit("select", (m, vid, self.rows_like(1.0, lane, "safe")), None, "safe")
         total = self.em.emit("reduce_sum", (self.mask,), {"axis": "all"}, "nlive")
         alive = self.em.emit("gt", (total, self.em.const_f64(0.0, "z")), None, "alive")
-        ty = self.sf.types[src]
+        ty = self.src.types[src]
         if ty.kind == "tensor":
             one = self.em.zeros_like(ty, "safe")
             one = self.em.emit("add", (one, self.em.const_f64(1.0, "one")), None, "safe")
@@ -246,11 +245,15 @@ class _Vectorizer:
 
     # ------------------------------------------------------- op cases
 
-    def instr(self, ins: Instruction):
+    def instr(self, ins: Instruction, state: tuple = ()) -> tuple:
         case = _CASES.get(ins.op) if self.is_b(ins.result) else _Vectorizer.lanewise
         if case is None:
             raise BatchError(_BATCH_ERRORS[ins.op])
-        self.vmap[ins.result] = case(self, ins, self.name_of(ins.result))
+        self.valmap[ins.result] = case(self, ins, self.name_of(ins.result))
+        return state
+
+    # a uniform loop's header is batched like its body, live-lane guards included
+    header = instr
 
     def lanewise(self, ins: Instruction, nm: str) -> int:
         """An elementwise op, or any op of a uniform island, which is
@@ -270,7 +273,7 @@ class _Vectorizer:
 
     def select(self, ins: Instruction, nm: str) -> int:
         c, a, b = ins.operands
-        if self.is_b(c) or self.sf.types[a].kind == "tape":
+        if self.is_b(c) or self.src.types[a].kind == "tape":
             return self.lanewise(ins, nm)
         # uniform condition over lane-dependent arms; a plain select
         # wants both arms at exactly the same type
@@ -294,9 +297,9 @@ class _Vectorizer:
     def matmul(self, ins: Instruction, nm: str) -> int:
         a, b = ins.operands
         av = self.val(a) if self.is_b(a) else self.em.emit(
-            "bcast", (self.val(a),), {"shape": (self.B, *self.sf.types[a].shape)}, nm)
+            "bcast", (self.val(a),), {"shape": (self.B, *self.src.types[a].shape)}, nm)
         bv = self.val(b) if self.is_b(b) else self.em.emit(
-            "bcast", (self.val(b),), {"shape": (self.B, *self.sf.types[b].shape)}, nm)
+            "bcast", (self.val(b),), {"shape": (self.B, *self.src.types[b].shape)}, nm)
         return self.em.emit("bmm", (av, bv), None, nm)
 
     def reshape(self, ins: Instruction, nm: str) -> int:
@@ -374,55 +377,36 @@ class _Vectorizer:
 
     # --------------------------------------------------- control flow
 
-    def walk(self, nodes: list):
-        for node in nodes:
-            if isinstance(node, SInstr):
-                self.instr(node.ins)
-            elif isinstance(node, SIf):
-                self.branch(node)
-            else:
-                self.loop(node)
-
-    def branch(self, node: SIf):
-        em = self.em
+    def branch(self, node: SIf, state: tuple) -> tuple:
         if not self.is_b(node.cond):
             # all lanes agree: keep a real branch
-            arm_regions, arm_args = [], []
-            for region, args in ((node.then_region, node.then_args),
-                                 (node.else_region, node.else_args)):
-                em.push_region()
-                self.walk(region)
-                arm_args.append(tuple(self.edge(mv, a) for (mv, _), a in zip(node.merged, args)))
-                arm_regions.append(em.pop_region())
-            merged = em.bind(node.merged, self.vmap, self.sf.vnames, self.lane_type)
-            em.append(SIf(self.val(node.cond), arm_regions[0], arm_args[0],
-                          arm_regions[1], arm_args[1], merged))
-            return
+            return super().branch(node, state)
 
         # lanes disagree: run both sides inline and merge with selects
-        m = self.val(node.cond)
+        em, m = self.em, self.val(node.cond)
         outer = self.mask
         enc = outer if outer is not None else self.ones_rows()
         inv = em.emit("sub", (self.ones_rows(), m), None, "notm")
 
         self.mask = em.emit("mul", (enc, m), None, "tm")
-        self.walk(node.then_region)
+        self.region(node.then_region)
         then_vals = [self.edge(mv, a) for (mv, _), a in zip(node.merged, node.then_args)]
 
         self.mask = em.emit("mul", (enc, inv), None, "em")
-        self.walk(node.else_region)
+        self.region(node.else_region)
         else_vals = [self.edge(mv, a) for (mv, _), a in zip(node.merged, node.else_args)]
 
         self.mask = outer
         for (mv, mty), tv, ev in zip(node.merged, then_vals, else_vals):
-            self.vmap[mv] = em.emit(
+            self.valmap[mv] = em.emit(
                 "select", (self.pad_mask(m, _lane_shape(mty)), tv, ev), None, self.name_of(mv))
+        return state
 
-    def loop(self, node: SWhile):
-        em, sf = self.em, self.sf
+    def loop(self, node: SWhile, state: tuple) -> tuple:
         if not self.is_b(node.cond):
-            self.uniform_loop(node)
-            return
+            # the same trip count in every lane: the loop shape survives
+            return super().loop(node, state)
+        em = self.em
         if any(OPS[ins.op].trace for ins in node.header):
             raise BatchError("trace traffic in a lane-varying loop header")
 
@@ -432,8 +416,7 @@ class _Vectorizer:
         # a lane-dependent condition makes every carried value lane-dependent
         active = em.fresh("active", tensor_type(self.B))
         inits = [enc, *(self.materialize(iv) for iv in node.init)]
-        carried = [(active, tensor_type(self.B)),
-                   *em.bind(node.carried, self.vmap, sf.vnames, self.lane_type)]
+        carried = [(active, tensor_type(self.B)), *self.bind(node.carried)]
 
         # exit values that name a header result need their own frozen
         # slot: the joint loop keeps evaluating the header after a lane
@@ -462,12 +445,11 @@ class _Vectorizer:
             hv = self.materialize(ea)
             frozen_now[ea] = em.emit(
                 "select", (self.pad_mask(active, lane), hv, p), None, "fz")
-        header_nodes = em.pop_region()
-        header_ins = [n.ins for n in header_nodes]
+        header_ins = [n.ins for n in em.pop_region()]
 
         em.push_region()
         self.mask = act
-        self.walk(node.body_region)
+        self.region(node.body_region)
         back = [act]
         for (cv, cty), ba in zip(node.carried, node.body_args):
             p = self.val(cv)
@@ -481,42 +463,20 @@ class _Vectorizer:
         exit_args = tuple(frozen_now[ea] if ea in frozen else self.materialize(ea)
                           for ea in node.exit_args)
         self.batched.update(ev for ev, _ in node.exits)
-        exits = em.bind(node.exits, self.vmap, sf.vnames, self.lane_type)
+        exits = self.bind(node.exits)
         em.append(SWhile(carried, tuple(inits), header_ins, cond, body_nodes,
                          tuple(back), exits, exit_args, False))
-
-    def uniform_loop(self, node: SWhile):
-        """Same trip count in every lane: the loop shape survives as is."""
-        em, sf = self.em, self.sf
-        inits = tuple(self.edge(cv, iv) for (cv, _), iv in zip(node.carried, node.init))
-        carried = em.bind(node.carried, self.vmap, sf.vnames, self.lane_type)
-
-        em.push_region()
-        for ins in node.header:
-            self.instr(ins)
-        header_nodes = em.pop_region()
-        header_ins = [n.ins for n in header_nodes]
-        cond = self.val(node.cond)
-
-        em.push_region()
-        self.walk(node.body_region)
-        back = tuple(self.edge(cv, ba) for (cv, _), ba in zip(node.carried, node.body_args))
-        body_nodes = em.pop_region()
-
-        exit_args = tuple(self.edge(ev, ea) for (ev, _), ea in zip(node.exits, node.exit_args))
-        exits = em.bind(node.exits, self.vmap, sf.vnames, self.lane_type)
-        em.append(SWhile(carried, inits, header_ins, cond, body_nodes, back, exits, exit_args,
-                         False))
+        return state
 
     # ----------------------------------------------------------- entry
 
     def build(self) -> SFunc:
-        em, sf = self.em, self.sf
+        em, sf = self.em, self.src
         for pv, ty in sf.params:
-            self.vmap[pv] = em.param(self.name_of(pv), batched_type(ty, self.B))
+            self.valmap[pv] = em.param(self.name_of(pv), batched_type(ty, self.B))
         # the all-live row is shared across regions, so pin it at the top
         self.ones_rows()
-        self.walk(sf.region)
+        self.region(sf.region)
         rets = tuple(self.materialize(rv) for rv in sf.ret_vals)
         return em.finish(rets)
 

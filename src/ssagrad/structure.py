@@ -32,10 +32,14 @@ Canonical loop form, which the transforms require:
 set to False; they can be verified and interpreted but not transformed
 again.
 
-Transforms build their output with an ``SEmitter``.  When they copy a
-node, ``SEmitter.bind`` gives its merged, carried or exit values fresh
-values named like the source ones, and ``SEmitter.clone`` copies an
-instruction onto a fresh result.
+Transforms build their output with an ``SEmitter``, and those that
+copy a tree (inlining, the forward clone, batching) subclass ``Copier``.
+It copies every if and loop, giving their merged, carried and exit
+values fresh values named like the source ones, and threads a *state*
+of extra values through them: each if merges its arms' state, and each
+loop carries it.  Hooks change how an instruction, an edge argument or a
+binding's type is copied, and may emit code at each arm's end, before a
+loop and on its back edge.
 """
 
 from __future__ import annotations
@@ -644,22 +648,6 @@ class SEmitter:
         self.params.append((vid, ty))
         return vid
 
-    # copying nodes of a source tree
-
-    def bind(self, pairs: list[tuple[int, Type]], valmap: dict[int, int],
-             names: dict[int, str], ty=None) -> list[tuple[int, Type]]:
-        """Give each (value, type) pair a fresh value named like the
-        source value, typed ``ty(value, type)`` when ``ty`` is given;
-        record it in ``valmap`` and return the new pairs."""
-        out = []
-        for v, vty in pairs:
-            if ty is not None:
-                vty = ty(v, vty)
-            nv = self.fresh(names.get(v, "t"), vty)
-            valmap[v] = nv
-            out.append((nv, vty))
-        return out
-
     def clone(self, ins: Instruction, valmap: dict[int, int], src: SFunc) -> Instruction:
         """A copy of ``src``'s instruction on a fresh result, with operands
         mapped through ``valmap``, which gains the result."""
@@ -708,6 +696,10 @@ class SEmitter:
         return self.emit("const", (), {"ty": tensor_type(*shape), "value": vals}, name)
 
     def zeros_like(self, ty: Type, name: str = "z") -> int:
+        if ty.kind == "bool":
+            return self.const_bool(False, name)
+        if ty.kind == "i64":
+            return self.const_i64(0, name)
         if ty.kind == "f64":
             return self.const_f64(0.0, name)
         if ty.is_tensor:
@@ -730,58 +722,120 @@ class SEmitter:
         )
 
 
-# ----------------------------------------------------------- splice
+# ----------------------------------------------------------- copying
 
 
-def splice_region(em: SEmitter, src: SFunc, nodes: list, valmap: dict[int, int],
-                  expand_call=None):
-    """Clone nodes into the emitter's open region, remapping values.
+class Copier:
+    """Copies nodes of ``src``'s tree into ``em``'s open region.
 
-    ``valmap`` carries src value id -> emitter value id and gains the
-    fresh ids of every cloned definition.  When ``expand_call`` is set,
-    call instructions go through it (receiving the instruction and the
-    remapped operands) instead of being cloned; it returns the value id
-    standing in for the call result.  Shared by call inlining and
-    derivative-wrapper assembly.
+    ``valmap`` maps src values to ``em`` values and gains every copied
+    definition.  ``region`` copies each ``SIf`` and ``SWhile`` itself,
+    threading a *state*: a tuple of extra values, one per (name, type)
+    pair of ``state``, that each if merges from its arms and each loop
+    carries, handing the header's state to its exit.  Subclasses change
+    the copy through hooks, each a plain copy here: ``instr`` and
+    ``header`` copy an instruction of a region or of a loop header,
+    ``edge`` maps a value passed to a binding, ``bind_type`` types a
+    merged, carried or exit binding, and ``arm_end``, ``loop_entry`` and
+    ``back_edge`` may emit code that updates the state.
     """
 
-    def m(vs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(valmap[v] for v in vs)
+    state: tuple[tuple[str, Type], ...] = ()
 
-    for node in nodes:
-        if isinstance(node, SInstr):
-            ins = node.ins
-            if expand_call is not None and ins.op == "call":
-                valmap[ins.result] = expand_call(ins, m(ins.operands))
+    def __init__(self, em: SEmitter, src: SFunc, valmap: dict[int, int]):
+        self.em, self.src, self.valmap = em, src, valmap
+
+    # hooks
+
+    def instr(self, ins: Instruction, state: tuple) -> tuple:
+        self.em.append(SInstr(self.em.clone(ins, self.valmap, self.src)))
+        return state
+
+    def header(self, ins: Instruction):
+        self.em.append(SInstr(self.em.clone(ins, self.valmap, self.src)))
+
+    def edge(self, dst: int, src: int) -> int:
+        return self.valmap[src]
+
+    def bind_type(self, v: int, ty: Type) -> Type:
+        return ty
+
+    def arm_end(self, taken: bool, state: tuple) -> tuple:
+        return state
+
+    def loop_entry(self, node: SWhile, state: tuple) -> tuple:
+        return state
+
+    def back_edge(self, state: tuple) -> tuple:
+        return state
+
+    # the walk
+
+    def bind(self, pairs: list[tuple[int, Type]]) -> list[tuple[int, Type]]:
+        """Give each source (value, type) pair a fresh value named like
+        it and typed by ``bind_type``; record it in ``valmap``."""
+        out = []
+        for v, ty in pairs:
+            ty = self.bind_type(v, ty)
+            self.valmap[v] = nv = self.em.fresh(self.src.vnames.get(v, "t"), ty)
+            out.append((nv, ty))
+        return out
+
+    def _fresh_state(self) -> list[tuple[int, Type]]:
+        return [(self.em.fresh(name, ty), ty) for name, ty in self.state]
+
+    def region(self, nodes: list, state: tuple = ()) -> tuple:
+        instr = self.instr
+        for node in nodes:
+            if isinstance(node, SInstr):
+                state = instr(node.ins, state)
+            elif isinstance(node, SIf):
+                state = self.branch(node, state)
             else:
-                em.append(SInstr(em.clone(ins, valmap, src)))
-        elif isinstance(node, SIf):
+                state = self.loop(node, state)
+        return state
+
+    def branch(self, node: SIf, state: tuple) -> tuple:
+        em = self.em
+        arms = []
+        for region, args, taken in ((node.then_region, node.then_args, True),
+                                    (node.else_region, node.else_args, False)):
             em.push_region()
-            splice_region(em, src, node.then_region, valmap, expand_call)
-            then_nodes = em.pop_region()
-            em.push_region()
-            splice_region(em, src, node.else_region, valmap, expand_call)
-            else_nodes = em.pop_region()
-            merged = em.bind(node.merged, valmap, src.vnames)
-            em.append(SIf(valmap[node.cond], then_nodes, m(node.then_args), else_nodes,
-                          m(node.else_args), merged))
-        else:
-            init = m(node.init)
-            carried = em.bind(node.carried, valmap, src.vnames)
-            header = [em.clone(ins, valmap, src) for ins in node.header]
-            em.push_region()
-            splice_region(em, src, node.body_region, valmap, expand_call)
-            body_nodes = em.pop_region()
-            exits = em.bind(node.exits, valmap, src.vnames)
-            em.append(SWhile(carried, init, header, valmap[node.cond], body_nodes,
-                             m(node.body_args), exits, m(node.exit_args), node.canonical))
+            out = self.arm_end(taken, self.region(region, state))
+            out = tuple(self.edge(mv, a) for (mv, _), a in zip(node.merged, args)) + out
+            arms += [em.pop_region(), out]
+        merged = self.bind(node.merged)
+        out = self._fresh_state()
+        em.append(SIf(self.valmap[node.cond], *arms, merged + out))
+        return tuple(v for v, _ in out)
+
+    def loop(self, node: SWhile, state: tuple) -> tuple:
+        em = self.em
+        state = self.loop_entry(node, state)
+        init = tuple(self.edge(cv, a) for (cv, _), a in zip(node.carried, node.init)) + state
+        carried = self.bind(node.carried)
+        params = self._fresh_state()
+        head = tuple(v for v, _ in params)
+        em.push_region()
+        for ins in node.header:
+            self.header(ins)
+        header = [n.ins for n in em.pop_region()]
+        em.push_region()
+        state = self.back_edge(self.region(node.body_region, head))
+        back = tuple(self.edge(cv, a) for (cv, _), a in zip(node.carried, node.body_args)) + state
+        body = em.pop_region()
+        exit_args = tuple(self.edge(ev, a) for (ev, _), a in zip(node.exits, node.exit_args))
+        exits = self.bind(node.exits)
+        out = self._fresh_state()
+        em.append(SWhile(carried + params, init, header, self.valmap[node.cond], body, back,
+                         exits + out, exit_args + head, node.canonical))
+        return tuple(v for v, _ in out)
 
 
-def splice_function(em: SEmitter, src: SFunc, args: tuple[int, ...],
-                    expand_call=None) -> tuple[int, ...]:
+def splice_function(em: SEmitter, src: SFunc, args: tuple[int, ...]) -> tuple[int, ...]:
     """Inline a whole structured function; returns its mapped ret values."""
     if len(args) != len(src.params):
         raise ValueError(f"@{src.name} takes {len(src.params)} args, got {len(args)}")
-    valmap = {pv: a for (pv, _), a in zip(src.params, args)}
-    splice_region(em, src, src.region, valmap, expand_call)
-    return tuple(valmap[v] for v in src.ret_vals)
+    copier = Copier(em, src, {pv: a for (pv, _), a in zip(src.params, args)})
+    copier.region(src.region)
+    return tuple(copier.valmap[v] for v in src.ret_vals)

@@ -561,9 +561,13 @@ def test_malformed_module_is_a_diagnostic(case, command, tmp_path, capsys):
     ('{"head_sizes":[4,1]}', "head_sizes must start at the last trunk size (8), got [4, 1]"),
     ('{"head_sizes":[8,2]}', "head_sizes must end at 1, got [8, 2]"),
     ('{"lr":"a"}', "config key 'lr' must be a number, got 'a'"),
+    # one sample leaves the domain probe an empty fold to score on
+    ('{"n_samples":1,"batch_size":1}', "n_samples must be at least 2, got 1"),
+    ('{"n_samples":0}', "n_samples must be at least 2, got 0"),
+    ('{"epochs":-1}', "epochs must be at least 0, got -1"),
 ], ids=["batch_size_0", "batch_size_over_n_samples", "epochs_str", "epochs_bool",
         "trunk_one_size", "head_zero_size", "dim_mismatch", "head_trunk_mismatch",
-        "head_not_one", "lr_str"])
+        "head_not_one", "lr_str", "n_samples_1", "n_samples_0", "epochs_negative"])
 def test_train_dan_rejects_configs_it_cannot_run(config, message, tmp_path, capsys):
     out_file = tmp_path / "metrics.jsonl"
     assert main(["train-dan", "--config", config, "--out", str(out_file)]) == 2

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ssagrad import (DenseTensor, Module, ParseError, StructureError, augment, batched_grad,
-                     build_grad_function, flatten, grad, grad_of_grad, parse_ir,
+from ssagrad import (ADError, DenseTensor, Module, ParseError, StructureError, augment,
+                     batched_grad, build_grad_function, flatten, grad, grad_of_grad, parse_ir,
                      print_ir, random_program, structurize, vectorize, verify)
 from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
 from ssagrad.nn_train import DANConfig, build_loss_ir
@@ -34,7 +34,7 @@ def test_round_trip_identity(analytic):
 EMITTED_IR_SHA256 = "a062311ec405d0e0c2538b22cf9236a71b8a75f82434141d012d272d527876b3"
 
 
-def test_generated_code_round_trips():
+def test_generated_code_round_trips(tmp_path):
     # every function the transforms emit prints, re-parses to the same
     # text, and verifies: a corpus slice and the DAN loss, plus the
     # adjoints of each __grad, which run the structural trace adjoints;
@@ -59,7 +59,47 @@ def test_generated_code_round_trips():
     assert print_ir(again) == text
     assert verify(again) == []
     assert set(emitted) <= set(again.functions)
-    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_IR_SHA256
+    _assert_digest(text, EMITTED_IR_SHA256, tmp_path)
+
+
+def _assert_digest(text: str, want: str, tmp_path: Path):
+    """Assert the SHA-256 of ``text``; on a mismatch the text is kept in
+    a file named by the message, to diff against the expected output."""
+    got = hashlib.sha256(text.encode()).hexdigest()
+    if got != want:
+        (tmp_path / "emitted.ssair").write_text(text)
+    assert got == want, f"emitted IR changed; it is in {tmp_path / 'emitted.ssair'}"
+
+
+# SHA-256 of the modules test_transform_paths_off_the_corpus prints; it
+# changes under the same rule as EMITTED_IR_SHA256
+TRANSFORM_IR_SHA256 = "d97b4e3a0b252027acbf53cf69b57d4d50df0ce877cff9454b60403e9bc60368"
+
+
+def test_transform_paths_off_the_corpus(tmp_path):
+    # the corpus has no call and no fused_map; the analytic fixture and
+    # BATCH_SRC reach the inliner, the augmenter's fused_pack case,
+    # uniform branches and constant-trip loops, and this digest pins them
+    texts, counts = [], {"aug": 0, "grad": 0}
+    for src in (ANALYTIC_SRC, BATCH_SRC):
+        module = parse_ir(src)
+        for fn in list(module.functions.values()):
+            names = [fn.name]
+            try:
+                names += [f.name for f in augment(module, fn.name)]
+                counts["aug"] += 1
+            except ADError:
+                pass
+            if fn.results == (F64,) and all(ty == F64 for _, ty in fn.params):
+                build_grad_function(module, fn.name)
+                counts["grad"] += 1
+            for name in names:
+                vectorize(module, name, 3)
+        text = print_ir(module)
+        assert print_ir(parse_ir(text)) == text
+        texts.append(text)
+    assert counts == {"aug": 15, "grad": 8}
+    _assert_digest("".join(texts), TRANSFORM_IR_SHA256, tmp_path)
 
 
 def test_print_is_canonical():
