@@ -17,6 +17,11 @@ entry of ``KERNELS``, keyed like ``ops.OPS``; forward mode and the tape
 oracle are Machines whose tables wrap these entries, so all three share
 the walker, the step budget and the EvalError locations.
 
+Code lowered from a function (``lower``) is a cache of the walker: a
+plain Machine lowers a function once it has walked LOWER_AFTER
+dispatches per instruction, then runs that code first and replays the
+call on the walker at any fault.  Machines with other tables walk.
+
 A fused_map or fused_pack over tensors runs its scalar body once, on
 whole rows, where the kernels are elementwise and bit-identical to one
 point.  That needs the body and all it reaches to be single blocks of
@@ -33,7 +38,9 @@ once (``np.errstate``), as a scope costs more than most kernels.
 
 from __future__ import annotations
 
+import math
 import operator
+from contextlib import suppress
 from functools import reduce
 from itertools import repeat
 from math import prod
@@ -43,9 +50,13 @@ import numpy as np
 from . import tensor as T
 from .ir import F64, Function, Jmp, Module, Ret, Type, tensor_type, term_uses
 from .ops import OPS
+from .structure import StructureError
 from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
+# dispatches per instruction before a function is lowered: lowering costs
+# about 20-55 us an instruction, and lowered code saves 0.3-1 us a dispatch
+LOWER_AFTER = 128
 
 
 class EvalError(Exception):
@@ -368,17 +379,31 @@ class Machine:
         return self.run(self.module.get(name), args)
 
     def run(self, fn: Function, args: tuple) -> tuple:
-        """Execute fn's blocks on args; the only block walker."""
+        """Execute fn on args: by its lowered code when it has some and
+        the arguments fit it, else by walking its blocks."""
         if len(args) != len(fn.params):
             raise EvalError(fn.name, "", -1,
                             f"expected {len(fn.params)} arguments, got {len(args)}")
         kernels = self.kernels
         budget = self.budget
+        plain = kernels is KERNELS  # lowered code is this table's semantics
+        if plain and fn.tier.code is not None:
+            left = budget[0]
+            try:
+                out = fn.tier.code(self, args)
+                if out is not None:
+                    return out
+            except EvalError:  # raised by a walker below, so already exact
+                raise
+            except Exception:  # replayed below, where the walker locates it
+                budget[0] = left
         blocks = None  # built at the first jump: most calls never take one
         env: dict[int, object] = {}
         cur = fn.blocks[0]
         binds = args
+        spent = 0  # dispatches, for the tier policy
         while True:
+            spent += len(cur.body) + 1
             for (vid, _), v in zip(cur.params, binds):
                 env[vid] = v
             for i, ins in enumerate(cur.body):
@@ -409,7 +434,10 @@ class Machine:
                 raise EvalError(fn.name, cur.name, len(cur.body), "missing terminator")
             try:
                 if isinstance(t, Ret):
-                    return tuple(env[v] for v in t.values)
+                    out = tuple(env[v] for v in t.values)
+                    if plain:
+                        _cool(fn, self.module, spent)
+                    return out
                 if blocks is None:
                     blocks = {b.name: b for b in fn.blocks}
                 if isinstance(t, Jmp):
@@ -464,6 +492,19 @@ class Machine:
                 return [T.bcast_to(r, shape) for r in rows]
         cols = [a.flat() if isinstance(a, DenseTensor) else repeat(a) for a in args]
         return [DenseTensor.from_flat(shape, r) for r in zip(*(point(F64, p) for p in zip(*cols)))]
+
+
+def _cool(fn: Function, module: Module, spent: int) -> None:
+    """Charge a walked call's dispatches to fn's heat; lower fn when it reaches 0."""
+    tier = fn.tier
+    if tier.heat is None:
+        tier.heat = LOWER_AFTER * (sum(len(b.body) for b in fn.blocks) + len(fn.blocks))
+    tier.heat -= spent
+    if tier.heat <= 0:
+        from .lower import lower
+        tier.heat = math.inf  # lowered once, or never
+        with suppress(StructureError):
+            tier.code = lower(fn, module)
 
 
 class _RowMachine(Machine):

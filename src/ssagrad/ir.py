@@ -144,6 +144,15 @@ def term_uses(block: Block) -> tuple[int, ...]:
     return ()
 
 
+class Tier:
+    """interp's cache on a Function: dispatches left before it is lowered, and that code."""
+
+    heat = code = None  # until set on the instance
+
+    def __deepcopy__(self, memo) -> "Tier":
+        return Tier()  # a copy starts cold
+
+
 @dataclass
 class Function:
     """A function: entry block first, explicit result types.
@@ -151,6 +160,9 @@ class Function:
     ``vnames`` maps value ids to their printed names.  Ids are assigned
     in definition order; names are kept so round trips and emitted
     artifacts stay readable.
+
+    A function is not edited in place once it has run, as ``tier`` may
+    hold code lowered from it; a ``copy.deepcopy`` starts cold.
     """
 
     name: str
@@ -158,6 +170,7 @@ class Function:
     blocks: list[Block] = field(default_factory=list)
     vnames: dict[int, str] = field(default_factory=dict)
     next_id: int = 0
+    tier: Tier = field(default_factory=Tier, compare=False, repr=False, init=False)
 
     @property
     def params(self) -> list[tuple[int, Type]]:

@@ -520,6 +520,8 @@ def vectorize(module: Module, name: str, lanes: int) -> Function:
 
 def stack_lanes(ty: Type, vals: list):
     """Pack per-sample runtime values into one lane-leading argument."""
+    if not vals:  # a (0,) tensor has no type: extents are >= 1
+        raise ValueError("stack of nothing")
     if ty.kind == "tensor":
         return T.stack([v for v in vals], 0)
     if ty.kind == "bool":

@@ -5,6 +5,7 @@ import pytest
 from ssagrad import ADError, augment, parse_ir
 from ssagrad.interp import KERNELS
 from ssagrad.ir import F64
+from ssagrad.lower import TEMPLATES
 from ssagrad.ops import OPS, OpTypeError, result_type
 from ssagrad.rules import RULES
 from ssagrad.spmd_batch import _BATCH_ERRORS, _CASES
@@ -17,6 +18,11 @@ NO_ADJOINT = {"call", "fused_pack"}
 
 def test_every_op_has_a_kernel():
     assert set(KERNELS) == set(OPS)
+
+
+def test_every_op_lowers_by_template_or_kernel():
+    assert set(TEMPLATES) <= set(OPS)
+    assert set(OPS) <= set(TEMPLATES) | set(KERNELS)
 
 
 def test_every_op_has_an_adjoint_or_is_a_leaf():

@@ -108,6 +108,27 @@ def test_stack_unstack_round_trip():
     assert [t.flat() for t in unstack_lanes(ty, st, 3)] == [t.flat() for t in ts]
 
 
+@pytest.mark.parametrize("ty", [F64, BOOL, I64, tensor_type(2)], ids=str)
+def test_stack_lanes_of_no_lanes_is_refused(ty):
+    with pytest.raises(ValueError, match="^stack of nothing$"):
+        stack_lanes(ty, [])
+
+
+def test_batched_grad_at_one_lane_is_grad(corpus):
+    # metamorphic: one lane of the batched adjoint is the scalar adjoint, bit for bit
+    module, suite = corpus
+    for name, inputs in suite[:40]:
+        fn = module.get(name)
+        for args in inputs:
+            stacked = tuple(stack_lanes(ty, [a]) for (_, ty), a in zip(fn.params, args))
+            bg = batched_grad(module, name, 1, stacked, (stack_lanes(F64, [1.0]),))
+            g = grad(module, name, args)
+            assert bg.keys() == g.keys()
+            for vid, ty in fn.params:
+                if vid in g:
+                    assert bits(unstack_lanes(ty, bg[vid], 1)[0]) == bits(g[vid]), (name, args)
+
+
 def test_batched_grad_matches_per_sample(analytic):
     rng = random.Random(5)
     for name in ("prod", "cube", "absval"):
