@@ -22,6 +22,7 @@ Invariants the rest of the package relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 
 # ---------------------------------------------------------------- types
@@ -64,6 +65,7 @@ I64 = Type("i64")
 TAPE = Type("tape")
 
 
+@cache  # one Type per shape, so generated code does not hold copies
 def tensor_type(*shape: int) -> Type:
     if not shape:
         raise ValueError("tensor types have rank >= 1")
@@ -91,7 +93,12 @@ class FnRef:
 # ----------------------------------------------------- instructions
 
 
-@dataclass
+# attrs are never edited once an instruction exists, so copies share them
+# and instructions without attributes share this empty dict
+NO_ATTRS: dict[str, object] = {}
+
+
+@dataclass(slots=True)
 class Instruction:
     result: int
     op: str

@@ -8,7 +8,7 @@ OpTypeError with a human message when operand types, attributes or
 cross-function references do not line up.  The properties are what the
 transforms need to know of an op beyond its own rules: whether it is
 elementwise, which operands a dead lane must not reach, whether its
-result takes no cotangent, and whether it is a trace op.
+result takes no cotangent, whether it is a trace op and whether it faults.
 
 Adding an op takes an ``OPS`` row; a kernel in ``interp.KERNELS``; an
 adjoint rule in ``rules.RULES``, unless the row declares no cotangent
@@ -348,6 +348,7 @@ class OpDef(NamedTuple):
     partial: tuple[int, ...] = ()  # operands a dead lane must not reach
     no_cotangent: bool = False  # its result takes no cotangent
     trace: bool = False  # reads or writes a trace; reversed structurally
+    faults: bool = False  # can raise on well-typed operands
 
 
 OPS: dict[str, OpDef] = {
@@ -355,15 +356,15 @@ OPS: dict[str, OpDef] = {
     "add": OpDef(2, _arith, elementwise=True),
     "sub": OpDef(2, _arith, elementwise=True),
     "mul": OpDef(2, _arith, elementwise=True),
-    "div": OpDef(2, _arith, elementwise=True, partial=(1,)),
+    "div": OpDef(2, _arith, elementwise=True, partial=(1,), faults=True),
     "neg": OpDef(1, _unary, elementwise=True),
     "exp": OpDef(1, _unary, elementwise=True),
-    "log": OpDef(1, _unary, elementwise=True, partial=(0,)),
+    "log": OpDef(1, _unary, elementwise=True, partial=(0,), faults=True),
     "tanh": OpDef(1, _unary, elementwise=True),
     "sigmoid": OpDef(1, _unary, elementwise=True),
     "relu": OpDef(1, _unary, elementwise=True),
     "pow_int": OpDef(1, _pow_int, elementwise=True),
-    "itof": OpDef(1, _itof, no_cotangent=True),
+    "itof": OpDef(1, _itof, no_cotangent=True, faults=True),  # an i64 beyond f64 range
     "lt": OpDef(2, _compare, elementwise=True, no_cotangent=True),
     "gt": OpDef(2, _compare, elementwise=True, no_cotangent=True),
     "eq": OpDef(2, _compare, elementwise=True, no_cotangent=True),
@@ -377,15 +378,15 @@ OPS: dict[str, OpDef] = {
     "reduce_to": OpDef(1, _reduce_to),
     "stack": OpDef(None, _stack),
     "unstack": OpDef(1, _unstack),
-    "fused_map": OpDef(None, _fused, elementwise=True),
-    "fused_pack": OpDef(None, _fused),
-    "call": OpDef(None, _call),
+    "fused_map": OpDef(None, _fused, elementwise=True, faults=True),
+    "fused_pack": OpDef(None, _fused, faults=True),
+    "call": OpDef(None, _call, faults=True),
     "tape_new": OpDef(0, lambda *_: TAPE, trace=True),
     "tape_push": OpDef(2, _tape_push, trace=True),
     "tape_top": OpDef(1, _tape_top, trace=True),
     "tape_rest": OpDef(1, _tape_read, trace=True),
     "tape_spread": OpDef(1, _tape_spread, trace=True),
-    "tape_expect_empty": OpDef(1, _tape_read, trace=True),
+    "tape_expect_empty": OpDef(1, _tape_read, trace=True, faults=True),
 }
 
 

@@ -21,6 +21,13 @@ the recorded arm, a loop becomes a loop driven by popped flags whose
 carried state is the cotangents of the forward carried values plus
 those of the loop-free values used inside.
 
+Only active values get adjoint code (activity analysis, as in Tapenade:
+Hascoet & Pascual, ACM TOMS 39(3), 2013): those varied, by data flow
+through merges and loops, from a differentiable parameter, and useful on
+the way to a returned value that carries a cotangent.  For constants,
+``itof`` of counters and dead code nothing is pushed, reversed or carried,
+and ``drop_dead`` removes what rule bodies emit for them.
+
 Tape traffic itself has structural adjoints (a push reverses to a pop
 of the cotangent trace and vice versa), which is what makes the
 generated pair differentiable again; second derivatives come from
@@ -43,6 +50,7 @@ from .structure import (
     SIf,
     SInstr,
     SWhile,
+    drop_dead,
     flatten,
     free_values,
     splice_function,
@@ -63,11 +71,14 @@ def _carries_cot(ty: Type) -> bool:
     return ty.is_differentiable or ty.kind == "tape"
 
 
-# ---------------------------------------------------------- inlining
+# ---------------------------------------------- inlining and activity
 
 
 def inline_sfunc(module: Module, fn: Function) -> SFunc:
-    """Structurize a function with every call spliced away."""
+    """Structurize a function with every call spliced away; with no call,
+    that is ``structurize``'s own tree."""
+    if all(ins.op != "call" for b in fn.blocks for ins in b.body):
+        return structurize(fn, module)
     return _Inliner(module, fn, ()).run()
 
 
@@ -98,19 +109,65 @@ class _Inliner(Copier):
         return self.em.finish(tuple(self.valmap[v] for v in self.src.ret_vals))
 
 
-# ------------------------------------------------------ forward clone
+def activity(sf: SFunc) -> set[int]:
+    """The active values of ``sf`` (module docstring).  Varied and useful
+    values grow along the data-flow edges between values that carry a
+    cotangent, from the parameters forward and from the results back,
+    until a pass adds nothing."""
+    edges: list[tuple[int, int]] = []
+
+    def scan(nodes: list):
+        for n in nodes:
+            if isinstance(n, SInstr):
+                if not OPS[n.ins.op].no_cotangent:
+                    edges.extend((o, n.ins.result) for o in n.ins.operands)
+            elif isinstance(n, SIf):
+                edges.extend((a, v) for (v, _), a in zip(n.merged * 2, n.then_args + n.else_args))
+                scan(n.then_region + n.else_region)
+            else:
+                edges.extend((a, v) for (v, _), a in zip(n.carried * 2 + n.exits,
+                                                         n.init + n.body_args + n.exit_args))
+                scan(n.body_region)
+
+    scan(sf.region)
+    carries = {v for v, ty in sf.types.items() if _carries_cot(ty)}
+    edges = [(a, b) for a, b in edges if a in carries and b in carries]
+    varied = {pv for pv, ty in sf.params if ty.is_differentiable}
+    useful = {rv for rv in sf.ret_vals if rv in carries}
+    for seen, flow in ((varied, edges), (useful, [(b, a) for a, b in reversed(edges)])):
+        size = -1
+        while size != len(seen):
+            size = len(seen)
+            seen.update(b for a, b in flow if a in seen)
+    return varied & useful
 
 
-def _recorded_rule(sf: SFunc, ins: Instruction) -> Rule | None:
+def _inert(node, active: set[int]) -> bool:
+    """Whether a node defines no active value.  An inert if or loop
+    needs no flags on the trace and no reversal: the cotangents it would
+    carry pass through it unchanged."""
+    if isinstance(node, SInstr):
+        return node.ins.result not in active
+    if isinstance(node, SIf):
+        binds, regions = node.merged, node.then_region + node.else_region
+    else:
+        binds, regions = node.carried + node.exits, node.body_region
+    return active.isdisjoint(v for v, _ in binds) and all(_inert(n, active) for n in regions)
+
+
+def _recorded_rule(active: set[int], sf: SFunc, ins: Instruction) -> Rule | None:
     """The rule to trace for an instruction, if any.
 
     Both the forward clone and the pullback call this, which is what
-    keeps their push and pop sequences aligned.  Rules fire only when
-    the result is differentiable; an i64 add is plain bookkeeping.
+    keeps their push and pop sequences aligned.  Rules fire only on
+    active differentiable results; an i64 add is plain bookkeeping.
     """
-    if not sf.types[ins.result].is_differentiable:
+    if ins.result not in active or not sf.types[ins.result].is_differentiable:
         return None
     return RULES.get(ins.op)
+
+
+# ------------------------------------------------------ forward clone
 
 
 class _Augmenter(Copier):
@@ -119,8 +176,9 @@ class _Augmenter(Copier):
 
     state = (("blog", TAPE), ("vstack", TAPE))
 
-    def __init__(self, module: Module, sf: SFunc, name: str):
+    def __init__(self, module: Module, sf: SFunc, active: set[int], name: str):
         super().__init__(SEmitter(name, sf.results + (TAPE, TAPE), module), sf, {})
+        self.active = active
 
     def build(self) -> SFunc:
         sf, em = self.src, self.em
@@ -132,20 +190,18 @@ class _Augmenter(Copier):
 
     def instr(self, ins: Instruction, state: tuple) -> tuple:
         em, sf, valmap = self.em, self.src, self.valmap
-        blog, vstack = state
-        ops = tuple(valmap[o] for o in ins.operands)
         name = sf.vnames.get(ins.result, "t")
         rty = sf.types[ins.result]
 
-        if ins.op == "fused_map":
-            pack = em.emit("fused_pack", ops, dict(ins.attrs), name + "_pack")
-            valmap[ins.result] = em.emit("unstack", (pack,), {"index": 0, "axis": 0}, name)
-            vstack = em.emit("tape_push", (vstack, pack), None, "vs")
-            return blog, vstack
-
-        rule = _recorded_rule(sf, ins)
+        rule = _recorded_rule(self.active, sf, ins)
         if rule is not None:
-            vid = em.emit(ins.op, ops, dict(ins.attrs), name)
+            blog, vstack = state
+            ops = tuple(valmap[o] for o in ins.operands)
+            if ins.op == "fused_map":
+                pack = em.emit("fused_pack", ops, ins.attrs, name + "_pack")
+                valmap[ins.result] = em.emit("unstack", (pack,), {"index": 0, "axis": 0}, name)
+                return blog, em.emit("tape_push", (vstack, pack), None, "vs")
+            vid = em.emit(ins.op, ops, ins.attrs, name)
             valmap[ins.result] = vid
             for v in saved_values(rule, ops, vid):
                 vstack = em.emit("tape_push", (vstack, v), None, "vs")
@@ -153,7 +209,7 @@ class _Augmenter(Copier):
 
         if ins.op == "select" and rty.kind in ("tape", "tapes"):
             raise ADError(f"@{sf.name}: cannot differentiate a select over traces")
-        if ins.op == "tape_spread":
+        if ins.op == "tape_spread" or ins.attrs.get("per_lane"):
             raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
         d = OPS[ins.op]
         if rty.is_differentiable and ins.op not in RULES and not (d.no_cotangent or d.trace):
@@ -162,7 +218,17 @@ class _Augmenter(Copier):
         # ops with no cotangent, integer bookkeeping, and trace traffic pass through
         return super().instr(ins, state)
 
+    # an inert if or loop is copied with no state: it pushes nothing, and
+    # the state passes it by
+    def branch(self, node: SIf, state: tuple) -> tuple:
+        return super().branch(node, () if _inert(node, self.active) else state) or state
+
+    def loop(self, node: SWhile, state: tuple) -> tuple:
+        return super().loop(node, () if _inert(node, self.active) else state) or state
+
     def push_flag(self, state: tuple, value: bool, name: str) -> tuple:
+        if not state:
+            return state
         blog, vstack = state
         f = self.em.const_bool(value, name)
         return self.em.emit("tape_push", (blog, f), None, "bl"), vstack
@@ -186,9 +252,10 @@ class _PullbackBuilder:
     """Emits the pullback; it is also the rule backend that ``RULES``
     bodies run on here, so their ops become instructions named ``g``."""
 
-    def __init__(self, module: Module, sf: SFunc, name: str):
+    def __init__(self, module: Module, sf: SFunc, active: set[int], name: str):
         self.module = module
         self.sf = sf
+        self.active = active
         out = tuple(ty for _, ty in sf.params if ty.is_differentiable)
         self.em = SEmitter(name, out, module)
         # maps a trace vid to the tape_top that reads it, scoped to the
@@ -212,7 +279,7 @@ class _PullbackBuilder:
         cot: CotangentMap = {}
         for i, (rv, rty) in enumerate(zip(sf.ret_vals, sf.results)):
             seed = em.param(f"seed{i}", rty)
-            if _carries_cot(rty):
+            if rv in self.active:
                 self.acc(cot, rv, seed)
         blog, vstack = self.region(sf.region, cot, blog, vstack)
         em.emit("tape_expect_empty", (blog,), None, "drained")
@@ -258,6 +325,8 @@ class _PullbackBuilder:
             for node in reversed(nodes):
                 if isinstance(node, SInstr):
                     blog, vstack = self.instr(node.ins, cot, blog, vstack)
+                elif _inert(node, self.active):
+                    continue
                 elif isinstance(node, SIf):
                     blog, vstack = self.branch(node, cot, blog, vstack)
                 else:
@@ -268,18 +337,17 @@ class _PullbackBuilder:
 
     def instr(self, ins: Instruction, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
         sf = self.sf
+        rule = _recorded_rule(self.active, sf, ins)
+        if rule is None:
+            if OPS[ins.op].trace:
+                return self.tape_instr(ins, cot, blog, vstack)
+            return blog, vstack
+
         opnd_tys = tuple(sf.types[o] for o in ins.operands)
         rty = sf.types[ins.result]
-
         if ins.op == "fused_map":
-            rule = RULES["fused_map"]
             saved_tys = (result_type("fused_pack", opnd_tys, ins.attrs, self.module),)
         else:
-            rule = _recorded_rule(sf, ins)
-            if rule is None:
-                if OPS[ins.op].trace:
-                    return self.tape_instr(ins, cot, blog, vstack)
-                return blog, vstack
             saved_tys = saved_values(rule, opnd_tys, rty)
 
         popped = []
@@ -288,8 +356,8 @@ class _PullbackBuilder:
             popped.append(v)
         ybar = self.grab(cot, ins.result, rty)
         cots = rule.backward(self, ins.attrs, opnd_tys, tuple(reversed(popped)), ybar)
-        for o, oty, c in zip(ins.operands, opnd_tys, cots):
-            if c is not None and oty.is_differentiable:
+        for o, c in zip(ins.operands, cots):
+            if c is not None and o in self.active:
                 self.acc(cot, o, c)
         return blog, vstack
 
@@ -300,15 +368,15 @@ class _PullbackBuilder:
         em, sf = self.em, self.sf
 
         if ins.op == "tape_push":
-            if ins.attrs.get("per_lane"):
-                raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
+            if ins.result not in self.active:  # its cotangent trace reads as zeros
+                return blog, vstack
             t0, v = ins.operands
             tbar = cot.get(ins.result)
             if tbar is None:
                 tbar = em.emit("tape_new", (), None, "ct")
             cot[t0] = em.emit("tape_rest", (tbar,), None, "ct")
             vty = sf.types[v]
-            if vty.is_differentiable:
+            if vty.is_differentiable and v in self.active:
                 self.acc(cot, v, em.emit("tape_top", (tbar,), {"ty": vty}, "cv"))
             return blog, vstack
 
@@ -327,14 +395,9 @@ class _PullbackBuilder:
             cot[t] = em.emit("tape_push", (rbar, zbar), None, "ct")
             return blog, vstack
 
-        if ins.op == "tape_top":
-            # handled at the paired tape_rest; a lone top contributes
-            # nothing on its own
-            return blog, vstack
-
-        if ins.op == "tape_spread":
-            raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
-        # tape_new, tape_expect_empty: no data flow to reverse
+        # tape_top is handled at the paired tape_rest, and a lone top
+        # contributes nothing on its own; tape_new and tape_expect_empty
+        # have no data flow to reverse
         return blog, vstack
 
     def branch(self, node: SIf, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
@@ -345,7 +408,7 @@ class _PullbackBuilder:
         for region, args in ((node.then_region, node.then_args),
                              (node.else_region, node.else_args)):
             free |= free_values(region, args)
-        outside = sorted(v for v in free if _carries_cot(sf.types[v]))
+        outside = sorted(free & self.active)
 
         base = dict(cot)
         arm_nodes = []
@@ -355,8 +418,8 @@ class _PullbackBuilder:
             cot.clear()
             cot.update(base)
             em.push_region()
-            for (mv, mty), a in zip(node.merged, args):
-                if _carries_cot(mty) and mv in base:
+            for (mv, _), a in zip(node.merged, args):
+                if mv in base:  # mv is useful, so a is too
                     self.acc(cot, a, base[mv])
             ab, av = self.region(region, cot, blog, vstack)
             outs = (ab, av) + tuple(self.grab(cot, u, sf.types[u]) for u in outside)
@@ -379,16 +442,16 @@ class _PullbackBuilder:
         em, sf = self.em, self.sf
 
         # exit values hand their cotangents to the carried params they alias
-        for (ev, ety), ea in zip(node.exits, node.exit_args):
+        for (ev, _), ea in zip(node.exits, node.exit_args):
             got = cot.get(ev)
-            if got is not None and _carries_cot(ety):
+            if got is not None:
                 self.acc(cot, ea, got)
 
         carried_ids = {cv for cv, _ in node.carried}
         header_ids = {ins.result for ins in node.header}
         free = free_values(node.body_region, node.body_args) - carried_ids - header_ids
-        outside = sorted(v for v in free if _carries_cot(sf.types[v]))
-        diff = [j for j, (_, cty) in enumerate(node.carried) if _carries_cot(cty)]
+        outside = sorted(free & self.active)
+        diff = [j for j, (cv, _) in enumerate(node.carried) if cv in self.active]
 
         pend0, blog = self.pop(blog, BOOL)
         init = [pend0, blog, vstack]
@@ -445,9 +508,7 @@ class _PullbackBuilder:
         for u, (xv, _) in zip(outside, exits[3 + len(diff):]):
             cot[u] = xv
         for j, (xv, _) in zip(diff, exits[3:3 + len(diff)]):
-            src = node.init[j]
-            if _carries_cot(sf.types[src]):
-                self.acc(cot, src, xv)
+            self.acc(cot, node.init[j], xv)
         return blog2, vstack2
 
 
@@ -461,9 +522,10 @@ def augment(module: Module, name: str) -> tuple[Function, Function]:
         return module.get(aug_name), module.get(pb_name)
     fn = module.get(name)
     sf = inline_sfunc(module, fn)
-    aug_fn = flatten(_Augmenter(module, sf, aug_name).build())
+    active = activity(sf)
+    aug_fn = flatten(drop_dead(_Augmenter(module, sf, active, aug_name).build()))
     module.add(aug_fn)
-    pb_fn = flatten(_PullbackBuilder(module, sf, pb_name).build())
+    pb_fn = flatten(drop_dead(_PullbackBuilder(module, sf, active, pb_name).build()))
     module.add(pb_fn)
     return aug_fn, pb_fn
 

@@ -44,12 +44,13 @@ loop and on its back edge.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 
-from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret,
-                 Type, tensor_type, term_uses)
-from .ops import OpTypeError, result_type
+from .ir import (BOOL, F64, I64, NO_ATTRS, Block, Br, Diagnostic, Function, Instruction, Jmp,
+                 Module, Ret, Type, tensor_type, term_uses)
+from .ops import OPS, OpTypeError, result_type
 
 
 class StructureError(Exception):
@@ -554,6 +555,35 @@ def verify(module: Module) -> list[Diagnostic]:
     return diags
 
 
+def drop_dead(sf: SFunc) -> SFunc:
+    """Remove, in place, each instruction whose result nothing reads and
+    whose op cannot fault (``OpDef.faults``), so no error moves.  Every
+    binding stays, and so do the values passed to it; one backward sweep
+    suffices, as a region's values are read only later in it."""
+    live = set(sf.ret_vals)
+
+    def sweep(nodes: list) -> list:
+        kept = []
+        for node in reversed(nodes):
+            if isinstance(node, SInstr):
+                if node.ins.result not in live and not OPS[node.ins.op].faults:
+                    continue
+                live.update(node.ins.operands)
+            elif isinstance(node, SIf):
+                live.update((node.cond, *node.then_args, *node.else_args))
+                node.then_region = sweep(node.then_region)
+                node.else_region = sweep(node.else_region)
+            else:
+                live.update((node.cond, *node.init, *node.body_args, *node.exit_args,
+                             *(o for ins in node.header for o in ins.operands)))
+                node.body_region = sweep(node.body_region)
+            kept.append(node)
+        return kept[::-1]
+
+    sf.region = sweep(sf.region)
+    return sf
+
+
 # --------------------------------------------------------- emission
 
 
@@ -633,7 +663,7 @@ class SEmitter:
         k = self._used_names.get(name)
         if k is not None:
             base = name
-            while (name := f"{base}_{k}") in self._used_names:
+            while (name := sys.intern(f"{base}_{k}")) in self._used_names:
                 k += 1
             self._used_names[base] = k + 1
         self._used_names[name] = 1
@@ -653,7 +683,7 @@ class SEmitter:
         mapped through ``valmap``, which gains the result."""
         vid = self.fresh(src.vnames.get(ins.result, "t"), src.types[ins.result])
         valmap[ins.result] = vid
-        return Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands), dict(ins.attrs))
+        return Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands), ins.attrs)
 
     # region management
 
@@ -675,7 +705,7 @@ class SEmitter:
         attrs: dict | None = None,
         name: str = "t",
     ) -> int:
-        attrs = attrs or {}
+        attrs = attrs or NO_ATTRS
         opnd_types = tuple(self.types[o] for o in operands)
         ty = result_type(op, opnd_types, attrs, self.module)
         vid = self.fresh(name, ty)
@@ -731,12 +761,12 @@ class Copier:
     ``valmap`` maps src values to ``em`` values and gains every copied
     definition.  ``region`` copies each ``SIf`` and ``SWhile`` itself,
     threading a *state*: a tuple of extra values, one per (name, type)
-    pair of ``state``, that each if merges from its arms and each loop
-    carries, handing the header's state to its exit.  Subclasses change
-    the copy through hooks, each a plain copy here: ``instr`` and
-    ``header`` copy an instruction of a region or of a loop header,
-    ``edge`` maps a value passed to a binding, ``bind_type`` types a
-    merged, carried or exit binding, and ``arm_end``, ``loop_entry`` and
+    pair of ``state`` (or none at all), that each if merges from its arms
+    and each loop carries, handing the header's state to its exit.
+    Subclasses change the copy through hooks, each a plain copy here:
+    ``instr`` and ``header`` copy an instruction of a region or of a loop
+    header, ``edge`` maps a value passed to a binding, ``bind_type`` types
+    a merged, carried or exit binding, and ``arm_end``, ``loop_entry`` and
     ``back_edge`` may emit code that updates the state.
     """
 
@@ -781,8 +811,8 @@ class Copier:
             out.append((nv, ty))
         return out
 
-    def _fresh_state(self) -> list[tuple[int, Type]]:
-        return [(self.em.fresh(name, ty), ty) for name, ty in self.state]
+    def _fresh_state(self, state: tuple) -> list[tuple[int, Type]]:
+        return [(self.em.fresh(name, ty), ty) for (name, ty), _ in zip(self.state, state)]
 
     def region(self, nodes: list, state: tuple = ()) -> tuple:
         instr = self.instr
@@ -805,7 +835,7 @@ class Copier:
             out = tuple(self.edge(mv, a) for (mv, _), a in zip(node.merged, args)) + out
             arms += [em.pop_region(), out]
         merged = self.bind(node.merged)
-        out = self._fresh_state()
+        out = self._fresh_state(state)
         em.append(SIf(self.valmap[node.cond], *arms, merged + out))
         return tuple(v for v, _ in out)
 
@@ -814,7 +844,7 @@ class Copier:
         state = self.loop_entry(node, state)
         init = tuple(self.edge(cv, a) for (cv, _), a in zip(node.carried, node.init)) + state
         carried = self.bind(node.carried)
-        params = self._fresh_state()
+        params = self._fresh_state(state)
         head = tuple(v for v, _ in params)
         em.push_region()
         for ins in node.header:
@@ -826,7 +856,7 @@ class Copier:
         body = em.pop_region()
         exit_args = tuple(self.edge(ev, a) for (ev, _), a in zip(node.exits, node.exit_args))
         exits = self.bind(node.exits)
-        out = self._fresh_state()
+        out = self._fresh_state(state)
         em.append(SWhile(carried + params, init, header, self.valmap[node.cond], body, back,
                          exits + out, exit_args + head, node.canonical))
         return tuple(v for v, _ in out)

@@ -10,10 +10,13 @@ from math import prod
 
 import pytest
 
-from ssagrad import (ADError, DenseTensor, Machine, StructureError, augment,
+from collections import Counter
+
+from ssagrad import (ADError, DenseTensor, EvalError, Machine, StructureError, augment,
                      build_grad_function, eval_function, finite_diff, grad,
                      grad_of_grad, parse_ir, print_ir, trace_grad, verify)
 
+from ssagrad.ir import F64
 from ssagrad.rules import RULES
 
 from conftest import bits, max_rel, rel
@@ -213,6 +216,142 @@ func @f(%x: f64) -> f64 {
     m.get("f").blocks[0].term.target = "__nowhere"
     with pytest.raises(StructureError, match=r"^@f \^entry: terminator targets unknown block \^__nowhere$"):
         augment(m, "f")
+
+
+def test_batched_traces_cannot_be_differentiated():
+    # a per-lane push or pop moves values through a batched trace, which
+    # the pullback cannot reverse; augment names it instead of dropping
+    # the values' cotangents
+    m = parse_ir("""
+func @push(%t: tapes<2>, %v: tensor<2xf64>) -> tapes<2> {
+^entry:
+  %t2 = tape_push %t, %v {per_lane = true}
+  ret %t2
+}
+
+func @pop(%t: tapes<2>, %x: tensor<2xf64>) -> tensor<2xf64> {
+^entry:
+  %v = tape_top %t {ty = tensor<2xf64>, per_lane = true}
+  %y = mul %v, %x
+  ret %y
+}
+""")
+    for name in ("push", "pop"):
+        with pytest.raises(ADError, match=rf"^@{name}: batched traces cannot be differentiated$"):
+            augment(m, name)
+
+
+# hand-written functions with inactive values: a dead chain, a
+# constant broadcast, an itof accumulator carried by a loop, and dead
+# instructions that fault
+ACTIVITY_SRC = """
+func @dead(%x: f64, %w: tensor<3xf64>) -> f64 {
+^entry:
+  %d = mul %x, %x
+  %e = exp %d
+  %two = const f64 2.0
+  %b = bcast %two {shape = [3]}
+  %p = mul %w, %b
+  %s = reduce_sum %p {axis = all}
+  %y = mul %s, %x
+  ret %y
+}
+
+func @counted(%x: f64, %n: i64) -> f64 {
+^entry:
+  %zero = const f64 0.0
+  %i0 = const i64 0
+  jmp ^head(%i0, %x, %zero)
+^head(%i: i64, %acc: f64, %cnt: f64):
+  %go = lt %i, %n
+  br %go, ^body, ^exit(%acc, %cnt)
+^body:
+  %fi = itof %i
+  %cnt2 = add %cnt, %fi
+  %acc2 = mul %acc, %x
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %acc2, %cnt2)
+^exit(%a: f64, %c: f64):
+  %r = add %a, %c
+  ret %r
+}
+
+func @deadlog(%x: f64) -> f64 {
+^entry:
+  %five = const f64 5.0
+  %u = sub %x, %five
+  %l = log %u
+  %y = mul %x, %x
+  ret %y
+}
+
+func @deaddiv(%x: f64) -> f64 {
+^entry:
+  %one = const f64 1.0
+  %u = sub %x, %one
+  %q = div %one, %u
+  %y = mul %x, %x
+  ret %y
+}
+"""
+
+ACTIVITY_ARGS = {
+    "dead": (0.7, DenseTensor.from_flat((3,), [0.3, -1.2, 2.5])),
+    "counted": (1.3, 4),
+    "deadlog": (6.5,),
+    "deaddiv": (2.5,),
+}
+
+
+def _ops(fn) -> Counter:
+    return Counter(ins.op for b in fn.blocks for ins in b.body)
+
+
+@pytest.mark.parametrize("name", ACTIVITY_ARGS)
+def test_activity_gradients_match_the_tape(name):
+    m = parse_ir(ACTIVITY_SRC)
+    args = ACTIVITY_ARGS[name]
+    g = grad(m, name, args)
+    t = trace_grad(m, name, args, (1.0,))
+    assert g.keys() == t.keys()
+    for vid in g:
+        assert max_rel(g[vid], t[vid]) < 1e-12
+
+
+def test_dead_and_constant_values_get_no_adjoint_code():
+    m = parse_ir(ACTIVITY_SRC)
+    aug, pb = augment(m, "dead")
+    # the dead mul/exp chain is gone from both; the forward clone pushes
+    # only the operands of the two active products
+    assert _ops(aug) == Counter({"tape_new": 2, "tape_push": 4, "const": 1, "bcast": 1,
+                                 "mul": 2, "reduce_sum": 1})
+    # the pullback pops x, s and b, leaves w on the trace unread, and
+    # sums no cotangent into the broadcast constant
+    assert _ops(pb) == Counter({"tape_top": 3, "tape_rest": 4, "mul": 3, "bcast": 1,
+                                "tape_expect_empty": 2})
+
+
+def test_loop_carries_no_cotangent_for_an_itof_accumulator():
+    m = parse_ir(ACTIVITY_SRC)
+    _, pb = augment(m, "counted")
+    (head,) = [b for b in pb.blocks if b.name.startswith("head")]
+    # the pending flag, both traces, and the cotangents of %acc and of
+    # the loop-invariant %x; none for %cnt
+    assert [ty for _, ty in head.params].count(F64) == 2
+    for n in (0, 1, 4):
+        assert rel(grad(m, "counted", (1.3, n))[0], (n + 1) * 1.3 ** n) < 1e-12
+
+
+@pytest.mark.parametrize("name, x", [("deadlog", 4.5), ("deaddiv", 1.0)])
+def test_dead_faulting_instructions_still_raise(name, x):
+    m = parse_ir(ACTIVITY_SRC)
+    with pytest.raises(EvalError) as want:
+        eval_function(m, name, (x,))
+    with pytest.raises(EvalError) as got:
+        grad(m, name, (x,))
+    assert (got.value.function, got.value.block, got.value.message) == (
+        f"{name}__aug", want.value.block, want.value.message)
 
 
 # one function per adjoint rule, each applying its op once to its
