@@ -93,11 +93,6 @@ class FnRef:
 # ----------------------------------------------------- instructions
 
 
-# attrs are never edited once an instruction exists, so copies share them
-# and instructions without attributes share this empty dict
-NO_ATTRS: dict[str, object] = {}
-
-
 @dataclass(slots=True)
 class Instruction:
     result: int

@@ -198,10 +198,10 @@ class _Augmenter(Copier):
             blog, vstack = state
             ops = tuple(valmap[o] for o in ins.operands)
             if ins.op == "fused_map":
-                pack = em.emit("fused_pack", ops, ins.attrs, name + "_pack")
+                pack = em.emit("fused_pack", ops, dict(ins.attrs), name + "_pack")
                 valmap[ins.result] = em.emit("unstack", (pack,), {"index": 0, "axis": 0}, name)
                 return blog, em.emit("tape_push", (vstack, pack), None, "vs")
-            vid = em.emit(ins.op, ops, ins.attrs, name)
+            vid = em.emit(ins.op, ops, dict(ins.attrs), name)
             valmap[ins.result] = vid
             for v in saved_values(rule, ops, vid):
                 vstack = em.emit("tape_push", (vstack, v), None, "vs")

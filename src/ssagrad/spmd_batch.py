@@ -265,7 +265,7 @@ class _Vectorizer(Copier):
         for i, o in enumerate(ins.operands):
             ev = self.val(o) if lane is None else self.elem(o, lane)
             opnds.append(self.guard(o, ev) if i in partial else ev)
-        return self.em.emit(ins.op, tuple(opnds), ins.attrs, nm)
+        return self.em.emit(ins.op, tuple(opnds), dict(ins.attrs), nm)
 
     def same_op(self, ins: Instruction, nm: str) -> int:
         """Lanes lead and traces are per lane, so the op is unchanged."""

@@ -48,8 +48,8 @@ import sys
 from dataclasses import dataclass
 from math import prod
 
-from .ir import (BOOL, F64, I64, NO_ATTRS, Block, Br, Diagnostic, Function, Instruction, Jmp,
-                 Module, Ret, Type, tensor_type, term_uses)
+from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret,
+                 Type, tensor_type, term_uses)
 from .ops import OPS, OpTypeError, result_type
 
 
@@ -559,16 +559,20 @@ def drop_dead(sf: SFunc) -> SFunc:
     """Remove, in place, each instruction whose result nothing reads and
     whose op cannot fault (``OpDef.faults``), so no error moves.  Every
     binding stays, and so do the values passed to it; one backward sweep
-    suffices, as a region's values are read only later in it."""
+    suffices, as a region's values are read only later in it.  A
+    ``tape_top`` stays while its trace is read on, so that the pop stays
+    whole: differentiating the code again types the popped entry by it."""
     live = set(sf.ret_vals)
 
     def sweep(nodes: list) -> list:
         kept = []
         for node in reversed(nodes):
             if isinstance(node, SInstr):
-                if node.ins.result not in live and not OPS[node.ins.op].faults:
+                ins = node.ins
+                if ins.result not in live and not OPS[ins.op].faults and not (
+                        ins.op == "tape_top" and ins.operands[0] in live):
                     continue
-                live.update(node.ins.operands)
+                live.update(ins.operands)
             elif isinstance(node, SIf):
                 live.update((node.cond, *node.then_args, *node.else_args))
                 node.then_region = sweep(node.then_region)
@@ -683,7 +687,7 @@ class SEmitter:
         mapped through ``valmap``, which gains the result."""
         vid = self.fresh(src.vnames.get(ins.result, "t"), src.types[ins.result])
         valmap[ins.result] = vid
-        return Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands), ins.attrs)
+        return Instruction(vid, ins.op, tuple(valmap[o] for o in ins.operands), dict(ins.attrs))
 
     # region management
 
@@ -705,7 +709,7 @@ class SEmitter:
         attrs: dict | None = None,
         name: str = "t",
     ) -> int:
-        attrs = attrs or NO_ATTRS
+        attrs = attrs or {}
         opnd_types = tuple(self.types[o] for o in operands)
         ty = result_type(op, opnd_types, attrs, self.module)
         vid = self.fresh(name, ty)
@@ -812,7 +816,8 @@ class Copier:
         return out
 
     def _fresh_state(self, state: tuple) -> list[tuple[int, Type]]:
-        return [(self.em.fresh(name, ty), ty) for (name, ty), _ in zip(self.state, state)]
+        assert len(state) in (0, len(self.state)), "a state is whole or empty"
+        return [(self.em.fresh(name, ty), ty) for name, ty in (self.state if state else ())]
 
     def region(self, nodes: list, state: tuple = ()) -> tuple:
         instr = self.instr

@@ -326,10 +326,42 @@ def test_dead_and_constant_values_get_no_adjoint_code():
     # only the operands of the two active products
     assert _ops(aug) == Counter({"tape_new": 2, "tape_push": 4, "const": 1, "bcast": 1,
                                  "mul": 2, "reduce_sum": 1})
-    # the pullback pops x, s and b, leaves w on the trace unread, and
-    # sums no cotangent into the broadcast constant
-    assert _ops(pb) == Counter({"tape_top": 3, "tape_rest": 4, "mul": 3, "bcast": 1,
+    # the pullback pops x, s, b and w, reads w only to keep its pop whole,
+    # and sums no cotangent into the broadcast constant
+    assert _ops(pb) == Counter({"tape_top": 4, "tape_rest": 4, "mul": 3, "bcast": 1,
                                 "tape_expect_empty": 2})
+
+
+# second derivatives through tensor code whose pullback pops a tensor
+# that only the adjoint of a constant reads
+SECOND_ORDER_SRC = """
+func @scaled(%x: f64) -> f64 {
+^entry:
+  %b = bcast %x {shape = [3]}
+  %k = const tensor<3xf64> [0.5, -1.0, 2.0]
+  %p = mul %b, %k
+  %s = reduce_sum %p {axis = all}
+  ret %s
+}
+
+func @squared(%x: f64) -> f64 {
+^entry:
+  %b = bcast %x {shape = [3]}
+  %k = const tensor<3xf64> [0.5, -1.0, 2.0]
+  %p = mul %b, %k
+  %q = mul %p, %b
+  %s = reduce_sum %q {axis = all}
+  ret %s
+}
+"""
+
+
+def test_grad_of_grad_through_constant_tensors():
+    m = parse_ir(SECOND_ORDER_SRC)
+    for x in (-1.3, 0.7):
+        assert grad_of_grad(m, "scaled", x) == 0.0
+        # d2/dx2 of x^2 * (0.5 - 1.0 + 2.0)
+        assert rel(grad_of_grad(m, "squared", x), 3.0) < 1e-12
 
 
 def test_loop_carries_no_cotangent_for_an_itof_accumulator():
