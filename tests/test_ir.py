@@ -12,15 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from ssagrad import (ADError, DenseTensor, Module, ParseError, StructureError, augment,
-                     batched_grad, build_grad_function, flatten, grad, grad_of_grad, parse_ir,
-                     print_ir, random_program, structurize, vectorize, verify)
+from ssagrad import (ADError, DANConfig, DenseTensor, Module, ParseError, StructureError,
+                     augment, batched_grad, build_grad_function, flatten, generate_suite, grad,
+                     grad_of_grad, parse_ir, print_ir, random_program, stack_lanes, structurize,
+                     train, vectorize, verify)
 from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
-from ssagrad.nn_train import DANConfig, build_loss_ir
+from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
+                              make_synthetic)
 from ssagrad.parser import _lex
 from ssagrad.structure import SEmitter, splice_function
 
-from conftest import ANALYTIC_SRC, CORPUS_SEED
+from conftest import ANALYTIC_SRC, CORPUS_SEED, bits
 from test_spmd import BATCH_SRC, RENAME_SRC
 
 
@@ -62,13 +64,13 @@ def test_generated_code_round_trips(tmp_path):
     _assert_digest(text, EMITTED_IR_SHA256, tmp_path)
 
 
-def _assert_digest(text: str, want: str, tmp_path: Path):
+def _assert_digest(text: str, want: str, tmp_path: Path, fname: str = "emitted.ssair"):
     """Assert the SHA-256 of ``text``; on a mismatch the text is kept in
     a file named by the message, to diff against the expected output."""
     got = hashlib.sha256(text.encode()).hexdigest()
     if got != want:
-        (tmp_path / "emitted.ssair").write_text(text)
-    assert got == want, f"emitted IR changed; it is in {tmp_path / 'emitted.ssair'}"
+        (tmp_path / fname).write_text(text)
+    assert got == want, f"digested text changed; it is in {tmp_path / fname}"
 
 
 # SHA-256 of the modules test_transform_paths_off_the_corpus prints; it
@@ -100,6 +102,40 @@ def test_transform_paths_off_the_corpus(tmp_path):
         texts.append(text)
     assert counts == {"aug": 15, "grad": 8}
     _assert_digest("".join(texts), TRANSFORM_IR_SHA256, tmp_path)
+
+
+# SHA-256 of the gradient bits test_gradient_bits_are_pinned prints.  A
+# change that rewrites emitted IR without meaning to move a float leaves it
+# as it is; one that moves floats on purpose updates it and says why.
+GRADIENT_BITS_SHA256 = "9b730f6fa37827f5c0273dc184eaeca949af68564965f7f4e10962cd77da7b71"
+
+
+def test_gradient_bits_are_pinned(tmp_path):
+    # grad and batched_grad at B=8 on a seed-7 corpus slice, batched_grad
+    # at B=2 of the DAN loss (per-lane weights and data, so matmul and the
+    # broadcast folds of its pullback run batched), and a 2-epoch train
+    lines = []
+    module = Module()
+    for name, inputs in generate_suite(module, random.Random(7), 40, inputs_per=8):
+        fn = module.get(name)
+        lines += [f"{name} {[bits(v) for v in grad(module, name, args).values()]}"
+                  for args in inputs]
+        stacked = tuple(stack_lanes(ty, [a[i] for a in inputs])
+                        for i, (_, ty) in enumerate(fn.params))
+        bg = batched_grad(module, name, 8, stacked, (stack_lanes(F64, [1.0] * 8),))
+        lines.append(f"{name} B8 {[bits(v) for v in bg.values()]}")
+    cfg = DANConfig(epochs=2)
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    loss = build_loss_ir(module, sizes, 4)
+    data = make_synthetic(cfg)
+    lanes = [_weight_args(init_params(sizes, random.Random(k)))
+             + _batch_tensors(data[4 * k:4 * k + 4]) + (cfg.lam,) for k in range(2)]
+    stacked = tuple(stack_lanes(ty, [a[i] for a in lanes]) for i, (_, ty) in enumerate(loss.params))
+    seeds = (stack_lanes(F64, [1.0, 0.5]), stack_lanes(F64, [0.25, 1.0]))
+    bg = batched_grad(module, loss.name, 2, stacked, seeds)
+    lines.append(f"dan B2 {[bits(v) for v in bg.values()]}")
+    lines.append(train(cfg).to_jsonl())
+    _assert_digest("\n".join(lines), GRADIENT_BITS_SHA256, tmp_path, "gradient_bits.txt")
 
 
 def test_print_is_canonical():
