@@ -335,12 +335,10 @@ KERNELS = {
     "eq": _compare("eq", operator.eq),
     "select": _select,
     "matmul": lambda m, attrs, env, a: T.matmul(env[a[0]], env[a[1]]),
-    "bmm": lambda m, attrs, env, a: T.bmm(env[a[0]], env[a[1]]),
     "transpose": lambda m, attrs, env, a: T.transpose(env[a[0]]),
     "reshape": lambda m, attrs, env, a: T.reshape(env[a[0]], attrs["shape"]),
     "reduce_sum": lambda m, attrs, env, a: T.reduce_sum(env[a[0]], attrs.get("axis", "all")),
     "bcast": lambda m, attrs, env, a: T.bcast_to(env[a[0]], attrs["shape"]),
-    "reduce_to": lambda m, attrs, env, a: T.reduce_to(env[a[0]], attrs["shape"]),
     "stack": _stack,
     "unstack": lambda m, attrs, env, a: T.take(env[a[0]], attrs["index"], attrs.get("axis", 0)),
     "fused_map": lambda m, attrs, env, a: m._fused_map(

@@ -155,19 +155,12 @@ def _select(op, operands, attrs, module):
 
 def _matmul(op, operands, attrs, module):
     a, b = operands
-    if not (a.is_tensor and b.is_tensor) or len(a.shape) != 2 or len(b.shape) != 2:
+    if not (a.is_tensor and b.is_tensor and len(a.shape) == len(b.shape) in (2, 3)
+            and a.shape[:-2] == b.shape[:-2]):
         _fail(f"matmul on {a}, {b}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         _fail(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return tensor_type(a.shape[0], b.shape[1])
-
-
-def _bmm(op, operands, attrs, module):
-    a, b = operands
-    if not (a.is_tensor and b.is_tensor and len(a.shape) == len(b.shape) == 3
-            and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]):
-        _fail(f"bmm on {a}, {b}")
-    return tensor_type(a.shape[0], a.shape[1], b.shape[2])
+    return tensor_type(*a.shape[:-1], b.shape[-1])
 
 
 def _transpose(op, operands, attrs, module):
@@ -196,15 +189,13 @@ def _reduce_sum(op, operands, attrs, module):
     axis = attrs.get("axis")
     if axis == "all":
         return F64
-    if axis == "tail":
-        return tensor_type(a.shape[0])
     if _is_int(axis) and 0 <= axis < len(a.shape):
         if len(a.shape) == 1:
             return F64
         s = list(a.shape)
         del s[axis]
         return tensor_type(*s)
-    _fail(f"reduce_sum axis must be all, tail or an axis of {a}")
+    _fail(f"reduce_sum axis must be all or an axis of {a}")
 
 
 def _bcast(op, operands, attrs, module):
@@ -215,14 +206,6 @@ def _bcast(op, operands, attrs, module):
     if a.is_tensor and can_expand(a.shape, shape):
         return tensor_type(*shape)
     _fail(f"bcast of {a} to {shape}")
-
-
-def _reduce_to(op, operands, attrs, module):
-    shape = _shape_attr(op, attrs, "shape")
-    (a,) = operands
-    if a.is_tensor and can_expand(shape, a.shape):
-        return tensor_type(*shape)
-    _fail(f"reduce_to of {a} to {shape}")
 
 
 def _stack(op, operands, attrs, module):
@@ -370,12 +353,10 @@ OPS: dict[str, OpDef] = {
     "eq": OpDef(2, _compare, elementwise=True, no_cotangent=True),
     "select": OpDef(3, _select, elementwise=True),
     "matmul": OpDef(2, _matmul),
-    "bmm": OpDef(2, _bmm),
     "transpose": OpDef(1, _transpose),
     "reshape": OpDef(1, _reshape),
     "reduce_sum": OpDef(1, _reduce_sum),
     "bcast": OpDef(1, _bcast),
-    "reduce_to": OpDef(1, _reduce_to),
     "stack": OpDef(None, _stack),
     "unstack": OpDef(1, _unstack),
     "fused_map": OpDef(None, _fused, elementwise=True, faults=True),

@@ -47,19 +47,32 @@ def _f64(b, x: float):
 def reduce_like(b, x, ref_ty: Type):
     """Collapse a broadcast cotangent back to the operand's type.
 
-    Sums over expanded leading axes and over axes the operand held at
-    extent 1, or over everything for an f64 operand.
+    An f64 operand takes the full fold.  A tensor operand takes a
+    reduce_sum over axis 0 for each leading axis the broadcast added,
+    then one over each axis it holds at extent 1, in ascending order.
+    One reshape restores the operand's shape, or a bcast when the last
+    fold reached an f64.
     """
     xty = b.type_of(x)
     if ref_ty.kind == "f64":
         if xty.is_tensor:
             return b.emit("reduce_sum", (x,), {"axis": "all"})
         return x
+    shape = ref_ty.shape
     if not xty.is_tensor:
-        return b.emit("bcast", (x,), {"shape": ref_ty.shape})
-    if xty.shape == ref_ty.shape:
-        return x
-    return b.emit("reduce_to", (x,), {"shape": ref_ty.shape})
+        return b.emit("bcast", (x,), {"shape": shape})
+    lead = len(xty.shape) - len(shape)
+    for _ in range(lead):
+        x = b.emit("reduce_sum", (x,), {"axis": 0})
+    folded = 0
+    for ax, (want, have) in enumerate(zip(shape, xty.shape[lead:])):
+        if want == 1 and have != 1:
+            x = b.emit("reduce_sum", (x,), {"axis": ax - folded})
+            folded += 1
+    xty = b.type_of(x)
+    if not xty.is_tensor:
+        return b.emit("bcast", (x,), {"shape": shape})
+    return x if xty.shape == shape else b.emit("reshape", (x,), {"shape": shape})
 
 
 def relu_mask(b, a):
@@ -149,15 +162,11 @@ def _select(b, attrs, ts, sv, ybar):
     return (None, da, dv)
 
 
-def _product(op: str):
-    """The rule of matmul or bmm: each operand's cotangent is a product
-    of ybar with the other operand transposed."""
-
-    def backward(b, attrs, ts, sv, ybar):
-        a, v = sv
-        return (b.emit(op, (ybar, b.emit("transpose", (v,)))),
-                b.emit(op, (b.emit("transpose", (a,)), ybar)))
-    return backward
+def _matmul(b, attrs, ts, sv, ybar):
+    # each operand's cotangent is ybar times the other operand transposed
+    a, v = sv
+    return (b.emit("matmul", (ybar, b.emit("transpose", (v,)))),
+            b.emit("matmul", (b.emit("transpose", (a,)), ybar)))
 
 
 def _transpose(b, attrs, ts, sv, ybar):
@@ -171,21 +180,14 @@ def _reshape(b, attrs, ts, sv, ybar):
 def _reduce_sum(b, attrs, ts, sv, ybar):
     src = ts[0].shape
     axis = attrs.get("axis", "all")
-    if axis == "tail":
-        keep = (src[0],) + (1,) * (len(src) - 1)
-    elif axis != "all" and len(src) > 1:
-        keep = src[:axis] + (1,) + src[axis + 1:]
-    else:
+    if axis == "all" or len(src) == 1:
         return (b.emit("bcast", (ybar,), {"shape": src}),)
+    keep = src[:axis] + (1,) + src[axis + 1:]
     return (b.emit("bcast", (b.emit("reshape", (ybar,), {"shape": keep}),), {"shape": src}),)
 
 
 def _bcast(b, attrs, ts, sv, ybar):
     return (reduce_like(b, ybar, ts[0]),)
-
-
-def _reduce_to(b, attrs, ts, sv, ybar):
-    return (b.emit("bcast", (ybar,), {"shape": ts[0].shape}),)
 
 
 def _stack(b, attrs, ts, sv, ybar):
@@ -235,13 +237,11 @@ RULES: dict[str, Rule] = {
     "relu": Rule(("o0",), _relu),
     "pow_int": Rule(("o0",), _pow_int),
     "select": Rule(("o0",), _select),
-    "matmul": Rule(("o0", "o1"), _product("matmul")),
-    "bmm": Rule(("o0", "o1"), _product("bmm")),
+    "matmul": Rule(("o0", "o1"), _matmul),
     "transpose": Rule((), _transpose),
     "reshape": Rule((), _reshape),
     "reduce_sum": Rule((), _reduce_sum),
     "bcast": Rule((), _bcast),
-    "reduce_to": Rule((), _reduce_to),
     "stack": Rule((), _stack),
     "unstack": Rule((), _unstack),
     "fused_map": Rule(("pack",), _fused_map),

@@ -3,8 +3,8 @@
 ``vectorize`` rewrites a function so every parameter carries a leading
 lane axis and every op works on all lanes at once.  Arithmetic stays
 bit-identical per lane: elementwise kernels apply the same scalar
-operations, reductions keep their fold order, and matmul becomes bmm
-with the same ascending-k accumulation.
+operations, reductions keep their fold order, and matmul takes rank-3,
+lane-leading operands with the same ascending-k accumulation.
 
 Control flow is where lanes disagree.  A branch on a lane-dependent
 condition runs both sides and merges with masked selects; a loop keeps
@@ -296,54 +296,35 @@ class _Vectorizer(Copier):
 
     def matmul(self, ins: Instruction, nm: str) -> int:
         a, b = ins.operands
+        if len(self.src.types[a].shape) == 3:
+            raise BatchError("a rank-3 matmul is already lane-shaped; batching it again needs rank 4")
         av = self.val(a) if self.is_b(a) else self.em.emit(
             "bcast", (self.val(a),), {"shape": (self.B, *self.src.types[a].shape)}, nm)
         bv = self.val(b) if self.is_b(b) else self.em.emit(
             "bcast", (self.val(b),), {"shape": (self.B, *self.src.types[b].shape)}, nm)
-        return self.em.emit("bmm", (av, bv), None, nm)
+        return self.em.emit("matmul", (av, bv), None, nm)
 
     def reshape(self, ins: Instruction, nm: str) -> int:
         return self.em.emit("reshape", (self.val(ins.operands[0]),),
                             {"shape": (self.B, *ins.attrs["shape"])}, nm)
 
     def reduce_sum(self, ins: Instruction, nm: str) -> int:
-        em = self.em
         (o,) = ins.operands
         axis = ins.attrs.get("axis", "all")
         v = self.val(o)
-        if axis == "all":
-            # per-lane full fold, leading axis preserved
-            return em.emit("reduce_sum", (v,), {"axis": "tail"}, nm)
-        if axis == "tail":
-            # fold every lane axis after the first, in the same order
-            for _ in range(max(len(self.lane_of(o)) - 1, 0)):
-                v = em.emit("reduce_sum", (v,), {"axis": 2}, nm)
-            return v
-        return em.emit("reduce_sum", (v,), {"axis": int(axis) + 1}, nm)
+        if axis != "all":
+            return self.em.emit("reduce_sum", (v,), {"axis": int(axis) + 1}, nm)
+        # a per-lane full fold: the leading lane axis stays, and each lane
+        # folds its leading axis repeatedly, as the scalar program does
+        for _ in self.lane_of(o):
+            v = self.em.emit("reduce_sum", (v,), {"axis": 1}, nm)
+        return v
 
     def bcast(self, ins: Instruction, nm: str) -> int:
         (o,) = ins.operands
         shape = ins.attrs["shape"]
         v = self.pad_lane(self.val(o), self.lane_of(o), len(shape))
         return self.em.emit("bcast", (v,), {"shape": (self.B, *shape)}, nm)
-
-    def reduce_to(self, ins: Instruction, nm: str) -> int:
-        em = self.em
-        (o,) = ins.operands
-        shape = ins.attrs["shape"]
-        lane = list(self.lane_of(o))
-        v = self.val(o)
-        while len(lane) > max(len(shape), 1):
-            v = em.emit("reduce_sum", (v,), {"axis": 1}, nm)
-            lane.pop(0)
-        if not shape:
-            return em.emit("reduce_sum", (v,), {"axis": 1}, nm)
-        for ax in range(len(shape)):
-            if shape[ax] == 1 and lane[ax] != 1:
-                v = em.emit("reduce_sum", (v,), {"axis": ax + 1}, nm)
-                lane[ax] = 1
-                v = em.emit("reshape", (v,), {"shape": (self.B, *lane)}, nm)
-        return v
 
     def stack(self, ins: Instruction, nm: str) -> int:
         vals = tuple(self.materialize(o) for o in ins.operands)
@@ -486,11 +467,10 @@ class _Vectorizer(Copier):
 # the rest have a case of their name or a reason they cannot batch
 _CASES = {op: _Vectorizer.lanewise for op, d in OPS.items() if d.elementwise or op == "const"}
 _CASES.update({op: getattr(_Vectorizer, op) for op in (
-    "select", "itof", "matmul", "reshape", "reduce_sum", "bcast", "reduce_to", "stack",
-    "unstack", "fused_pack", "tape_new", "tape_push", "tape_top")})
+    "select", "itof", "matmul", "reshape", "reduce_sum", "bcast", "stack", "unstack",
+    "fused_pack", "tape_new", "tape_push", "tape_top")})
 _CASES.update(dict.fromkeys(("transpose", "tape_rest", "tape_expect_empty"), _Vectorizer.same_op))
 _BATCH_ERRORS = {
-    "bmm": "bmm is already lane-shaped; batching it again needs rank 4",
     "call": "calls are inlined before batching",
     "tape_spread": "tape_spread input is already per-lane",
 }

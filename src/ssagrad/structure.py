@@ -25,7 +25,7 @@ Canonical loop form, which the transforms require:
   used by nothing but the condition chain),
 * the loop body sits on the taken edge of the header branch,
 * exit arguments are header parameters,
-* the back edge is the jump at the tail of the body.
+* the back edge is the jump at the end of the body.
 
 ``vectorize`` emits loops whose body consumes one header-computed value
 (the refreshed lane mask).  Those still structurize, with ``canonical``

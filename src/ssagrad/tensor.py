@@ -281,20 +281,13 @@ def reduce_sum(t: DenseTensor, axis: "int | str") -> "DenseTensor | float":
     """Sum along one axis, or fold to a scalar with axis="all".
 
     axis="all" folds the leading axis repeatedly, so it is exactly
-    reduce_sum(all, reduce_sum(0, x)) by construction.  axis="tail"
-    keeps the leading axis and folds everything after it (the per-lane
-    analogue of "all" for batched values).
+    reduce_sum(all, reduce_sum(0, x)) by construction.
     """
     if axis == "all":
         arr = t.data
         while arr.ndim > 1:
             arr = _reduce_axis(arr, 0)
         return _seq_sum(arr)
-    if axis == "tail":
-        arr = t.data
-        while arr.ndim > 1:
-            arr = _reduce_axis(arr, 1)
-        return DenseTensor._own(arr)
     ax = int(axis)
     if not 0 <= ax < t.rank:
         raise ValueError(f"axis {ax} out of range for shape {t.shape}")
@@ -309,49 +302,22 @@ def _seq_sum(arr: np.ndarray) -> float:
     return float(arr.cumsum()[-1])
 
 
-def reduce_to(t: DenseTensor, shape: tuple[int, ...]) -> "DenseTensor | float":
-    """Sum a tensor down to a broadcast-compatible smaller shape.
-
-    Inverse of bcast_to: axes the broadcast expanded are folded in
-    ascending index order.  An empty target shape yields a float.
-    """
-    if shape and not can_expand(shape, t.shape):
-        raise ValueError(f"{shape} does not expand to {t.shape}")
-    arr = t.data
-    # fold extra leading axes the target lacks
-    while arr.ndim > len(shape) and arr.ndim > 1:
-        arr = _reduce_axis(arr, 0)
-    if not shape:
-        return _seq_sum(arr)
-    # fold axes where the target extent is 1 but the source is larger
-    for ax in range(len(shape)):
-        if shape[ax] == 1 and arr.shape[ax] != 1:
-            arr = np.expand_dims(_reduce_axis(arr, ax), ax)
-    return DenseTensor._own(arr)
-
-
 # ------------------------------------------------------ linear algebra
 
 
 def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Rank-2 matrix product with ascending-k summation order.
+    """Matrix product with ascending-k summation order, on rank-2
+    operands or on rank-3 ones that share a leading (lane) extent.
 
     The kernel forms all products and folds axis k with a cumulative
     sum, which is bit-identical to the triple loop
-    ``for i: for j: for k: acc += a[i,k]*b[k,j]``.
+    ``for i: for j: for k: acc += a[i,k]*b[k,j]`` in each lane.
     """
-    if a.rank != 2 or b.rank != 2 or a.shape[1] != b.shape[0]:
+    if (a.rank != b.rank or a.rank not in (2, 3) or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ValueError(f"matmul shapes {a.shape} x {b.shape}")
-    prod = a.data[:, :, None] * b.data[None, :, :]
-    return DenseTensor._own(_reduce_axis(prod, 1))
-
-
-def bmm(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Per-lane matmul on rank-3 operands, lane axis first."""
-    if a.rank != 3 or b.rank != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"bmm shapes {a.shape} x {b.shape}")
-    prod = a.data[:, :, :, None] * b.data[:, None, :, :]
-    return DenseTensor._own(_reduce_axis(prod, 2))
+    prod = a.data[..., :, :, None] * b.data[..., None, :, :]
+    return DenseTensor._own(_reduce_axis(prod, -2))
 
 
 def transpose(t: DenseTensor) -> DenseTensor:

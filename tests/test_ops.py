@@ -110,9 +110,8 @@ ATTRS = {
                 {"ty": BOOL, "value": True}],
     "pow_int": [{"n": 0}, {"n": 1}, {"n": 3}],
     "reshape": [{"shape": (2 * LANES,)}, {"shape": (LANES, 2)}, {"shape": (LANES, 1)}],
-    "reduce_sum": [{"axis": "all"}, {"axis": "tail"}, {"axis": 0}, {"axis": 1}],
+    "reduce_sum": [{"axis": "all"}, {"axis": 0}, {"axis": 1}, {"axis": 2}],
     "bcast": [{"shape": (2, LANES)}],
-    "reduce_to": [{"shape": (1, LANES)}, {"shape": (LANES,)}, {"shape": (2, 1)}],
     "stack": [{"axis": 0}, {"axis": 1}],
     "unstack": [{"index": 1, "axis": 0}, {"index": 0, "axis": 1}],
     "tape_push": [{}, {"per_lane": True}],

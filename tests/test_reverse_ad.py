@@ -387,7 +387,9 @@ def test_dead_faulting_instructions_still_raise(name, x):
 
 
 # one function per adjoint rule, each applying its op once to its
-# parameters; shapes make the broadcasting rules fold cotangents back
+# parameters; shapes make the broadcasting rules fold cotangents back.
+# @bmm is matmul with a lane axis, @reduce_sum_tail folds the last axis,
+# and @reduce_to is the fold that takes a broadcast back to an operand
 RULE_SRC = """
 func @add(%a: tensor<2x3xf64>, %b: tensor<3xf64>) -> tensor<2x3xf64> {
 ^entry:
@@ -471,7 +473,7 @@ func @matmul(%a: tensor<2x3xf64>, %b: tensor<3x2xf64>) -> tensor<2x2xf64> {
 }
 func @bmm(%a: tensor<2x2x3xf64>, %b: tensor<2x3x2xf64>) -> tensor<2x2x2xf64> {
 ^entry:
-  %r = bmm %a, %b
+  %r = matmul %a, %b
   ret %r
 }
 func @transpose(%a: tensor<2x3xf64>) -> tensor<3x2xf64> {
@@ -489,9 +491,9 @@ func @reduce_sum_all(%a: tensor<2x3xf64>) -> f64 {
   %r = reduce_sum %a {axis = all}
   ret %r
 }
-func @reduce_sum_tail(%a: tensor<2x3xf64>) -> tensor<2xf64> {
+func @reduce_sum_tail(%a: tensor<2x3x2xf64>) -> tensor<2x3xf64> {
 ^entry:
-  %r = reduce_sum %a {axis = tail}
+  %r = reduce_sum %a {axis = 2}
   ret %r
 }
 func @reduce_sum_1(%a: tensor<2x3xf64>) -> tensor<2xf64> {
@@ -504,9 +506,9 @@ func @bcast(%a: tensor<3xf64>) -> tensor<2x3xf64> {
   %r = bcast %a {shape = [2, 3]}
   ret %r
 }
-func @reduce_to(%a: tensor<2x3xf64>) -> tensor<1x3xf64> {
+func @reduce_to(%a: tensor<2x3xf64>) -> tensor<3xf64> {
 ^entry:
-  %r = reduce_to %a {shape = [1, 3]}
+  %r = reduce_sum %a {axis = 0}
   ret %r
 }
 func @stack(%a: tensor<3xf64>, %b: tensor<3xf64>) -> tensor<3x2xf64> {
@@ -561,7 +563,8 @@ RULE_ARGS = {
     "transpose": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
     "reshape": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
     "reduce_sum_all": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
-    "reduce_sum_tail": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "reduce_sum_tail": (_t((2, 3, 2), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4,
+                            0.6, 0.1, -0.9, 1.2, -0.7, 0.4),),
     "reduce_sum_1": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
     "bcast": (_t((3,), 0.9, -1.2, 0.5),),
     "reduce_to": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),

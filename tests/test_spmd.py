@@ -234,6 +234,19 @@ def test_lane_count_positive(analytic):
         vectorize(analytic, "prod", 0)
 
 
+def test_rank3_matmul_is_not_batched():
+    # a rank-3 matmul already carries a lane axis; batching it would need rank 4
+    m = parse_ir("""
+func @f(%a: tensor<2x2x3xf64>, %b: tensor<2x3x2xf64>) -> tensor<2x2x2xf64> {
+^entry:
+  %r = matmul %a, %b
+  ret %r
+}
+""")
+    with pytest.raises(BatchError, match="rank-3 matmul is already lane-shaped"):
+        vectorize(m, "f", 2)
+
+
 def test_batched_type_mapping():
     from ssagrad.spmd_batch import batched_type
     from ssagrad.ir import TAPE, tapes_type
@@ -290,19 +303,21 @@ func @stack_unstack(%a: tensor<3xf64>, %b: tensor<3xf64>) -> f64 {
 
 func @reduce_to(%a: tensor<2x3xf64>) -> f64 {
 ^entry:
-  %r1 = reduce_to %a {shape = [1, 3]}
-  %r2 = reduce_to %a {shape = [3]}
-  %f = reshape %r1 {shape = [3]}
-  %p = mul %f, %r2
+  %c = reduce_sum %a {axis = 1}
+  %r1 = reshape %c {shape = [2, 1]}
+  %r2 = reduce_sum %a {axis = 0}
+  %p = mul %r1, %r2
   %r = reduce_sum %p {axis = all}
   ret %r
 }
 
 func @reduce_tail(%a: tensor<2x3xf64>) -> f64 {
 ^entry:
-  %t = reduce_sum %a {axis = tail}
+  %t = reduce_sum %a {axis = 1}
   %s = tanh %t
-  %r = reduce_sum %s {axis = all}
+  %u = reduce_sum %s {axis = all}
+  %w = reduce_sum %a {axis = all}
+  %r = mul %u, %w
   ret %r
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from ssagrad import DenseTensor, parse_ir
 from ssagrad import tensor as T
 from ssagrad.interp import KERNELS, Machine, TapeBatch, _Table
-from ssagrad.ir import FnRef, tensor_type
+from ssagrad.ir import F64, FnRef, tensor_type
+from ssagrad.rules import NUMERIC, reduce_like
 
 
 def t(shape, vals):
@@ -102,15 +104,23 @@ def test_matmul_matches_numpy():
 def test_matmul_rank_checked():
     with pytest.raises(ValueError):
         T.matmul(t((2,), [1, 2]), t((2, 2), [1, 2, 3, 4]))
+    # rank 3 needs the same rank on both sides and one leading (lane) extent
+    with pytest.raises(ValueError):
+        T.matmul(t((2, 2, 3), list(range(12))), t((3, 2), list(range(6))))
+    with pytest.raises(ValueError):
+        T.matmul(t((2, 2, 3), list(range(12))), t((3, 3, 2), list(range(18))))
+    with pytest.raises(ValueError):
+        T.matmul(t((1, 1, 2, 2), [1, 2, 3, 4]), t((1, 1, 2, 2), [1, 2, 3, 4]))
 
 
 def test_bmm_matches_loop():
-    a = t((2, 2, 3), list(range(12)))
-    b = t((2, 3, 2), list(range(12)))
-    out = T.bmm(a, b)
+    # a rank-3 matmul is one rank-2 matmul per lane, bit for bit
+    a = t((2, 2, 3), [0.1 * k - 0.55 for k in range(12)])
+    b = t((2, 3, 2), [0.3 - 0.07 * k for k in range(12)])
+    out = T.matmul(a, b)
     for i in range(2):
-        want = a.data[i] @ b.data[i]
-        assert np.array_equal(out.data[i], want)
+        lane = T.matmul(DenseTensor(a.data[i]), DenseTensor(b.data[i]))
+        assert out.data[i].tobytes() == lane.data.tobytes()
 
 
 def test_transpose_reshape():
@@ -141,16 +151,48 @@ def test_reduce_sum_axis_and_tail():
     a = t((2, 3), [1, 2, 3, 4, 5, 6])
     assert T.reduce_sum(a, 0).flat() == [5.0, 7.0, 9.0]
     assert T.reduce_sum(a, 1).flat() == [6.0, 15.0]
-    tail = T.reduce_sum(a, "tail")
+    # a per-lane full fold is one axis-1 fold per axis after the lanes
+    a3 = t((2, 2, 3), list(range(12)))
+    tail = T.reduce_sum(T.reduce_sum(a3, 1), 1)
     assert tail.shape == (2,)
-    assert tail.flat() == [6.0, 15.0]
+    assert tail.flat() == [T.reduce_sum(DenseTensor(a3.data[i]), "all") for i in range(2)]
+    with pytest.raises(ValueError):
+        T.reduce_sum(a, "tail")
+
+
+def _folded(vals, src, keep):
+    """``vals`` (row-major over ``src``) folded onto the broadcast-compatible
+    shape ``keep``: the axes the broadcast added, then the axes ``keep``
+    holds at extent 1, one at a time, each by an ascending-index loop."""
+    def fold(arr, axis):
+        acc = arr.take(0, axis)
+        for i in range(1, arr.shape[axis]):
+            acc = acc + arr.take(i, axis)
+        return acc
+
+    arr = np.array(vals).reshape(src)
+    for _ in range(len(src) - len(keep)):
+        arr = fold(arr, 0)
+    for ax, k in enumerate(keep):
+        if k == 1:
+            arr = np.expand_dims(fold(arr, ax), ax)
+    return arr
 
 
 def test_reduce_to_folds_broadcast_axes():
-    a = t((2, 3), [1, 2, 3, 4, 5, 6])
-    assert T.reduce_to(a, (3,)).flat() == [5.0, 7.0, 9.0]
-    assert T.reduce_to(a, (2, 3)).flat() == a.flat()
-    assert T.reduce_to(a, ()) == 21.0
+    # rules.reduce_like on NUMERIC folds a broadcast cotangent back onto
+    # its operand's shape as an ascending-order Python loop does, bit for
+    # bit; values spread over many binades so any other order shows
+    for src, keep in [((2, 3), (3,)), ((2, 3), (1, 3)), ((2, 3), (2, 1)), ((2, 3), (1, 1)),
+                      ((3,), (1,)), ((4, 2, 3), (2, 1)), ((4, 2, 3), (1, 3)),
+                      ((2, 4, 3), (2, 1, 3)), ((2, 3), (2, 3))]:
+        vals = [(-1.7) ** (k % 7) * 10.0 ** (k % 5 - 2) + k / 3 for k in range(math.prod(src))]
+        x = DenseTensor.from_flat(src, vals)
+        got = reduce_like(NUMERIC, x, tensor_type(*keep))
+        assert got.shape == keep
+        assert got.data.tobytes() == _folded(vals, src, keep).tobytes(), (src, keep)
+        # an f64 operand takes the full fold
+        assert reduce_like(NUMERIC, x, F64) == T.reduce_sum(x, "all")
 
 
 def test_broadcast_shapes():
@@ -244,10 +286,11 @@ def tensor_kernel_calls(a, b, m, r, a3, r3):
     yield from (T.compare(op, x, y) for op in ("lt", "gt", "eq") for x, y in ((a, b), (a, 3.0)))
     yield from (T.select_mask(m, a, b), T.select_mask(m, 1.0, a), T.select_mask(m, a, 0))
     yield from (T.bcast_to(b, (2, 2, 3)), T.bcast_to(a, (2, 3)), T.bcast_to(1.5, (2, 3)))
-    yield from (T.reduce_sum(a, 0), T.reduce_sum(a, 1), T.reduce_sum(a, "tail"),
-                T.reduce_sum(a3, 1), T.reduce_sum(a3, "tail"), T.reduce_sum(b, "tail"))
-    yield from (T.reduce_to(a, s) for s in ((3,), (1, 3), (2, 1), (2, 3)))
-    yield from (T.matmul(a, r), T.matmul(r, a), T.bmm(a3, r3), T.bmm(T.bcast_to(b, (2, 2, 3)), r3))
+    yield from (T.reduce_sum(a, 0), T.reduce_sum(a, 1), T.reduce_sum(b, 1),
+                T.reduce_sum(a3, 1), T.reduce_sum(a3, 2), T.reduce_sum(T.reduce_sum(a3, 1), 1))
+    yield from (reduce_like(NUMERIC, a, tensor_type(*s)) for s in ((3,), (1, 3), (2, 1), (2, 3)))
+    yield from (T.matmul(a, r), T.matmul(r, a), T.matmul(a3, r3),
+                T.matmul(T.bcast_to(b, (2, 2, 3)), r3))
     yield from (T.transpose(a), T.transpose(a3), T.transpose(r3))
     yield from (T.reshape(a, s) for s in ((3, 2), (6,), (2, 3), (1, 6, 1)))
     yield from (T.stack([a, a], axis) for axis in (0, 1, 2))
@@ -288,10 +331,9 @@ def interp_kernel_calls(a, b, m, r, a3, r3):
     yield from ((op, {}, (a,)) for op in ["neg", *T.SCALAR_UNARY])
     yield from (("pow_int", {"n": n}, (a,)) for n in (0, 1, 3))
     yield from (("select", {}, (m, a, b)), ("select", {}, (m, 2.0, a)), ("select", {}, (True, a, b)))
-    yield from (("matmul", {}, (a, r)), ("bmm", {}, (a3, r3)), ("transpose", {}, (a,)))
+    yield from (("matmul", {}, (a, r)), ("matmul", {}, (a3, r3)), ("transpose", {}, (a,)))
     yield from (("reshape", {"shape": s}, (a,)) for s in ((3, 2), (2, 3)))
-    yield from (("reduce_sum", {"axis": ax}, (a,)) for ax in (0, 1, "tail"))
-    yield from (("reduce_to", {"shape": s}, (a,)) for s in ((3,), (2, 1), (2, 3)))
+    yield from (("reduce_sum", {"axis": ax}, (x,)) for ax in (0, 1) for x in (a, a3))
     yield from (("bcast", {"shape": (2, 2, 3)}, (b,)), ("bcast", {"shape": (2, 3)}, (a,)))
     yield from (("stack", {"axis": ax}, (a, a)) for ax in (0, 2))
     yield from (("stack", {}, (1.0, 2.0)), ("unstack", {"index": 1, "axis": 1}, (a3,)))
