@@ -415,7 +415,7 @@ class Machine:
                                     f"op '{ins.op}' has no evaluation rule") from None
                 try:
                     env[ins.result] = kernel(self, ins.attrs, env, ins.operands)
-                except (TypeError, AttributeError, ValueError, IndexError) as e:
+                except (TypeError, AttributeError, ValueError, IndexError, ArithmeticError) as e:
                     raise EvalError(fn.name, cur.name, i, str(e)) from e
                 except RecursionError:
                     # Python's message varies with where the limit is hit

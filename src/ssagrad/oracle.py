@@ -1,11 +1,11 @@
 """Runtime-taped gradients, independent of the IR transform.
 
 trace_eval runs a function while boxing every value with a slot id.
-Binding a block argument moves the box, so a value keeps one identity
-across blocks and calls without any analysis; the trace is just the
-list of differentiable primitives in execution order.  tape_backprop
-then sweeps that list once, backwards, running the adjoint rules on
-their numeric backend (``rules.NUMERIC``).
+Binding a block argument or pushing onto a trace moves the box, so a
+value keeps one identity across blocks, calls and traces without any
+analysis; the trace is just the list of differentiable primitives in
+execution order.  tape_backprop then sweeps that list once, backwards,
+running the adjoint rules on their numeric backend (``rules.NUMERIC``).
 
 The tracer is a Machine whose kernel table wraps each entry of
 ``KERNELS``: values are computed by the plain kernels on unboxed
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .ir import Module, Type
-from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, Tape, zero_of
 from .ops import OPS
 from .rules import NUMERIC, RULES, runtime_type, saved_values
 from .tensor import DenseTensor
@@ -94,6 +94,20 @@ def _traced_fused_map(m, attrs, env, a):
     return _record(m, "fused_map", attrs, boxed, vals, (pack,), T.take(pack, 0, 0))
 
 
+def _traced_tape_push(m, attrs, env, a):
+    """A plain trace keeps the pushed box, so the tape_top that reads it
+    hands back the pushed value's slot and cotangents flow through."""
+    t, v = env[a[0]].v, env[a[1]]
+    if isinstance(t, Tape):
+        return m.fresh(Tape(v, t))
+    return m.fresh(KERNELS["tape_push"](m, attrs, [t, v.v], range(2)))
+
+
+def _traced_tape_top(m, attrs, env, a):
+    top = KERNELS["tape_top"](m, attrs, [env[a[0]].v], range(1))
+    return top if isinstance(top, Tracked) else m.fresh(top)
+
+
 def _record(m, op, attrs, boxed, vals, saved, value) -> Tracked:
     res = m.fresh(value)
     m.trace.nodes.append(TraceNode(
@@ -111,6 +125,8 @@ class _Tracer(Machine):
         **{op: _traced_kernel(op, k) for op, k in KERNELS.items()},
         "call": KERNELS["call"],
         "fused_map": _traced_fused_map,
+        "tape_push": _traced_tape_push,
+        "tape_top": _traced_tape_top,
     }
 
     def __init__(self, module: Module, step_limit: int):

@@ -258,19 +258,23 @@ class _PullbackBuilder:
         self.active = active
         out = tuple(ty for _, ty in sf.params if ty.is_differentiable)
         self.em = SEmitter(name, out, module)
-        # maps a trace vid to the tape_top that reads it, scoped to the
-        # region being walked; a pop emits its top and rest side by side
-        # in one region, and sibling regions may pop the same source, so
-        # the pairing must not leak across region boundaries
+        # maps a trace vid that a tape_rest reads to the tape_top that
+        # reads it, scoped to the region being walked; a pop emits its top
+        # and rest side by side in one region, and sibling regions may pop
+        # the same source, so the pairing must not leak across region
+        # boundaries
         self._level_tops: dict[int, Instruction] = {}
 
     @staticmethod
     def _scan_level(nodes: list) -> dict[int, Instruction]:
         tops: dict[int, Instruction] = {}
+        rests: set[int] = set()
         for node in nodes:
             if isinstance(node, SInstr) and node.ins.op == "tape_top":
                 tops[node.ins.operands[0]] = node.ins
-        return tops
+            elif isinstance(node, SInstr) and node.ins.op == "tape_rest":
+                rests.add(node.ins.operands[0])
+        return {t: top for t, top in tops.items() if t in rests}
 
     def build(self) -> SFunc:
         em, sf = self.em, self.sf
@@ -395,9 +399,13 @@ class _PullbackBuilder:
             cot[t] = em.emit("tape_push", (rbar, zbar), None, "ct")
             return blog, vstack
 
-        # tape_top is handled at the paired tape_rest, and a lone top
-        # contributes nothing on its own; tape_new and tape_expect_empty
-        # have no data flow to reverse
+        # tape_top is handled at the paired tape_rest, whose adjoint pushes
+        # the top's cotangent; with no such rest that cotangent would be
+        # lost.  tape_new and tape_expect_empty have no data flow to reverse
+        if (ins.op == "tape_top" and ins.result in self.active
+                and self._level_tops.get(ins.operands[0]) is not ins):
+            raise ADError(f"@{sf.name}: tape_top %{sf.vnames.get(ins.result, '?')} has no "
+                          f"tape_rest of its trace in its region to take its cotangent")
         return blog, vstack
 
     def branch(self, node: SIf, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ssagrad import parse_ir, print_ir, verify
+from ssagrad import EvalError, eval_function, grad, parse_ir, print_ir, verify
 from ssagrad.cli import main
 
 from conftest import ANALYTIC_SRC
@@ -194,6 +194,26 @@ def test_exp_overflow_is_infinity_not_a_traceback(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.split() == ['"Infinity"', "0.0", "0.0", "0.0", "[0.0,0.0]"]
     assert "Traceback" not in err
+
+
+def test_itof_overflow_is_a_located_error(tmp_path, capsys):
+    # an i64 beyond the f64 range faults where it is converted: eval_function
+    # locates it, grad at the same place in the augmented function, and the
+    # CLI exits 1 with the located message instead of a traceback
+    src = "func @f(%n: i64) -> f64 {\n^entry:\n  %y = itof %n\n  ret %y\n}\n"
+    m = parse_ir(src)
+    with pytest.raises(EvalError) as want:
+        eval_function(m, "f", (10 ** 400,))
+    assert (want.value.function, want.value.block, want.value.index) == ("f", "entry", 0)
+    with pytest.raises(EvalError) as got:
+        grad(m, "f", (10 ** 400,))
+    assert (got.value.function, got.value.block, got.value.message) == (
+        "f__aug", "entry", want.value.message)
+    p = tmp_path / "itof.ssair"
+    p.write_text(src)
+    assert main(["run", str(p), "--entry", "f", "--args", f"[{10 ** 400}]"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{want.value}\n")
 
 
 NONFINITE_SRC = """

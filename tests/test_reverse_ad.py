@@ -600,3 +600,55 @@ def test_every_adjoint_rule_three_ways(name):
     for vid in g:
         assert bits(g[vid]) == bits(t[vid])
         assert max_rel(g[vid], fd[vid]) <= FD_TOL
+
+
+# values pushed onto a trace and read back by a tape_top paired with a
+# tape_rest in the same region: @scalar holds one f64 entry, @tensor a
+# tensor entry under an f64 one
+TRACE_SRC = """
+func @scalar(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %v = tape_top %t1 {ty = f64}
+  %r = tape_rest %t1
+  %y = mul %v, %v
+  ret %y
+}
+
+func @tensor(%a: tensor<3xf64>, %x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %a
+  %t2 = tape_push %t1, %x
+  %u = tape_top %t2 {ty = f64}
+  %r2 = tape_rest %t2
+  %w = tape_top %r2 {ty = tensor<3xf64>}
+  %r1 = tape_rest %r2
+  %p = mul %w, %u
+  %q = tanh %p
+  %y = reduce_sum %q {axis = all}
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("name, args", [("scalar", (0.5,)),
+                                        ("tensor", (_t((3,), 0.3, -0.5, 0.8), 0.7))])
+def test_values_through_a_trace_three_ways(name, args):
+    m = parse_ir(TRACE_SRC)
+    g = grad(m, name, args)
+    t = trace_grad(m, name, args, (1.0,))
+    fd = finite_diff(m, name, args, (1.0,))
+    assert g.keys() == t.keys() == fd.keys()
+    for vid in g:
+        assert max_rel(g[vid], t[vid]) <= 1e-12
+        assert max_rel(g[vid], fd[vid]) <= FD_TOL
+
+
+def test_a_lone_tape_top_is_refused():
+    # with no tape_rest of its trace in its region, the pullback has no
+    # place to send the top's cotangent, and the gradient would read 0.0
+    src = TRACE_SRC.split("func @tensor")[0].replace("  %r = tape_rest %t1\n", "")
+    with pytest.raises(ADError, match="tape_top %v has no tape_rest of its trace"):
+        augment(parse_ir(src), "scalar")
