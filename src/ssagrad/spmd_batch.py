@@ -297,7 +297,8 @@ class _Vectorizer(Copier):
     def matmul(self, ins: Instruction, nm: str) -> int:
         a, b = ins.operands
         if len(self.src.types[a].shape) == 3:
-            raise BatchError("a rank-3 matmul is already lane-shaped; batching it again needs rank 4")
+            raise BatchError("a rank-3 matmul is already lane-shaped; "
+                             "batching it again needs rank 4")
         av = self.val(a) if self.is_b(a) else self.em.emit(
             "bcast", (self.val(a),), {"shape": (self.B, *self.src.types[a].shape)}, nm)
         bv = self.val(b) if self.is_b(b) else self.em.emit(
