@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .ir import Module, Type
-from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, Tape, zero_of
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
 from .ops import OPS
 from .rules import NUMERIC, RULES, runtime_type, saved_values
 from .tensor import DenseTensor
@@ -95,17 +95,18 @@ def _traced_fused_map(m, attrs, env, a):
 
 
 def _traced_tape_push(m, attrs, env, a):
-    """A plain trace keeps the pushed box, so the tape_top that reads it
-    hands back the pushed value's slot and cotangents flow through."""
-    t, v = env[a[0]].v, env[a[1]]
-    if isinstance(t, Tape):
-        return m.fresh(Tape(v, t))
-    return m.fresh(KERNELS["tape_push"](m, attrs, [t, v.v], range(2)))
+    """The pushed value's box is kept beside the new trace, so the
+    tape_top that reads it hands back that slot and cotangents flow
+    through the trace."""
+    t = KERNELS["tape_push"](m, attrs, [env[a[0]].v, env[a[1]].v], range(2))
+    m.pushed[t] = env[a[1]]
+    return m.fresh(t)
 
 
 def _traced_tape_top(m, attrs, env, a):
-    top = KERNELS["tape_top"](m, attrs, [env[a[0]].v], range(1))
-    return top if isinstance(top, Tracked) else m.fresh(top)
+    t = env[a[0]].v
+    box = m.pushed.get(t)
+    return m.fresh(KERNELS["tape_top"](m, attrs, [t], range(1))) if box is None else box
 
 
 def _record(m, op, attrs, boxed, vals, saved, value) -> Tracked:
@@ -133,6 +134,7 @@ class _Tracer(Machine):
         super().__init__(module, step_limit)
         self.trace = Trace()
         self._next_slot = 0
+        self.pushed: dict[object, Tracked] = {}  # trace -> box of its top entry
 
     def fresh(self, v) -> Tracked:
         s = self._next_slot

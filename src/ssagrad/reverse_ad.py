@@ -258,23 +258,18 @@ class _PullbackBuilder:
         self.active = active
         out = tuple(ty for _, ty in sf.params if ty.is_differentiable)
         self.em = SEmitter(name, out, module)
-        # maps a trace vid that a tape_rest reads to the tape_top that
-        # reads it, scoped to the region being walked; a pop emits its top
-        # and rest side by side in one region, and sibling regions may pop
-        # the same source, so the pairing must not leak across region
-        # boundaries
+        # maps a trace vid to the tape_top that reads it when a tape_rest
+        # reads it too, scoped to the region being walked; a pop emits its
+        # top and rest side by side in one region, and sibling regions may
+        # pop the same source, so the pairing must not leak across regions
         self._level_tops: dict[int, Instruction] = {}
 
     @staticmethod
     def _scan_level(nodes: list) -> dict[int, Instruction]:
-        tops: dict[int, Instruction] = {}
-        rests: set[int] = set()
-        for node in nodes:
-            if isinstance(node, SInstr) and node.ins.op == "tape_top":
-                tops[node.ins.operands[0]] = node.ins
-            elif isinstance(node, SInstr) and node.ins.op == "tape_rest":
-                rests.add(node.ins.operands[0])
-        return {t: top for t, top in tops.items() if t in rests}
+        body = [node.ins for node in nodes if isinstance(node, SInstr)]
+        rests = {ins.operands[0] for ins in body if ins.op == "tape_rest"}
+        return {ins.operands[0]: ins for ins in body
+                if ins.op == "tape_top" and ins.operands[0] in rests}
 
     def build(self) -> SFunc:
         em, sf = self.em, self.sf
