@@ -61,6 +61,8 @@ def reduce_like(b, x, ref_ty: Type):
     shape = ref_ty.shape
     if not xty.is_tensor:
         return b.emit("bcast", (x,), {"shape": shape})
+    if xty.shape == shape:
+        return x
     lead = len(xty.shape) - len(shape)
     for _ in range(lead):
         x = b.emit("reduce_sum", (x,), {"axis": 0})
