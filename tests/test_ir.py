@@ -138,6 +138,17 @@ def test_gradient_bits_are_pinned(tmp_path):
     _assert_digest("\n".join(lines), GRADIENT_BITS_SHA256, tmp_path, "gradient_bits.txt")
 
 
+# SHA-256 of the printed seed-7 corpus that perfbench's corpus workloads
+# generate.  It moves only when progen or the printer changes on purpose.
+CORPUS_TEXT_SHA256 = "65e256a0afaa476e21defee4c0630139e03da853d5a194fb02b2858011f37fbd"
+
+
+def test_corpus_text_is_pinned(tmp_path):
+    module = Module()
+    generate_suite(module, random.Random(7), 200)
+    _assert_digest(print_ir(module), CORPUS_TEXT_SHA256, tmp_path, "corpus.ssair")
+
+
 def test_print_is_canonical():
     # odd whitespace and blank lines normalize away on the first print
     src = """
