@@ -219,12 +219,14 @@ class _Augmenter(Copier):
         return super().instr(ins, state)
 
     # an inert if or loop is copied with no state: it pushes nothing, and
-    # the state passes it by
+    # the state passes it by; a loop pushes false before it is entered
     def branch(self, node: SIf, state: tuple) -> tuple:
         return super().branch(node, () if _inert(node, self.active) else state) or state
 
     def loop(self, node: SWhile, state: tuple) -> tuple:
-        return super().loop(node, () if _inert(node, self.active) else state) or state
+        if _inert(node, self.active):
+            return super().loop(node, ()) or state
+        return super().loop(node, self.push_flag(state, False, "entered"))
 
     def push_flag(self, state: tuple, value: bool, name: str) -> tuple:
         if not state:
@@ -235,11 +237,6 @@ class _Augmenter(Copier):
 
     def arm_end(self, taken: bool, state: tuple) -> tuple:
         return self.push_flag(state, taken, "taken")
-
-    def loop_entry(self, node: SWhile, state: tuple) -> tuple:
-        if not node.canonical:
-            raise ADError(f"@{self.src.name}: loop is not in transformable shape")
-        return self.push_flag(state, False, "entered")
 
     def back_edge(self, state: tuple) -> tuple:
         return self.push_flag(state, True, "again")
@@ -451,8 +448,7 @@ class _PullbackBuilder:
                 self.acc(cot, ea, got)
 
         carried_ids = {cv for cv, _ in node.carried}
-        header_ids = {ins.result for ins in node.header}
-        free = free_values(node.body_region, node.body_args) - carried_ids - header_ids
+        free = free_values(node.body_region, node.body_args) - carried_ids
         outside = sorted(free & self.active)
         diff = [j for j, (cv, _) in enumerate(node.carried) if cv in self.active]
 
@@ -502,7 +498,7 @@ class _PullbackBuilder:
         for kv, ty in carried:
             exits.append((em.fresh(em.vnames[kv], ty), ty))
         em.append(SWhile(carried, tuple(init), [], pend_p, body_nodes, tuple(back),
-                         exits, tuple(p for p, _ in carried), True))
+                         exits, tuple(p for p, _ in carried)))
 
         blog2, vstack2 = exits[1][0], exits[2][0]
         # the invariant slots already thread the pre-loop cotangents, so

@@ -108,8 +108,6 @@ def _scan_batched(sf: SFunc) -> set[int]:
                             batched.add(cv)
                         else:
                             mark(cv, cty)
-                    for ins in node.header:
-                        instr(ins, sf.types)
                     walk(node.body_region)
                     if len(batched) == before:
                         break
@@ -252,9 +250,6 @@ class _Vectorizer(Copier):
         self.valmap[ins.result] = case(self, ins, self.name_of(ins.result))
         return state
 
-    # a uniform loop's header is batched like its body, live-lane guards included
-    header = instr
-
     def lanewise(self, ins: Instruction, nm: str) -> int:
         """An elementwise op, or any op of a uniform island, which is
         cloned as is.  Operands a dead lane must not reach get a live-lane
@@ -389,9 +384,6 @@ class _Vectorizer(Copier):
             # the same trip count in every lane: the loop shape survives
             return super().loop(node, state)
         em = self.em
-        if any(OPS[ins.op].trace for ins in node.header):
-            raise BatchError("trace traffic in a lane-varying loop header")
-
         outer = self.mask
         enc = outer if outer is not None else self.ones_rows()
 
@@ -400,33 +392,10 @@ class _Vectorizer(Copier):
         inits = [enc, *(self.materialize(iv) for iv in node.init)]
         carried = [(active, tensor_type(self.B)), *self.bind(node.carried)]
 
-        # exit values that name a header result need their own frozen
-        # slot: the joint loop keeps evaluating the header after a lane
-        # has left, so the lane's own final evaluation must be captured
-        header_ids = {ins.result for ins in node.header}
-        frozen: dict[int, int] = {}
-        for (ev, ety), ea in zip(node.exits, node.exit_args):
-            if ea in header_ids and ea not in frozen:
-                bty = batched_type(ety, self.B)
-                inits.append(self.em.zeros_like(bty, "fz"))
-                p = em.fresh("fz", bty)
-                frozen[ea] = p
-                carried.append((p, bty))
-
         em.push_region()
-        self.mask = active
-        for ins in node.header:
-            self.instr(ins)
-        m = self.val(node.cond)
-        act = em.emit("mul", (active, m), None, "act")
+        act = em.emit("mul", (active, self.val(node.cond)), None, "act")
         total = em.emit("reduce_sum", (act,), {"axis": "all"}, "nlive")
         cond = em.emit("gt", (total, em.const_f64(0.0, "z")), None, "more")
-        frozen_now: dict[int, int] = {}
-        for ea, p in frozen.items():
-            lane = self.lane_of(ea)
-            hv = self.materialize(ea)
-            frozen_now[ea] = em.emit(
-                "select", (self.pad_mask(active, lane), hv, p), None, "fz")
         header_ins = [n.ins for n in em.pop_region()]
 
         em.push_region()
@@ -438,16 +407,14 @@ class _Vectorizer(Copier):
             nv = self.materialize(ba)
             back.append(em.emit(
                 "select", (self.pad_mask(act, _lane_shape(cty)), nv, p), None, self.name_of(cv)))
-        back.extend(frozen_now[ea] for ea in frozen)
         body_nodes = em.pop_region()
         self.mask = outer
 
-        exit_args = tuple(frozen_now[ea] if ea in frozen else self.materialize(ea)
-                          for ea in node.exit_args)
+        exit_args = tuple(self.materialize(ea) for ea in node.exit_args)
         self.batched.update(ev for ev, _ in node.exits)
         exits = self.bind(node.exits)
         em.append(SWhile(carried, tuple(inits), header_ins, cond, body_nodes,
-                         tuple(back), exits, exit_args, False))
+                         tuple(back), exits, exit_args))
         return state
 
     # ----------------------------------------------------------- entry

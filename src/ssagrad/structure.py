@@ -19,18 +19,17 @@ definition and dominance, ``compute_types`` for typing and
 ill-formed code before touching it, and ``verify`` is a loop that
 reports each function's error as a diagnostic.
 
-Canonical loop form, which the transforms require:
-
-* the header computes only its own condition (header-defined values are
-  used by nothing but the condition chain),
-* the loop body sits on the taken edge of the header branch,
-* exit arguments are header parameters,
-* the back edge is the jump at the end of the body.
-
-``vectorize`` emits loops whose body consumes one header-computed value
-(the refreshed lane mask).  Those still structurize, with ``canonical``
-set to False; they can be verified and interpreted but not transformed
-again.
+Every loop comes back in one shape.  A loop header's block parameters
+become the ``SWhile``'s carried values, its body sits on the taken edge
+of the header branch, and the back edge is the jump at the end of the
+body.  The header's instructions are rotated away: ``structurize``
+copies them once before the loop, reading the initial values, and once
+at the end of the body, reading the back-edge values, and carries every
+header result.  The condition is then a carried value, exits read only
+carried and outer values, and the header still runs once per test, so
+steps are unchanged.  No returned tree holds a header instruction; only
+code builders (``progen``, the vectorizer's lane-varying loops) fill
+``SWhile.header``, for ``flatten``.
 
 Transforms build their output with an ``SEmitter``, and those that
 copy a tree (inlining, the forward clone, batching) subclass ``Copier``.
@@ -44,6 +43,7 @@ loop and on its back edge.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from math import prod
@@ -327,9 +327,6 @@ def free_values(nodes: list, out_args: tuple[int, ...] = ()) -> set[int]:
             else:
                 used.update((*n.init, n.cond, *n.body_args, *n.exit_args))
                 defs.update(v for v, _ in n.carried + n.exits)
-                for ins in n.header:
-                    used.update(ins.operands)
-                    defs.add(ins.result)
                 scan(n.body_region)
 
     scan(nodes)
@@ -358,13 +355,14 @@ class SIf:
 class SWhile:
     carried: list[tuple[int, Type]]
     init: tuple[int, ...]
+    # instructions run before each test of ``cond``; only code builders
+    # fill it, for ``flatten``: ``structurize`` returns it empty
     header: list[Instruction]
     cond: int
     body_region: list
     body_args: tuple[int, ...]
     exits: list[tuple[int, Type]]
     exit_args: tuple[int, ...]
-    canonical: bool = True
 
 
 @dataclass
@@ -443,7 +441,26 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
 
     ret_box: list[tuple[int, ...]] = []
 
-    def make_while(name: str, init: tuple[int, ...]) -> tuple[SWhile, str]:
+    vnames, ids = dict(fn.vnames), itertools.count(fn.next_id)
+    used: dict[str, int] = {}  # fresh_name's table, filled on first use
+
+    def rotated(header: list[Instruction], params: list, args: tuple) -> tuple[list, tuple]:
+        # a copy of the header reading ``args`` for its block's ``params``,
+        # and ``args`` followed by the copy's results
+        sub = {pv: a for (pv, _), a in zip(params, args)}
+        out = []
+        for ins in header:
+            if not used:
+                used.update(dict.fromkeys(vnames.values(), 1))
+            vid = next(ids)
+            vnames[vid] = fresh_name(used, vnames.get(ins.result, "t"))
+            types[vid] = types[ins.result]
+            out.append(SInstr(Instruction(vid, ins.op, tuple(sub.get(o, o) for o in ins.operands),
+                                          dict(ins.attrs))))
+            sub[ins.result] = vid
+        return out, args + tuple(sub[ins.result] for ins in header)
+
+    def make_while(name: str, init: tuple[int, ...]) -> tuple[list, str]:
         b = blocks[name]
         if len(preds[name]) != 2:
             raise StructureError(fn.name, name, "loop header must have two predecessors")
@@ -463,25 +480,21 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
         if len(preds[exit_name]) != 1:
             raise StructureError(fn.name, exit_name, "loop exit must have one predecessor")
         body_nodes, back_args = walk(body_entry, body_entry_args, True, name)
-        param_ids = {vid for vid, _ in b.params}
-        header_defs = {ins.result for ins in b.body}
-        canonical = (
-            all(a in param_ids for a in exit_args)
-            and not (header_defs & free_values(body_nodes, back_args))
-            and not (header_defs & set(body_entry_args))
-        )
+        # rotate: every header result becomes a carried value, computed
+        # once before the loop and once at the end of each trip
+        pre, init = rotated(header, b.params, init)
+        post, back_args = rotated(header, b.params, back_args)
         node = SWhile(
-            carried=list(b.params),
+            carried=b.params + [(ins.result, types[ins.result]) for ins in header],
             init=init,
-            header=header,
+            header=[],
             cond=rename.get(b.term.cond, b.term.cond),
-            body_region=body_nodes,
+            body_region=body_nodes + post,
             body_args=back_args,
             exits=list(blocks[exit_name].params),
             exit_args=exit_args,
-            canonical=canonical,
         )
-        return node, exit_name
+        return pre + [node], exit_name
 
     def walk(
         entry_name: str,
@@ -498,8 +511,8 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             if cur in headers:
                 if not bind:
                     raise StructureError(fn.name, cur, "header reached oddly")
-                node, exit_name = make_while(cur, args)
-                nodes.append(node)
+                loop_nodes, exit_name = make_while(cur, args)
+                nodes.extend(loop_nodes)
                 cur, args, bind = exit_name, (), False
                 continue
             if bind:
@@ -539,8 +552,8 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
         region=region,
         ret_vals=ret_box[0],
         types=types,
-        vnames=dict(fn.vnames),
-        next_id=fn.next_id,
+        vnames=vnames,
+        next_id=next(ids),
     )
 
 
@@ -578,8 +591,7 @@ def drop_dead(sf: SFunc) -> SFunc:
                 node.then_region = sweep(node.then_region)
                 node.else_region = sweep(node.else_region)
             else:
-                live.update((node.cond, *node.init, *node.body_args, *node.exit_args,
-                             *(o for ins in node.header for o in ins.operands)))
+                live.update((node.cond, *node.init, *node.body_args, *node.exit_args))
                 node.body_region = sweep(node.body_region)
             kept.append(node)
         return kept[::-1]
@@ -642,6 +654,19 @@ def flatten(sf: SFunc) -> Function:
 # ---------------------------------------------------------- building
 
 
+def fresh_name(used: dict[str, int], name: str) -> str:
+    """``name``, else ``name_k`` for the smallest free k >= 1.  ``used`` maps
+    each taken name to the next suffix to try, every lower one taken."""
+    k = used.get(name)
+    if k is not None:
+        base = name
+        while (name := sys.intern(f"{base}_{k}")) in used:
+            k += 1
+        used[base] = k + 1
+    used[name] = 1
+    return name
+
+
 class SEmitter:
     """Factory for building structured functions with typed values.
 
@@ -659,21 +684,13 @@ class SEmitter:
         self.next_id = 0
         self.params: list[tuple[int, Type]] = []
         self.stack: list[list] = [[]]
-        # taken names, each with the next suffix to try; every lower one is taken
         self._used_names: dict[str, int] = {}
 
     def fresh(self, name: str, ty: Type) -> int:
         """A new value called ``name``, else ``name_k`` for the smallest free k >= 1."""
-        k = self._used_names.get(name)
-        if k is not None:
-            base = name
-            while (name := sys.intern(f"{base}_{k}")) in self._used_names:
-                k += 1
-            self._used_names[base] = k + 1
-        self._used_names[name] = 1
         vid = self.next_id
         self.next_id += 1
-        self.vnames[vid] = name
+        self.vnames[vid] = fresh_name(self._used_names, name)
         self.types[vid] = ty
         return vid
 
@@ -766,12 +783,13 @@ class Copier:
     definition.  ``region`` copies each ``SIf`` and ``SWhile`` itself,
     threading a *state*: a tuple of extra values, one per (name, type)
     pair of ``state`` (or none at all), that each if merges from its arms
-    and each loop carries, handing the header's state to its exit.
-    Subclasses change the copy through hooks, each a plain copy here:
-    ``instr`` and ``header`` copy an instruction of a region or of a loop
-    header, ``edge`` maps a value passed to a binding, ``bind_type`` types
-    a merged, carried or exit binding, and ``arm_end``, ``loop_entry`` and
-    ``back_edge`` may emit code that updates the state.
+    and each loop carries, handing the state of its last test to its
+    exit.  It copies trees ``structurize`` returns, whose loops have no
+    header instructions.  Subclasses change the copy through hooks, each a
+    plain copy here: ``instr`` copies an instruction, ``edge`` maps a value
+    passed to a binding, ``bind_type`` types a merged, carried or exit
+    binding, and ``arm_end`` and ``back_edge`` may emit code that updates
+    the state.
     """
 
     state: tuple[tuple[str, Type], ...] = ()
@@ -785,9 +803,6 @@ class Copier:
         self.em.append(SInstr(self.em.clone(ins, self.valmap, self.src)))
         return state
 
-    def header(self, ins: Instruction):
-        self.em.append(SInstr(self.em.clone(ins, self.valmap, self.src)))
-
     def edge(self, dst: int, src: int) -> int:
         return self.valmap[src]
 
@@ -795,9 +810,6 @@ class Copier:
         return ty
 
     def arm_end(self, taken: bool, state: tuple) -> tuple:
-        return state
-
-    def loop_entry(self, node: SWhile, state: tuple) -> tuple:
         return state
 
     def back_edge(self, state: tuple) -> tuple:
@@ -845,16 +857,12 @@ class Copier:
         return tuple(v for v, _ in out)
 
     def loop(self, node: SWhile, state: tuple) -> tuple:
+        assert not node.header, "structurize rotates loop headers away"
         em = self.em
-        state = self.loop_entry(node, state)
         init = tuple(self.edge(cv, a) for (cv, _), a in zip(node.carried, node.init)) + state
         carried = self.bind(node.carried)
         params = self._fresh_state(state)
         head = tuple(v for v, _ in params)
-        em.push_region()
-        for ins in node.header:
-            self.header(ins)
-        header = [n.ins for n in em.pop_region()]
         em.push_region()
         state = self.back_edge(self.region(node.body_region, head))
         back = tuple(self.edge(cv, a) for (cv, _), a in zip(node.carried, node.body_args)) + state
@@ -862,8 +870,8 @@ class Copier:
         exit_args = tuple(self.edge(ev, a) for (ev, _), a in zip(node.exits, node.exit_args))
         exits = self.bind(node.exits)
         out = self._fresh_state(state)
-        em.append(SWhile(carried + params, init, header, self.valmap[node.cond], body, back,
-                         exits + out, exit_args + head, node.canonical))
+        em.append(SWhile(carried + params, init, [], self.valmap[node.cond], body, back,
+                         exits + out, exit_args + head))
         return tuple(v for v, _ in out)
 
 

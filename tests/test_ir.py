@@ -20,7 +20,7 @@ from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
 from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
                               make_synthetic)
 from ssagrad.parser import _lex
-from ssagrad.structure import SEmitter, splice_function
+from ssagrad.structure import SEmitter, SIf, SWhile, splice_function
 
 from conftest import ANALYTIC_SRC, CORPUS_SEED, bits
 from test_spmd import BATCH_SRC, RENAME_SRC
@@ -33,7 +33,7 @@ def test_round_trip_identity(analytic):
 
 # SHA-256 of the module test_generated_code_round_trips prints.  A change
 # that alters emitted IR on purpose updates this constant and says why.
-EMITTED_IR_SHA256 = "2585b35c43ecf8baaa98f0118893c1eb7d4518776037fb13f40fda14bab603c2"
+EMITTED_IR_SHA256 = "a8b638c3b0b4b32262ce8da47ed6ad10223bc70d754f0d699c14d659466b88f6"
 
 
 def test_generated_code_round_trips(tmp_path):
@@ -75,7 +75,7 @@ def _assert_digest(text: str, want: str, tmp_path: Path, fname: str = "emitted.s
 
 # SHA-256 of the modules test_transform_paths_off_the_corpus prints; it
 # changes under the same rule as EMITTED_IR_SHA256
-TRANSFORM_IR_SHA256 = "6683f54958be356740baf98316ddaa8694f1a8117e61f472821fb4bb98d5355b"
+TRANSFORM_IR_SHA256 = "1d7943920deb8462e9a1599242bcd127b90b7bac21d8b80c5b785b894558c957"
 
 
 def test_transform_paths_off_the_corpus(tmp_path):
@@ -100,7 +100,7 @@ def test_transform_paths_off_the_corpus(tmp_path):
         text = print_ir(module)
         assert print_ir(parse_ir(text)) == text
         texts.append(text)
-    assert counts == {"aug": 15, "grad": 8}
+    assert counts == {"aug": 18, "grad": 10}
     _assert_digest("".join(texts), TRANSFORM_IR_SHA256, tmp_path)
 
 
@@ -598,6 +598,52 @@ def test_fresh_takes_the_smallest_free_suffix():
     assert _names(em, "g", "g", "g_1", "g_1", "g") == ["g", "g_1", "g_1_1", "g_1_2", "g_2"]
     em = SEmitter("f", (F64,))
     assert _names(em, "g", "h", "g", "h", "h", "g") == ["g", "h", "g_1", "h_1", "h_2", "g_2"]
+
+
+def _loops(nodes: list):
+    for n in nodes:
+        if isinstance(n, SIf):
+            yield from _loops(n.then_region + n.else_region)
+        elif isinstance(n, SWhile):
+            yield n
+            yield from _loops(n.body_region)
+
+
+def test_structurize_rotates_every_loop_header_away():
+    # the seed-7 corpus, its __aug/__pb and the B=8 batched forms of all
+    # three: their flat loop headers hold instructions, and no tree that
+    # structurize returns for them does
+    module = Module()
+    names = []
+    for name, _ in generate_suite(module, random.Random(7), 200):
+        fs = [name, *(f.name for f in augment(module, name))]
+        names += fs + [vectorize(module, f, 8).name for f in fs]
+    flat_headers = {}
+    for name in names:
+        fn = module.get(name)
+        flat_headers[name] = [b.body for b in fn.blocks if b.name.startswith("head") and b.body]
+        assert all(node.header == [] for node in _loops(structurize(fn, module).region)), name
+    corpus = [flat_headers[name] for name in names[::6]]
+    # each corpus loop header is one lt: 242 loops in 151 programs
+    assert sum(map(len, corpus)) == 242 and sum(map(bool, corpus)) == 151
+    assert all(len(h) == 1 and h[0].op == "lt" for hs in corpus for h in hs)
+    assert sum(map(len, flat_headers.values())) > 242
+
+
+def test_copier_refuses_a_loop_header():
+    # only code builders fill SWhile.header; a copy would drop it
+    em = SEmitter("f", (F64,))
+    x = em.param("x", F64)
+    i = em.fresh("i", F64)
+    em.push_region()
+    go = em.emit("lt", (i, x), None, "go")
+    header = [n.ins for n in em.pop_region()]
+    (r, _), = exits = [(em.fresh("r", F64), F64)]
+    em.append(SWhile([(i, F64)], (x,), header, go, [], (i,), exits, (i,)))
+    sf = em.finish((r,))
+    out = SEmitter("g", (F64,))
+    with pytest.raises(AssertionError, match="rotates loop headers away"):
+        splice_function(out, sf, (out.param("x", F64),))
 
 
 @pytest.mark.parametrize("src", ["analytic", "batch", "rename"])

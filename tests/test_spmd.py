@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from ssagrad import (ADError, BatchError, DenseTensor, EvalError, batched_grad, eval_function,
-                     grad, parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize, verify)
+                     finite_diff, grad, parse_ir, stack_lanes, trace_grad, unstack_lanes,
+                     vectorize, verify)
+from ssagrad.cli import FD_TOL, TAPE_TOL
 from ssagrad.ir import BOOL, F64, I64, tensor_type
 from ssagrad.progen import sample_inputs
 
@@ -363,9 +365,36 @@ func @const_trip(%x: f64) -> f64 {
 ^exit(%r: f64):
   ret %r
 }
+
+func @lim(%x: f64) -> f64 {
+^entry:
+  %two = const f64 2.0
+  %t = mul %two, %x
+  %l = add %t, %two
+  ret %l
+}
+
+func @header_call(%x: f64) -> f64 {
+^entry:
+  %i0 = const f64 0.0
+  %a0 = const f64 1.0
+  jmp ^head(%i0, %a0)
+^head(%i: f64, %acc: f64):
+  %l = call %x {fn = @lim}
+  %k = lt %i, %l
+  br %k, ^body(), ^exit(%acc)
+^body:
+  %a2 = mul %acc, %x
+  %one = const f64 1.0
+  %i2 = add %i, %one
+  jmp ^head(%i2, %a2)
+^exit(%r: f64):
+  ret %r
+}
 """
 
-# lanes per function; exit_reads_header's trip counts differ per lane
+# lanes per function; the trip counts of exit_reads_header and
+# header_call differ per lane
 _T3 = [(0.3, -0.5, 0.8), (1.1, 0.2, -0.4), (-0.7, 0.9, 0.1)]
 _T23 = [(0.3, -0.5, 0.8, 1.1, 0.2, -0.4), (0.6, 0.1, -0.9, 1.2, -0.7, 0.4),
         (-0.2, 0.7, 0.5, -1.3, 0.8, 0.9)]
@@ -378,13 +407,14 @@ BATCH_LANES = {
     "reduce_tail": [(DenseTensor.from_flat((2, 3), v),) for v in _T23],
     "exit_reads_header": [(0.9, 0), (1.1, 2), (-0.8, 5)],
     "const_trip": [(-0.6,), (0.4,), (1.3,)],
+    "header_call": [(1.1,), (0.5,)],
 }
 
 
 def assert_lanes_exact(module, name, per_lane):
     """vectorize and batched_grad give, in every lane, the per-sample
-    eval_function and grad results bit for bit.  A non-canonical loop
-    makes grad and batched_grad raise the same ADError."""
+    eval_function and grad results bit for bit.  A function that grad
+    refuses, batched_grad refuses with the same ADError."""
     fn = module.get(name)
     lanes = len(per_lane)
     cols = run_lanes(module, name, lanes, per_lane)
@@ -414,10 +444,34 @@ def test_batching_paths_lane_exact(name):
     assert_lanes_exact(m, name, BATCH_LANES[name])
 
 
-def test_exit_reading_header_is_not_differentiable():
+def test_exit_reading_header_gradients_agree():
+    # the loop's exit reads a value its header computes
     m = parse_ir(BATCH_SRC)
-    with pytest.raises(ADError, match="not in transformable shape"):
-        grad(m, "exit_reads_header", (0.9, 2))
+    for args in BATCH_LANES["exit_reads_header"]:
+        g = grad(m, "exit_reads_header", args)
+        t = trace_grad(m, "exit_reads_header", args, (1.0,))
+        fd = finite_diff(m, "exit_reads_header", args, (1.0,))
+        assert g.keys() == t.keys() == fd.keys()
+        assert all(max_rel(g[v], t[v]) <= TAPE_TOL for v in g)
+        assert all(max_rel(g[v], fd[v]) <= FD_TOL for v in g)
+
+
+@pytest.mark.parametrize("name", BATCH_LANES)
+def test_augment_takes_vectorized_code(name):
+    # grad of the batched function gives each lane its own gradient,
+    # bit for bit, lane-varying loops included
+    m = parse_ir(BATCH_SRC)
+    per_lane = BATCH_LANES[name]
+    fn, lanes = m.get(name), len(per_lane)
+    stacked = tuple(stack_lanes(ty, [la[k] for la in per_lane])
+                    for k, (_, ty) in enumerate(fn.params))
+    bfn = vectorize(m, name, lanes)
+    bg = grad(m, bfn.name, stacked, (stack_lanes(F64, [1.0] * lanes),))
+    per = [grad(m, name, args) for args in per_lane]
+    for (pv, ty), (bpv, _) in zip(fn.params, bfn.params):
+        if ty.is_differentiable:
+            col = unstack_lanes(ty, bg[bpv], lanes)
+            assert [bits(c) for c in col] == [bits(g[pv]) for g in per]
 
 
 EXP_SRC = """
