@@ -614,20 +614,21 @@ def test_structurize_rotates_every_loop_header_away():
     # three: their flat loop headers hold instructions, and no tree that
     # structurize returns for them does
     module = Module()
-    names = []
+    corpus, names = [], []
     for name, _ in generate_suite(module, random.Random(7), 200):
         fs = [name, *(f.name for f in augment(module, name))]
+        corpus.append(name)
         names += fs + [vectorize(module, f, 8).name for f in fs]
-    flat_headers = {}
+    headers = {}
     for name in names:
         fn = module.get(name)
-        flat_headers[name] = [b.body for b in fn.blocks if b.name.startswith("head") and b.body]
+        headers[name] = [b.body for b in fn.blocks if b.name.startswith("head") and b.body]
         assert all(node.header == [] for node in _loops(structurize(fn, module).region)), name
-    corpus = [flat_headers[name] for name in names[::6]]
     # each corpus loop header is one lt: 242 loops in 151 programs
-    assert sum(map(len, corpus)) == 242 and sum(map(bool, corpus)) == 151
-    assert all(len(h) == 1 and h[0].op == "lt" for hs in corpus for h in hs)
-    assert sum(map(len, flat_headers.values())) > 242
+    assert sum(len(headers[n]) for n in corpus) == 242
+    assert sum(bool(headers[n]) for n in corpus) == 151
+    assert all(len(h) == 1 and h[0].op == "lt" for n in corpus for h in headers[n])
+    assert sum(map(len, headers.values())) > 242
 
 
 def test_copier_refuses_a_loop_header():
@@ -638,8 +639,8 @@ def test_copier_refuses_a_loop_header():
     em.push_region()
     go = em.emit("lt", (i, x), None, "go")
     header = [n.ins for n in em.pop_region()]
-    (r, _), = exits = [(em.fresh("r", F64), F64)]
-    em.append(SWhile([(i, F64)], (x,), header, go, [], (i,), exits, (i,)))
+    r = em.fresh("r", F64)
+    em.append(SWhile([(i, F64)], (x,), header, go, [], (i,), [(r, F64)], (i,)))
     sf = em.finish((r,))
     out = SEmitter("g", (F64,))
     with pytest.raises(AssertionError, match="rotates loop headers away"):
