@@ -160,22 +160,25 @@ def test_reduce_sum_axis_and_tail():
         T.reduce_sum(a, "tail")
 
 
+def _fold(arr, axis):
+    """``axis`` of ``arr`` summed by an ascending-index loop that starts
+    from the first term."""
+    acc = arr.take(0, axis)
+    for i in range(1, arr.shape[axis]):
+        acc = acc + arr.take(i, axis)
+    return acc
+
+
 def _folded(vals, src, keep):
     """``vals`` (row-major over ``src``) folded onto the broadcast-compatible
     shape ``keep``: the axes the broadcast added, then the axes ``keep``
     holds at extent 1, one at a time, each by an ascending-index loop."""
-    def fold(arr, axis):
-        acc = arr.take(0, axis)
-        for i in range(1, arr.shape[axis]):
-            acc = acc + arr.take(i, axis)
-        return acc
-
     arr = np.array(vals).reshape(src)
     for _ in range(len(src) - len(keep)):
-        arr = fold(arr, 0)
+        arr = _fold(arr, 0)
     for ax, k in enumerate(keep):
         if k == 1:
-            arr = np.expand_dims(fold(arr, ax), ax)
+            arr = np.expand_dims(_fold(arr, ax), ax)
     return arr
 
 
@@ -193,6 +196,56 @@ def test_reduce_to_folds_broadcast_axes():
         assert got.data.tobytes() == _folded(vals, src, keep).tobytes(), (src, keep)
         # an f64 operand takes the full fold
         assert reduce_like(NUMERIC, x, F64) == T.reduce_sum(x, "all")
+
+
+def _spread(rng, shape, zeros):
+    """Values of both signs over about 60 binades; with ``zeros``, about
+    half the entries are -0.0, so some folds see only -0.0 terms."""
+    vals = rng.standard_normal(shape) * np.exp2(rng.integers(-30, 31, shape))
+    if zeros:
+        vals[rng.random(shape) < 0.5] = -0.0
+    return vals
+
+
+FOLD_KS = (1, 2, 8, 9, 33, 129)
+FOLD_MN = ((1, 1), (1, 5), (5, 1), (3, 4), (32, 8))
+
+
+def test_matmul_folds_k_in_ascending_order():
+    # each output element is acc = a[i,0]*b[0,j]; acc += a[i,k]*b[k,j] for
+    # k = 1, 2, ... bit for bit, signed zeros included; numpy's pairwise
+    # sums (from 9 terms on) and BLAS products both round differently
+    rng = np.random.default_rng(1457)
+    for k, (m, n), zeros, lanes in itertools.product(FOLD_KS, FOLD_MN, (False, True),
+                                                      ((), (1,), (3,))):
+        a = _spread(rng, (*lanes, m, k), zeros)
+        b = _spread(rng, (*lanes, k, n), zeros)
+        want = a[..., :, 0:1] * b[..., 0:1, :]
+        for i in range(1, k):
+            want = want + a[..., :, i:i + 1] * b[..., i:i + 1, :]
+        got = T.matmul(DenseTensor(a), DenseTensor(b))
+        assert got.data.tobytes() == want.tobytes(), (lanes, m, k, n, zeros)
+
+
+FOLD_SHAPES = ((129,), (2, 9), (9, 2), (33, 1), (1, 7), (129, 3), (9, 33, 1), (3, 8, 2),
+               (2, 1, 9), (33, 2, 2), (2, 3, 4, 5), (9, 1, 2, 1), (1, 9, 9, 1))
+
+
+def test_reduce_sum_folds_in_ascending_order():
+    # one axis is an ascending loop over that axis; "all" folds the
+    # leading axis until one row is left, then that row
+    rng = np.random.default_rng(1811)
+    for shape, zeros in itertools.product(FOLD_SHAPES, (False, True)):
+        x = _spread(rng, shape, zeros)
+        for ax in range(len(shape)):
+            got = T.reduce_sum(DenseTensor(x), ax)
+            got = got.data if isinstance(got, DenseTensor) else np.float64(got)
+            assert got.tobytes() == _fold(x, ax).tobytes(), (shape, ax, zeros)
+        want = x
+        while want.ndim:
+            want = _fold(want, 0)
+        got = T.reduce_sum(DenseTensor(x), "all")
+        assert np.float64(got).tobytes() == want.tobytes(), (shape, "all", zeros)
 
 
 def test_broadcast_shapes():
