@@ -4,9 +4,10 @@ Every reduction in this module is defined as a sequential left fold in
 ascending index order along the reduced axis, and full reductions fold
 the leading axis repeatedly.  That makes results reproducible bit for
 bit across runs and lets tests compare against naive loop oracles with
-zero tolerance.  The numpy kernels used here (cumulative sums, plain
-elementwise ufuncs) are bit-identical to those loops; the test suite
-pins this down.
+zero tolerance.  The numpy folds used here are such loops, as the test
+suite pins: ``add.reduce`` from -0.0 over the leading axis of a C-order
+array adds whole rows in turn, and ``cumsum`` serves wherever the axis
+would be numpy's innermost loop, which ``add.reduce`` sums pairwise.
 
 Transcendentals go through ``math`` one element at a time on purpose:
 the scalar interpreter uses the same calls, so scalar and tensor paths
@@ -15,10 +16,10 @@ is bitwise equality with per-lane execution.
 
 Every tensor holds a C-contiguous, read-only, rank >= 1 float64 array,
 whichever constructor made it.  Use ``DenseTensor(...)`` for caller
-data: it converts and validates.  Kernels wrap the float64, rank >= 1
-arrays they have just made with ``DenseTensor._own``, which checks
-neither, copies only an array that is not C-contiguous, and clears the
-write flag.
+data: it copies, converts and validates.  Kernels and the factories
+wrap the float64, rank >= 1 arrays they have just made with
+``DenseTensor._own``, which checks neither, copies only an array that
+is not C-contiguous, and clears the write flag.
 """
 
 from __future__ import annotations
@@ -34,23 +35,28 @@ class DomainError(ValueError):
     """A numerically undefined operation: div by zero, log of x <= 0."""
 
 
+def _tensor_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    shape = tuple(int(d) for d in shape)
+    if not shape:
+        raise ValueError("tensors have rank >= 1; use a plain float for scalars")
+    return shape
+
+
 class DenseTensor:
     """An immutable rank >= 1 float64 tensor.
 
     Wraps a C-contiguous, read-only, rank >= 1 float64 ndarray.  The
-    public constructor validates caller data and converts it to that
-    form; ``_own`` takes only an array a kernel has just made, already
-    float64 and rank >= 1, and gives the same invariant.  All operations
-    return new tensors.
+    public constructor validates a copy of caller data in that form;
+    ``_own`` takes only a float64, rank >= 1 array a kernel has just made
+    and gives the same invariant.  All operations return new tensors.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim == 0:
             raise ValueError("tensors have rank >= 1; use a plain float for scalars")
-        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -93,19 +99,19 @@ class DenseTensor:
 
     @staticmethod
     def from_flat(shape: Sequence[int], values: Iterable[float]) -> "DenseTensor":
-        shape = tuple(int(d) for d in shape)
+        shape = _tensor_shape(shape)
         arr = np.array(list(values), dtype=np.float64)
         if arr.size != math.prod(shape):
             raise ValueError(f"{arr.size} values for shape {shape}")
-        return DenseTensor(arr.reshape(shape))
+        return DenseTensor._own(arr.reshape(shape))
 
     @staticmethod
     def zeros(shape: Sequence[int]) -> "DenseTensor":
-        return DenseTensor(np.zeros(tuple(shape), dtype=np.float64))
+        return DenseTensor._own(np.zeros(_tensor_shape(shape), dtype=np.float64))
 
     @staticmethod
     def full(shape: Sequence[int], value: float) -> "DenseTensor":
-        return DenseTensor(np.full(tuple(shape), float(value), dtype=np.float64))
+        return DenseTensor._own(np.full(_tensor_shape(shape), float(value), dtype=np.float64))
 
 
 # ------------------------------------------------------- broadcasting
@@ -179,7 +185,7 @@ def div(a, b):
             raise DomainError("division by zero")
         if not isinstance(a, DenseTensor):
             return a / b
-    elif bool((b.data == 0.0).any()):
+    elif not b.data.all():
         raise DomainError("division by zero")
     return _np2(np.divide, a, b)
 
@@ -270,10 +276,14 @@ def select_mask(mask: DenseTensor, a, b) -> DenseTensor:
 
 
 def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    # cumsum is a sequential left fold; taking the last slice gives the
-    # ascending-order sum along the axis, bit-identical to a loop.
+    # Ascending left folds for a C-contiguous arr: add.reduce on axis 0
+    # adds whole rows from -0.0, the exact identity (numpy's +0.0 turns
+    # -0.0 sums positive); where the axis would be the innermost loop,
+    # which add.reduce sums pairwise, the last slice of cumsum.
     if arr.shape[axis] == 1:
         return arr.take(0, axis=axis)
+    if axis == 0 and arr.size > arr.shape[0]:
+        return np.add.reduce(arr, 0, initial=-0.0)
     return arr.cumsum(axis).take(-1, axis)
 
 
@@ -309,15 +319,21 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Matrix product with ascending-k summation order, on rank-2
     operands or on rank-3 ones that share a leading (lane) extent.
 
-    The kernel forms all products and folds axis k with a cumulative
-    sum, which is bit-identical to the triple loop
-    ``for i: for j: for k: acc += a[i,k]*b[k,j]`` in each lane.
+    The kernel forms all products as (k, m, n), or (k, lanes, m, n), in
+    C order (a ufunc's output otherwise follows its inputs' layout) so
+    that k is the outer loop, and folds axis 0 with ``_reduce_axis``.
+    That is bit-identical to ``for i: for j: for k: acc += a[i,k]*b[k,j]``
+    in each lane; BLAS ``@`` is not.
     """
     if (a.rank != b.rank or a.rank not in (2, 3) or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ValueError(f"matmul shapes {a.shape} x {b.shape}")
-    prod = a.data[..., :, :, None] * b.data[..., None, :, :]
-    return DenseTensor._own(_reduce_axis(prod, -2))
+    if a.rank == 2:
+        prod = np.multiply(a.data.T[:, :, None], b.data[:, None, :], order="C")
+    else:
+        prod = np.multiply(a.data.transpose(2, 0, 1)[..., None],
+                           b.data.transpose(1, 0, 2)[..., None, :], order="C")
+    return DenseTensor._own(_reduce_axis(prod, 0))
 
 
 def transpose(t: DenseTensor) -> DenseTensor:

@@ -33,6 +33,12 @@ def test_rank_zero_rejected():
         DenseTensor(np.float64(3.0))
     with pytest.raises(ValueError):
         DenseTensor(np.array(3.0))
+    with pytest.raises(ValueError):
+        DenseTensor.from_flat((), [3.0])
+    with pytest.raises(ValueError):
+        DenseTensor.zeros(())
+    with pytest.raises(ValueError):
+        DenseTensor.full((), 3.0)
 
 
 def test_from_flat_length_mismatch():
@@ -59,6 +65,13 @@ def test_div_by_zero_tensor():
         T.div(a, t((2,), [1, 0]))
     with pytest.raises(T.DomainError):
         T.div(1.0, 0.0)
+    # -0.0 is a zero divisor too; NaN is not, and propagates
+    with pytest.raises(T.DomainError):
+        T.div(a, t((2,), [-0.0, 1]))
+    with pytest.raises(T.DomainError):
+        T.div(2.0, t((2,), [1, -0.0]))
+    out = T.div(a, t((2,), [math.nan, 4]))
+    assert math.isnan(out.flat()[0]) and out.flat()[1] == 0.5
 
 
 def test_unary_math_matches_scalar_loop():
@@ -414,6 +427,20 @@ def test_public_constructor_still_validates():
     assert x.data.tolist() == src.tolist()
     assert_invariant(x)
     assert_invariant(DenseTensor([[1, 2], [3, 4]]))
+
+
+def test_public_constructor_copies_the_callers_array():
+    # the caller's array stays writable, and writing it does not reach
+    # the tensor, whether it is passed whole or as a view
+    base = np.array([1.0, 2.0, 3.0])
+    x = DenseTensor(base)
+    assert x.data is not base and base.flags.writeable
+    base2 = np.array([1.0, 2.0, 3.0])
+    y = DenseTensor(base2[:])
+    base[0] = base2[0] = 99.0
+    assert x.flat() == y.flat() == [1.0, 2.0, 3.0]
+    assert_invariant(x)
+    assert_invariant(y)
 
 
 # values that stress the scalar functions: signed zeros and infinities,
