@@ -55,7 +55,8 @@ from .tensor import DenseTensor, DomainError
 
 DEFAULT_STEP_LIMIT = 2_000_000
 # dispatches per instruction before a function is lowered: lowering costs
-# about 20-55 us an instruction, and lowered code saves 0.3-1 us a dispatch
+# about 20-55 us an instruction, and lowered code saves about 0.5-1.3 us
+# a dispatch on scalar code and 0.8 us on the DAN adjoint's tensor code
 LOWER_AFTER = 128
 
 

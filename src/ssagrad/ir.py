@@ -147,9 +147,10 @@ def term_uses(block: Block) -> tuple[int, ...]:
 
 
 class Tier:
-    """interp's cache on a Function: dispatches left before it is lowered, and that code."""
+    """interp's cache on a Function: dispatches left before it is lowered,
+    that code and its Python source."""
 
-    heat = code = None  # until set on the instance
+    heat = code = source = None  # until set on the instance
 
     def __deepcopy__(self, memo) -> "Tier":
         return Tier()  # a copy starts cold

@@ -9,6 +9,17 @@ entry.  A block is charged ``len(body) + 1`` steps on entry, split
 after each op that runs a function so that a callee starts on the
 walker's exact budget.
 
+Tensor values are unboxed.  A tensor that a template makes is a raw
+ndarray local, and it is wrapped with ``DenseTensor._own`` once, where it
+is made, only if it escapes: if it is pushed on a trace, returned, passed
+along an edge, or read by ``call``, ``fused_map``, ``fused_pack`` or a
+kernel.  Tensors that arrive boxed (parameters, ``tape_top`` results,
+constants and kernel results) are read raw through ``.data``.  Every raw
+array is C-contiguous, as a DenseTensor's is: ufuncs keep C order on
+C-order operands, and a template copies any view that ``_own`` would
+copy (``transpose``, ``bcast``), as the left folds of
+``tensor._reduce_axis`` are exact only in C order.
+
 The code returns None unless each argument's class fits its type, and
 raises at an overdraw, at a ``tape_top`` value of another type and
 wherever a template or kernel raises.  ``Machine.run`` then rolls the
@@ -18,15 +29,18 @@ and traces persistent, so the replay is exact.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np  # noqa: F401 -- np, EMPTY_TAPE, Tape, TapeBatch: read by lowered code
 
 from . import tensor as T
 from .interp import EMPTY_TAPE, KERNELS, Tape, TapeBatch, zero_of  # noqa: F401
-from .ir import Function, Jmp, Module, Ret, Type
+from .ir import Function, Jmp, Module, Ret, Type, term_uses
 from .structure import structurize
 from .tensor import DenseTensor
 
 _RUNS = frozenset({"call", "fused_map", "fused_pack"})  # ops that run a function
+_BOXED = _RUNS | {"tape_push", "tape_top"}  # templates that read and make boxed values
 _CLASS = {"f64": "float", "i64": "int", "bool": "bool", "tensor": "DenseTensor", "tape": "Tape",
           "tapes": "TapeBatch"}
 _own = DenseTensor._own
@@ -36,36 +50,55 @@ class _Replay(Exception):
     """The lowered call cannot go on; the walker runs it instead."""
 
 
+def _replay():
+    raise _Replay
+
+
 def _is(x: str, ty: Type) -> str:
     """A test that the value named x is of type ty, as the templates assume."""
     shape = f" and {x}.data.shape == {ty.shape!r}" if ty.is_tensor else ""
     return f"type({x}) is {_CLASS[ty.kind]}{shape}"
 
 
-def _infix(sym: str, ufunc: str = ""):
-    """sym on two f64 or two i64 scalars; ufunc on tensors, as _np2 calls it."""
+def _infix(sym: str, tensor: str = "") -> dict:
+    """sym on two f64 or two i64 scalars; tensor where either is a tensor."""
     out = {(k, k): f"{{0}} {sym} {{1}}" for k in ("f64", "i64")}
-    if ufunc:
-        out.update({("tensor", "tensor"): f"_own({ufunc}({{0}}.data, {{1}}.data))",
-                    ("tensor", "f64"): f"_own({ufunc}({{0}}.data, {{1}}))",
-                    ("f64", "tensor"): f"_own({ufunc}({{0}}, {{1}}.data))"})
+    if tensor:
+        out.update(dict.fromkeys([("tensor", "tensor"), ("tensor", "f64"), ("f64", "tensor")],
+                                 tensor))
     return out
 
 
 # op -> {operand kinds (None: any): the result's expression of the operands
-# {0}, {1}, ... or {args}, their tuple}; any other op calls its kernel
+# {0}, {1}, ..., or of {args}, their boxed tuple; {a} is the attributes,
+# {shape} and {size} the result's}.  Outside _BOXED, tensor operands and
+# results are raw arrays, made by the numpy calls the op's kernel makes.
+# Any other op calls its kernel on boxed operands.
 TEMPLATES = {
-    "add": _infix("+", "np.add"),
-    "sub": _infix("-", "np.subtract"),
-    "mul": _infix("*", "np.multiply"),
-    "div": _infix("/"),  # float division by 0.0 raises ZeroDivisionError, and so replays
-    "neg": {("f64",): "-{0}", ("i64",): "-{0}"},
-    **{op: {("f64",): f"{op}_({{0}})"} for op in T.SCALAR_UNARY},
-    "lt": _infix("<"),
-    "gt": _infix(">"),
-    "eq": _infix("=="),
-    "select": {("bool", k, k): "{1} if {0} else {2}" for k in _CLASS},
-    "transpose": {("tensor",): "_own({0}.data.swapaxes(-1, -2))"},
+    "add": _infix("+", "np.add({0}, {1})"),
+    "sub": _infix("-", "np.subtract({0}, {1})"),
+    "mul": _infix("*", "np.multiply({0}, {1})"),
+    # float division by 0.0 raises ZeroDivisionError, and so replays
+    "div": {**_infix("/", "np.divide({0}, {1}) if {1}.all() else _replay()"),
+            ("tensor", "f64"): "np.divide({0}, {1}) if {1} else _replay()"},
+    "neg": {("f64",): "-{0}", ("i64",): "-{0}", ("tensor",): "np.negative({0})"},
+    **{op: {("f64",): f"{op}_({{0}})",
+            ("tensor",): f"np.fromiter(map({op}_, {{0}}.reshape(-1).tolist()), "
+                         "dtype=np.float64, count={size}).reshape({shape})"}
+       for op in T.SCALAR_UNARY},
+    "lt": _infix("<", "np.less({0}, {1}).astype(np.float64)"),
+    "gt": _infix(">", "np.greater({0}, {1}).astype(np.float64)"),
+    "eq": _infix("==", "np.equal({0}, {1}).astype(np.float64)"),
+    "select": {**{("bool", k, k): "{1} if {0} else {2}" for k in _CLASS},
+               **{("tensor", x, y): "np.where({0} != 0.0, {1}, {2})"
+                  for x in ("tensor", "f64") for y in ("tensor", "f64")}},
+    # _own copies a view that is not C-contiguous, and T._reduce_axis needs C order
+    "transpose": {("tensor",): "np.ascontiguousarray({0}.swapaxes(-1, -2))"},
+    "bcast": {("f64",): "np.full({shape}, {0}, dtype=np.float64)",
+              ("tensor",): "np.ascontiguousarray(np.broadcast_to({0}, {shape}))"},
+    "reshape": {("tensor",): "{0}.reshape({shape})"},
+    "matmul": {("tensor", "tensor"): "T._matmul({0}, {1})"},
+    "reduce_sum": {("tensor",): "T._sum({0}, {a[axis]!r})"},
     "tape_new": {(): "EMPTY_TAPE"},
     "tape_push": {("tape", k): "Tape({1}, {0})" for k in _CLASS},
     "tape_top": {("tape",): "{0}.top if {0}.rest is not None else {1}"},
@@ -79,7 +112,8 @@ TEMPLATES = {
 
 def lower(fn: Function, module: Module):
     """fn as code(machine, args), which returns fn's results, None or
-    raises to replay (see above); StructureError if fn is ill-formed."""
+    raises to replay (see above); StructureError if fn is ill-formed.
+    The code's source is kept in ``fn.tier.source``."""
     types = structurize(fn, module).types
     env = {**globals(), **{op + "_": f for op, f in T.SCALAR_UNARY.items()}}
 
@@ -91,21 +125,41 @@ def lower(fn: Function, module: Module):
     def tup(vids) -> str:
         return "(" + "".join(f"v{x}, " for x in vids) + ")"
 
-    def instr(ins) -> list[str]:
-        if ins.op == "const":
-            return [f"v{ins.result} = {const(KERNELS['const'](None, ins.attrs, None, ()))}"]
-        out, xs = f"v{ins.result}", [f"v{o}" for o in ins.operands]
+    # each result's template, the tensors raw templates make, and the
+    # values read boxed: a raw tensor among them escapes, wrapped once
+    fmts, raw, boxed = {}, set(), {v for b in fn.blocks for v in term_uses(b)}
+    for ins in (ins for b in fn.blocks for ins in b.body):
         by_kinds = TEMPLATES.get(ins.op, {})
-        fmt = by_kinds.get(tuple(types[o].kind for o in ins.operands), by_kinds.get(None))
+        fmt = fmts[ins.result] = by_kinds.get(tuple(types[o].kind for o in ins.operands),
+                                              by_kinds.get(None))
+        if fmt is None or ins.op in _BOXED:
+            boxed.update(ins.operands)
+        elif types[ins.result].is_tensor:
+            raw.add(ins.result)
+    escapes = raw & boxed
+
+    def ref(x: int, as_raw: bool) -> str:
+        if x in raw:
+            return f"r{x}" if as_raw else f"v{x}"
+        return f"v{x}.data" if as_raw and types[x].is_tensor else f"v{x}"
+
+    def instr(ins) -> list[str]:
+        x, ty = ins.result, types[ins.result]
+        if ins.op == "const":
+            return [f"v{x} = {const(KERNELS['const'](None, ins.attrs, None, ()))}"]
+        fmt = fmts[x]
+        xs = [ref(o, fmt is not None and ins.op not in _BOXED) for o in ins.operands]
         if fmt is None:  # kernel(m, attrs, env, operand ids)
             ids = tuple(range(len(xs)))
             fmt = f"{const(KERNELS[ins.op])}(m, {const(ins.attrs)}, {{args}}, {ids})"
         elif ins.op == "tape_top":  # an empty tape's top: a zero of ty, made once
             xs.append(const(zero_of(ins.attrs["ty"])))
         callee = repr(ins.attrs["fn"].name) if ins.op in _RUNS else ""
-        lines = [f"{out} = {fmt.format(*xs, fn=callee, args=tup(ins.operands))}"]
+        code = fmt.format(*xs, fn=callee, args=tup(ins.operands), a=ins.attrs, shape=ty.shape,
+                          size=prod(ty.shape))
+        lines = [f"{ref(x, x in raw)} = {code}"] + [f"v{x} = _own(r{x})"] * (x in escapes)
         if ins.op == "tape_top":  # a trace holds whatever the walker pushed
-            lines.append(f"if not ({_is(out, types[ins.result])}): raise _Replay")
+            lines.append(f"if not ({_is(f'v{x}', ty)}): raise _Replay")
         return lines
 
     index = {b.name: i for i, b in enumerate(fn.blocks)}
@@ -138,5 +192,6 @@ def lower(fn: Function, module: Module):
         lines += [" blk = 0", " while True:"]
         for i, b in enumerate(fn.blocks):
             lines += [f"  {'el' * (i > 0)}if blk == {i}:", *("   " + x for x in block(b))]
-    exec(compile("\n".join(lines), f"<lowered @{fn.name}>", "exec"), env)
+    fn.tier.source = "\n".join(lines)
+    exec(compile(fn.tier.source, f"<lowered @{fn.name}>", "exec"), env)
     return env["lowered"]

@@ -279,12 +279,28 @@ def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     # Ascending left folds for a C-contiguous arr: add.reduce on axis 0
     # adds whole rows from -0.0, the exact identity (numpy's +0.0 turns
     # -0.0 sums positive); where the axis would be the innermost loop,
-    # which add.reduce sums pairwise, the last slice of cumsum.
-    if arr.shape[axis] == 1:
+    # which add.reduce sums pairwise, the last slice of cumsum.  add.reduce
+    # runs one inner loop per row and cumsum one per column, so cumsum
+    # also takes rows of at most 4 elements once there are 32 per element.
+    rows = arr.shape[axis]
+    if rows == 1:
         return arr.take(0, axis=axis)
-    if axis == 0 and arr.size > arr.shape[0]:
+    width = arr.size // rows
+    if axis == 0 and width > 1 and (width > 4 or rows <= 32 * width):
         return np.add.reduce(arr, 0, initial=-0.0)
     return arr.cumsum(axis).take(-1, axis)
+
+
+def _sum(arr: np.ndarray, axis: "int | str") -> "np.ndarray | float":
+    """reduce_sum on a C-contiguous array: an array, or a float where
+    axis is "all" or arr has rank 1."""
+    if axis == "all":
+        while arr.ndim > 1:
+            arr = _reduce_axis(arr, 0)
+        return _seq_sum(arr)
+    if arr.ndim == 1:
+        return _seq_sum(arr)
+    return _reduce_axis(arr, axis)
 
 
 def reduce_sum(t: DenseTensor, axis: "int | str") -> "DenseTensor | float":
@@ -293,17 +309,12 @@ def reduce_sum(t: DenseTensor, axis: "int | str") -> "DenseTensor | float":
     axis="all" folds the leading axis repeatedly, so it is exactly
     reduce_sum(all, reduce_sum(0, x)) by construction.
     """
-    if axis == "all":
-        arr = t.data
-        while arr.ndim > 1:
-            arr = _reduce_axis(arr, 0)
-        return _seq_sum(arr)
-    ax = int(axis)
-    if not 0 <= ax < t.rank:
-        raise ValueError(f"axis {ax} out of range for shape {t.shape}")
-    if t.rank == 1:
-        return float(_seq_sum(t.data))
-    return DenseTensor._own(_reduce_axis(t.data, ax))
+    if axis != "all":
+        axis = int(axis)
+        if not 0 <= axis < t.rank:
+            raise ValueError(f"axis {axis} out of range for shape {t.shape}")
+    out = _sum(t.data, axis)
+    return out if isinstance(out, float) else DenseTensor._own(out)
 
 
 def _seq_sum(arr: np.ndarray) -> float:
@@ -328,12 +339,17 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     if (a.rank != b.rank or a.rank not in (2, 3) or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ValueError(f"matmul shapes {a.shape} x {b.shape}")
-    if a.rank == 2:
-        prod = np.multiply(a.data.T[:, :, None], b.data[:, None, :], order="C")
+    return DenseTensor._own(_matmul(a.data, b.data))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul on arrays whose shapes it takes."""
+    if a.ndim == 2:
+        prod = np.multiply(a.T[:, :, None], b[:, None, :], order="C")
     else:
-        prod = np.multiply(a.data.transpose(2, 0, 1)[..., None],
-                           b.data.transpose(1, 0, 2)[..., None, :], order="C")
-    return DenseTensor._own(_reduce_axis(prod, 0))
+        prod = np.multiply(a.transpose(2, 0, 1)[..., None],
+                           b.transpose(1, 0, 2)[..., None, :], order="C")
+    return _reduce_axis(prod, 0)
 
 
 def transpose(t: DenseTensor) -> DenseTensor:

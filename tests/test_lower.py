@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from ssagrad import (ADError, DANConfig, DenseTensor, EvalError, Machine, Module, augment,
-                     eval_function, parse_ir, stack_lanes, vectorize)
+                     eval_function, parse_ir, stack_lanes, structurize, vectorize)
+from ssagrad import tensor as T
 from ssagrad.interp import DEFAULT_STEP_LIMIT, LOWER_AFTER, Tape, TapeBatch
-from ssagrad.lower import lower
+from ssagrad.ir import term_uses
+from ssagrad.lower import _BOXED, TEMPLATES, lower
 from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
                               make_synthetic)
 from ssagrad.progen import sample_inputs
@@ -366,3 +368,205 @@ def test_copies_start_cold():
     assert eval_function(copied, "prod", (2.0, 3.0)) == (5.0,)
     assert module.get("prod").tier.code is not None
     assert eval_function(module, "prod", (2.0, 3.0)) == (6.0,)
+
+
+def one_op(name: str, op: str, types: tuple, attrs: str, result: str) -> str:
+    """@name: one op on its parameters, whose value it returns."""
+    params = ", ".join(f"%x{i}: {ty}" for i, ty in enumerate(types))
+    return (f"func @{name}({params}) -> {result} {{\n^entry:\n"
+            f"  %y = {op} {', '.join(f'%x{i}' for i in range(len(types)))}{attrs}\n  ret %y\n}}\n")
+
+
+def spread(rng, shape, positive=False):
+    """Values of both signs over about 60 binades, a few of them -0.0."""
+    vals = rng.standard_normal(shape) * np.exp2(rng.integers(-30, 31, shape))
+    vals[rng.random(shape) < 0.15] = -0.0
+    return np.abs(vals) + 0.5 if positive else vals
+
+
+T23, T21, T3 = "tensor<2x3xf64>", "tensor<2x1xf64>", "tensor<3xf64>"
+# (op, operand types, attributes, result type): every raw template
+RAW_CASES = [
+    *[(op, tys, "", T23) for op in ("add", "sub", "mul", "div", "lt", "gt", "eq")
+      for tys in ((T21, T3), (T23, "f64"), ("f64", T23))],
+    *[(op, (T23,), "", T23) for op in ("neg", *T.SCALAR_UNARY)],
+    *[("select", ("tensor<2x3xf64>", x, y), "", T23)
+      for x, y in ((T23, T3), (T3, "f64"), ("f64", T21), ("f64", "f64"))],
+    ("select", ("bool", T23, T23), "", T23),
+    ("transpose", (T23,), "", "tensor<3x2xf64>"),
+    ("transpose", ("tensor<2x1x3xf64>",), "", "tensor<2x3x1xf64>"),
+    ("bcast", ("f64",), " {shape = [2, 3]}", T23),
+    ("bcast", (T21,), " {shape = [2, 3]}", T23),
+    ("reshape", (T23,), " {shape = [3, 2]}", "tensor<3x2xf64>"),
+    ("matmul", (T23, "tensor<3x4xf64>"), "", "tensor<2x4xf64>"),
+    ("matmul", ("tensor<2x2x3xf64>", "tensor<2x3x4xf64>"), "", "tensor<2x2x4xf64>"),
+    ("reduce_sum", (T23,), " {axis = 0}", T3),
+    ("reduce_sum", (T23,), " {axis = 1}", "tensor<2xf64>"),
+    ("reduce_sum", (T23,), " {axis = all}", "f64"),
+    ("reduce_sum", (T3,), " {axis = 0}", "f64"),
+]
+
+
+def test_raw_templates_match_walker():
+    kinds = [tuple("tensor" if ty.startswith("tensor") else ty for ty in tys)
+             for _, tys, _, _ in RAW_CASES]
+    assert {(op, k) for op, by in TEMPLATES.items() if op not in _BOXED
+            for k in by if k and "tensor" in k} <= {(c[0], k) for c, k in zip(RAW_CASES, kinds)}
+    src = "".join(one_op(f"c{i}", *case) for i, case in enumerate(RAW_CASES))
+    pair = tiered(parse_ir(src))
+    rng = random.Random(20)
+    nrng = np.random.default_rng(20)
+
+    def draw(ty: str, positive: bool):
+        if ty == "bool":
+            return rng.random() < 0.5
+        if ty == "f64":
+            return rng.choice([2.5, -0.75, 1e-300, -3e7, math.nan]) if not positive else 2.5
+        shape = tuple(int(d) for d in ty[7:-5].split("x"))
+        return DenseTensor(spread(nrng, shape, positive))
+
+    for i, (op, tys, _, result) in enumerate(RAW_CASES):
+        source = pair[0].get(f"c{i}").tier.source
+        assert "(m, k" not in source, op  # a template, not a kernel call
+        assert source.count("_own(") == result.startswith("tensor"), op
+        for positive in (False, True, True):
+            check(pair, f"c{i}", tuple(draw(ty, positive) for ty in tys))
+    # the faults: log of x <= 0 and division by a zero element, either sign
+    t = DenseTensor.from_flat
+    index = {(c[0], k): i for i, (c, k) in enumerate(zip(RAW_CASES, kinds))}
+    faults = [(index["log", ("tensor",)], (t((2, 3), [1, 2, z, 4, 5, 6]),))
+              for z in (0.0, -0.0, -1e-300, -math.inf)]
+    faults += [(index["div", k], args) for z in (0.0, -0.0) for k, args in (
+        (("tensor", "tensor"), (t((2, 1), [1, 2]), t((3,), [1, z, 3]))),
+        (("tensor", "f64"), (t((2, 3), [1, 2, 3, 4, 5, 6]), z)),
+        (("f64", "tensor"), (2.5, t((2, 3), [1, 2, 3, 4, z, 6]))))]
+    for i, args in faults:
+        assert check(pair, f"c{i}", args) is None
+
+
+def test_transposed_fold_is_the_walkers():
+    # reduce_sum folds 33 rows in turn; numpy's add.reduce on the
+    # transposed view would sum each column pairwise, which differs here
+    pair = tiered(parse_ir("""
+func @tsum(%x: tensor<9x33xf64>) -> tensor<33x9xf64>, tensor<9xf64> {
+^entry:
+  %t = transpose %x
+  %s = reduce_sum %t {axis = 0}
+  ret %t, %s
+}
+"""))
+    x = spread(np.random.default_rng(933), (9, 33))
+    out = check(pair, "tsum", (DenseTensor(x),))
+    assert np.add.reduce(x.T, 0, initial=-0.0).tobytes() != out[1].data.tobytes()
+
+
+def test_broadcast_fold_is_the_walkers():
+    pair = tiered(parse_ir("""
+func @bsum(%x: tensor<33x1xf64>, %y: f64) -> f64, f64 {
+^entry:
+  %b = bcast %x {shape = [3, 33, 2]}
+  %s = reduce_sum %b {axis = all}
+  %c = bcast %y {shape = [9, 9]}
+  %u = reduce_sum %c {axis = all}
+  ret %s, %u
+}
+"""))
+    rng = np.random.default_rng(332)
+    for y in (0.1, -0.0, 1e300):
+        check(pair, "bsum", (DenseTensor(spread(rng, (33, 1))), y))
+
+
+def test_pushed_tensor_is_also_read_raw():
+    pair = tiered(parse_ir("""
+func @push_raw(%x: tensor<2x3xf64>) -> tensor<2x3xf64>, tape {
+^entry:
+  %t0 = tape_new
+  %y = mul %x, %x
+  %t1 = tape_push %t0, %y
+  %z = add %y, %x
+  %w = sub %z, %y
+  ret %w, %t1
+}
+"""))
+    # %y escapes to the trace and %w to the caller; %z stays an array
+    assert pair[0].get("push_raw").tier.source.count("_own(") == 2
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        out = check(pair, "push_raw", (DenseTensor(spread(rng, (2, 3))),))
+        assert out[1].top.data.flags.c_contiguous and not out[1].top.data.flags.writeable
+
+
+def test_tensor_crosses_a_loop_edge():
+    pair = tiered(parse_ir("""
+func @loop_acc(%x: tensor<2x3xf64>, %n: i64) -> tensor<2x3xf64> {
+^entry:
+  %i0 = const i64 0
+  %s0 = transpose %x
+  %a0 = transpose %s0
+  jmp ^head(%i0, %a0)
+^head(%i: i64, %acc: tensor<2x3xf64>):
+  %more = lt %i, %n
+  br %more, ^body(), ^exit(%acc)
+^body:
+  %sq = mul %acc, %x
+  %acc2 = add %sq, %x
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %acc2)
+^exit(%r: tensor<2x3xf64>):
+  ret %r
+}
+"""))
+    assert pair[0].get("loop_acc").tier.source.count("_own(") == 2  # %a0, %acc2
+    x = DenseTensor(spread(np.random.default_rng(6), (2, 3)) * 1e-10)
+    for n in (0, 1, 3):
+        check(pair, "loop_acc", (x, n))
+
+
+def test_lane_leading_matmul_is_the_walkers():
+    module = parse_ir("""
+func @mm(%a: tensor<2x9xf64>, %b: tensor<9x4xf64>) -> tensor<2x4xf64> {
+^entry:
+  %c = matmul %a, %b
+  %d = tanh %c
+  ret %d
+}
+""")
+    fn = vectorize(module, "mm", 3)
+    types = structurize(fn, module).types
+    assert [types[ins.result].shape for b in fn.blocks for ins in b.body
+            if ins.op == "matmul"] == [(3, 2, 4)]
+    pair = tiered(module)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        lanes = [(DenseTensor(spread(rng, (2, 9))), DenseTensor(spread(rng, (9, 4))))
+                 for _ in range(3)]
+        args = tuple(stack_lanes(ty, [la[i] for la in lanes]) for i, (_, ty) in
+                     enumerate(module.get("mm").params))
+        check(pair, fn.name, args)
+
+
+def test_lowered_dan_wraps_only_escaping_tensors():
+    cfg = DANConfig()
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    module = Module()
+    loss = build_loss_ir(module, sizes, cfg.batch_size)
+    augment(module, loss.name)
+    lowered, walked = tiered(module)
+    wraps = []
+    for name in (f"{loss.name}__aug", f"{loss.name}__pb"):
+        fn = lowered.get(name)
+        types = structurize(fn, module).types
+        body = [ins for b in fn.blocks for ins in b.body]
+        assert all(ins.op in TEMPLATES for ins in body
+                   if any(types[o].is_tensor for o in ins.operands))
+        # tensors an op makes, and values the trace or the caller takes
+        made = {ins.result for ins in body
+                if types[ins.result].is_tensor and ins.op not in ("const", "tape_top")}
+        taken = {ins.operands[1] for ins in body if ins.op == "tape_push"}
+        taken |= {v for b in fn.blocks for v in term_uses(b)}
+        assert fn.tier.source.count("_own(") == len(made & taken)
+        wraps.append(len(made & taken))
+        assert walked.get(name).tier.source is None
+        assert copy.deepcopy(fn).tier.source is None
+    assert wraps == [28, 9]

@@ -261,6 +261,22 @@ def test_reduce_sum_folds_in_ascending_order():
         assert np.float64(got).tobytes() == want.tobytes(), (shape, "all", zeros)
 
 
+def test_tall_narrow_folds_are_ascending():
+    # rows of at most 4 elements fold by cumsum from 32 rows per element
+    # on, as add.reduce runs an inner loop per row; both are the same fold
+    rng = np.random.default_rng(2000)
+    for shape, zeros in itertools.product(((2000, 2), (64, 2), (65, 2), (128, 4), (129, 4),
+                                           (8, 2), (2000, 5)), (False, True)):
+        x = _spread(rng, shape, zeros)
+        got = T.reduce_sum(DenseTensor(x), 0)
+        assert got.data.tobytes() == _fold(x, 0).tobytes(), (shape, zeros)
+    for (m, k, n), zeros in itertools.product(((2, 129, 1), (4, 64, 1), (2, 8, 1), (4, 129, 1)),
+                                              (False, True)):
+        a, b = _spread(rng, (m, k), zeros), _spread(rng, (k, n), zeros)
+        got = T.matmul(DenseTensor(a), DenseTensor(b))
+        assert got.data.tobytes() == _fold(a[:, :, None] * b, 1).tobytes(), (m, k, n, zeros)
+
+
 def test_broadcast_shapes():
     assert T.broadcast_shapes((2, 3), (3,)) == (2, 3)
     assert T.broadcast_shapes((2, 1), (2, 3)) == (2, 3)
