@@ -280,8 +280,8 @@ def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     # adds whole rows from -0.0, the exact identity (numpy's +0.0 turns
     # -0.0 sums positive); where the axis would be the innermost loop,
     # which add.reduce sums pairwise, the last slice of cumsum.  add.reduce
-    # runs one inner loop per row and cumsum one per column, so cumsum
-    # also takes rows of at most 4 elements once there are 32 per element.
+    # runs an inner loop per row and cumsum one per column, so rows of at
+    # most 4 elements take cumsum too once there are over 32 per element.
     rows = arr.shape[axis]
     if rows == 1:
         return arr.take(0, axis=axis)
@@ -343,7 +343,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul on arrays whose shapes it takes."""
+    """matmul's product of two arrays of the shapes it accepts."""
     if a.ndim == 2:
         prod = np.multiply(a.T[:, :, None], b[:, None, :], order="C")
     else:

@@ -390,7 +390,7 @@ RAW_CASES = [
     *[(op, tys, "", T23) for op in ("add", "sub", "mul", "div", "lt", "gt", "eq")
       for tys in ((T21, T3), (T23, "f64"), ("f64", T23))],
     *[(op, (T23,), "", T23) for op in ("neg", *T.SCALAR_UNARY)],
-    *[("select", ("tensor<2x3xf64>", x, y), "", T23)
+    *[("select", (T23, x, y), "", T23)
       for x, y in ((T23, T3), (T3, "f64"), ("f64", T21), ("f64", "f64"))],
     ("select", ("bool", T23, T23), "", T23),
     ("transpose", (T23,), "", "tensor<3x2xf64>"),
@@ -448,7 +448,7 @@ def test_transposed_fold_is_the_walkers():
     # reduce_sum folds 33 rows in turn; numpy's add.reduce on the
     # transposed view would sum each column pairwise, which differs here
     pair = tiered(parse_ir("""
-func @tsum(%x: tensor<9x33xf64>) -> tensor<33x9xf64>, tensor<9xf64> {
+func @tsum(%x: tensor<9x33xf64>) -> (tensor<33x9xf64>, tensor<9xf64>) {
 ^entry:
   %t = transpose %x
   %s = reduce_sum %t {axis = 0}
@@ -462,7 +462,7 @@ func @tsum(%x: tensor<9x33xf64>) -> tensor<33x9xf64>, tensor<9xf64> {
 
 def test_broadcast_fold_is_the_walkers():
     pair = tiered(parse_ir("""
-func @bsum(%x: tensor<33x1xf64>, %y: f64) -> f64, f64 {
+func @bsum(%x: tensor<33x1xf64>, %y: f64) -> (f64, f64) {
 ^entry:
   %b = bcast %x {shape = [3, 33, 2]}
   %s = reduce_sum %b {axis = all}
@@ -478,7 +478,7 @@ func @bsum(%x: tensor<33x1xf64>, %y: f64) -> f64, f64 {
 
 def test_pushed_tensor_is_also_read_raw():
     pair = tiered(parse_ir("""
-func @push_raw(%x: tensor<2x3xf64>) -> tensor<2x3xf64>, tape {
+func @push_raw(%x: tensor<2x3xf64>) -> (tensor<2x3xf64>, tape) {
 ^entry:
   %t0 = tape_new
   %y = mul %x, %x
