@@ -30,6 +30,7 @@ from ssagrad.progen import sample_inputs
 from conftest import ANALYTIC_SRC
 from test_interp import MAP_FAULTS_SRC, RECURSIVE_SRC
 from test_spmd import BATCH_SRC
+from test_tensor import _spread
 
 FUSED_SRC = (Path(__file__).resolve().parents[1] / "perfbench" / "fused.ssair").read_text()
 
@@ -377,13 +378,6 @@ def one_op(name: str, op: str, types: tuple, attrs: str, result: str) -> str:
             f"  %y = {op} {', '.join(f'%x{i}' for i in range(len(types)))}{attrs}\n  ret %y\n}}\n")
 
 
-def spread(rng, shape, positive=False):
-    """Values of both signs over about 60 binades, a few of them -0.0."""
-    vals = rng.standard_normal(shape) * np.exp2(rng.integers(-30, 31, shape))
-    vals[rng.random(shape) < 0.15] = -0.0
-    return np.abs(vals) + 0.5 if positive else vals
-
-
 T23, T21, T3 = "tensor<2x3xf64>", "tensor<2x1xf64>", "tensor<3xf64>"
 # (op, operand types, attributes, result type): every raw template
 RAW_CASES = [
@@ -423,7 +417,8 @@ def test_raw_templates_match_walker():
         if ty == "f64":
             return rng.choice([2.5, -0.75, 1e-300, -3e7, math.nan]) if not positive else 2.5
         shape = tuple(int(d) for d in ty[7:-5].split("x"))
-        return DenseTensor(spread(nrng, shape, positive))
+        vals = _spread(nrng, shape, not positive)
+        return DenseTensor(np.abs(vals) + 0.5 if positive else vals)
 
     for i, (op, tys, _, result) in enumerate(RAW_CASES):
         source = pair[0].get(f"c{i}").tier.source
@@ -455,7 +450,7 @@ func @tsum(%x: tensor<9x33xf64>) -> (tensor<33x9xf64>, tensor<9xf64>) {
   ret %t, %s
 }
 """))
-    x = spread(np.random.default_rng(933), (9, 33))
+    x = _spread(np.random.default_rng(933), (9, 33), False)
     out = check(pair, "tsum", (DenseTensor(x),))
     assert np.add.reduce(x.T, 0, initial=-0.0).tobytes() != out[1].data.tobytes()
 
@@ -473,7 +468,7 @@ func @bsum(%x: tensor<33x1xf64>, %y: f64) -> (f64, f64) {
 """))
     rng = np.random.default_rng(332)
     for y in (0.1, -0.0, 1e300):
-        check(pair, "bsum", (DenseTensor(spread(rng, (33, 1))), y))
+        check(pair, "bsum", (DenseTensor(_spread(rng, (33, 1), True)), y))
 
 
 def test_pushed_tensor_is_also_read_raw():
@@ -492,7 +487,7 @@ func @push_raw(%x: tensor<2x3xf64>) -> (tensor<2x3xf64>, tape) {
     assert pair[0].get("push_raw").tier.source.count("_own(") == 2
     rng = np.random.default_rng(23)
     for _ in range(3):
-        out = check(pair, "push_raw", (DenseTensor(spread(rng, (2, 3))),))
+        out = check(pair, "push_raw", (DenseTensor(_spread(rng, (2, 3), True)),))
         assert out[1].top.data.flags.c_contiguous and not out[1].top.data.flags.writeable
 
 
@@ -518,7 +513,7 @@ func @loop_acc(%x: tensor<2x3xf64>, %n: i64) -> tensor<2x3xf64> {
 }
 """))
     assert pair[0].get("loop_acc").tier.source.count("_own(") == 2  # %a0, %acc2
-    x = DenseTensor(spread(np.random.default_rng(6), (2, 3)) * 1e-10)
+    x = DenseTensor(_spread(np.random.default_rng(6), (2, 3), True) * 1e-10)
     for n in (0, 1, 3):
         check(pair, "loop_acc", (x, n))
 
@@ -539,7 +534,7 @@ func @mm(%a: tensor<2x9xf64>, %b: tensor<9x4xf64>) -> tensor<2x4xf64> {
     pair = tiered(module)
     rng = np.random.default_rng(3)
     for _ in range(3):
-        lanes = [(DenseTensor(spread(rng, (2, 9))), DenseTensor(spread(rng, (9, 4))))
+        lanes = [(DenseTensor(_spread(rng, (2, 9), True)), DenseTensor(_spread(rng, (9, 4), True)))
                  for _ in range(3)]
         args = tuple(stack_lanes(ty, [la[i] for la in lanes]) for i, (_, ty) in
                      enumerate(module.get("mm").params))
