@@ -29,8 +29,6 @@ and traces persistent, so the replay is exact.
 
 from __future__ import annotations
 
-from math import prod
-
 import numpy as np  # noqa: F401 -- np, EMPTY_TAPE, Tape, TapeBatch: read by lowered code
 
 from . import tensor as T
@@ -50,10 +48,6 @@ class _Replay(Exception):
     """The lowered call cannot go on; the walker runs it instead."""
 
 
-def _replay():
-    raise _Replay
-
-
 def _is(x: str, ty: Type) -> str:
     """A test that the value named x is of type ty, as the templates assume."""
     shape = f" and {x}.data.shape == {ty.shape!r}" if ty.is_tensor else ""
@@ -71,26 +65,24 @@ def _infix(sym: str, tensor: str = "") -> dict:
 
 # op -> {operand kinds (None: any): the result's expression of the operands
 # {0}, {1}, ..., or of {args}, their boxed tuple; {a} is the attributes,
-# {shape} and {size} the result's}.  Outside _BOXED, tensor operands and
-# results are raw arrays, made by the numpy calls the op's kernel makes.
+# {shape} the result's}.  Outside _BOXED, tensor operands and results are
+# raw arrays, made by the numpy calls the op's kernel makes: inline for
+# one call, else by the raw helper in tensor.py that the kernel calls too.
 # Any other op calls its kernel on boxed operands.
 TEMPLATES = {
     "add": _infix("+", "np.add({0}, {1})"),
     "sub": _infix("-", "np.subtract({0}, {1})"),
     "mul": _infix("*", "np.multiply({0}, {1})"),
-    # float division by 0.0 raises ZeroDivisionError, and so replays
-    "div": {**_infix("/", "np.divide({0}, {1}) if {1}.all() else _replay()"),
-            ("tensor", "f64"): "np.divide({0}, {1}) if {1} else _replay()"},
+    # a zero divisor raises (ZeroDivisionError, DomainError), and so replays
+    "div": _infix("/", "T._divide({0}, {1})"),
     "neg": {("f64",): "-{0}", ("i64",): "-{0}", ("tensor",): "np.negative({0})"},
     **{op: {("f64",): f"{op}_({{0}})",
-            ("tensor",): f"np.fromiter(map({op}_, {{0}}.reshape(-1).tolist()), "
-                         "dtype=np.float64, count={size}).reshape({shape})"}
+            ("tensor",): f"T._map({op}_, {{0}})"}
        for op in T.SCALAR_UNARY},
-    "lt": _infix("<", "np.less({0}, {1}).astype(np.float64)"),
-    "gt": _infix(">", "np.greater({0}, {1}).astype(np.float64)"),
-    "eq": _infix("==", "np.equal({0}, {1}).astype(np.float64)"),
+    **{op: _infix(sym, f"T._compare({op!r}, {{0}}, {{1}})")
+       for op, sym in (("lt", "<"), ("gt", ">"), ("eq", "=="))},
     "select": {**{("bool", k, k): "{1} if {0} else {2}" for k in _CLASS},
-               **{("tensor", x, y): "np.where({0} != 0.0, {1}, {2})"
+               **{("tensor", x, y): "T._where({0}, {1}, {2})"
                   for x in ("tensor", "f64") for y in ("tensor", "f64")}},
     # _own copies a view that is not C-contiguous, and T._reduce_axis needs C order
     "transpose": {("tensor",): "np.ascontiguousarray({0}.swapaxes(-1, -2))"},
@@ -155,8 +147,7 @@ def lower(fn: Function, module: Module):
         elif ins.op == "tape_top":  # an empty tape's top: a zero of ty, made once
             xs.append(const(zero_of(ins.attrs["ty"])))
         callee = repr(ins.attrs["fn"].name) if ins.op in _RUNS else ""
-        code = fmt.format(*xs, fn=callee, args=tup(ins.operands), a=ins.attrs, shape=ty.shape,
-                          size=prod(ty.shape))
+        code = fmt.format(*xs, fn=callee, args=tup(ins.operands), a=ins.attrs, shape=ty.shape)
         lines = [f"{ref(x, x in raw)} = {code}"] + [f"v{x} = _own(r{x})"] * (x in escapes)
         if ins.op == "tape_top":  # a trace holds whatever the walker pushed
             lines.append(f"if not ({_is(f'v{x}', ty)}): raise _Replay")

@@ -180,14 +180,18 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not isinstance(b, DenseTensor):
+    if not isinstance(a, DenseTensor) and not isinstance(b, DenseTensor):
         if b == 0.0:
             raise DomainError("division by zero")
-        if not isinstance(a, DenseTensor):
-            return a / b
-    elif not b.data.all():
+        return a / b
+    return _np2(_divide, a, b)
+
+
+def _divide(a, b):
+    """np.divide of arrays or floats, refusing a zero divisor of either sign."""
+    if not (b.all() if isinstance(b, np.ndarray) else b):
         raise DomainError("division by zero")
-    return _np2(np.divide, a, b)
+    return np.divide(a, b)
 
 
 def neg(a):
@@ -238,9 +242,13 @@ SCALAR_UNARY: dict[str, Callable[[float], float]] = {
 
 def unary_math(name: str, a: DenseTensor) -> DenseTensor:
     """Elementwise transcendental via per-element math.* calls."""
-    out = np.fromiter(map(SCALAR_UNARY[name], a.data.reshape(-1).tolist()),
-                      dtype=np.float64, count=a.data.size)
-    return DenseTensor._own(out.reshape(a.shape))
+    return DenseTensor._own(_map(SCALAR_UNARY[name], a.data))
+
+
+def _map(f: Callable[[float], float], arr: np.ndarray) -> np.ndarray:
+    """f of each element of arr, one Python call each, in arr's shape."""
+    out = np.fromiter(map(f, arr.reshape(-1).tolist()), dtype=np.float64, count=arr.size)
+    return out.reshape(arr.shape)
 
 
 def pow_int(a: DenseTensor, n: int) -> DenseTensor:
@@ -249,27 +257,29 @@ def pow_int(a: DenseTensor, n: int) -> DenseTensor:
     return DenseTensor._own(out.reshape(a.shape))
 
 
+_COMPARES = {"lt": np.less, "gt": np.greater, "eq": np.equal}
+
+
 def compare(op: str, a, b) -> DenseTensor:
-    """Elementwise comparison producing a 0/1 mask tensor."""
+    """Elementwise comparison (lt, gt or eq) producing a 0/1 mask tensor."""
     da = a.data if isinstance(a, DenseTensor) else a
     db = b.data if isinstance(b, DenseTensor) else b
-    if op == "lt":
-        m = np.less(da, db)
-    elif op == "gt":
-        m = np.greater(da, db)
-    elif op == "eq":
-        m = np.equal(da, db)
-    else:
-        raise ValueError(op)
-    return DenseTensor._own(m.astype(np.float64))
+    return DenseTensor._own(_compare(op, da, db))
+
+
+def _compare(op: str, a, b) -> np.ndarray:
+    return _COMPARES[op](a, b).astype(np.float64)
 
 
 def select_mask(mask: DenseTensor, a, b) -> DenseTensor:
     """Pick ``a`` where the mask tensor is nonzero, ``b`` elsewhere, exactly."""
-    md = mask.data
     da = a.data if isinstance(a, DenseTensor) else float(a)
     db = b.data if isinstance(b, DenseTensor) else float(b)
-    return DenseTensor._own(np.where(md != 0.0, da, db))
+    return DenseTensor._own(_where(mask.data, da, db))
+
+
+def _where(mask: np.ndarray, a, b) -> np.ndarray:
+    return np.where(mask != 0.0, a, b)
 
 
 # --------------------------------------------------------- reductions
@@ -279,14 +289,10 @@ def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     # Ascending left folds for a C-contiguous arr: add.reduce on axis 0
     # adds whole rows from -0.0, the exact identity (numpy's +0.0 turns
     # -0.0 sums positive); where the axis would be the innermost loop,
-    # which add.reduce sums pairwise, the last slice of cumsum.  add.reduce
-    # runs an inner loop per row and cumsum one per column, so rows of at
-    # most 4 elements take cumsum too once there are over 32 per element.
-    rows = arr.shape[axis]
-    if rows == 1:
+    # which add.reduce sums pairwise, the last slice of cumsum.
+    if arr.shape[axis] == 1:
         return arr.take(0, axis=axis)
-    width = arr.size // rows
-    if axis == 0 and width > 1 and (width > 4 or rows <= 32 * width):
+    if axis == 0 and arr.size > arr.shape[0]:
         return np.add.reduce(arr, 0, initial=-0.0)
     return arr.cumsum(axis).take(-1, axis)
 
