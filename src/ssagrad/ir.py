@@ -147,10 +147,15 @@ def term_uses(block: Block) -> tuple[int, ...]:
 
 
 class Tier:
-    """interp's cache on a Function: dispatches left before it is lowered,
-    that code and its Python source."""
+    """Caches on a Function: interp's dispatches left before it is
+    lowered, that code and its Python source; and ``checked``, the tree
+    ``verify`` checked it into, with a weak reference to each function
+    of the module it was typed against (those its ops name by ``fn``).
+    ``structurize`` hands that tree, read only, to callers asking about
+    a module that still maps each of those names to the same function,
+    until ``verify`` checks it again."""
 
-    heat = code = source = None  # until set on the instance
+    heat = code = source = checked = None  # until set on the instance
 
     def __deepcopy__(self, memo) -> "Tier":
         return Tier()  # a copy starts cold

@@ -22,17 +22,22 @@ definition is reported at once.  Names never defined and jumps to blocks
 that never appear are reported when the function ends, at the first
 ``%`` or ``^`` that named them, in text order.
 
-The lexer is one ``findall``: each match is a token, a ``//`` comment or
-a stray character, with the whitespace before it.  The matches tile the
-text, so lines (ended by newlines only) and columns are exact.  Trailing
-whitespace is cut off first, or it would be rescanned from each of its
-characters.
+The lexer is one ``findall``, whose matches tile the text: each is the
+whitespace before a token and the token's text, or, at a stray
+character, the rest of the text.  Comments are dropped and ``("", "")``
+ends the list.  The parser asks a token's kind (``_kind``) only where
+the grammar needs it, and reads the whitespace only to keep operands on
+their op's line: a ``%`` after a newline starts the next instruction.
+
+Lines and columns are worked out only for an error, when it is raised:
+``_positions`` scans the text once for every token's line (ended by
+newlines only) and column, and the error takes its token's.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .ir import (
     BOOL,
@@ -62,102 +67,100 @@ class ParseError(Exception):
         self.message = message
 
 
-# whitespace, then a tensor type, number, name, arrow, comment (to the end
-# of its line) or any other non-space character, which is an error
+# whitespace, then a token: punctuation, a tensor type, name, number,
+# arrow or comment (to the end of its line); where no token follows the
+# whitespace, the rest of the text, groups empty
 _TOKEN_RE = re.compile(
-    r"(\s*)(tensor<[0-9]+(?:x[0-9]+)*xf64>"
-    r"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-inf"
-    r"|[A-Za-z_][A-Za-z0-9_]*|->|//[^\n]*|\S)"
+    r"(\s*)([@%^(){}\[\],:=<>]|tensor<[0-9]+(?:x[0-9]+)*xf64>|[A-Za-z_][A-Za-z0-9_]*"
+    r"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-inf|->|//[^\n]*)|[\s\S]+"
 )
 _INT_RE = re.compile(r"-?[0-9]+")
-
-# token kind by first character; "t", "-" and "/" start more than one kind
-_KIND_OF = {**dict.fromkeys("@%^(){}[],:=<>", "punct"), **dict.fromkeys("0123456789", "num"),
-            **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrsuvwxyz", "ident")}
 
 _SCALAR_TYPES = {"f64": F64, "bool": BOOL, "i64": I64, "tape": TAPE}
 
 
-class _Tok(NamedTuple):
-    kind: str  # "tensor" | "num" | "ident" | "arrow" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+def _kind(text: str) -> str:
+    """A lexed token's kind, from its text alone."""
+    if text.isidentifier():  # lexed text is ASCII: [A-Za-z_][A-Za-z0-9_]*
+        return "ident"
+    if text in ("", "->"):
+        return "arrow" if text else "eof"
+    return "tensor" if text[0] == "t" else "num" if text[0] in "-0123456789" else "punct"
 
 
-def _lex(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    # tuple.__new__ builds a _Tok without the Python-level _Tok.__new__
-    append, new, kinds = toks.append, tuple.__new__, _KIND_OF
-    line, col = 1, 1
-    for ws, text in _TOKEN_RE.findall(src.rstrip()):
-        if "\n" in ws:
-            line += ws.count("\n")
-            col = len(ws) - ws.rindex("\n")
-        else:
-            col += len(ws)
-        kind = kinds.get(text[0])
-        if kind is None:
-            if text[0] == "t":
-                kind = "tensor" if text[-1] == ">" else "ident"
-            elif text[0] == "-" and text != "-":
-                kind = "arrow" if text == "->" else "num"
-            elif text[:2] == "//":
-                continue  # a newline or the end of the text follows
-            else:
-                raise ParseError(line, col, f"unexpected character {text!r}")
-        append(new(_Tok, (kind, text, line, col)))
-        col += len(text)
-    append(_Tok("eof", "", src.count("\n") + 1, len(src) - src.rfind("\n")))
+def _lex(src: str) -> list[tuple[str, str]]:
+    """The (whitespace, text) pair of each token, comments dropped, then
+    ("", "") for the end; raises at the first stray character."""
+    toks = _TOKEN_RE.findall(src.rstrip())  # trailing whitespace would read as a stray
+    if "//" in src:
+        toks = [t for t in toks if t[1][:2] != "//"]
+    if toks and not toks[-1][1]:
+        off, line, col = _positions(src)[len(toks) - 1]
+        raise ParseError(line, col, f"unexpected character {src[off]!r}")
+    toks.append(("", ""))
     return toks
+
+
+def _positions(src: str) -> list[tuple[int, int, int]]:
+    """Offset, line and column of the first character of each match of
+    ``_lex``'s ``findall`` but comments, then of the end, in one scan."""
+    starts = [m.end() - len(t) for m in _TOKEN_RE.finditer(src.rstrip())
+              if (t := m[0].lstrip())[:2] != "//"]
+    out, line, last = [], 1, 0
+    for off in starts + [len(src)]:
+        line += src.count("\n", last, off)
+        out.append((off, line, off - src.rfind("\n", 0, off)))
+        last = off
+    return out
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _lex(src)
         self.i = 0
-        # per function: value ids by name, block names seen, and the
-        # first token naming each value or block not yet defined
+        # per function: value ids by name, block names seen, and the index
+        # of the first token naming each value or block not yet defined
         self.fn = Function("")
         self.ids: dict[str, int] = {}
         self.blocks: set[str] = set()
-        self.unresolved: dict[str, tuple[_Tok, str]] = {}
+        self.unresolved: dict[str, tuple[int, str]] = {}
 
     # ------------------------------------------------- token helpers
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        return self.toks[self.i][1]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def error(self, msg: str, tok: _Tok | None = None):
-        t = tok or self.peek()
-        raise ParseError(t.line, t.col, msg)
+    def error(self, msg: str, at: int | None = None):
+        """Raise at token ``at``, else at the next one."""
+        _, line, col = _positions(self.src)[self.i if at is None else at]
+        raise ParseError(line, col, msg)
 
     def at(self, text: str) -> bool:
-        # the eof token's text is empty, so it matches no caller's text
-        return self.toks[self.i].text == text
+        # the end's text is empty, so it matches no caller's text
+        return self.toks[self.i][1] == text
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            got = "end of input" if t.kind == "eof" else repr(t.text)
-            self.error(f"expected {text!r}, got {got}")
-        return self.next()
+    def expect(self, text: str) -> int:
+        """Consume ``text``; its token's index."""
+        i = self.i
+        t = self.toks[i][1]
+        if t != text:
+            self.error(f"expected {text!r}, got {repr(t) if t else 'end of input'}")
+        self.i = i + 1
+        return i
 
-    def expect_ident(self, what: str) -> _Tok:
-        if self.peek().kind != "ident":
+    def expect_ident(self, what: str) -> str:
+        t = self.toks[self.i][1]
+        if not t.isidentifier():  # _kind's test for a name
             self.error(f"expected {what}")
-        return self.next()
+        self.i += 1
+        return t
 
     def commas(self, item: Callable[[], object]) -> list:
         """One or more items separated by commas."""
         out = [item()]
         while self.at(","):
-            self.next()
+            self.i += 1
             out.append(item())
         return out
 
@@ -168,7 +171,7 @@ class _Parser:
         while not self.at(close):
             out.append(item())
             if self.at(","):
-                self.next()
+                self.i += 1
         self.expect(close)
         return out
 
@@ -176,19 +179,19 @@ class _Parser:
 
     def parse_type(self) -> Type:
         t = self.peek()
-        if t.kind == "tensor":
-            dims = [int(d) for d in t.text[len("tensor<"):-len("xf64>")].split("x")]
+        if t.startswith("tensor<"):
+            dims = [int(d) for d in t[len("tensor<"):-len("xf64>")].split("x")]
             if any(d < 1 for d in dims):
-                self.error("tensor extents must be positive", t)
-            self.next()
+                self.error("tensor extents must be positive")
+            self.i += 1
             return tensor_type(*dims)
-        if t.text in _SCALAR_TYPES:
-            self.next()
-            return _SCALAR_TYPES[t.text]
-        if t.text == "tapes":
-            self.next()
+        if t in _SCALAR_TYPES:
+            self.i += 1
+            return _SCALAR_TYPES[t]
+        if t == "tapes":
+            self.i += 1
             self.expect("<")
-            n = self.peek()
+            n = self.i
             lanes = self.parse_int("lane count")
             if lanes < 1:
                 self.error("tapes lane count must be positive", n)
@@ -199,38 +202,38 @@ class _Parser:
 
     def parse_int(self, what: str) -> int:
         t = self.peek()
-        if t.kind != "num" or not _INT_RE.fullmatch(t.text):
+        if not _INT_RE.fullmatch(t):
             self.error(f"expected integer {what}")
-        self.next()
-        return int(t.text)
+        self.i += 1
+        return int(t)
 
     def parse_float(self) -> float:
         t = self.peek()
-        if t.kind == "num" or t.text in ("inf", "nan"):
-            self.next()
-            return float(t.text)
+        if _kind(t) == "num" or t in ("inf", "nan"):
+            self.i += 1
+            return float(t)
         self.error("expected number")
         raise AssertionError
 
     def use(self) -> int:
         """A value read: its id, allocated here if the name is new."""
-        tok = self.expect("%")
-        name = self.expect_ident("value name").text
+        at = self.expect("%")
+        name = self.expect_ident("value name")
         vid = self.ids.get(name)
         if vid is None:
             vid = self.ids[name] = self.fn.new_value(name)
-            self.unresolved["%" + name] = (tok, f"use of undefined value %{name}")
+            self.unresolved["%" + name] = (at, f"use of undefined value %{name}")
         return vid
 
     def define(self) -> int:
         """A value definition: its id; a second definition is an error."""
-        tok = self.expect("%")
-        name = self.expect_ident("value name").text
+        at = self.expect("%")
+        name = self.expect_ident("value name")
         vid = self.ids.get(name)
         if vid is None:
             vid = self.ids[name] = self.fn.new_value(name)
         elif self.unresolved.pop("%" + name, None) is None:
-            self.error(f"redefinition of %{name}", tok)
+            self.error(f"redefinition of %{name}", at)
         return vid
 
     def parse_param(self) -> tuple[int, Type]:
@@ -243,43 +246,44 @@ class _Parser:
 
     def parse_attr_value(self) -> object:
         t = self.peek()
-        if t.text == "@":
-            self.next()
-            return FnRef(self.expect_ident("function name").text)
-        if t.text == "[":
+        if t == "@":
+            self.i += 1
+            return FnRef(self.expect_ident("function name"))
+        if t == "[":
             return tuple(self.enclosed("[", "]", lambda: self.parse_int("extent")))
-        if t.text in ("true", "false"):
-            self.next()
-            return t.text == "true"
-        if t.kind == "num" and _INT_RE.fullmatch(t.text):
-            self.next()
-            return int(t.text)
-        if t.kind == "tensor" or t.text in _SCALAR_TYPES or t.text == "tapes":
+        if t in ("true", "false"):
+            self.i += 1
+            return t == "true"
+        if _INT_RE.fullmatch(t):
+            self.i += 1
+            return int(t)
+        if t.startswith("tensor<") or t in _SCALAR_TYPES or t == "tapes":
             return self.parse_type()
-        if t.kind == "ident":
-            self.next()
-            return t.text
+        if t.isidentifier():
+            self.i += 1
+            return t
         self.error("expected attribute value")
         raise AssertionError
 
     def parse_attr(self) -> tuple[str, object]:
-        key = self.expect_ident("attribute name").text
+        key = self.expect_ident("attribute name")
         self.expect("=")
         return key, self.parse_attr_value()
 
-    def parse_const_payload(self, ty: Type, tok: _Tok) -> object:
+    def parse_const_payload(self, ty: Type, op_at: int) -> object:
         if ty.kind == "f64":
             return self.parse_float()
         if ty.kind == "i64":
             return self.parse_int("constant")
         if ty.kind == "bool":
-            t = self.next()
-            if t.text not in ("true", "false"):
-                self.error("expected true or false", t)
-            return t.text == "true"
+            t = self.peek()
+            if t not in ("true", "false"):
+                self.error("expected true or false")
+            self.i += 1
+            return t == "true"
         if ty.is_tensor:
             return tuple(self.enclosed("[", "]", self.parse_float))
-        self.error(f"constants of type {ty} are not allowed", tok)
+        self.error(f"constants of type {ty} are not allowed", op_at)
         raise AssertionError
 
     # ----------------------------------------------- blocks and funcs
@@ -287,26 +291,26 @@ class _Parser:
     def parse_instr(self) -> Instruction:
         result = self.define()
         self.expect("=")
-        op_tok = self.expect_ident("op name")
-        op = op_tok.text
+        op_at = self.i
+        op = self.expect_ident("op name")
         if op == "const":
             ty = self.parse_type()
-            return Instruction(result, op, (), {"ty": ty, "value": self.parse_const_payload(ty, op_tok)})
+            return Instruction(result, op, (), {"ty": ty, "value": self.parse_const_payload(ty, op_at)})
         # operands live on the op's line; a % opening the next line is the
         # next instruction (matters for zero-operand ops like tape_new)
-        has_operands = self.at("%") and self.peek().line == op_tok.line
-        operands = tuple(self.commas(self.use)) if has_operands else ()
+        ws, t = self.toks[self.i]
+        operands = tuple(self.commas(self.use)) if t == "%" and "\n" not in ws else ()
         attrs = dict(self.enclosed("{", "}", self.parse_attr)) if self.at("{") else {}
         return Instruction(result, op, operands, attrs)
 
     def parse_block_ref(self, verb: str) -> tuple[str, tuple[int, ...]]:
-        tok = self.expect("^")
-        name = self.expect_ident("block name").text
+        at = self.expect("^")
+        name = self.expect_ident("block name")
         if name not in self.blocks:
-            self.unresolved.setdefault("^" + name, (tok, f"{verb} to unknown block ^{name}"))
+            self.unresolved.setdefault("^" + name, (at, f"{verb} to unknown block ^{name}"))
         args: tuple[int, ...] = ()
         if self.at("("):
-            self.next()
+            self.i += 1
             if self.at("%"):
                 args = tuple(self.commas(self.use))
             self.expect(")")
@@ -314,14 +318,14 @@ class _Parser:
 
     def parse_terminator(self) -> Terminator:
         t = self.peek()
-        if t.text == "ret":
-            self.next()
+        if t == "ret":
+            self.i += 1
             return Ret(tuple(self.commas(self.use)) if self.at("%") else ())
-        if t.text == "jmp":
-            self.next()
+        if t == "jmp":
+            self.i += 1
             return Jmp(*self.parse_block_ref("jump"))
-        if t.text == "br":
-            self.next()
+        if t == "br":
+            self.i += 1
             cond = self.use()
             self.expect(",")
             then_target, then_args = self.parse_block_ref("branch")
@@ -332,18 +336,18 @@ class _Parser:
 
     def parse_block(self, header: list[tuple[int, Type]] | None) -> Block:
         """A block; the entry block gets the function's header parameters."""
-        tok = self.expect("^")
-        name_tok = self.expect_ident("block name")
-        name = name_tok.text
+        at = self.expect("^")
+        name = self.expect_ident("block name")
         if name in self.blocks:
-            self.error(f"redefinition of block ^{name}", tok)
+            self.error(f"redefinition of block ^{name}", at)
         self.blocks.add(name)
         self.unresolved.pop("^" + name, None)
         params = header or []
         if self.at("("):
             if header is not None:
-                self.error("entry block takes its parameters from the function header", name_tok)
-            self.next()
+                self.error("entry block takes its parameters from the function header",
+                           at + 1)  # at the name
+            self.i += 1
             params = self.parse_params()
             self.expect(")")
         self.expect(":")
@@ -356,7 +360,7 @@ class _Parser:
     def parse_results(self) -> tuple[Type, ...]:
         if not self.at("("):
             return tuple(self.commas(self.parse_type))
-        self.next()
+        self.i += 1
         tys = [] if self.at(")") else self.commas(self.parse_type)
         self.expect(")")
         return tuple(tys)
@@ -364,7 +368,7 @@ class _Parser:
     def parse_function(self) -> Function:
         self.expect("func")
         self.expect("@")
-        self.fn = fn = Function(self.expect_ident("function name").text)
+        self.fn = fn = Function(self.expect_ident("function name"))
         self.ids, self.blocks, self.unresolved = {}, set(), {}
         self.expect("(")
         header = self.parse_params()
@@ -378,21 +382,21 @@ class _Parser:
         self.expect("}")
         if self.unresolved:
             # entries go in in text order and never come back once removed
-            tok, msg = next(iter(self.unresolved.values()))
-            self.error(msg, tok)
+            at, msg = next(iter(self.unresolved.values()))
+            self.error(msg, at)
         return fn
 
     def parse_module(self) -> Module:
         module = Module()
         if not self.at("func"):
             self.error("expected 'func'")
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.peek():  # the end's text is empty
+            at = self.i
             fn = self.parse_function()
             if fn.name in module.functions:
-                self.error(f"duplicate function name @{fn.name}", tok)
+                self.error(f"duplicate function name @{fn.name}", at)
             module.add(fn)
-            if self.peek().kind != "eof" and not self.at("func"):
+            if self.peek() and not self.at("func"):
                 self.error("expected 'func' or end of input")
         return module
 

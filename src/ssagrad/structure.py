@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import itertools
 import sys
+import weakref
 from dataclasses import dataclass
 from math import prod
 
-from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, Function, Instruction, Jmp, Module, Ret,
-                 Type, tensor_type, term_uses)
+from .ir import (BOOL, F64, I64, Block, Br, Diagnostic, FnRef, Function, Instruction, Jmp, Module,
+                 Ret, Type, tensor_type, term_uses)
 from .ops import OPS, OpTypeError, result_type
 
 
@@ -384,8 +385,16 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
     """Recover the structured tree of a well-formed function.
 
     Raises StructureError at the first well-formedness violation, or
-    when the function is not in structured form.
+    when the function is not in structured form.  The tree ``verify``
+    kept for ``fn`` is returned as is while ``module`` still holds the
+    functions it was typed against (``ir.Tier``); callers do not change
+    it.
     """
+    if fn.tier.checked:
+        sf, typed_by = fn.tier.checked
+        if all(module is not None and (f := ref()) is not None and module.functions.get(name) is f
+               for name, ref in typed_by):
+            return sf
     dom, preds, rpo = analyze_cfg(fn)
     check_ssa(fn, dom)
     types = compute_types(fn, module, rpo)
@@ -558,13 +567,23 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
 
 
 def verify(module: Module) -> list[Diagnostic]:
-    """The first well-formedness failure of each function; empty when clean."""
+    """The first well-formedness failure of each function; empty when clean.
+
+    Each function is checked afresh, and a clean one keeps its tree in
+    ``fn.tier.checked``: ``structurize`` returns it to the transforms
+    (``augment``, ``vectorize``, ``lower``) while it holds (``ir.Tier``)."""
     diags: list[Diagnostic] = []
     for fn in module.functions.values():
+        fn.tier.checked = None
         try:
-            structurize(fn, module)
+            sf = structurize(fn, module)
         except StructureError as e:
             diags.append(e.diagnostic)
+        else:
+            # the functions its ops name by fn, which typed the tree
+            names = {r.name for b in fn.blocks for ins in b.body
+                     if isinstance(r := ins.attrs.get("fn"), FnRef) and r.name in module.functions}
+            fn.tier.checked = (sf, tuple((n, weakref.ref(module.functions[n])) for n in names))
     return diags
 
 

@@ -19,7 +19,7 @@ from ssagrad import (ADError, DANConfig, DenseTensor, Module, ParseError, Struct
 from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
 from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
                               make_synthetic)
-from ssagrad.parser import _lex
+from ssagrad.parser import _kind, _lex, _positions
 from ssagrad.structure import SEmitter, SIf, SWhile, splice_function
 
 from conftest import ANALYTIC_SRC, CORPUS_SEED, bits
@@ -459,6 +459,13 @@ PARSE_FAULTS = {
     "unknown_jump_target": (
         "func @f(%x: f64) -> f64 {\n^entry:\n  jmp ^b(%x)\n^c(%y: f64):\n  ret %y\n}\n",
         3, 7, "jump to unknown block ^b"),
+    # found once the type is read, and reported at the op before it
+    "tape_constant": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  %t = const tape 0\n  ret %x\n}\n",
+        3, 8, "constants of type tape are not allowed"),
+    "tapes_constant": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  %t = const tapes<2> 0\n  ret %x\n}\n",
+        3, 8, "constants of type tapes<2> are not allowed"),
 }
 
 
@@ -520,7 +527,9 @@ def test_parser_fuzz_gives_module_or_located_error():
 
 
 # A per-token lexer: one regex match per token, whitespace included.
-# parser._lex must agree with it token for token and error for error.
+# parser._lex, with each token's kind from parser._kind and its line and
+# column from parser._positions, must agree with it token for token and
+# error for error.
 _ORACLE_TOKEN = re.compile(
     r"""
       (?P<ws>\s+|//[^\n]*)
@@ -561,6 +570,11 @@ def _lexed(lex, text):
         return (e.line, e.col, e.message)
 
 
+def _lex_located(src):
+    return [(_kind(text), text, line, col)
+            for (_, text), (_, line, col) in zip(_lex(src), _positions(src), strict=True)]
+
+
 def _char_insertions():
     """Each piece at 8 seeded places in every module text: whitespace that
     columns count, a comment, prefixes of several token kinds, non-ASCII."""
@@ -577,7 +591,7 @@ def test_lexer_matches_per_token_oracle():
     errors = 0
     for text in itertools.chain(_token_mutations(), _char_insertions()):
         want = _lexed(_oracle_lex, text)
-        assert _lexed(_lex, text) == want, text
+        assert _lexed(_lex_located, text) == want, text
         errors += isinstance(want, tuple)
     assert errors > 1000, errors
 

@@ -5,18 +5,22 @@ differences via the acceptance suite); here the analytic fixtures pin
 exact values and the structural properties pin what augment emits.
 """
 
+import copy
+import gc
 import math
+import random
+import weakref
 from math import prod
 
 import pytest
 
 from collections import Counter
 
-from ssagrad import (ADError, DenseTensor, EvalError, Machine, StructureError, augment,
-                     build_grad_function, eval_function, finite_diff, grad,
-                     grad_of_grad, parse_ir, print_ir, trace_grad, verify)
+from ssagrad import (ADError, DenseTensor, EvalError, Machine, Module, StructureError, augment,
+                     build_grad_function, eval_function, finite_diff, generate_suite, grad,
+                     grad_of_grad, parse_ir, print_ir, structurize, trace_grad, verify)
 
-from ssagrad.ir import F64
+from ssagrad.ir import F64, Diagnostic, print_function
 from ssagrad.rules import RULES
 
 from conftest import bits, max_rel, rel
@@ -216,6 +220,121 @@ func @f(%x: f64) -> f64 {
     m.get("f").blocks[0].term.target = "__nowhere"
     with pytest.raises(StructureError, match=r"^@f \^entry: terminator targets unknown block \^__nowhere$"):
         augment(m, "f")
+
+
+BRANCH_CALL_SRC = """
+func @sq(%x: f64) -> f64 {
+^entry:
+  %y = mul %x, %x
+  ret %y
+}
+
+func @f(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  br %c, ^neg(), ^pos()
+^neg:
+  %n = neg %x
+  jmp ^join(%n)
+^pos:
+  jmp ^join(%x)
+^join(%a: f64):
+  %s = call %a {fn = @sq}
+  ret %s
+}
+"""
+
+
+def test_corrupted_copy_of_a_verified_function_is_checked_again():
+    # verify keeps f's tree; a deep copy starts without it, so augment
+    # structurizes the corrupted copy and names the fault
+    m = parse_ir(BRANCH_CALL_SRC)
+    assert verify(m) == []
+    broken = copy.deepcopy(m.get("f"))
+    assert broken.tier.checked is None
+    broken.blocks[0].term.then_target = "__nowhere"
+    with pytest.raises(StructureError, match=r"^@f \^entry: terminator targets unknown block \^__nowhere$"):
+        augment(Module({"sq": m.get("sq"), "f": broken}), "f")
+    assert grad(m, "f", (-3.0,)) == {0: -6.0}
+
+
+I64_SQ_SRC = "func @sq(%x: f64) -> i64 {\n^entry:\n  %k = const i64 1\n  ret %k\n}\n"
+
+
+@pytest.mark.parametrize("edit", ["add", "assign", "delete"])
+def test_replacing_or_removing_a_callee_drops_the_callers_tree(edit):
+    # f's tree was typed against @sq: once @sq is another function, or
+    # gone, augment structurizes f again and names the fault
+    m = parse_ir(BRANCH_CALL_SRC)
+    assert verify(m) == []
+    other = parse_ir(I64_SQ_SRC).get("sq")
+    if edit == "add":
+        m.add(other)
+    elif edit == "assign":
+        m.functions["sq"] = other
+    else:
+        del m.functions["sq"]
+    gc.collect()  # frees the old @sq: a dead reference keeps no tree either
+    want = "%s: call: unknown function @sq" if edit == "delete" else \
+        "ret value %s has type i64, want f64"
+    with pytest.raises(StructureError, match=rf"^@f \^join: {want}$"):
+        augment(m, "f")
+
+
+def test_verify_checks_afresh_and_holds_no_module():
+    m = parse_ir(BRANCH_CALL_SRC + """
+func @bad(%x: f64) -> f64 {
+^entry:
+  %b = lt %x, %x
+  ret %b
+}
+""")
+    bad = Diagnostic("bad", "entry", "ret value %b has type bool, want f64")
+    assert verify(m) == verify(m) == [bad]
+    assert m.get("bad").tier.checked is None
+    # an edit made since the last verify is found by the next
+    m.get("f").blocks[0].term.then_target = "__nowhere"
+    assert verify(m) == [Diagnostic("f", "entry", "terminator targets unknown block ^__nowhere"), bad]
+    m = parse_ir(BRANCH_CALL_SRC + """
+func @r(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @r}
+  ret %y
+}
+""")
+    assert verify(m) == []
+    # trees refer to the functions they call weakly and to the module not
+    # at all: dropping the module frees it and the recursive @r at once,
+    # with no cycle left for the collector (once the closures structurize
+    # leaves behind are collected); f's tree still serves any module that
+    # maps sq to the same function
+    sq, fn, refs = m.get("sq"), m.get("f"), (weakref.ref(m), weakref.ref(m.get("r")))
+    gc.collect()
+    gc.disable()
+    try:
+        del m
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+    assert structurize(fn, Module({"sq": sq, "f": fn})) is fn.tier.checked[0]
+    assert structurize(fn, Module({"sq": copy.deepcopy(sq), "f": fn})) is not fn.tier.checked[0]
+
+
+def test_augment_reads_the_verified_tree_on_the_corpus():
+    # on the seed-7 corpus the tree verify keeps is the one augment gets,
+    # equal to a fresh structurize, and the adjoints built from it print
+    # the same as those built from an unverified parse of the same text
+    module = Module()
+    for name, _ in generate_suite(module, random.Random(7), 200):
+        text = print_ir(Module({name: module.get(name)}))
+        checked, fresh = parse_ir(text), parse_ir(text)
+        assert verify(checked) == []
+        fn = checked.get(name)
+        assert structurize(fn, checked) is fn.tier.checked[0]
+        assert fn.tier.checked[0] == structurize(fresh.get(name), fresh)
+        assert [print_function(f) for f in augment(checked, name)] == \
+            [print_function(f) for f in augment(fresh, name)]
 
 
 def test_batched_traces_cannot_be_differentiated():
