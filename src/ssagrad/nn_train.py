@@ -145,27 +145,21 @@ def init_params(layer_sizes, rng: random.Random) -> ModelParams:
 # ------------------------------------------------------- IR builders
 
 
-def _batch_trunk(em: SEmitter, trunk, x: int) -> int:
-    h = x
-    for w, b in trunk:
-        wt = em.emit("transpose", (w,), None, "wt")
-        z = em.emit("matmul", (h, wt), None, "z")
-        zb = em.emit("add", (z, b), None, "zb")
-        h = em.emit("tanh", (zb,), None, "h")
+def _dense(em: SEmitter, pairs, h: int, tag: str, squash_last: bool) -> int:
+    """Dense layers ``h @ w.T + b`` for each (w, b) of ``pairs``, each
+    squashed by tanh but the last unless ``squash_last``; every value's
+    name starts with ``tag``."""
+    for k, (w, b) in enumerate(pairs):
+        wt = em.emit("transpose", (w,), None, f"{tag}wt")
+        z = em.emit("matmul", (h, wt), None, f"{tag}z")
+        h = em.emit("add", (z, b), None, f"{tag}zb")
+        if squash_last or k + 1 < len(pairs):
+            h = em.emit("tanh", (h,), None, f"{tag}h")
     return h
 
 
 def _batch_head(em: SEmitter, pairs, h: int, n: int, tag: str) -> int:
-    cur = h
-    for k, (w, b) in enumerate(pairs):
-        wt = em.emit("transpose", (w,), None, f"{tag}wt")
-        z = em.emit("matmul", (cur, wt), None, f"{tag}z")
-        zb = em.emit("add", (z, b), None, f"{tag}zb")
-        if k + 1 < len(pairs):
-            cur = em.emit("tanh", (zb,), None, f"{tag}h")
-        else:
-            cur = zb
-    flatz = em.emit("reshape", (cur,), {"shape": (n,)}, f"{tag}logit")
+    flatz = em.emit("reshape", (_dense(em, pairs, h, tag, False),), {"shape": (n,)}, f"{tag}logit")
     return em.emit("sigmoid", (flatz,), None, f"{tag}hat")
 
 
@@ -205,7 +199,7 @@ def build_loss_ir(module: Module, layer_sizes, batch_size: int) -> Function:
     yd = em.param("Yd", tensor_type(n))
     lam = em.param("lam", F64)
 
-    h = _batch_trunk(em, trunk, x)
+    h = _dense(em, trunk, x, "", True)
     yc_hat = _batch_head(em, class_head, h, n, "c")
     yd_hat = _batch_head(em, domain_head, h, n, "d")
 
@@ -242,7 +236,7 @@ def build_eval_ir(module: Module, layer_sizes, n: int) -> Function:
     trunk, class_head, domain_head = _declare_weights(em, layer_sizes)
     dim = layer_sizes[0][0]
     x = em.param("X", tensor_type(n, dim))
-    h = _batch_trunk(em, trunk, x)
+    h = _dense(em, trunk, x, "", True)
     yc_hat = _batch_head(em, class_head, h, n, "c")
     yd_hat = _batch_head(em, domain_head, h, n, "d")
     fn = flatten(em.finish((yc_hat, yd_hat, h)))

@@ -50,11 +50,15 @@ from .structure import (
     SIf,
     SInstr,
     SWhile,
+    closure,
+    defs,
     drop_dead,
     flatten,
+    flows,
     free_values,
     splice_function,
     structurize,
+    walk,
 )
 
 # value kinds that carry a cotangent through the pullback: real numbers,
@@ -110,35 +114,18 @@ class _Inliner(Copier):
 
 
 def activity(sf: SFunc) -> set[int]:
-    """The active values of ``sf`` (module docstring).  Varied and useful
-    values grow along the data-flow edges between values that carry a
-    cotangent, from the parameters forward and from the results back,
-    until a pass adds nothing."""
-    edges: list[tuple[int, int]] = []
-
-    def scan(nodes: list):
-        for n in nodes:
-            if isinstance(n, SInstr):
-                if not OPS[n.ins.op].no_cotangent:
-                    edges.extend((o, n.ins.result) for o in n.ins.operands)
-            elif isinstance(n, SIf):
-                edges.extend((a, v) for (v, _), a in zip(n.merged * 2, n.then_args + n.else_args))
-                scan(n.then_region + n.else_region)
-            else:
-                edges.extend((a, v) for (v, _), a in zip(n.carried * 2 + n.exits,
-                                                         n.init + n.body_args + n.exit_args))
-                scan(n.body_region)
-
-    scan(sf.region)
+    """The active values of ``sf`` (module docstring): those both varied
+    and useful.  Both are closures over the data flow (``structure.flows``)
+    between values that carry a cotangent, leaving out the flow through
+    ops that pass none on (``OpDef.no_cotangent``): varied values run
+    forward from the differentiable parameters, and useful ones backward
+    from the results."""
     carries = {v for v, ty in sf.types.items() if _carries_cot(ty)}
-    edges = [(a, b) for a, b in edges if a in carries and b in carries]
-    varied = {pv for pv, ty in sf.params if ty.is_differentiable}
-    useful = {rv for rv in sf.ret_vals if rv in carries}
-    for seen, flow in ((varied, edges), (useful, [(b, a) for a, b in reversed(edges)])):
-        size = -1
-        while size != len(seen):
-            size = len(seen)
-            seen.update(b for a, b in flow if a in seen)
+    edges = [(a, b) for n in walk(sf.region)
+             if not (isinstance(n, SInstr) and OPS[n.ins.op].no_cotangent)
+             for a, b in flows(n) if a in carries and b in carries]
+    varied = closure((pv for pv, ty in sf.params if ty.is_differentiable), edges)
+    useful = closure((rv for rv in sf.ret_vals if rv in carries), [(b, a) for a, b in edges])
     return varied & useful
 
 
@@ -146,13 +133,7 @@ def _inert(node, active: set[int]) -> bool:
     """Whether a node defines no active value.  An inert if or loop
     needs no flags on the trace and no reversal: the cotangents it would
     carry pass through it unchanged."""
-    if isinstance(node, SInstr):
-        return node.ins.result not in active
-    if isinstance(node, SIf):
-        binds, regions = node.merged, node.then_region + node.else_region
-    else:
-        binds, regions = node.carried + node.exits, node.body_region
-    return active.isdisjoint(v for v, _ in binds) and all(_inert(n, active) for n in regions)
+    return all(active.isdisjoint(defs(n)) for n in walk([node]))
 
 
 def _recorded_rule(active: set[int], sf: SFunc, ins: Instruction) -> Rule | None:
@@ -404,11 +385,7 @@ class _PullbackBuilder:
         em, sf = self.em, self.sf
         flag, blog = self.pop(blog, BOOL)
 
-        free = set()
-        for region, args in ((node.then_region, node.then_args),
-                             (node.else_region, node.else_args)):
-            free |= free_values(region, args)
-        outside = sorted(free & self.active)
+        outside = sorted(free_values([node]) & self.active)
 
         base = dict(cot)
         arm_nodes = []

@@ -6,10 +6,13 @@ bit-identical per lane: elementwise kernels apply the same scalar
 operations, reductions keep their fold order, and matmul takes rank-3,
 lane-leading operands with the same ascending-k accumulation.
 
-Control flow is where lanes disagree.  A branch on a lane-dependent
-condition runs both sides and merges with masked selects; a loop keeps
-an active-lane mask and iterates until every lane is done, freezing the
-carried values of lanes that already left.  Traces survive both tricks
+Control flow is where lanes disagree, and lane dependence flows
+through it: an if or loop on a lane-dependent condition binds
+lane-dependent values, even a loop exit bound to a constant, since
+lanes leave after different trips.  Such a branch runs both sides and
+merges with masked selects; such a loop keeps an active-lane mask and
+iterates until every lane is done, freezing the carried values of lanes
+that already left.  Traces survive both tricks
 because a batched trace is one index per lane into a table of nodes that
 never change: a select keeps the old node of a lane that did not take a
 branch, and the nodes the other arm pushed stay unreachable from it.
@@ -29,7 +32,8 @@ from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
 from .ops import OPS
-from .structure import Copier, SEmitter, SFunc, SIf, SInstr, SWhile, flatten
+from .structure import (Copier, SEmitter, SFunc, SIf, SInstr, SWhile, closure, defs, flatten, flows,
+                        walk)
 from .reverse_ad import augment, inline_sfunc, run_aug_pb
 from .tensor import DenseTensor
 
@@ -63,62 +67,20 @@ def _lane_shape(ty: Type) -> tuple[int, ...]:
 def _scan_batched(sf: SFunc) -> set[int]:
     """Which values become lane-dependent once all parameters do.
 
-    Constants and anything computed purely from them stay uniform and
-    are emitted once, shared by every lane.  Traces always batch: the
-    flags they replay are lane-dependent as soon as any branch is.
+    Lane dependence follows data flow (``structure.flows``), and runs
+    from an if's or loop's condition to each of its bindings.  Constants
+    and anything computed purely from them stay uniform and are emitted
+    once, shared by every lane.  Traces always batch: the flags they
+    replay are lane-dependent as soon as any branch is.
     """
-    batched: set[int] = {pv for pv, _ in sf.params}
-
-    def mark(vid: int, ty: Type) -> bool:
-        if vid in batched:
-            return False
-        if ty.kind in ("tape", "tapes"):
-            batched.add(vid)
-            return True
-        return False
-
-    def instr(ins: Instruction, types: dict[int, Type]):
-        if ins.op == "const":
-            return
-        ty = types[ins.result]
-        if mark(ins.result, ty):
-            return
-        if any(o in batched for o in ins.operands):
-            batched.add(ins.result)
-
-    def walk(nodes: list):
-        for node in nodes:
-            if isinstance(node, SInstr):
-                instr(node.ins, sf.types)
-            elif isinstance(node, SIf):
-                walk(node.then_region)
-                walk(node.else_region)
-                forced = node.cond in batched
-                for (mv, mty), ta, ea in zip(node.merged, node.then_args, node.else_args):
-                    if forced or ta in batched or ea in batched:
-                        batched.add(mv)
-                    else:
-                        mark(mv, mty)
-            elif isinstance(node, SWhile):
-                while True:
-                    before = len(batched)
-                    forced = node.cond in batched
-                    for (cv, cty), iv, bv in zip(node.carried, node.init, node.body_args):
-                        if forced or iv in batched or bv in batched:
-                            batched.add(cv)
-                        else:
-                            mark(cv, cty)
-                    walk(node.body_region)
-                    if len(batched) == before:
-                        break
-                for (ev, ety), ea in zip(node.exits, node.exit_args):
-                    if ea in batched:
-                        batched.add(ev)
-                    else:
-                        mark(ev, ety)
-
-    walk(sf.region)
-    return batched
+    edges = []
+    for node in walk(sf.region):
+        edges += flows(node)
+        if not isinstance(node, SInstr):
+            edges += [(node.cond, v) for v in defs(node)]
+    seeds = [pv for pv, _ in sf.params]
+    seeds += [v for v, ty in sf.types.items() if ty.kind in ("tape", "tapes")]
+    return closure(seeds, edges)
 
 
 # --------------------------------------------------------- rewriting
@@ -190,11 +152,8 @@ class _Vectorizer(Copier):
         if ty.kind == "i64":
             f = self.em.emit("itof", (ev,), None, nm)
             return self.em.emit("bcast", (f,), {"shape": (self.B,)}, nm)
-        if ty.kind == "bool":
-            return self.em.emit(
-                "select", (ev, self.ones_rows(), self.rows_like(0.0, (), nm)), None, nm
-            )
-        raise BatchError(f"cannot batch {ty}")
+        # a bool: traces are never uniform (``_scan_batched``)
+        return self.em.emit("select", (ev, self.ones_rows(), self.rows_like(0.0, (), nm)), None, nm)
 
     def edge(self, dst: int, src: int) -> int:
         """The value ``src`` passes along an edge to the binding ``dst``:
@@ -411,7 +370,6 @@ class _Vectorizer(Copier):
         self.mask = outer
 
         exit_args = tuple(self.materialize(ea) for ea in node.exit_args)
-        self.batched.update(ev for ev, _ in node.exits)
         exits = self.bind(node.exits)
         em.append(SWhile(carried, tuple(inits), header_ins, cond, body_nodes,
                          tuple(back), exits, exit_args))

@@ -31,6 +31,14 @@ steps are unchanged.  No returned tree holds a header instruction; only
 code builders (``progen``, the vectorizer's lane-varying loops) fill
 ``SWhile.header``, for ``flatten``.
 
+Tree analyses (``free_values``, ``drop_dead``, activity, lane analysis)
+share one account of data flow: ``walk``, ``reads``, ``defs``, ``flows``
+and ``closure``.  A tree pass is a module-level function or a method:
+a nested function that calls itself is held by its own closure cell, a
+cycle that keeps the tree alive until the cyclic collector runs, so
+``structurize`` empties the cells of its nested ``recover`` and
+``make_while`` before it returns.
+
 Transforms build their output with an ``SEmitter``, and those that
 copy a tree (inlining, the forward clone, batching) subclass ``Copier``.
 It copies every if and loop, giving their merged, carried and exit
@@ -309,29 +317,74 @@ def check_terminators(fn: Function, types: dict[int, Type]) -> None:
 # ----------------------------------------------------- region queries
 
 
+def walk(nodes: list, out: list | None = None) -> list:
+    """Every node of a region and of its nested regions, each if or loop
+    before its regions' nodes, appended to ``out`` (by default a new list)."""
+    out = [] if out is None else out
+    for n in nodes:
+        out.append(n)
+        if isinstance(n, SIf):
+            walk(n.then_region, out)
+            walk(n.else_region, out)
+        elif isinstance(n, SWhile):
+            walk(n.body_region, out)
+    return out
+
+
+def reads(node) -> tuple[int, ...]:
+    """The values a node reads itself, not those its regions' nodes read."""
+    if isinstance(node, SInstr):
+        return node.ins.operands
+    if isinstance(node, SIf):
+        return (node.cond, *node.then_args, *node.else_args)
+    return (*node.init, node.cond, *node.body_args, *node.exit_args)
+
+
+def defs(node) -> list[int]:
+    """The values a node defines: a result, or an if's or loop's bindings."""
+    if isinstance(node, SInstr):
+        return [node.ins.result]
+    if isinstance(node, SIf):
+        return [v for v, _ in node.merged]
+    return [v for v, _ in node.carried + node.exits]
+
+
+def flows(node) -> list[tuple[int, int]]:
+    """(source, value) pairs of a node's data flow: an instruction's
+    operands flow to its result, and edge arguments to their bindings."""
+    if isinstance(node, SInstr):
+        return [(o, node.ins.result) for o in node.ins.operands]
+    if isinstance(node, SIf):
+        return list(zip(node.then_args + node.else_args, defs(node) * 2))
+    return list(zip(node.init + node.body_args + node.exit_args,
+                    [v for v, _ in node.carried * 2 + node.exits]))
+
+
+def closure(seeds, edges) -> set[int]:
+    """``seeds`` and every value reachable from them along ``edges``,
+    (source, target) pairs."""
+    succ: dict[int, list[int]] = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    seen = set(seeds)
+    work = list(seen)
+    while work:
+        for b in succ.get(work.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                work.append(b)
+    return seen
+
+
 def free_values(nodes: list, out_args: tuple[int, ...] = ()) -> set[int]:
     """The values a region, together with the edge arguments it passes
     out, reads but does not define."""
     used: set[int] = set(out_args)
-    defs: set[int] = set()
-
-    def scan(ns: list):
-        for n in ns:
-            if isinstance(n, SInstr):
-                used.update(n.ins.operands)
-                defs.add(n.ins.result)
-            elif isinstance(n, SIf):
-                used.update((n.cond, *n.then_args, *n.else_args))
-                defs.update(v for v, _ in n.merged)
-                scan(n.then_region)
-                scan(n.else_region)
-            else:
-                used.update((*n.init, n.cond, *n.body_args, *n.exit_args))
-                defs.update(v for v, _ in n.carried + n.exits)
-                scan(n.body_region)
-
-    scan(nodes)
-    return used - defs
+    defined: set[int] = set()
+    for n in walk(nodes):
+        used.update(reads(n))
+        defined.update(defs(n))
+    return used - defined
 
 
 # ------------------------------------------------------- tree nodes
@@ -448,8 +501,6 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
                 else Instruction(ins.result, ins.op, read(ins.operands), ins.attrs)
                 for ins in body]
 
-    ret_box: list[tuple[int, ...]] = []
-
     vnames, ids = dict(fn.vnames), itertools.count(fn.next_id)
     used: dict[str, int] = {}  # fresh_name's table, filled on first use
 
@@ -488,7 +539,7 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
         exit_name, exit_args = b.term.else_target, read(b.term.else_args)
         if len(preds[exit_name]) != 1:
             raise StructureError(fn.name, exit_name, "loop exit must have one predecessor")
-        body_nodes, back_args = walk(body_entry, body_entry_args, True, name)
+        body_nodes, back_args = recover(body_entry, body_entry_args, True, name)
         # rotate: every header result becomes a carried value, computed
         # once before the loop and once at the end of each trip
         pre, init = rotated(header, b.params, init)
@@ -505,7 +556,7 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
         )
         return pre + [node], exit_name
 
-    def walk(
+    def recover(
         entry_name: str,
         entry_args: tuple[int, ...],
         bind_entry: bool,
@@ -518,8 +569,6 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
                 return nodes, args
             b = blocks[cur]
             if cur in headers:
-                if not bind:
-                    raise StructureError(fn.name, cur, "header reached oddly")
                 loop_nodes, exit_name = make_while(cur, args)
                 nodes.extend(loop_nodes)
                 cur, args, bind = exit_name, (), False
@@ -534,9 +583,12 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
             if isinstance(t, Ret):
                 if stop is not None:
                     raise StructureError(fn.name, cur, "ret inside a structured region")
-                ret_box.append(read(t.values))
-                return nodes, ()
+                return nodes, read(t.values)
             if isinstance(t, Jmp):
+                if headers.get(t.target) == cur and t.target != stop:
+                    # a back edge met outside its loop's body: a branch
+                    # in the body reconverges only after the loop
+                    raise StructureError(fn.name, t.target, "loop exits from inside its body")
                 cur, args, bind = t.target, read(t.args), True
                 continue
             assert isinstance(t, Br)
@@ -545,21 +597,22 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
                 raise StructureError(fn.name, cur, "branch arms never reconverge")
             if len(preds[join]) != 2:
                 raise StructureError(fn.name, join, "join must have two predecessors")
-            then_nodes, then_args = walk(t.then_target, read(t.then_args), True, join)
-            else_nodes, else_args = walk(t.else_target, read(t.else_args), True, join)
+            then_nodes, then_args = recover(t.then_target, read(t.then_args), True, join)
+            else_nodes, else_args = recover(t.else_target, read(t.else_args), True, join)
             nodes.append(SIf(rename.get(t.cond, t.cond), then_nodes, then_args,
                              else_nodes, else_args, list(blocks[join].params)))
             cur, args, bind = join, (), False
 
-    region, _ = walk(fn.blocks[0].name, (), False, None)
-    if not ret_box:
-        raise StructureError(fn.name, "", "control never reaches ret")
+    try:
+        region, ret_vals = recover(fn.blocks[0].name, (), False, None)
+    finally:
+        del recover, make_while  # they call each other: leave no cycle behind
     return SFunc(
         name=fn.name,
         params=list(fn.params),
         results=fn.results,
         region=region,
-        ret_vals=ret_box[0],
+        ret_vals=ret_vals,
         types=types,
         vnames=vnames,
         next_id=next(ids),
@@ -594,29 +647,29 @@ def drop_dead(sf: SFunc) -> SFunc:
     suffices, as a region's values are read only later in it.  A
     ``tape_top`` stays while its trace is read on, so that the pop stays
     whole: differentiating the code again types the popped entry by it."""
-    live = set(sf.ret_vals)
-
-    def sweep(nodes: list) -> list:
-        kept = []
-        for node in reversed(nodes):
-            if isinstance(node, SInstr):
-                ins = node.ins
-                if ins.result not in live and not OPS[ins.op].faults and not (
-                        ins.op == "tape_top" and ins.operands[0] in live):
-                    continue
-                live.update(ins.operands)
-            elif isinstance(node, SIf):
-                live.update((node.cond, *node.then_args, *node.else_args))
-                node.then_region = sweep(node.then_region)
-                node.else_region = sweep(node.else_region)
-            else:
-                live.update((node.cond, *node.init, *node.body_args, *node.exit_args))
-                node.body_region = sweep(node.body_region)
-            kept.append(node)
-        return kept[::-1]
-
-    sf.region = sweep(sf.region)
+    sf.region = _sweep(sf.region, set(sf.ret_vals))
     return sf
+
+
+def _sweep(nodes: list, live: set[int]) -> list:
+    """``drop_dead`` on a region; ``live`` holds the values read after it."""
+    kept = []
+    for node in reversed(nodes):
+        if isinstance(node, SInstr):
+            ins = node.ins
+            if ins.result not in live and not OPS[ins.op].faults and not (
+                    ins.op == "tape_top" and ins.operands[0] in live):
+                continue
+            live.update(ins.operands)
+        else:
+            live.update(reads(node))
+            if isinstance(node, SIf):
+                node.then_region = _sweep(node.then_region, live)
+                node.else_region = _sweep(node.else_region, live)
+            else:
+                node.body_region = _sweep(node.body_region, live)
+        kept.append(node)
+    return kept[::-1]
 
 
 # --------------------------------------------------------- emission
@@ -627,47 +680,42 @@ def flatten(sf: SFunc) -> Function:
     fn = Function(sf.name, sf.results)
     fn.vnames = dict(sf.vnames)
     fn.next_id = sf.next_id
-    counter = [0]
-
-    def new_block(kind: str, params: list[tuple[int, Type]] | None = None) -> Block:
-        name = "entry" if kind == "entry" else f"{kind}{counter[0]}"
-        if kind != "entry":
-            counter[0] += 1
-        b = Block(name, params or [])
-        fn.blocks.append(b)
-        return b
-
-    entry = new_block("entry", list(sf.params))
-
-    def emit_region(nodes: list, cur: Block) -> Block:
-        for node in nodes:
-            if isinstance(node, SInstr):
-                cur.body.append(node.ins)
-            elif isinstance(node, SIf):
-                then_b = new_block("then")
-                else_b = new_block("else")
-                join_b = new_block("join", list(node.merged))
-                cur.term = Br(node.cond, then_b.name, (), else_b.name, ())
-                t_end = emit_region(node.then_region, then_b)
-                t_end.term = Jmp(join_b.name, node.then_args)
-                e_end = emit_region(node.else_region, else_b)
-                e_end.term = Jmp(join_b.name, node.else_args)
-                cur = join_b
-            else:
-                head_b = new_block("head", list(node.carried))
-                body_b = new_block("body")
-                exit_b = new_block("exit", list(node.exits))
-                cur.term = Jmp(head_b.name, node.init)
-                head_b.body.extend(node.header)
-                head_b.term = Br(node.cond, body_b.name, (), exit_b.name, node.exit_args)
-                b_end = emit_region(node.body_region, body_b)
-                b_end.term = Jmp(head_b.name, node.body_args)
-                cur = exit_b
-        return cur
-
-    last = emit_region(sf.region, entry)
+    fn.blocks.append(Block("entry", list(sf.params)))
+    last = _emit_region(fn, sf.region, fn.blocks[0])
     last.term = Ret(sf.ret_vals)
     return fn
+
+
+def _new_block(fn: Function, kind: str, params: list | tuple = ()) -> Block:
+    """A new block of ``fn``, numbered by the blocks after the entry."""
+    b = Block(f"{kind}{len(fn.blocks) - 1}", list(params))
+    fn.blocks.append(b)
+    return b
+
+
+def _emit_region(fn: Function, nodes: list, cur: Block) -> Block:
+    """Emit a region into ``fn`` from ``cur``; returns its open last block."""
+    for node in nodes:
+        if isinstance(node, SInstr):
+            cur.body.append(node.ins)
+        elif isinstance(node, SIf):
+            then_b = _new_block(fn, "then")
+            else_b = _new_block(fn, "else")
+            join_b = _new_block(fn, "join", node.merged)
+            cur.term = Br(node.cond, then_b.name, (), else_b.name, ())
+            _emit_region(fn, node.then_region, then_b).term = Jmp(join_b.name, node.then_args)
+            _emit_region(fn, node.else_region, else_b).term = Jmp(join_b.name, node.else_args)
+            cur = join_b
+        else:
+            head_b = _new_block(fn, "head", node.carried)
+            body_b = _new_block(fn, "body")
+            exit_b = _new_block(fn, "exit", node.exits)
+            cur.term = Jmp(head_b.name, node.init)
+            head_b.body.extend(node.header)
+            head_b.term = Br(node.cond, body_b.name, (), exit_b.name, node.exit_args)
+            _emit_region(fn, node.body_region, body_b).term = Jmp(head_b.name, node.body_args)
+            cur = exit_b
+    return cur
 
 
 # ---------------------------------------------------------- building

@@ -6,6 +6,7 @@ from ssagrad import EvalError, eval_function, grad, parse_ir, print_ir, verify
 from ssagrad.cli import main
 
 from conftest import ANALYTIC_SRC
+from test_spmd import LANE_EXIT_SRC
 
 MUL_SRC = """
 func @mul(%x: f64, %y: f64) -> f64 {
@@ -143,6 +144,14 @@ def test_batch_nested_args(mul_file, capsys):
     assert rc == 0
     out, _ = capsys.readouterr()
     assert json.loads(out) == [6.0, 20.0]
+
+
+def test_batch_lane_dependent_loop_exit(tmp_path, capsys):
+    p = tmp_path / "exit.ssair"
+    p.write_text(LANE_EXIT_SRC)
+    assert main(["batch", str(p), "--entry", "f", "-B", "2", "--args", "[-2.5,1.0]"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.strip() == "[3.5,4.0]"
 
 
 def test_batch_lane_mismatch(abs_file, capsys):

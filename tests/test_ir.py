@@ -16,7 +16,7 @@ from ssagrad import (ADError, DANConfig, DenseTensor, Module, ParseError, Struct
                      augment, batched_grad, build_grad_function, flatten, generate_suite, grad,
                      grad_of_grad, parse_ir, print_ir, random_program, stack_lanes, structurize,
                      train, vectorize, verify)
-from ssagrad.ir import F64, TAPE, Br, Jmp, print_function
+from ssagrad.ir import F64, TAPE, Br, Diagnostic, Jmp, print_function
 from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
                               make_synthetic)
 from ssagrad.parser import _kind, _lex, _positions
@@ -438,6 +438,108 @@ def test_entry_points_reject_what_verify_rejects(case, entry):
     with pytest.raises(StructureError) as info:
         ENTRY_POINTS[entry](_ill_formed(case))
     assert str(info.value.diagnostic) == str(diags[0])
+
+
+# ----------------------------------------------- structurizer diagnostics
+
+
+def _cfg(text):
+    """@f(%x: f64) -> f64 with one block per line of ``text``, written
+    "name: terminator"; the entry block defines the bool %c."""
+    lines = ["func @f(%x: f64) -> f64 {"]
+    for i, line in enumerate(text.strip().splitlines()):
+        name, term = line.split(":", 1)
+        lines += [f"^{name.strip()}:"] + ["  %c = lt %x, %x"] * (i == 0) + ["  " + term.strip()]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+# each raise of the block-graph checks, the back-edge check and the tree
+# recovery on a minimal function, but "never reconverge" (ILL_FORMED) and
+# "ret inside a structured region", which no function is known to reach;
+# the parser rejects the first four, so an edit after parsing makes them
+CFG_FAULTS = {
+    "no_blocks": ("entry: ret %x", lambda fn: fn.blocks.clear(), "", "function has no blocks"),
+    "duplicate_block_name": ("entry: jmp ^a()\na: jmp ^b()\nb: ret %x",
+                             lambda fn: setattr(fn.blocks[2], "name", "a"), "a",
+                             "duplicate block name"),
+    "missing_terminator": ("entry: jmp ^a()\na: ret %x",
+                           lambda fn: setattr(fn.blocks[1], "term", None), "a",
+                           "missing terminator"),
+    "unknown_target": ("entry: jmp ^a()\na: ret %x",
+                       lambda fn: setattr(fn.blocks[0].term, "target", "nowhere"), "entry",
+                       "terminator targets unknown block ^nowhere"),
+    "unreachable_block": ("entry: ret %x\ndead: ret %x", None, "dead", "unreachable block"),
+    "entry_predecessors": ("entry: br %c, ^entry(), ^b()\nb: ret %x", None,
+                           "entry", "entry block has predecessors"),
+    "conditional_back_edge": ("entry: jmp ^h()\nh: br %c, ^h(), ^x()\nx: ret %x", None,
+                              "h", "back edges must be unconditional jumps"),
+    "multiple_back_edges": ("""
+entry: jmp ^h()
+h: br %c, ^a(), ^x()
+a: br %c, ^l1(), ^l2()
+l1: jmp ^h()
+l2: jmp ^h()
+x: ret %x""", None, "h", "multiple back edges"),
+    "self_loop": ("entry: br %c, ^h(), ^x()\nh: jmp ^h()\nx: ret %x", None, "h", "self loop"),
+    "header_predecessors": ("""
+entry: br %c, ^a(), ^b()
+a: br %c, ^h(), ^r()
+b: jmp ^h()
+h: br %c, ^l(), ^x()
+l: jmp ^h()
+x: jmp ^r()
+r: ret %x""", None, "h", "loop header must have two predecessors"),
+    "header_jumps": ("""
+entry: jmp ^h()
+h: jmp ^b()
+b: br %c, ^l(), ^x()
+l: jmp ^h()
+x: ret %x""", None, "h", "loop header must end in br"),
+    "body_and_exit_mixed": ("""
+entry: jmp ^h()
+h: br %c, ^a(), ^b()
+a: br %c, ^l(), ^x()
+b: jmp ^l()
+l: jmp ^h()
+x: ret %x""", None, "h", "cannot split loop body from exit"),
+    "body_on_else_edge": ("entry: jmp ^h()\nh: br %c, ^x(), ^l()\nl: jmp ^h()\nx: ret %x", None,
+                          "h", "loop body must sit on the taken branch edge"),
+    "exit_predecessors": ("""
+entry: br %c, ^p(), ^x()
+p: jmp ^h()
+h: br %c, ^l(), ^x()
+l: jmp ^h()
+x: ret %x""", None, "x", "loop exit must have one predecessor"),
+    "unstructured_merge": ("""
+entry: br %c, ^a(), ^b()
+a: br %c, ^m(), ^j()
+b: jmp ^m()
+m: jmp ^j()
+j: ret %x""", None, "m", "unstructured merge point"),
+    "join_predecessors": ("""
+entry: br %c, ^a(), ^b()
+a: br %c, ^j(), ^c()
+b: jmp ^j()
+c: jmp ^j()
+j: ret %x""", None, "j", "join must have two predecessors"),
+    # the loop is left from ^a straight to the ret
+    "exit_from_body": ("""
+entry: jmp ^h()
+h: br %c, ^a(), ^x()
+a: br %c, ^l(), ^r()
+l: jmp ^h()
+x: jmp ^r()
+r: ret %x""", None, "h", "loop exits from inside its body"),
+}
+
+
+@pytest.mark.parametrize("case", CFG_FAULTS)
+def test_structurizer_diagnostics(case):
+    text, edit, block, message = CFG_FAULTS[case]
+    m = parse_ir(_cfg(text))
+    if edit:
+        edit(m.get("f"))
+    assert verify(m) == [Diagnostic("f", block, message)]
 
 
 # ------------------------------------------------- parser diagnostics

@@ -16,11 +16,13 @@ import pytest
 
 from collections import Counter
 
-from ssagrad import (ADError, DenseTensor, EvalError, Machine, Module, StructureError, augment,
-                     build_grad_function, eval_function, finite_diff, generate_suite, grad,
-                     grad_of_grad, parse_ir, print_ir, structurize, trace_grad, verify)
+from ssagrad import (ADError, DANConfig, DenseTensor, EvalError, Machine, Module, StructureError,
+                     augment, build_grad_function, eval_function, finite_diff, generate_suite,
+                     grad, grad_of_grad, parse_ir, print_ir, structurize, trace_grad, vectorize,
+                     verify)
 
 from ssagrad.ir import F64, Diagnostic, print_function
+from ssagrad.nn_train import build_loss_ir
 from ssagrad.rules import RULES
 
 from conftest import bits, max_rel, rel
@@ -303,22 +305,48 @@ func @r(%x: f64) -> f64 {
   ret %y
 }
 """)
-    assert verify(m) == []
     # trees refer to the functions they call weakly and to the module not
     # at all: dropping the module frees it and the recursive @r at once,
-    # with no cycle left for the collector (once the closures structurize
-    # leaves behind are collected); f's tree still serves any module that
-    # maps sq to the same function
-    sq, fn, refs = m.get("sq"), m.get("f"), (weakref.ref(m), weakref.ref(m.get("r")))
+    # with no cycle left for the collector; f's tree still serves any
+    # module that maps sq to the same function
     gc.collect()
     gc.disable()
     try:
+        assert verify(m) == []
+        sq, fn, refs = m.get("sq"), m.get("f"), (weakref.ref(m), weakref.ref(m.get("r")))
         del m
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
     assert structurize(fn, Module({"sq": sq, "f": fn})) is fn.tier.checked[0]
     assert structurize(fn, Module({"sq": copy.deepcopy(sq), "f": fn})) is not fn.tier.checked[0]
+
+
+def test_a_compile_leaves_no_cyclic_garbage():
+    # parsing, verify and every transform free what they make by reference
+    # counting alone: on a seed-7 corpus slice and the DAN loss, a whole
+    # compile leaves nothing for the cyclic collector to find
+    module = Module()
+    names = [name for name, _ in generate_suite(module, random.Random(7), 20)]
+    cfg = DANConfig()
+    names.append(build_loss_ir(module, (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes),
+                               cfg.batch_size).name)
+    text = print_ir(module)
+    gc.collect()
+    gc.disable()
+    try:
+        m = parse_ir(text)
+        assert verify(m) == []
+        for name in names:
+            aug, pb = augment(m, name)
+            for f in (name, aug.name, pb.name):
+                vectorize(m, f, 8)
+            if m.get(name).results == (F64,) and m.get(name).params[0][1] == F64:
+                build_grad_function(m, name)
+        del m, aug, pb
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_augment_reads_the_verified_tree_on_the_corpus():

@@ -474,6 +474,37 @@ def test_augment_takes_vectorized_code(name):
             assert [bits(c) for c in col] == [bits(g[pv]) for g in per]
 
 
+# lanes leave the loop after different trips, so its exit %n is
+# lane-dependent although every lane binds it to the uniform %k
+LANE_EXIT_SRC = """
+func @f(%x: f64) -> f64 {
+^entry:
+  %k = const i64 3
+  jmp ^head(%x)
+^head(%v: f64):
+  %z = const f64 0.0
+  %c = lt %v, %z
+  br %c, ^body(), ^exit(%k)
+^body:
+  %one = const f64 1.0
+  %w = add %v, %one
+  jmp ^head(%w)
+^exit(%n: i64):
+  %nf = itof %n
+  %r = add %nf, %v
+  ret %r
+}
+"""
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_a_lane_dependent_loop_has_lane_dependent_exits(lanes):
+    m = parse_ir(LANE_EXIT_SRC)
+    per_lane = [(-2.5,), (1.0,), (-0.5,)][:lanes]
+    assert run_lanes(m, "f", lanes, per_lane)[0][:2] == [3.5, 4.0]
+    assert_lanes_exact(m, "f", per_lane)
+
+
 EXP_SRC = """
 func @exp_either(%x: f64) -> f64 {
 ^entry:
