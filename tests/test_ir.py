@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from ssagrad import (ADError, DANConfig, DenseTensor, Module, ParseError, StructureError,
-                     augment, batched_grad, build_grad_function, flatten, generate_suite, grad,
-                     grad_of_grad, parse_ir, print_ir, random_program, stack_lanes, structurize,
-                     train, vectorize, verify)
+                     augment, batched_grad, build_grad_function, eval_function, flatten,
+                     generate_suite, grad, grad_of_grad, parse_ir, print_ir, random_program,
+                     stack_lanes, structurize, train, vectorize, verify)
 from ssagrad.ir import F64, TAPE, Br, Diagnostic, Jmp, print_function
 from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
                               make_synthetic)
@@ -136,6 +136,35 @@ def test_gradient_bits_are_pinned(tmp_path):
     lines.append(f"dan B2 {[bits(v) for v in bg.values()]}")
     lines.append(train(cfg).to_jsonl())
     _assert_digest("\n".join(lines), GRADIENT_BITS_SHA256, tmp_path, "gradient_bits.txt")
+
+
+# SHA-256 of the second-order bits test_second_order_bits_are_pinned
+# prints; it changes under the same rule as GRADIENT_BITS_SHA256
+SECOND_ORDER_BITS_SHA256 = "a910562be5803c14426aab9f7f339b5f3e2164bdf4e1ba2b77280a368ed12c56"
+
+
+def test_second_order_bits_are_pinned(tmp_path):
+    # @f__grad run forward, and its own gradient (what grad_of_grad takes
+    # for a one-parameter f), on a seed-7 corpus slice and the analytic
+    # fixture; a rewrite of @f__grad must move neither
+    lines = []
+    module = Module()
+    suite = generate_suite(module, random.Random(7), 40, inputs_per=3)
+    analytic = parse_ir(ANALYTIC_SRC)
+    cases = [(module, name, inputs) for name, inputs in suite]
+    cases += [(analytic, fn.name, [tuple(0.75 * (i + 1) for i, _ in enumerate(fn.params))])
+              for fn in list(analytic.functions.values())
+              if fn.results == (F64,) and all(ty == F64 for _, ty in fn.params)]
+    for m, name, inputs in cases:
+        wrapper = build_grad_function(m, name).name
+        for args in inputs:
+            first = eval_function(m, wrapper, args)
+            second = grad(m, wrapper, args, (1.0,))
+            lines.append(f"{name} {[bits(v) for v in first]} {[bits(v) for v in second.values()]}")
+        if len(m.get(name).params) == 1:
+            lines.append(f"{name} gg {bits(grad_of_grad(m, name, inputs[0][0]))}")
+    assert sum(" gg " in line for line in lines) >= 4
+    _assert_digest("\n".join(lines), SECOND_ORDER_BITS_SHA256, tmp_path, "second_order_bits.txt")
 
 
 # SHA-256 of the printed seed-7 corpus that perfbench's corpus workloads
