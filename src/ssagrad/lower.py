@@ -185,4 +185,4 @@ def lower(fn: Function, module: Module):
             lines += [f"  {'el' * (i > 0)}if blk == {i}:", *("   " + x for x in block(b))]
     fn.tier.source = "\n".join(lines)
     exec(compile(fn.tier.source, f"<lowered @{fn.name}>", "exec"), env)
-    return env["lowered"]
+    return env.pop("lowered")  # env is the code's globals: holding it would be a cycle

@@ -14,11 +14,11 @@ to every parameter it reaches, so the trunk is pushed to strip the
 features the dataset head relies on while the dataset head keeps
 chasing whatever signal remains.
 
-The whole minibatch loss lives in a single IR function, so one
-augmented forward pass and two pullback runs produce both gradients.
-Evaluation (head accuracy, trunk features for the probe) goes through
-IR as well; only the ridge-regression probe itself and the parameter
-update run as host-side numpy.
+The minibatch loss is one IR function, and so is a whole training step:
+its forward pass, both pullbacks and the update, spliced and simplified
+(``build_step_ir``).  Evaluation (head accuracy, trunk features for the
+probe) goes through IR as well; only the ridge-regression probe itself
+runs as host-side numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import F64, Function, Module, tensor_type
-from .reverse_ad import augment
-from .structure import SEmitter, flatten
+from .reverse_ad import splice_pullbacks
+from .structure import SEmitter, drop_dead, flatten, simplify
 from .tensor import DenseTensor, stack
 
 
@@ -244,6 +244,31 @@ def build_eval_ir(module: Module, layer_sizes, n: int) -> Function:
     return fn
 
 
+def build_step_ir(module: Module, layer_sizes, batch_size: int) -> Function:
+    """@dan_minibatch_step_{B}(weights..., X, Yc, Yd, lam, lr) -> (new
+    weights..., c_loss, d_loss): the loss's forward pass and its pullbacks
+    at seeds (1,0) and (0,1) (``splice_pullbacks``), then ``W - lr * (g_c
+    + g_d)`` for each weight.  ``simplify`` forwards every trace entry and
+    computes what both pullbacks share once; ``drop_dead`` removes the
+    cotangents no update reads."""
+    name = f"dan_minibatch_step_{batch_size}"
+    if name in module.functions:
+        return module.get(name)
+    loss = build_loss_ir(module, layer_sizes, batch_size)
+    weights = tuple(ty for _, ty in loss.params[:-4])  # all but X, Yc, Yd and lam
+    em = SEmitter(name, weights + (F64, F64), module)
+    args = tuple(em.param(loss.value_name(pv), ty) for pv, ty in loss.params)
+    lr = em.param("lr", F64)
+    losses, (g_c, g_d) = splice_pullbacks(em, loss.name, args, [(1.0, 0.0), (0.0, 1.0)])
+    new = []
+    for w, gc, gd in zip(args[:len(weights)], g_c, g_d):
+        step = em.emit("mul", (lr, em.emit("add", (gc, gd), None, "g")), None, "step")
+        new.append(em.emit("sub", (w, step), None, em.vnames[w]))
+    fn = flatten(drop_dead(simplify(em.finish(tuple(new) + losses))))
+    module.add(fn)
+    return fn
+
+
 # ---------------------------------------------------------- training
 
 
@@ -293,36 +318,20 @@ def dan_step(
 ) -> tuple[ModelParams, dict]:
     """One training step: forward once, pull back both losses, descend.
 
-    The augmented loss runs a single time; its recorded traces feed
-    two pullback evaluations with seeds (1,0) and (0,1).  The applied
-    gradient on every parameter is the sum of what both losses send
-    there, and the update is plain gradient descent.
+    One call of @dan_minibatch_step_{B} (``build_step_ir``), whose forward
+    pass runs once for both pullbacks.  The applied gradient on every
+    parameter is the sum of what both losses send there, and the update
+    is plain gradient descent.
     """
     if not batch:
         raise ValueError("dan_step needs a nonempty batch")
-    sizes = _sizes_of(params)
-    loss_fn = build_loss_ir(module, sizes, len(batch))
-    aug_fn, pb_fn = augment(module, loss_fn.name)
-
-    X, Yc, Yd = _batch_tensors(batch)
-    args = _weight_args(params) + (X, Yc, Yd, cfg.lam)
-    machine = Machine(module, step_limit)
-    out = machine.call(aug_fn.name, args)
-    c_loss, d_loss, blog, vstack = out[0], out[1], out[2], out[3]
-    g_c = machine.call(pb_fn.name, (blog, vstack, 1.0, 0.0))
-    g_d = machine.call(pb_fn.name, (blog, vstack, 0.0, 1.0))
-
-    flat = []
-    for i, layer in enumerate(params.layers()):
-        gw = g_c[2 * i].data + g_d[2 * i].data
-        gb = g_c[2 * i + 1].data + g_d[2 * i + 1].data
-        flat.append(DenseLayerParams(
-            DenseTensor._own(layer.W.data - cfg.lr * gw),
-            DenseTensor._own(layer.b.data - cfg.lr * gb),
-        ))
+    step = build_step_ir(module, _sizes_of(params), len(batch))
+    args = _weight_args(params) + _batch_tensors(batch) + (cfg.lam, cfg.lr)
+    out = Machine(module, step_limit).run(step, args)
+    flat = [DenseLayerParams(w, b) for w, b in zip(out[0:-2:2], out[1:-2:2])]
     nt, nc = len(params.trunk), len(params.class_head)
     new = ModelParams(flat[:nt], flat[nt:nt + nc], flat[nt + nc:])
-    return new, {"c_loss": c_loss, "d_loss": d_loss}
+    return new, {"c_loss": out[-2], "d_loss": out[-1]}
 
 
 def _domain_probe_acc(H: DenseTensor, yd: list[int]) -> float:

@@ -544,12 +544,24 @@ def run_aug_pb(module: Module, fn: Function, aug_name: str, pb_name: str, args: 
     return dict(zip((pv for pv, ty in fn.params if ty.is_differentiable), cots))
 
 
+def splice_pullbacks(em: SEmitter, name: str, args: tuple, seeds: list[tuple]) -> tuple:
+    """Splice @name__aug on ``args``, then @name__pb on its traces once
+    per tuple of constant seeds; returns @name's results and the
+    cotangents of each pullback."""
+    aug_fn, pb_fn = augment(em.module, name)
+    outs = splice_function(em, structurize(aug_fn, em.module), args)
+    pb_sf = structurize(pb_fn, em.module)
+    return outs[:-2], [splice_function(em, pb_sf, outs[-2:] + tuple(
+        em.const_f64(x, "seed") for x in s)) for s in seeds]
+
+
 def build_grad_function(module: Module, name: str) -> Function:
     """A function @name__grad computing d(result)/d(first parameter).
 
-    Splices the forward clone and the pullback into one body with a
-    unit seed, leaving both traces internal.  The result is ordinary
-    code, so it can be augmented again for second derivatives.
+    Splices the forward clone and the pullback with a unit seed
+    (``splice_pullbacks``).  The result is ordinary code, so it can be
+    augmented again for second derivatives.  Forwarding its traces
+    (``simplify``) would reorder sums there and move their last bits.
     """
     wname = f"{name}__grad"
     if wname in module.functions:
@@ -559,15 +571,9 @@ def build_grad_function(module: Module, name: str) -> Function:
         raise ADError(f"@{name} must return a single f64 to chain derivatives")
     if not fn.params or not fn.params[0][1].is_differentiable:
         raise ADError(f"@{name} needs a differentiable first parameter")
-    aug_fn, pb_fn = augment(module, name)
-    aug_sf = structurize(aug_fn, module)
-    pb_sf = structurize(pb_fn, module)
-
     em = SEmitter(wname, (fn.params[0][1],), module)
     params = tuple(em.param(fn.value_name(pv), ty) for pv, ty in fn.params)
-    outs = splice_function(em, aug_sf, params)
-    seed = em.const_f64(1.0, "seed")
-    cots = splice_function(em, pb_sf, (outs[1], outs[2], seed))
+    _, (cots,) = splice_pullbacks(em, name, params, [(1.0,)])
     wrapper = flatten(em.finish((cots[0],)))
     module.add(wrapper)
     return wrapper

@@ -39,6 +39,9 @@ cycle that keeps the tree alive until the cyclic collector runs, so
 ``structurize`` empties the cells of its nested ``recover`` and
 ``make_while`` before it returns.
 
+``simplify`` forwards trace entries from push to use and computes each
+repeated instruction once; ``drop_dead`` then removes what nothing reads.
+
 Transforms build their output with an ``SEmitter``, and those that
 copy a tree (inlining, the forward clone, batching) subclass ``Copier``.
 It copies every if and loop, giving their merged, carried and exit
@@ -670,6 +673,68 @@ def _sweep(nodes: list, live: set[int]) -> list:
                 node.body_region = _sweep(node.body_region, live)
         kept.append(node)
     return kept[::-1]
+
+
+def simplify(sf: SFunc) -> SFunc:
+    """Forward trace round trips and compute each repeated instruction
+    once, in place, for ``drop_dead`` to remove the pushes left unread.
+
+    A ``tape_top`` of ``tape_push(t, v)`` becomes ``v`` if ``v`` has the
+    top's type, its ``tape_rest`` becomes ``t``, and a ``tape_expect_empty``
+    of a ``tape_new`` becomes ``const true``.  An instruction with the op,
+    operands and attribute ``repr`` (0.0 is not -0.0) of one before it in
+    its region or an outer one becomes that one, unless it is a trace op
+    or ``call``; a faulting op may merge, as the first copy faults first."""
+    sub: dict[int, int] = {}
+    sf.region = _number(sf.region, {}, sub, {}, sf.types)
+    sf.ret_vals = _read(sub, sf.ret_vals)
+    return sf
+
+
+def _read(sub: dict[int, int], vids: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sub.get(v, v) for v in vids)
+
+
+def _number(nodes: list, table: dict, sub: dict[int, int], traces: dict, types) -> list:
+    """``simplify`` on a region: ``table`` maps the instructions in scope
+    to their results, ``sub`` each removed result to its replacement, and
+    ``traces`` each ``tape_push`` or ``tape_new`` result to its operands."""
+    kept, added = [], []
+    for node in nodes:
+        if isinstance(node, SIf):
+            node.then_region = _number(node.then_region, table, sub, traces, types)
+            node.else_region = _number(node.else_region, table, sub, traces, types)
+            node.then_args, node.else_args = _read(sub, node.then_args), _read(sub, node.else_args)
+            node.cond = sub.get(node.cond, node.cond)
+        elif isinstance(node, SWhile):
+            node.body_region = _number(node.body_region, table, sub, traces, types)
+            node.init, node.body_args, node.exit_args = (
+                _read(sub, node.init), _read(sub, node.body_args), _read(sub, node.exit_args))
+        else:
+            ins, ops = node.ins, _read(sub, node.ins.operands)
+            pushed = traces.get(ops[0]) if ops else None
+            if pushed and (ins.op == "tape_rest" or ins.op == "tape_top"
+                           and types[pushed[1]] == ins.attrs["ty"]):
+                sub[ins.result] = pushed[ins.op == "tape_top"]
+                continue
+            if ins.op == "tape_expect_empty" and pushed == ():
+                ins = Instruction(ins.result, "const", (), {"ty": BOOL, "value": True})
+            elif ops != ins.operands:
+                ins = Instruction(ins.result, ins.op, ops, ins.attrs)
+            if ins.op in ("tape_push", "tape_new") and types[ins.result].kind == "tape":
+                traces[ins.result] = ops  # () for the empty trace
+            elif ins.op != "call" and not OPS[ins.op].trace:
+                key = (ins.op, ins.operands, repr(sorted(ins.attrs.items())))
+                if key in table:
+                    sub[ins.result] = table[key]
+                    continue
+                table[key] = ins.result
+                added.append(key)
+            node.ins = ins
+        kept.append(node)
+    for key in added:
+        del table[key]
+    return kept
 
 
 # --------------------------------------------------------- emission

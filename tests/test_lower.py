@@ -9,6 +9,7 @@ asked for, at every step limit below the steps the call needs.
 
 import copy
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -18,13 +19,13 @@ import numpy as np
 import pytest
 
 from ssagrad import (ADError, DANConfig, DenseTensor, EvalError, Machine, Module, augment,
-                     eval_function, parse_ir, stack_lanes, structurize, vectorize)
+                     dan_step, eval_function, parse_ir, stack_lanes, structurize, vectorize)
 from ssagrad import tensor as T
 from ssagrad.interp import DEFAULT_STEP_LIMIT, LOWER_AFTER, Tape, TapeBatch
 from ssagrad.ir import term_uses
 from ssagrad.lower import _BOXED, TEMPLATES, lower
-from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
-                              make_synthetic)
+from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, build_step_ir,
+                              init_params, make_synthetic)
 from ssagrad.progen import sample_inputs
 
 from conftest import ANALYTIC_SRC
@@ -259,6 +260,43 @@ def test_dan_adjoint_matches_walker():
     out = check(pair, f"{loss.name}__aug", args)
     for seeds in ((1.0, 0.0), (0.0, 1.0)):
         check(pair, f"{loss.name}__pb", (out[2], out[3]) + seeds)
+
+
+def test_dan_step_function_matches_walker():
+    cfg = DANConfig()
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    module = Module()
+    step = build_step_ir(module, sizes, cfg.batch_size)
+    pair = tiered(module)
+    params = init_params(sizes, random.Random(cfg.seed + 1))
+    batch = make_synthetic(cfg)[:cfg.batch_size]
+    check(pair, step.name, _weight_args(params) + _batch_tensors(batch) + (cfg.lam, cfg.lr))
+
+
+def test_lowered_code_leaves_no_cyclic_garbage():
+    # the generated def's globals hold every constant it names, and not
+    # the def itself: a lowered function, and a module lowered by 300 DAN
+    # steps, are freed by reference counting alone
+    cfg = DANConfig()
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    data = make_synthetic(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        module = parse_ir(ANALYTIC_SRC)
+        while module.get("prod").tier.code is None:
+            eval_function(module, "prod", (2.0, 3.0))
+        del module
+        assert gc.collect() == 0
+        module, params = Module(), init_params(sizes, random.Random(cfg.seed + 1))
+        for k in range(300):
+            s = k % (len(data) // cfg.batch_size)
+            params, _ = dan_step(module, params, data[s * cfg.batch_size:][:cfg.batch_size], cfg)
+        assert module.get(f"dan_minibatch_step_{cfg.batch_size}").tier.code is not None
+        del module, params
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("via", ["call", "fused_map"])

@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from ssagrad import DANConfig, Module, dan_step, train, verify
+from ssagrad import (DANConfig, DenseTensor, EvalError, Module, augment, dan_step, parse_ir,
+                     print_ir, train, verify)
 from ssagrad.interp import Machine
-from ssagrad.nn_train import (MetricsHistory, _weight_args, build_eval_ir,
-                              build_loss_ir, evaluate,
-                              init_params, make_synthetic)
+from ssagrad.ir import F64
+from ssagrad.nn_train import (DenseLayerParams, MetricsHistory, ModelParams, _batch_tensors,
+                              _weight_args, build_eval_ir, build_loss_ir, build_step_ir,
+                              evaluate, init_params, make_synthetic)
 
-from conftest import rel
+from conftest import bits, rel
 
 SMALL = DANConfig(dim=6, trunk_sizes=(6, 4), head_sizes=(4, 1),
                   n_samples=48, batch_size=8, epochs=2)
@@ -119,6 +121,62 @@ def test_dan_step_empty_batch():
     params = init_params(sizes(SMALL), random.Random(2))
     with pytest.raises(ValueError):
         dan_step(m, params, [], SMALL)
+
+
+def _reference_step(m, params, batch, cfg):
+    """A step as three calls: the augmented loss once, its pullback at
+    seeds (1,0) and (0,1), and the update in numpy."""
+    loss = build_loss_ir(m, sizes(cfg), len(batch))
+    aug, pb = augment(m, loss.name)
+    machine = Machine(m)
+    c_loss, d_loss, blog, vstack = machine.call(
+        aug.name, _weight_args(params) + _batch_tensors(batch) + (cfg.lam,))
+    g_c = machine.call(pb.name, (blog, vstack, 1.0, 0.0))
+    g_d = machine.call(pb.name, (blog, vstack, 0.0, 1.0))
+    flat = [DenseLayerParams(*(DenseTensor._own(w.data - cfg.lr * (gc.data + gd.data))
+                               for w, gc, gd in zip((layer.W, layer.b), g_c[2 * i:], g_d[2 * i:])))
+            for i, layer in enumerate(params.layers())]
+    nt, nc = len(params.trunk), len(params.class_head)
+    return ModelParams(flat[:nt], flat[nt:nt + nc], flat[nt + nc:]), (c_loss, d_loss)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_dan_step_is_the_three_call_step_bit_for_bit(lam):
+    cfg = DANConfig(**{**SMALL.__dict__, "lam": lam})
+    data = make_synthetic(cfg)
+    m = Module()
+    params = want = init_params(sizes(cfg), random.Random(4))
+    for k in range(50):
+        batch = data[8 * (k % 6):8 * (k % 6) + 8]
+        params, losses = dan_step(m, params, batch, cfg)
+        want, want_losses = _reference_step(m, want, batch, cfg)
+        assert [bits(v) for v in (losses["c_loss"], losses["d_loss"])] == \
+            [bits(v) for v in want_losses]
+        assert [bits(v) for v in _weight_args(params)] == [bits(v) for v in _weight_args(want)]
+
+
+def test_step_is_one_function_with_no_trace_and_no_repeat():
+    m = Module()
+    fn = build_step_ir(m, sizes(SMALL), 8)
+    assert fn.name == "dan_minibatch_step_8"
+    assert build_step_ir(m, sizes(SMALL), 8) is fn
+    assert [ty for _, ty in fn.params[-2:]] == [F64, F64]  # lam, lr
+    assert fn.results == tuple(ty for _, ty in fn.params[:-5]) + (F64, F64)
+    body = [ins for b in fn.blocks for ins in b.body]
+    assert not [ins for ins in body if ins.op.startswith("tape_")]
+    keys = [(ins.op, ins.operands, repr(sorted(ins.attrs.items()))) for ins in body]
+    assert len(set(keys)) == len(keys)
+    assert verify(m) == []
+    text = print_ir(m)
+    assert print_ir(parse_ir(text)) == text
+
+
+def test_dan_step_out_of_steps_is_a_located_error():
+    m = Module()
+    params = init_params(sizes(SMALL), random.Random(2))
+    with pytest.raises(EvalError, match=r"^@dan_minibatch_step_8 \^entry instr 10: "
+                                        r"step limit exhausted$"):
+        dan_step(m, params, make_synthetic(SMALL)[:8], SMALL, step_limit=10)
 
 
 def test_evaluate_keys():

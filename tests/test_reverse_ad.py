@@ -22,8 +22,10 @@ from ssagrad import (ADError, DANConfig, DenseTensor, EvalError, Machine, Module
                      verify)
 
 from ssagrad.ir import F64, Diagnostic, print_function
+from ssagrad.lower import lower
 from ssagrad.nn_train import build_loss_ir
 from ssagrad.rules import RULES
+from ssagrad.structure import SEmitter, drop_dead, flatten, simplify, splice_function
 
 from conftest import bits, max_rel, rel
 from test_acceptance import FD_TOL
@@ -799,3 +801,191 @@ def test_a_lone_tape_top_is_refused():
     src = TRACE_SRC.split("func @tensor")[0].replace("  %r = tape_rest %t1\n", "")
     with pytest.raises(ADError, match="tape_top %v has no tape_rest of its trace"):
         augment(parse_ir(src), "scalar")
+
+
+# ----------------------------------------------------------- simplify
+
+
+def _simplified(m: Module, name: str):
+    """@name copied to @name_s through simplify and drop_dead, as the
+    functions that splice a forward pass with its pullback are built."""
+    src = structurize(m.get(name), m)
+    em = SEmitter(f"{name}_s", src.results, m)
+    args = tuple(em.param(src.vnames.get(pv, "p"), ty) for pv, ty in src.params)
+    fn = flatten(drop_dead(simplify(em.finish(splice_function(em, src, args)))))
+    m.add(fn)
+    return fn
+
+
+def _walked_and_lowered(m: Module, fn, args) -> list:
+    """fn's results on the walker and on its lowered code, as bits."""
+    fn.tier.heat, fn.tier.code = math.inf, None
+    walked = Machine(m).run(fn, args)
+    lowered = lower(fn, m)(Machine(m), args)
+    return [[bits(v) for v in out] for out in (walked, lowered)]
+
+
+def test_simplify_keeps_every_bit_of_the_grad_wrappers():
+    # @f__grad leaves its trace round trips to the walk; a simplified copy
+    # gives the same bits on the walker and lowered, with fewer trace ops
+    m = Module()
+    before = after = 0
+    for name, inputs in generate_suite(m, random.Random(7), 40, inputs_per=3):
+        wrapper = build_grad_function(m, name)
+        fn = _simplified(m, wrapper.name)
+        before += sum(_ops(wrapper)[op] for op in ("tape_push", "tape_top", "tape_rest"))
+        after += sum(_ops(fn)[op] for op in ("tape_push", "tape_top", "tape_rest"))
+        for args in inputs:
+            want = _walked_and_lowered(m, wrapper, args)
+            assert want[0] == want[1]
+            assert _walked_and_lowered(m, fn, args) == want, name
+    assert verify(m) == []
+    assert after < before / 2
+
+
+SIMPLIFY_SRC = """
+func @twolog(%x: f64) -> f64 {
+^entry:
+  %a = log %x
+  %b = log %x
+  %c = add %a, %b
+  ret %c
+}
+
+func @scoped(%x: f64, %n: i64) -> f64 {
+^entry:
+  %o = exp %x
+  %z = const f64 0.0
+  %pos = gt %x, %z
+  br %pos, ^a(), ^b()
+^a:
+  %i = exp %x
+  %m = mul %x, %x
+  %u = add %i, %m
+  jmp ^join(%u)
+^b:
+  jmp ^join(%o)
+^join(%v: f64):
+  %m2 = mul %x, %x
+  %i0 = const i64 0
+  jmp ^head(%i0, %v)
+^head(%k: i64, %acc: f64):
+  %go = lt %k, %n
+  br %go, ^body(), ^exit(%acc)
+^body:
+  %e = exp %x
+  %s = tanh %x
+  %a2 = add %acc, %e
+  %a3 = add %a2, %s
+  %one = const i64 1
+  %k2 = add %k, %one
+  jmp ^head(%k2, %a3)
+^exit(%r: f64):
+  %s2 = tanh %x
+  %w = add %r, %m2
+  %w2 = add %w, %s2
+  %w3 = add %w2, %o
+  ret %w3
+}
+
+func @retyped(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %v = tape_top %t1 {ty = i64}
+  %r = tape_rest %t1
+  %ok = tape_expect_empty %r
+  %w = itof %v
+  %s = add %w, %x
+  ret %s
+}
+
+func @leftover(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %t2 = tape_push %t1, %x
+  %v = tape_top %t2 {ty = f64}
+  %r = tape_rest %t2
+  %ok = tape_expect_empty %r
+  ret %v
+}
+
+func @drained(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %v = tape_top %t1 {ty = f64}
+  %r = tape_rest %t1
+  %ok = tape_expect_empty %r
+  %y = mul %v, %x
+  ret %y
+}
+
+func @zeros(%x: f64) -> (f64, f64, f64) {
+^entry:
+  %p = const f64 0.0
+  %n = const f64 -0.0
+  %p2 = const f64 0.0
+  %a = add %x, %p
+  %b = add %x, %n
+  %c = add %x, %p2
+  ret %a, %b, %c
+}
+"""
+
+
+def _error(m: Module, name: str, args) -> tuple:
+    with pytest.raises(EvalError) as e:
+        eval_function(m, name, args)
+    return e.value.block, e.value.index, e.value.message
+
+
+def test_simplify_merges_a_faulting_log_and_keeps_its_error():
+    m = parse_ir(SIMPLIFY_SRC)
+    fn = _simplified(m, "twolog")
+    assert _ops(fn)["log"] == 1
+    assert _walked_and_lowered(m, fn, (2.5,)) == _walked_and_lowered(m, m.get("twolog"), (2.5,))
+    # the copy that stays is the first, which faults where the parent does
+    assert _error(m, fn.name, (-1.0,)) == _error(m, "twolog", (-1.0,)) == (
+        "entry", 0, "log of non-positive value -1.0")
+
+
+def test_simplify_scopes_reuse_to_the_region():
+    m = parse_ir(SIMPLIFY_SRC)
+    fn = _simplified(m, "scoped")
+    # the outer exp serves the arm and the loop body; the arm's mul and the
+    # body's tanh do not serve the code after their regions
+    assert _ops(fn)["exp"] == 1
+    assert _ops(fn)["mul"] == 2 and _ops(fn)["tanh"] == 2
+    for args in ((0.7, 3), (-0.4, 2), (1.1, 0)):
+        assert _walked_and_lowered(m, fn, args) == _walked_and_lowered(m, m.get("scoped"), args)
+    assert verify(m) == []
+
+
+def test_simplify_forwards_only_a_top_of_the_pushed_type():
+    m = parse_ir(SIMPLIFY_SRC)
+    fn = _simplified(m, "retyped")
+    assert verify(m) == []
+    assert _ops(fn)["tape_top"] == 1
+    assert eval_function(m, fn.name, (2.5,)) == eval_function(m, "retyped", (2.5,))
+
+
+def test_simplify_keeps_a_check_on_a_trace_left_with_entries():
+    m = parse_ir(SIMPLIFY_SRC)
+    fn = _simplified(m, "leftover")
+    assert _ops(fn) == Counter({"tape_new": 1, "tape_push": 1, "tape_expect_empty": 1})
+    assert _error(m, fn.name, (2.5,))[::2] == _error(m, "leftover", (2.5,))[::2] == (
+        "entry", "trace should be used up, 1 entries remain")
+    # drained, the check cannot fault, and no trace op is left
+    assert _ops(_simplified(m, "drained")) == Counter({"mul": 1})
+    assert eval_function(m, "drained_s", (2.5,)) == (6.25,)
+
+
+def test_simplify_tells_signed_zeros_apart():
+    m = parse_ir(SIMPLIFY_SRC)
+    fn = _simplified(m, "zeros")
+    assert _ops(fn) == Counter({"const": 2, "add": 2})
+    got = eval_function(m, fn.name, (-0.0,))
+    assert [bits(v) for v in got] == [bits(v) for v in eval_function(m, "zeros", (-0.0,))] == [
+        bits(0.0), bits(-0.0), bits(0.0)]
