@@ -33,7 +33,7 @@ import numpy as np
 from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import F64, Function, Module, tensor_type
 from .reverse_ad import splice_pullbacks
-from .structure import SEmitter, drop_dead, flatten, simplify
+from .structure import SEmitter, drop_dead, flatten, keep_tree, simplify
 from .tensor import DenseTensor, stack
 
 
@@ -264,8 +264,10 @@ def build_step_ir(module: Module, layer_sizes, batch_size: int) -> Function:
     for w, gc, gd in zip(args[:len(weights)], g_c, g_d):
         step = em.emit("mul", (lr, em.emit("add", (gc, gd), None, "g")), None, "step")
         new.append(em.emit("sub", (w, step), None, em.vnames[w]))
-    fn = flatten(drop_dead(simplify(em.finish(tuple(new) + losses))))
+    tree = drop_dead(simplify(em.finish(tuple(new) + losses)))
+    fn = flatten(tree)
     module.add(fn)
+    keep_tree(fn, tree, module)
     return fn
 
 

@@ -56,6 +56,7 @@ from .structure import (
     flatten,
     flows,
     free_values,
+    keep_tree,
     splice_function,
     structurize,
     walk,
@@ -492,17 +493,24 @@ class _PullbackBuilder:
 
 
 def augment(module: Module, name: str) -> tuple[Function, Function]:
-    """Build (or fetch) the trace-forward and pullback pair for @name."""
+    """Build (or fetch) the trace-forward and pullback pair for @name.
+
+    Each keeps the tree it was flattened from (``keep_tree``), which
+    ``structurize`` hands to ``vectorize``, ``splice_pullbacks`` and ``lower``."""
     aug_name, pb_name = f"{name}__aug", f"{name}__pb"
     if aug_name in module.functions and pb_name in module.functions:
         return module.get(aug_name), module.get(pb_name)
     fn = module.get(name)
     sf = inline_sfunc(module, fn)
     active = activity(sf)
-    aug_fn = flatten(drop_dead(_Augmenter(module, sf, active, aug_name).build()))
+    aug = drop_dead(_Augmenter(module, sf, active, aug_name).build())
+    aug_fn = flatten(aug)
     module.add(aug_fn)
-    pb_fn = flatten(drop_dead(_PullbackBuilder(module, sf, active, pb_name).build()))
+    keep_tree(aug_fn, aug, module)
+    pb = drop_dead(_PullbackBuilder(module, sf, active, pb_name).build())
+    pb_fn = flatten(pb)
     module.add(pb_fn)
+    keep_tree(pb_fn, pb, module)
     return aug_fn, pb_fn
 
 
@@ -574,8 +582,10 @@ def build_grad_function(module: Module, name: str) -> Function:
     em = SEmitter(wname, (fn.params[0][1],), module)
     params = tuple(em.param(fn.value_name(pv), ty) for pv, ty in fn.params)
     _, (cots,) = splice_pullbacks(em, name, params, [(1.0,)])
-    wrapper = flatten(em.finish((cots[0],)))
+    tree = em.finish((cots[0],))
+    wrapper = flatten(tree)
     module.add(wrapper)
+    keep_tree(wrapper, tree, module)
     return wrapper
 
 

@@ -393,7 +393,7 @@ def free_values(nodes: list, out_args: tuple[int, ...] = ()) -> set[int]:
 # ------------------------------------------------------- tree nodes
 
 
-@dataclass
+@dataclass(slots=True)
 class SInstr:
     ins: Instruction
 
@@ -441,10 +441,11 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
     """Recover the structured tree of a well-formed function.
 
     Raises StructureError at the first well-formedness violation, or
-    when the function is not in structured form.  The tree ``verify``
-    kept for ``fn`` is returned as is while ``module`` still holds the
-    functions it was typed against (``ir.Tier``); callers do not change
-    it.
+    when the function is not in structured form.  The tree kept for
+    ``fn`` (``keep_tree``: by ``verify``, or by the transform that
+    flattened ``fn``) is returned as is, with no analysis, while
+    ``module`` still holds the functions it was typed against
+    (``ir.Tier``); callers do not change it.
     """
     if fn.tier.checked:
         sf, typed_by = fn.tier.checked
@@ -625,22 +626,28 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
 def verify(module: Module) -> list[Diagnostic]:
     """The first well-formedness failure of each function; empty when clean.
 
-    Each function is checked afresh, and a clean one keeps its tree in
-    ``fn.tier.checked``: ``structurize`` returns it to the transforms
+    Each function is checked afresh, and a clean one keeps its tree
+    (``keep_tree``): ``structurize`` returns it to the transforms
     (``augment``, ``vectorize``, ``lower``) while it holds (``ir.Tier``)."""
     diags: list[Diagnostic] = []
     for fn in module.functions.values():
         fn.tier.checked = None
         try:
-            sf = structurize(fn, module)
+            keep_tree(fn, structurize(fn, module), module)
         except StructureError as e:
             diags.append(e.diagnostic)
-        else:
-            # the functions its ops name by fn, which typed the tree
-            names = {r.name for b in fn.blocks for ins in b.body
-                     if isinstance(r := ins.attrs.get("fn"), FnRef) and r.name in module.functions}
-            fn.tier.checked = (sf, tuple((n, weakref.ref(module.functions[n])) for n in names))
     return diags
+
+
+def keep_tree(fn: Function, sf: SFunc, module: Module) -> None:
+    """Keep ``sf``, the tree ``fn`` was checked into or flattened from, in
+    ``fn.tier.checked``, with a weak reference to each function of
+    ``module`` that typed it: those its ops name by ``fn``.  A tree whose
+    loops have no header code is the one ``structurize`` recovers from
+    its ``flatten``, which emits canonical blocks."""
+    names = {r.name for b in fn.blocks for ins in b.body
+             if isinstance(r := ins.attrs.get("fn"), FnRef) and r.name in module.functions}
+    fn.tier.checked = (sf, tuple((n, weakref.ref(module.functions[n])) for n in names))
 
 
 def drop_dead(sf: SFunc) -> SFunc:
@@ -743,7 +750,7 @@ def _number(nodes: list, table: dict, sub: dict[int, int], traces: dict, types) 
 def flatten(sf: SFunc) -> Function:
     """Lower a structured tree to blocks in canonical shape."""
     fn = Function(sf.name, sf.results)
-    fn.vnames = dict(sf.vnames)
+    fn.vnames = sf.vnames  # shared: only the parser adds names to a function
     fn.next_id = sf.next_id
     fn.blocks.append(Block("entry", list(sf.params)))
     last = _emit_region(fn, sf.region, fn.blocks[0])

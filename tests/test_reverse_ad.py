@@ -16,19 +16,21 @@ import pytest
 
 from collections import Counter
 
-from ssagrad import (ADError, DANConfig, DenseTensor, EvalError, Machine, Module, StructureError,
-                     augment, build_grad_function, eval_function, finite_diff, generate_suite,
-                     grad, grad_of_grad, parse_ir, print_ir, structurize, trace_grad, vectorize,
-                     verify)
+from ssagrad import (ADError, BatchError, DANConfig, DenseTensor, EvalError, Machine, Module,
+                     StructureError, augment, build_grad_function, eval_function, finite_diff,
+                     generate_suite, grad, grad_of_grad, parse_ir, print_ir, structure, structurize,
+                     trace_grad, vectorize, verify)
 
 from ssagrad.ir import F64, Diagnostic, print_function
 from ssagrad.lower import lower
-from ssagrad.nn_train import build_loss_ir
+from ssagrad.nn_train import build_loss_ir, build_step_ir
 from ssagrad.rules import RULES
-from ssagrad.structure import SEmitter, drop_dead, flatten, simplify, splice_function
+from ssagrad.structure import (SEmitter, defs, drop_dead, flatten, reads, simplify, splice_function,
+                               walk)
 
-from conftest import bits, max_rel, rel
+from conftest import ANALYTIC_SRC, bits, max_rel, rel
 from test_acceptance import FD_TOL
+from test_spmd import BATCH_SRC
 
 
 def test_product_rule(analytic):
@@ -365,6 +367,114 @@ def test_augment_reads_the_verified_tree_on_the_corpus():
         assert fn.tier.checked[0] == structurize(fresh.get(name), fresh)
         assert [print_function(f) for f in augment(checked, name)] == \
             [print_function(f) for f in augment(fresh, name)]
+
+
+def _compile_everything(m: Module) -> list[str]:
+    """Verify ``m``, then augment each of its functions that can be, and
+    build each ``__grad`` that can be and augment it too; returns the
+    names of the functions the transforms made."""
+    assert verify(m) == []
+    made = []
+    for name in list(m.functions):
+        try:
+            made += [f.name for f in augment(m, name)]
+        except ADError:
+            continue
+        fn = m.get(name)
+        if fn.results == (F64,) and fn.params and fn.params[0][1] == F64:
+            made.append(build_grad_function(m, name).name)
+            made += [f.name for f in augment(m, made[-1])]
+    return made
+
+
+def _outcome(f, *args) -> str:
+    """What ``f(*args)`` prints, or the error it raises."""
+    try:
+        return print_function(f(*args))
+    except (ADError, StructureError, BatchError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _kept_tree_module(src: str) -> tuple[Module, list[str]]:
+    """A module compiled from ``src`` and the functions its transforms made."""
+    if src == "dan":
+        m, cfg = Module(), DANConfig()
+        sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+        loss = build_loss_ir(m, sizes, 4)
+        return m, [f.name for f in augment(m, loss.name)] + [build_step_ir(m, sizes, 4).name]
+    if src == "corpus":
+        module = Module()
+        names = [name for name, _ in generate_suite(module, random.Random(7), 12)]
+        text = print_ir(Module({n: module.get(n) for n in names}))
+    else:
+        text = {"analytic": ANALYTIC_SRC, "batch": BATCH_SRC}[src]
+    m = parse_ir(text)
+    return m, _compile_everything(m)
+
+
+def _seen(sf) -> dict:
+    """The type of every value ``sf``'s region defines or reads, and of
+    its parameters and returned values."""
+    vids = {pv for pv, _ in sf.params} | set(sf.ret_vals)
+    for node in walk(sf.region):
+        vids.update(reads(node), defs(node))
+    return {v: sf.types[v] for v in vids}
+
+
+@pytest.mark.parametrize("src", ["corpus", "analytic", "batch", "dan"])
+def test_kept_trees_are_what_structurize_recovers(src):
+    # every tree verify or a transform keeps is the tree structurize
+    # recovers from a cold copy of its function; vectorize and lower read
+    # the same code from either
+    m, made = _kept_tree_module(src)
+    assert made and all(m.get(n).tier.checked for n in made)
+    cold = copy.deepcopy(m)
+    kept = [n for n, f in m.functions.items() if f.tier.checked]
+    for name in kept:
+        fn, cold_fn = m.get(name), cold.get(name)
+        sf = fn.tier.checked[0]
+        assert structurize(fn, m) is sf
+        assert cold_fn.tier.checked is None
+        fresh = structurize(cold_fn, cold)
+        assert (sf.params, sf.results, sf.ret_vals, sf.region) == \
+            (fresh.params, fresh.results, fresh.ret_vals, fresh.region)
+        assert _seen(sf) == _seen(fresh)
+        lower(fn, m)
+        lower(cold_fn, cold)
+        assert fn.tier.source == cold_fn.tier.source
+        assert _outcome(vectorize, m, name, 3) == _outcome(vectorize, cold, name, 3)
+
+
+def test_generated_code_is_structurized_once(monkeypatch):
+    # verify checks each user function once; augment keeps the trees of
+    # the pair it builds, so batching both halves twice and lowering
+    # analyse nothing again
+    calls = Counter()
+    analyze = structure.analyze_cfg
+
+    def counted(fn):
+        calls[fn.name] += 1
+        return analyze(fn)
+
+    monkeypatch.setattr(structure, "analyze_cfg", counted)
+    m = parse_ir(ANALYTIC_SRC)
+    users = list(m.functions)
+    assert verify(m) == []
+    for name in ("cube", "absval", "net", "callin", "mapped"):
+        aug, pb = augment(m, name)
+        for B in (8, 64):
+            vectorize(m, aug.name, B)
+            vectorize(m, pb.name, B)
+        for fn in (m.get(name), aug, pb):
+            lower(fn, m)
+    assert calls == Counter(users)
+    # @mapped__aug's fused_pack names @gauss: once @gauss is another
+    # function, its tree is built again
+    calls.clear()
+    m.functions["gauss"] = copy.deepcopy(m.get("gauss"))
+    aug = m.get("mapped__aug")
+    assert structurize(aug, m) is not aug.tier.checked[0]
+    assert calls == Counter(["mapped__aug"])
 
 
 def test_batched_traces_cannot_be_differentiated():
