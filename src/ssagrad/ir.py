@@ -150,11 +150,12 @@ def term_uses(block: Block) -> tuple[int, ...]:
 class Tier:
     """Caches on a Function: interp's dispatches left before it is
     lowered, that code and its Python source; and ``checked``, the tree
-    ``verify`` checked it into or ``augment``, ``build_grad_function``
-    or ``build_step_ir`` flattened it from, with a weak reference to each
-    function of the module it was typed against (those its ops name by
-    ``fn``).  ``vectorize`` keeps none: only ``lower`` reads its output
-    again, once hot, and a corpus batches thousands of functions.
+    ``verify`` checked it into or a builder flattened it from
+    (``structure.add_tree``: ``augment``, ``build_grad_function`` and the
+    DAN loss, eval and step), with a weak reference to each function of
+    the module it was typed against (those its ops name by ``fn``).
+    ``vectorize`` keeps none: only ``lower`` reads its output again, once
+    hot, and a corpus batches thousands of functions.
     ``structurize`` hands that tree, read only, to callers asking about
     a module that still maps each of those names to the same function,
     until ``verify`` checks it again."""

@@ -15,10 +15,10 @@ features the dataset head relies on while the dataset head keeps
 chasing whatever signal remains.
 
 The minibatch loss is one IR function, and so is a whole training step:
-its forward pass, both pullbacks and the update, spliced and simplified
-(``build_step_ir``).  Evaluation (head accuracy, trunk features for the
-probe) goes through IR as well; only the ridge-regression probe itself
-runs as host-side numpy.
+its forward pass, both pullbacks and the update, emitted into one
+function and simplified (``build_step_ir``).  Evaluation (head accuracy,
+trunk features for the probe) goes through IR as well; only the
+ridge-regression probe itself runs as host-side numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import F64, Function, Module, tensor_type
-from .reverse_ad import splice_pullbacks
-from .structure import SEmitter, drop_dead, flatten, keep_tree, simplify
+from .reverse_ad import vjp
+from .structure import SEmitter, add_tree, drop_dead, simplify
 from .tensor import DenseTensor, stack
 
 
@@ -215,9 +215,7 @@ def build_loss_ir(module: Module, layer_sizes, batch_size: int) -> Function:
                      None, "c_loss")
     d_loss = _bce_mean(em, yd_hat, yd, n, lob, hib, ones, "d")
 
-    fn = flatten(em.finish((c_loss, d_loss)))
-    module.add(fn)
-    return fn
+    return add_tree(module, em.finish((c_loss, d_loss)))
 
 
 def build_eval_ir(module: Module, layer_sizes, n: int) -> Function:
@@ -239,18 +237,16 @@ def build_eval_ir(module: Module, layer_sizes, n: int) -> Function:
     h = _dense(em, trunk, x, "", True)
     yc_hat = _batch_head(em, class_head, h, n, "c")
     yd_hat = _batch_head(em, domain_head, h, n, "d")
-    fn = flatten(em.finish((yc_hat, yd_hat, h)))
-    module.add(fn)
-    return fn
+    return add_tree(module, em.finish((yc_hat, yd_hat, h)))
 
 
 def build_step_ir(module: Module, layer_sizes, batch_size: int) -> Function:
     """@dan_minibatch_step_{B}(weights..., X, Yc, Yd, lam, lr) -> (new
     weights..., c_loss, d_loss): the loss's forward pass and its pullbacks
-    at seeds (1,0) and (0,1) (``splice_pullbacks``), then ``W - lr * (g_c
-    + g_d)`` for each weight.  ``simplify`` forwards every trace entry and
-    computes what both pullbacks share once; ``drop_dead`` removes the
-    cotangents no update reads."""
+    at seeds (1,0) and (0,1), emitted straight into this one function
+    (``vjp``), then ``W - lr * (g_c + g_d)`` for each weight.  ``simplify``
+    forwards every trace entry and computes what both pullbacks share
+    once; ``drop_dead`` removes the cotangents no update reads."""
     name = f"dan_minibatch_step_{batch_size}"
     if name in module.functions:
         return module.get(name)
@@ -259,16 +255,12 @@ def build_step_ir(module: Module, layer_sizes, batch_size: int) -> Function:
     em = SEmitter(name, weights + (F64, F64), module)
     args = tuple(em.param(loss.value_name(pv), ty) for pv, ty in loss.params)
     lr = em.param("lr", F64)
-    losses, (g_c, g_d) = splice_pullbacks(em, loss.name, args, [(1.0, 0.0), (0.0, 1.0)])
+    losses, (g_c, g_d) = vjp(em, loss.name, args, [(1.0, 0.0), (0.0, 1.0)])
     new = []
     for w, gc, gd in zip(args[:len(weights)], g_c, g_d):
         step = em.emit("mul", (lr, em.emit("add", (gc, gd), None, "g")), None, "step")
         new.append(em.emit("sub", (w, step), None, em.vnames[w]))
-    tree = drop_dead(simplify(em.finish(tuple(new) + losses)))
-    fn = flatten(tree)
-    module.add(fn)
-    keep_tree(fn, tree, module)
-    return fn
+    return add_tree(module, drop_dead(simplify(em.finish(tuple(new) + losses))))
 
 
 # ---------------------------------------------------------- training

@@ -21,6 +21,10 @@ the recorded arm, a loop becomes a loop driven by popped flags whose
 carried state is the cotangents of the forward carried values plus
 those of the loop-free values used inside.
 
+One builder of each half emits into an emitter its caller owns:
+``augment`` gives each half a function of its own, and ``vjp`` puts the
+forward clone and its pullbacks at constant seeds into one function.
+
 Only active values get adjoint code (activity analysis, as in Tapenade:
 Hascoet & Pascual, ACM TOMS 39(3), 2013): those varied, by data flow
 through merges and loops, from a differentiable parameter, and useful on
@@ -30,9 +34,9 @@ and ``drop_dead`` removes what rule bodies emit for them.
 
 Tape traffic itself has structural adjoints (a push reverses to a pop
 of the cotangent trace and vice versa), which is what makes the
-generated pair differentiable again; second derivatives come from
-augmenting @f__grad, a wrapper that runs @f__aug and @f__pb back to
-back with a unit seed.
+generated code differentiable again: second derivatives come from
+augmenting @f__grad (``build_grad_function``).  A pop is a ``tape_top``
+and a ``tape_rest`` of one trace in one region; either alone is refused.
 """
 
 from __future__ import annotations
@@ -50,13 +54,12 @@ from .structure import (
     SIf,
     SInstr,
     SWhile,
+    add_tree,
     closure,
     defs,
     drop_dead,
-    flatten,
     flows,
     free_values,
-    keep_tree,
     splice_function,
     structurize,
     walk,
@@ -158,17 +161,18 @@ class _Augmenter(Copier):
 
     state = (("blog", TAPE), ("vstack", TAPE))
 
-    def __init__(self, module: Module, sf: SFunc, active: set[int], name: str):
-        super().__init__(SEmitter(name, sf.results + (TAPE, TAPE), module), sf, {})
+    def __init__(self, em: SEmitter, sf: SFunc, active: set[int]):
+        super().__init__(em, sf, {})
         self.active = active
 
-    def build(self) -> SFunc:
-        sf, em = self.src, self.em
-        for pv, ty in sf.params:
-            self.valmap[pv] = em.param(sf.vnames.get(pv, "p"), ty)
-        traces = tuple(em.emit("tape_new", (), None, n) for n, _ in self.state)
+    def run(self, args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]]:
+        """Emit the clone on ``args``; returns its results and its traces
+        (blog, vstack)."""
+        sf = self.src
+        self.valmap.update(zip((pv for pv, _ in sf.params), args))
+        traces = tuple(self.em.emit("tape_new", (), None, n) for n, _ in self.state)
         state = self.region(sf.region, traces)
-        return em.finish(tuple(self.valmap[v] for v in sf.ret_vals) + state)
+        return tuple(self.valmap[v] for v in sf.ret_vals), state
 
     def instr(self, ins: Instruction, state: tuple) -> tuple:
         em, sf, valmap = self.em, self.src, self.valmap
@@ -231,12 +235,8 @@ class _PullbackBuilder:
     """Emits the pullback; it is also the rule backend that ``RULES``
     bodies run on here, so their ops become instructions named ``g``."""
 
-    def __init__(self, module: Module, sf: SFunc, active: set[int], name: str):
-        self.module = module
-        self.sf = sf
-        self.active = active
-        out = tuple(ty for _, ty in sf.params if ty.is_differentiable)
-        self.em = SEmitter(name, out, module)
+    def __init__(self, em: SEmitter, sf: SFunc, active: set[int]):
+        self.em, self.sf, self.active = em, sf, active
         # maps a trace vid to the tape_top that reads it when a tape_rest
         # reads it too, scoped to the region being walked; a pop emits its
         # top and rest side by side in one region, and sibling regions may
@@ -250,20 +250,18 @@ class _PullbackBuilder:
         return {ins.operands[0]: ins for ins in body
                 if ins.op == "tape_top" and ins.operands[0] in rests}
 
-    def build(self) -> SFunc:
-        em, sf = self.em, self.sf
-        blog = em.param("blog", TAPE)
-        vstack = em.param("vstack", TAPE)
+    def run(self, blog: int, vstack: int, seeds: tuple[int, ...]) -> tuple[int, ...]:
+        """Emit the pullback of the clone's traces at ``seeds``, one per
+        result; returns the cotangents of the differentiable parameters."""
+        sf = self.sf
         cot: CotangentMap = {}
-        for i, (rv, rty) in enumerate(zip(sf.ret_vals, sf.results)):
-            seed = em.param(f"seed{i}", rty)
+        for rv, seed in zip(sf.ret_vals, seeds):
             if rv in self.active:
                 self.acc(cot, rv, seed)
         blog, vstack = self.region(sf.region, cot, blog, vstack)
-        em.emit("tape_expect_empty", (blog,), None, "drained")
-        em.emit("tape_expect_empty", (vstack,), None, "drained")
-        return em.finish(tuple(self.grab(cot, pv, ty) for pv, ty in sf.params
-                               if ty.is_differentiable))
+        self.em.emit("tape_expect_empty", (blog,), None, "drained")
+        self.em.emit("tape_expect_empty", (vstack,), None, "drained")
+        return tuple(self.grab(cot, pv, ty) for pv, ty in sf.params if ty.is_differentiable)
 
     # the rule backend
 
@@ -324,7 +322,7 @@ class _PullbackBuilder:
         opnd_tys = tuple(sf.types[o] for o in ins.operands)
         rty = sf.types[ins.result]
         if ins.op == "fused_map":
-            saved_tys = (result_type("fused_pack", opnd_tys, ins.attrs, self.module),)
+            saved_tys = (result_type("fused_pack", opnd_tys, ins.attrs, self.em.module),)
         else:
             saved_tys = saved_values(rule, opnd_tys, rty)
 
@@ -358,28 +356,25 @@ class _PullbackBuilder:
                 self.acc(cot, v, em.emit("tape_top", (tbar,), {"ty": vty}, "cv"))
             return blog, vstack
 
-        if ins.op == "tape_rest":
-            (t,) = ins.operands
-            top = self._level_tops.get(t)
+        # a pop is a top and a rest of one trace in one region, and the
+        # rest's adjoint pushes the top's cotangent: a lone top's would be
+        # lost, and a lone rest has no type for the entry it drops.
+        # tape_new and tape_expect_empty have no data flow to reverse
+        if ins.op not in ("tape_top", "tape_rest"):
+            return blog, vstack
+        (t,) = ins.operands
+        top = self._level_tops.get(t)
+        if ins.result in self.active and (top is None or ins.op == "tape_top" and top is not ins):
+            other, why = (("tape_rest", "take its cotangent") if ins.op == "tape_top"
+                          else ("tape_top", "type the entry it drops"))
+            raise ADError(f"@{sf.name}: {ins.op} %{sf.vnames.get(ins.result, '?')} has no "
+                          f"{other} of its trace in its region to {why}")
+        if ins.op == "tape_rest" and top is not None:
             rbar = cot.get(ins.result)
             if rbar is None:
                 rbar = em.emit("tape_new", (), None, "ct")
-            if top is not None:
-                zbar = self.grab(cot, top.result, top.attrs["ty"])
-            else:
-                # a rest with no matching top drops the popped entry;
-                # its adjoint pushes a zero placeholder
-                zbar = em.zeros_like(F64)
-            cot[t] = em.emit("tape_push", (rbar, zbar), None, "ct")
-            return blog, vstack
-
-        # tape_top is handled at the paired tape_rest, whose adjoint pushes
-        # the top's cotangent; with no such rest that cotangent would be
-        # lost.  tape_new and tape_expect_empty have no data flow to reverse
-        if (ins.op == "tape_top" and ins.result in self.active
-                and self._level_tops.get(ins.operands[0]) is not ins):
-            raise ADError(f"@{sf.name}: tape_top %{sf.vnames.get(ins.result, '?')} has no "
-                          f"tape_rest of its trace in its region to take its cotangent")
+            cot[t] = em.emit("tape_push", (rbar, self.grab(cot, top.result, top.attrs["ty"])),
+                             None, "ct")
         return blog, vstack
 
     def branch(self, node: SIf, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
@@ -495,23 +490,36 @@ class _PullbackBuilder:
 def augment(module: Module, name: str) -> tuple[Function, Function]:
     """Build (or fetch) the trace-forward and pullback pair for @name.
 
-    Each keeps the tree it was flattened from (``keep_tree``), which
-    ``structurize`` hands to ``vectorize``, ``splice_pullbacks`` and ``lower``."""
+    The forward clone and the pullback are emitted into functions of
+    their own, joined only by the two traces (module docstring).  Each
+    keeps the tree it was flattened from (``add_tree``), which
+    ``structurize`` hands to ``vectorize`` and ``lower``."""
     aug_name, pb_name = f"{name}__aug", f"{name}__pb"
     if aug_name in module.functions and pb_name in module.functions:
         return module.get(aug_name), module.get(pb_name)
-    fn = module.get(name)
-    sf = inline_sfunc(module, fn)
+    sf = inline_sfunc(module, module.get(name))
     active = activity(sf)
-    aug = drop_dead(_Augmenter(module, sf, active, aug_name).build())
-    aug_fn = flatten(aug)
-    module.add(aug_fn)
-    keep_tree(aug_fn, aug, module)
-    pb = drop_dead(_PullbackBuilder(module, sf, active, pb_name).build())
-    pb_fn = flatten(pb)
-    module.add(pb_fn)
-    keep_tree(pb_fn, pb, module)
-    return aug_fn, pb_fn
+    em = SEmitter(aug_name, sf.results + (TAPE, TAPE), module)
+    args = tuple(em.param(sf.vnames.get(pv, "p"), ty) for pv, ty in sf.params)
+    results, traces = _Augmenter(em, sf, active).run(args)
+    aug_fn = add_tree(module, drop_dead(em.finish(results + traces)))
+    em = SEmitter(pb_name, tuple(ty for _, ty in sf.params if ty.is_differentiable), module)
+    traces = (em.param("blog", TAPE), em.param("vstack", TAPE))
+    seeds = tuple(em.param(f"seed{i}", ty) for i, ty in enumerate(sf.results))
+    cots = _PullbackBuilder(em, sf, active).run(*traces, seeds)
+    return aug_fn, add_tree(module, drop_dead(em.finish(cots)))
+
+
+def vjp(em: SEmitter, name: str, args: tuple[int, ...], seeds: list[tuple]) -> tuple:
+    """Emit into ``em`` @name's forward clone on ``args``, then its pullback
+    once per tuple of constant f64 seeds, all reading the clone's traces;
+    returns @name's results and each pullback's cotangents.  The caller
+    owns ``em``: one function holds the forward pass and its pullbacks."""
+    sf = inline_sfunc(em.module, em.module.get(name))
+    active = activity(sf)
+    results, traces = _Augmenter(em, sf, active).run(args)
+    return results, [_PullbackBuilder(em, sf, active).run(
+        *traces, tuple(em.const_f64(x, "seed") for x in s)) for s in seeds]
 
 
 def grad(
@@ -552,23 +560,13 @@ def run_aug_pb(module: Module, fn: Function, aug_name: str, pb_name: str, args: 
     return dict(zip((pv for pv, ty in fn.params if ty.is_differentiable), cots))
 
 
-def splice_pullbacks(em: SEmitter, name: str, args: tuple, seeds: list[tuple]) -> tuple:
-    """Splice @name__aug on ``args``, then @name__pb on its traces once
-    per tuple of constant seeds; returns @name's results and the
-    cotangents of each pullback."""
-    aug_fn, pb_fn = augment(em.module, name)
-    outs = splice_function(em, structurize(aug_fn, em.module), args)
-    pb_sf = structurize(pb_fn, em.module)
-    return outs[:-2], [splice_function(em, pb_sf, outs[-2:] + tuple(
-        em.const_f64(x, "seed") for x in s)) for s in seeds]
-
-
 def build_grad_function(module: Module, name: str) -> Function:
     """A function @name__grad computing d(result)/d(first parameter).
 
-    Splices the forward clone and the pullback with a unit seed
-    (``splice_pullbacks``).  The result is ordinary code, so it can be
-    augmented again for second derivatives.  Forwarding its traces
+    One function holds the forward clone and its pullback at a unit
+    seed (``vjp``), and ``drop_dead`` removes the results and cotangents
+    it does not return.  It is ordinary code, so it can be augmented
+    again for second derivatives.  Its traces stay: forwarding them
     (``simplify``) would reorder sums there and move their last bits.
     """
     wname = f"{name}__grad"
@@ -581,12 +579,8 @@ def build_grad_function(module: Module, name: str) -> Function:
         raise ADError(f"@{name} needs a differentiable first parameter")
     em = SEmitter(wname, (fn.params[0][1],), module)
     params = tuple(em.param(fn.value_name(pv), ty) for pv, ty in fn.params)
-    _, (cots,) = splice_pullbacks(em, name, params, [(1.0,)])
-    tree = em.finish((cots[0],))
-    wrapper = flatten(tree)
-    module.add(wrapper)
-    keep_tree(wrapper, tree, module)
-    return wrapper
+    _, (cots,) = vjp(em, name, params, [(1.0,)])
+    return add_tree(module, drop_dead(em.finish((cots[0],))))
 
 
 def grad_of_grad(

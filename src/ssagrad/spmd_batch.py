@@ -28,6 +28,8 @@ one, and an op that cannot be batched has its reason in ``_BATCH_ERRORS``.
 
 from __future__ import annotations
 
+from math import prod
+
 from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
 from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
@@ -194,8 +196,7 @@ class _Vectorizer(Copier):
         alive = self.em.emit("gt", (total, self.em.const_f64(0.0, "z")), None, "alive")
         ty = self.src.types[src]
         if ty.kind == "tensor":
-            one = self.em.zeros_like(ty, "safe")
-            one = self.em.emit("add", (one, self.em.const_f64(1.0, "one")), None, "safe")
+            one = self.em.const_tensor(ty.shape, (1.0,) * prod(ty.shape), "safe")
         else:
             one = self.em.const_f64(1.0, "one")
         return self.em.emit("select", (alive, vid, one), None, "safe")

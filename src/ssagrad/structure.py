@@ -49,7 +49,8 @@ values fresh values named like the source ones, and threads a *state*
 of extra values through them: each if merges its arms' state, and each
 loop carries it.  Hooks change how an instruction, an edge argument or a
 binding's type is copied, and may emit code at each arm's end, before a
-loop and on its back edge.
+loop and on its back edge.  A builder whose output is read again
+finishes with ``add_tree``, so that function keeps the tree it came from.
 """
 
 from __future__ import annotations
@@ -442,9 +443,9 @@ def structurize(fn: Function, module: Module | None = None) -> SFunc:
 
     Raises StructureError at the first well-formedness violation, or
     when the function is not in structured form.  The tree kept for
-    ``fn`` (``keep_tree``: by ``verify``, or by the transform that
-    flattened ``fn``) is returned as is, with no analysis, while
-    ``module`` still holds the functions it was typed against
+    ``fn`` (``keep_tree``: by ``verify``, or by ``add_tree`` for the
+    builder that flattened ``fn``) is returned as is, with no analysis,
+    while ``module`` still holds the functions it was typed against
     (``ir.Tier``); callers do not change it.
     """
     if fn.tier.checked:
@@ -648,6 +649,15 @@ def keep_tree(fn: Function, sf: SFunc, module: Module) -> None:
     names = {r.name for b in fn.blocks for ins in b.body
              if isinstance(r := ins.attrs.get("fn"), FnRef) and r.name in module.functions}
     fn.tier.checked = (sf, tuple((n, weakref.ref(module.functions[n])) for n in names))
+
+
+def add_tree(module: Module, sf: SFunc) -> Function:
+    """``flatten`` a built tree into a function of ``module`` that keeps it
+    (``keep_tree``)."""
+    fn = flatten(sf)
+    module.add(fn)
+    keep_tree(fn, sf, module)
+    return fn
 
 
 def drop_dead(sf: SFunc) -> SFunc:

@@ -23,7 +23,7 @@ from ssagrad import (ADError, BatchError, DANConfig, DenseTensor, EvalError, Mac
 
 from ssagrad.ir import F64, Diagnostic, print_function
 from ssagrad.lower import lower
-from ssagrad.nn_train import build_loss_ir, build_step_ir
+from ssagrad.nn_train import build_eval_ir, build_loss_ir, build_step_ir
 from ssagrad.rules import RULES
 from ssagrad.structure import (SEmitter, defs, drop_dead, flatten, reads, simplify, splice_function,
                                walk)
@@ -401,7 +401,8 @@ def _kept_tree_module(src: str) -> tuple[Module, list[str]]:
         m, cfg = Module(), DANConfig()
         sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
         loss = build_loss_ir(m, sizes, 4)
-        return m, [f.name for f in augment(m, loss.name)] + [build_step_ir(m, sizes, 4).name]
+        made = [loss.name, build_eval_ir(m, sizes, 4).name]
+        return m, made + [f.name for f in augment(m, loss.name)] + [build_step_ir(m, sizes, 4).name]
     if src == "corpus":
         module = Module()
         names = [name for name, _ in generate_suite(module, random.Random(7), 12)]
@@ -445,10 +446,9 @@ def test_kept_trees_are_what_structurize_recovers(src):
         assert _outcome(vectorize, m, name, 3) == _outcome(vectorize, cold, name, 3)
 
 
-def test_generated_code_is_structurized_once(monkeypatch):
-    # verify checks each user function once; augment keeps the trees of
-    # the pair it builds, so batching both halves twice and lowering
-    # analyse nothing again
+def _count_analyses(monkeypatch) -> Counter:
+    """A count, by function name, of the ``structure.analyze_cfg`` calls
+    made from now on."""
     calls = Counter()
     analyze = structure.analyze_cfg
 
@@ -457,16 +457,30 @@ def test_generated_code_is_structurized_once(monkeypatch):
         return analyze(fn)
 
     monkeypatch.setattr(structure, "analyze_cfg", counted)
+    return calls
+
+
+def test_generated_code_is_structurized_once(monkeypatch):
+    # verify checks each user function once; augment keeps the trees of
+    # the pair it builds, and the DAN loss and eval builders keep theirs,
+    # so augmenting the loss, batching both halves twice and lowering
+    # analyse nothing again
+    calls = _count_analyses(monkeypatch)
     m = parse_ir(ANALYTIC_SRC)
     users = list(m.functions)
     assert verify(m) == []
-    for name in ("cube", "absval", "net", "callin", "mapped"):
+    cfg = DANConfig()
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    loss, ev = build_loss_ir(m, sizes, 4), build_eval_ir(m, sizes, 4)
+    for name in ("cube", "absval", "net", "callin", "mapped", loss.name):
         aug, pb = augment(m, name)
         for B in (8, 64):
             vectorize(m, aug.name, B)
             vectorize(m, pb.name, B)
         for fn in (m.get(name), aug, pb):
             lower(fn, m)
+    vectorize(m, ev.name, 8)
+    lower(ev, m)
     assert calls == Counter(users)
     # @mapped__aug's fused_pack names @gauss: once @gauss is another
     # function, its tree is built again
@@ -475,6 +489,29 @@ def test_generated_code_is_structurized_once(monkeypatch):
     aug = m.get("mapped__aug")
     assert structurize(aug, m) is not aug.tier.checked[0]
     assert calls == Counter(["mapped__aug"])
+
+
+def test_grad_and_step_builders_emit_one_function(monkeypatch):
+    # on a freshly verified module, each @f__grad and the DAN step is one
+    # function emitted straight from the verified trees: it leaves no
+    # @f__aug or @f__pb behind, nothing is structurized again, and
+    # drop_dead finds nothing more to remove from it
+    m = parse_ir(ANALYTIC_SRC)
+    cfg = DANConfig()
+    sizes = (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes)
+    build_loss_ir(m, sizes, 4)
+    assert verify(m) == []
+    calls = _count_analyses(monkeypatch)
+    builds = [lambda name=name: build_grad_function(m, name) for name, fn in m.functions.items()
+              if fn.results == (F64,) and fn.params and fn.params[0][1].is_differentiable]
+    builds.append(lambda: build_step_ir(m, sizes, 4))
+    for build in builds:
+        before = set(m.functions)
+        fn = build()
+        assert set(m.functions) == before | {fn.name}
+        sf = fn.tier.checked[0]
+        assert drop_dead(copy.deepcopy(sf)).region == sf.region
+    assert len(builds) == 10 and not calls
 
 
 def test_batched_traces_cannot_be_differentiated():
@@ -780,6 +817,11 @@ func @unstack(%a: tensor<2x3xf64>) -> tensor<2xf64> {
   %r = unstack %a {index = 1, axis = 1}
   ret %r
 }
+func @unstack_1(%a: tensor<3xf64>) -> f64 {
+^entry:
+  %r = unstack %a {index = 2, axis = 0}
+  ret %r
+}
 func @fused_map(%a: tensor<3xf64>, %b: f64) -> tensor<3xf64> {
 ^entry:
   %r = fused_map %a, %b {fn = @scal}
@@ -829,6 +871,7 @@ RULE_ARGS = {
     "reduce_to": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
     "stack": (_t((3,), 0.3, -0.5, 0.8), _t((3,), 1.1, 0.2, -0.4)),
     "unstack": (_t((2, 3), 0.3, -0.5, 0.8, 1.1, 0.2, -0.4),),
+    "unstack_1": (_t((3,), 0.3, -0.5, 0.8),),
     "fused_map": (_t((3,), 0.3, -0.5, 0.8), 0.7),
 }
 
@@ -905,12 +948,35 @@ def test_values_through_a_trace_three_ways(name, args):
         assert max_rel(g[vid], fd[vid]) <= FD_TOL
 
 
-def test_a_lone_tape_top_is_refused():
-    # with no tape_rest of its trace in its region, the pullback has no
-    # place to send the top's cotangent, and the gradient would read 0.0
-    src = TRACE_SRC.split("func @tensor")[0].replace("  %r = tape_rest %t1\n", "")
-    with pytest.raises(ADError, match="tape_top %v has no tape_rest of its trace"):
-        augment(parse_ir(src), "scalar")
+# %r2 drops the tensor entry with no tape_top
+LONE_REST_SRC = """
+func @lone_rest(%x: f64) -> f64 {
+^entry:
+  %b = bcast %x {shape = [3]}
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %t2 = tape_push %t1, %b
+  %r2 = tape_rest %t2
+  %v = tape_top %r2 {ty = f64}
+  %r1 = tape_rest %r2
+  %y = mul %v, %v
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("src, name, match", [
+    (TRACE_SRC.split("func @tensor")[0].replace("  %r = tape_rest %t1\n", ""), "scalar",
+     "tape_top %v has no tape_rest of its trace"),
+    (LONE_REST_SRC, "lone_rest", "tape_rest %r2 has no tape_top of its trace"),
+], ids=["tape_top", "tape_rest"])
+def test_a_lone_tape_top_is_refused(src, name, match):
+    # a pop is a tape_top and a tape_rest of one trace in one region.  With
+    # no rest, the pullback has no place to send the top's cotangent, and
+    # the gradient would read 0.0; with no top, it has no type for the
+    # entry the rest drops, and a tensor entry got an f64 zero
+    with pytest.raises(ADError, match=match):
+        augment(parse_ir(src), name)
 
 
 # ----------------------------------------------------------- simplify
@@ -918,7 +984,7 @@ def test_a_lone_tape_top_is_refused():
 
 def _simplified(m: Module, name: str):
     """@name copied to @name_s through simplify and drop_dead, as the
-    functions that splice a forward pass with its pullback are built."""
+    DAN step is built."""
     src = structurize(m.get(name), m)
     em = SEmitter(f"{name}_s", src.results, m)
     args = tuple(em.param(src.vnames.get(pv, "p"), ty) for pv, ty in src.params)

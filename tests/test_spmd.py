@@ -8,7 +8,7 @@ from ssagrad import (ADError, BatchError, DenseTensor, EvalError, batched_grad, 
                      finite_diff, grad, parse_ir, stack_lanes, trace_grad, unstack_lanes,
                      vectorize, verify)
 from ssagrad.cli import FD_TOL, TAPE_TOL
-from ssagrad.ir import BOOL, F64, I64, tensor_type
+from ssagrad.ir import BOOL, F64, I64, print_function, tensor_type
 from ssagrad.progen import sample_inputs
 
 from conftest import bits, max_rel
@@ -442,6 +442,38 @@ def assert_lanes_exact(module, name, per_lane):
 def test_batching_paths_lane_exact(name):
     m = parse_ir(BATCH_SRC)
     assert_lanes_exact(m, name, BATCH_LANES[name])
+
+
+def test_uniform_tensor_divisor_is_guarded_in_a_lane_branch():
+    # the divisor is a constant, so it is uniform, but the div runs under
+    # the branch's lane mask: the guard swaps it for ones once no lane is
+    # live, and every live lane still divides by the constant
+    m = parse_ir("""
+func @scaled(%x: tensor<3xf64>, %s: f64) -> f64 {
+^entry:
+  %d = const tensor<3xf64> [2.0, -4.0, 0.5]
+  %z = const f64 0.0
+  %pos = gt %s, %z
+  br %pos, ^a(), ^b()
+^a:
+  %q = div %x, %d
+  %r = reduce_sum %q {axis = all}
+  jmp ^join(%r)
+^b:
+  %w = mul %s, %s
+  jmp ^join(%w)
+^join(%v: f64):
+  %y = mul %v, %s
+  ret %y
+}
+""")
+    t = lambda *v: DenseTensor.from_flat((3,), v)
+    per_lane = [(t(0.3, -0.5, 0.8), 0.7), (t(1.1, 0.2, -0.4), -0.6), (t(-0.9, 0.4, 1.3), 1.2)]
+    assert_lanes_exact(m, "scaled", per_lane)
+    for name in ("scaled", "scaled__aug"):
+        text = print_function(m.get(f"{name}__batched_B3"))
+        assert "%alive = gt %nlive" in text
+        assert "%safe = const tensor<3xf64> [1.0, 1.0, 1.0]" in text
 
 
 def test_exit_reading_header_gradients_agree():
