@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +394,24 @@ def test_gradcheck(abs_file, capsys):
     assert rep["trials"] == 5
     assert rep["max_tape_dev"] <= 1e-12
     assert rep["max_fd_dev"] <= 1e-5
+
+
+FUSED_FILE = str(Path(__file__).resolve().parent.parent / "perfbench" / "fused.ssair")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["gradcheck", FUSED_FILE, "--entry", "inner", "--trials", "3", "--seed", "7"],
+     '{"trials":3,"skipped":0,"max_tape_dev":0.0,"max_fd_dev":6.555301157175061e-11,'
+     '"tape_tol":1e-12,"fd_tol":1e-05,"pass":true}\n'),
+    (["gradcheck", "ABS", "--entry", "absval", "--trials", "4", "--seed", "7"],
+     '{"trials":4,"skipped":0,"max_tape_dev":0.0,"max_fd_dev":2.8755664515384365e-11,'
+     '"tape_tol":1e-12,"fd_tol":1e-05,"pass":true}\n'),
+], ids=["fused_inner", "absval"])
+def test_gradcheck_stdout_is_pinned(argv, want, abs_file, capsys):
+    # the inputs gradcheck samples, and so every deviation, are exact
+    argv = [abs_file if a == "ABS" else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_gradcheck_bool_parameter(tmp_path, capsys):

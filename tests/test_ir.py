@@ -178,6 +178,22 @@ def test_corpus_text_is_pinned(tmp_path):
     _assert_digest(print_ir(module), CORPUS_TEXT_SHA256, tmp_path, "corpus.ssair")
 
 
+# SHA-256 of the accepted inputs test_corpus_inputs_are_pinned prints: each
+# program's name and the exact bits of its inputs.  It moves only when
+# progen's sampling or its accept rule changes on purpose.
+CORPUS_INPUTS_SHA256 = "8d3647163edaeb29f2a93b29ee60880f63f50b2898ded8879f2fd0b511dfbb37"
+
+
+def test_corpus_inputs_are_pinned(corpus, tmp_path):
+    # the session corpus and the first part of perfbench's seed-7 corpus
+    lines = []
+    for label, suite in (("corpus", corpus[1]),
+                         ("seed7", generate_suite(Module(), random.Random(21), 200))):
+        lines.append(label)
+        lines += [f"{name} {[bits(a) for a in args]}" for name, inputs in suite for args in inputs]
+    _assert_digest("\n".join(lines), CORPUS_INPUTS_SHA256, tmp_path, "corpus_inputs.txt")
+
+
 def test_print_is_canonical():
     # odd whitespace and blank lines normalize away on the first print
     src = """
