@@ -10,10 +10,6 @@ running the adjoint rules on their numeric backend (``rules.NUMERIC``).
 The tracer is a Machine whose kernel table wraps each entry of
 ``KERNELS``: values are computed by the plain kernels on unboxed
 operands, so traced results are bit-identical to plain evaluation.
-
-Executed comparisons are logged with their margins |a - b|; input
-samplers use these to stay clear of branch flips when a finite
-difference will later nudge the inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import numpy as np
 from . import tensor as T
 from .ir import Module, Type
 from .interp import DEFAULT_STEP_LIMIT, KERNELS, Machine, zero_of
-from .ops import OPS
 from .rules import NUMERIC, RULES, runtime_type, saved_values
 from .tensor import DenseTensor
 
@@ -60,24 +55,16 @@ class Trace:
         self.nodes: list[TraceNode] = []
         self.params: list[tuple[int, Type, int]] = []  # (vid, ty, slot)
         self.result_slots: tuple[int, ...] = ()
-        self.compare_margins: list[float] = []
-
-    def min_compare_margin(self) -> float:
-        return min(self.compare_margins, default=float("inf"))
 
 
 def _traced_kernel(op: str, kernel):
-    """kernel on unboxed values; records op's trace node and compare margin."""
+    """kernel on unboxed values; records op's trace node."""
     rule = RULES.get(op)
-    # an elementwise op whose result takes no cotangent is a comparison
-    compare = OPS[op].elementwise and OPS[op].no_cotangent
 
     def traced(m, attrs, env, a):
         boxed = [env[o] for o in a]
         vals = [b.v for b in boxed]
         value = kernel(m, attrs, vals, range(len(vals)))
-        if compare and not all(isinstance(v, int) for v in vals):
-            m.trace.compare_margins.append(_margin(vals[0], vals[1]))
         # as in the transform, rules fire only on differentiable
         # results; an i64 add is plain bookkeeping
         if rule is None or not isinstance(value, (float, DenseTensor)):
@@ -140,12 +127,6 @@ class _Tracer(Machine):
         s = self._next_slot
         self._next_slot += 1
         return Tracked(v, s)
-
-
-def _margin(a, b) -> float:
-    da = a.data if isinstance(a, DenseTensor) else np.float64(a)
-    db = b.data if isinstance(b, DenseTensor) else np.float64(b)
-    return float(np.min(np.abs(da - db)))
 
 
 @np.errstate(all="ignore")

@@ -14,20 +14,22 @@ code vs. the trace oracle vs. finite differences).  Concretely:
 Kinked primitives (relu) are left to the handwritten fixtures; a
 finite-difference probe stepping over the kink would flag a failure
 that is not one.  Branch and select conditions are all float compares,
-so ``stable_inputs`` can insist on a margin between the compared
-values before an input sample is accepted.
+so ``stable_inputs`` can insist on a margin between the compared values:
+``compare_margin`` walks a sample's run and stops at its first near-tie.
 """
 
 from __future__ import annotations
 
 import random
-from math import prod
+from contextlib import suppress
+from math import inf, prod
+
+import numpy as np
 
 from .ir import F64, I64, Function, Module, tensor_type
-from .interp import EvalError
-from .oracle import trace_eval
+from .interp import DEFAULT_STEP_LIMIT, KERNELS, EvalError, Machine
 from .structure import SEmitter, SIf, SWhile, flatten
-from .tensor import DenseTensor
+from .tensor import DenseTensor, take
 
 _LIMIT = 80.0
 # stable_inputs: the closest a float compare may come to a tie, and the
@@ -434,23 +436,70 @@ def sample_inputs(fn: Function, rng: random.Random) -> tuple:
     return tuple(args)
 
 
+class _Tie(Exception):
+    """Stops a compare_margin run at the compare that rejects the sample."""
+
+
+def _margin(a, b) -> float:
+    if isinstance(a, DenseTensor) or isinstance(b, DenseTensor):
+        return float(np.min(np.abs(getattr(a, "data", a) - getattr(b, "data", b))))
+    return abs(a - b)  # the bits numpy gives, at a fraction of its cost
+
+
+def _noting(kernel):
+    """kernel, noting |x - y| unless both are ints; as in min(), only a first NaN counts."""
+    def noted(m, attrs, env, a):
+        out = kernel(m, attrs, env, a)
+        x, y = env[a[0]], env[a[1]]
+        if not (isinstance(x, int) and isinstance(y, int)):
+            d = _margin(x, y)
+            m.least = d if m.least is None else min(m.least, d)
+            if not m.least > _MARGIN:
+                raise _Tie
+        return out
+    return noted
+
+
+class _MarginWalker(Machine):
+    """Machine that notes compare margins; its table is not KERNELS, so it walks."""
+
+    kernels = {
+        **KERNELS,
+        **{op: _noting(KERNELS[op]) for op in ("lt", "gt", "eq")},
+        # row 0 of the pack, as the tape oracle runs it: the body's compares go unnoted
+        "fused_map": lambda m, attrs, env, a: take(KERNELS["fused_pack"](m, attrs, env, a), 0, 0),
+    }
+    least = None
+
+
+@np.errstate(all="ignore")
+def compare_margin(module: Module, name: str, args: tuple, step_limit=DEFAULT_STEP_LIMIT) -> float:
+    """The least |a - b| over the compares a run of @name executes, inf if none.
+
+    Int compares and a fused_map body's are left out.  The run stops at,
+    and returns, a margin at or below ``_MARGIN`` or a NaN first margin.
+    """
+    walker = _MarginWalker(module, step_limit)
+    with suppress(_Tie):
+        walker.call(name, args)
+    return inf if walker.least is None else walker.least
+
+
 def stable_inputs(module: Module, name: str, rng: random.Random) -> tuple | None:
     """Sample inputs whose branch decisions sit away from the boundary.
 
     Finite differencing perturbs the inputs, so any float compare that
     lands within ``_MARGIN`` of a tie could flip and invalidate the
-    probe.  Returns None when no acceptable sample turns up, which the
-    caller should treat as a reason to discard the program.
+    probe.  A sample that ``compare_margin`` (which stops at the first
+    near-tie) rejects, or whose run faults, is redrawn.  None means no
+    sample passed, and the caller should discard the program.
     """
     fn = module.get(name)
     for _ in range(_TRIES):
         args = sample_inputs(fn, rng)
-        try:
-            _, trace = trace_eval(module, name, args)
-        except EvalError:
-            continue
-        if trace.min_compare_margin() > _MARGIN:
-            return args
+        with suppress(EvalError):
+            if compare_margin(module, name, args) > _MARGIN:
+                return args
     return None
 
 

@@ -414,6 +414,24 @@ def test_gradcheck_stdout_is_pinned(argv, want, abs_file, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_gradcheck_skips_a_trial_with_no_stable_input(tmp_path, capsys):
+    # the only compare ties at every input, so no sample is margin-stable
+    p = tmp_path / "tie.ssair"
+    p.write_text("""
+func @tie(%x: f64) -> f64 {
+^entry:
+  %c = lt %x, %x
+  %r = select %c, %x, %x
+  ret %r
+}
+""")
+    assert main(["gradcheck", str(p), "--entry", "tie", "--trials", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "note: no margin-stable input found, trial skipped\n" * 3
+    rep = json.loads(out)
+    assert (rep["trials"], rep["skipped"], rep["pass"]) == (0, 3, False)
+
+
 def test_gradcheck_bool_parameter(tmp_path, capsys):
     p = tmp_path / "b.ssair"
     p.write_text("""

@@ -7,6 +7,7 @@ from ssagrad import (DenseTensor, Dual, EvalError, dual_eval, eval_function,
 from ssagrad import interp
 from ssagrad.forward_ad import pack_rows
 from ssagrad.interp import DEFAULT_STEP_LIMIT
+from ssagrad.progen import compare_margin
 
 
 def test_straight_line(analytic):
@@ -209,6 +210,7 @@ func @fused_map_spin(%x: f64) -> f64 {
 RUNNERS = {
     "eval_function": lambda m, name, x, limit: eval_function(m, name, (x,), limit),
     "trace_eval": lambda m, name, x, limit: trace_eval(m, name, (x,), limit),
+    "compare_margin": lambda m, name, x, limit: compare_margin(m, name, (x,), limit),
     "fused_map_with_partials":
         lambda m, name, x, limit: fused_map_with_partials(m, name, (x,), limit),
     "dual_eval": lambda m, name, x, limit: dual_eval(m, name, (Dual(x, (1.0,)),), limit),
@@ -292,7 +294,7 @@ def test_unbound_value_is_a_located_eval_error(runner, name, index):
         name, "join", index, "%y has no value on this path")
 
 
-@pytest.mark.parametrize("runner", ["eval_function", "trace_eval", "dual_eval"])
+@pytest.mark.parametrize("runner", ["eval_function", "trace_eval", "compare_margin", "dual_eval"])
 def test_kernel_key_error_keeps_its_message(runner):
     m = parse_ir(UNBOUND_SRC)
     del m.functions["h"]
@@ -431,6 +433,7 @@ func @loop(%x: f64) -> f64 {
 MAP_RUNNERS = {
     "eval_function": lambda m, body, x, limit: eval_function(m, f"map_{body}", (x,), limit),
     "trace_eval": lambda m, body, x, limit: trace_eval(m, f"map_{body}", (x,), limit),
+    "compare_margin": lambda m, body, x, limit: compare_margin(m, f"map_{body}", (x,), limit),
     "fused_map_with_partials":
         lambda m, body, x, limit: fused_map_with_partials(m, body, (x,), limit),
     "grad": lambda m, body, x, limit: grad(m, f"map_{body}", (x,), None, limit),

@@ -1,13 +1,15 @@
 """The two reference gradient routes: replay tape and central
 differences.  These are what the structural adjoint is judged against,
-so they get their own direct checks here."""
+so they get their own direct checks here, as does the margin walker
+that keeps the inputs they are judged at clear of branch flips."""
 
 import math
 
 import pytest
 
-from ssagrad import (DenseTensor, EvalError, finite_diff, parse_ir,
-                     tape_backprop, trace_eval, trace_grad)
+from ssagrad import (DenseTensor, EvalError, eval_function, finite_diff, parse_ir,
+                     stable_inputs, tape_backprop, trace_eval, trace_grad)
+from ssagrad.progen import compare_margin
 
 from conftest import rel
 
@@ -63,15 +65,94 @@ def test_trace_records_only_differentiable_results(analytic):
 
 
 def test_compare_margin_records_float_compares(analytic):
-    _, trace = trace_eval(analytic, "absval", (0.001,))
-    assert trace.min_compare_margin() == pytest.approx(0.001)
+    assert compare_margin(analytic, "absval", (0.001,)) == pytest.approx(0.001)
 
 
 def test_compare_margin_ignores_loop_counters(analytic):
     # i64 counter compares run every iteration; only float compares
     # can flip under an FD probe, so only they count
-    _, trace = trace_eval(analytic, "cube", (5.0,))
-    assert trace.min_compare_margin() == math.inf
+    assert compare_margin(analytic, "cube", (5.0,)) == math.inf
+
+
+MARGIN_SRC = """
+func @two(%a: f64, %b: f64, %c: f64) -> f64 {
+^entry:
+  %p = lt %a, %c
+  %q = gt %b, %c
+  ret %c
+}
+
+func @body(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = gt %x, %z
+  %r = select %c, %x, %z
+  ret %r
+}
+
+func @mapped(%x: f64) -> f64 {
+^entry:
+  %y = fused_map %x {fn = @body}
+  ret %y
+}
+
+func @called(%x: f64) -> f64 {
+^entry:
+  %y = call %x {fn = @body}
+  ret %y
+}
+
+func @tie_then_fault(%x: f64) -> f64 {
+^entry:
+  %z = const f64 0.0
+  %c = lt %x, %z
+  %l = log %x
+  ret %l
+}
+"""
+
+
+@pytest.mark.parametrize("args, want", [
+    ((0.0, 0.5, 1.0), 0.5),
+    ((0.0, 0.9995, 1.0), 1.0 - 0.9995),  # the second compare ties
+    ((math.nan, 0.5, 1.0), math.nan),  # a NaN first margin rejects
+    ((0.0, math.nan, 1.0), 1.0),  # a NaN after a clean compare is ignored
+    ((math.inf, math.nan, 1.0), math.inf),  # as min() keeps an inf before a NaN
+], ids=["clean", "tie_second", "nan_first", "nan_second", "inf_then_nan"])
+def test_compare_margin_takes_min_of_margins(args, want):
+    got = compare_margin(parse_ir(MARGIN_SRC), "two", args)
+    assert got == want or math.isnan(got) and math.isnan(want)
+
+
+def test_compare_margin_counts_callees_not_map_bodies():
+    m = parse_ir(MARGIN_SRC)
+    assert compare_margin(m, "called", (0.5,)) == 0.5
+    assert compare_margin(m, "mapped", (0.5,)) == math.inf
+
+
+class _Draws:
+    """An rng whose uniform() hands out fixed draws and counts them."""
+
+    def __init__(self, draws):
+        self.draws, self.taken = list(draws), 0
+
+    def uniform(self, a, b):
+        self.taken += 1
+        return self.draws[self.taken - 1]
+
+
+def test_compare_margin_stops_at_a_tie_before_a_fault():
+    m = parse_ir(MARGIN_SRC)
+    # the run stops at the near-tie, so the log that follows never faults
+    with pytest.raises(EvalError):
+        eval_function(m, "tie_then_fault", (-0.0005,))
+    assert compare_margin(m, "tie_then_fault", (-0.0005,)) == 0.0005
+    with pytest.raises(EvalError, match="log of non-positive value"):
+        compare_margin(m, "tie_then_fault", (-1.0,))
+    # a tie, then a fault, then a clean sample
+    rng = _Draws([-0.0005, -1.0, 2.0])
+    assert stable_inputs(m, "tie_then_fault", rng) == (2.0,)
+    assert rng.taken == 3
 
 
 def test_finite_diff_simple(analytic):
