@@ -34,7 +34,7 @@ from .interp import DEFAULT_STEP_LIMIT, Machine
 from .ir import F64, Function, Module, tensor_type
 from .reverse_ad import vjp
 from .structure import SEmitter, add_tree, drop_dead, simplify
-from .tensor import DenseTensor, stack
+from .tensor import DenseTensor
 
 
 @dataclass
@@ -244,7 +244,8 @@ def build_step_ir(module: Module, layer_sizes, batch_size: int) -> Function:
     """@dan_minibatch_step_{B}(weights..., X, Yc, Yd, lam, lr) -> (new
     weights..., c_loss, d_loss): the loss's forward pass and its pullbacks
     at seeds (1,0) and (0,1), emitted straight into this one function
-    (``vjp``), then ``W - lr * (g_c + g_d)`` for each weight.  ``simplify``
+    (``vjp``), each with no adjoint code for the loss seeded 0.0, then
+    ``W - lr * (g_c + g_d)`` for each weight.  ``simplify``
     forwards every trace entry and computes what both pullbacks share
     once; ``drop_dead`` removes the cotangents no update reads."""
     name = f"dan_minibatch_step_{batch_size}"
@@ -296,9 +297,10 @@ def make_synthetic(cfg: DANConfig) -> list[SyntheticSample]:
 
 
 def _batch_tensors(batch: list[SyntheticSample]) -> tuple:
-    X = stack([s.x for s in batch])
-    Yc = DenseTensor.from_flat((len(batch),), [float(s.y_c) for s in batch])
-    Yd = DenseTensor.from_flat((len(batch),), [float(s.y_d) for s in batch])
+    # np.array refuses samples of mismatched shapes with a ValueError
+    X = DenseTensor._own(np.array([s.x.data for s in batch]))
+    Yc = DenseTensor._own(np.array([s.y_c for s in batch], dtype=np.float64))
+    Yd = DenseTensor._own(np.array([s.y_d for s in batch], dtype=np.float64))
     return X, Yc, Yd
 
 

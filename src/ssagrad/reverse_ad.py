@@ -30,7 +30,10 @@ Hascoet & Pascual, ACM TOMS 39(3), 2013): those varied, by data flow
 through merges and loops, from a differentiable parameter, and useful on
 the way to a returned value that carries a cotangent.  For constants,
 ``itof`` of counters and dead code nothing is pushed, reversed or carried,
-and ``drop_dead`` removes what rule bodies emit for them.
+and ``drop_dead`` removes what rule bodies emit for them.  Likewise a
+value with no cotangent gets no adjoint code; a 0.0 constant seed is
+none (symbolic zeros, as in JAX and Zygote).  The pops of its saved
+values stay, so the traces still balance.
 
 Tape traffic itself has structural adjoints (a push reverses to a pop
 of the cotangent trace and vice versa), which is what makes the
@@ -252,11 +255,12 @@ class _PullbackBuilder:
 
     def run(self, blog: int, vstack: int, seeds: tuple[int, ...]) -> tuple[int, ...]:
         """Emit the pullback of the clone's traces at ``seeds``, one per
-        result; returns the cotangents of the differentiable parameters."""
+        result, None for a result with no cotangent; returns the
+        cotangents of the differentiable parameters."""
         sf = self.sf
         cot: CotangentMap = {}
         for rv, seed in zip(sf.ret_vals, seeds):
-            if rv in self.active:
+            if rv in self.active and seed is not None:
                 self.acc(cot, rv, seed)
         blog, vstack = self.region(sf.region, cot, blog, vstack)
         self.em.emit("tape_expect_empty", (blog,), None, "drained")
@@ -330,7 +334,9 @@ class _PullbackBuilder:
         for ty in reversed(saved_tys):
             v, vstack = self.pop(vstack, ty)
             popped.append(v)
-        ybar = self.grab(cot, ins.result, rty)
+        ybar = cot.get(ins.result)
+        if ybar is None:  # no cotangent reaches it: its rule would only spread zeros
+            return blog, vstack
         cots = rule.backward(self, ins.attrs, opnd_tys, tuple(reversed(popped)), ybar)
         for o, c in zip(ins.operands, cots):
             if c is not None and o in self.active:
@@ -513,13 +519,16 @@ def augment(module: Module, name: str) -> tuple[Function, Function]:
 def vjp(em: SEmitter, name: str, args: tuple[int, ...], seeds: list[tuple]) -> tuple:
     """Emit into ``em`` @name's forward clone on ``args``, then its pullback
     once per tuple of constant f64 seeds, all reading the clone's traces;
-    returns @name's results and each pullback's cotangents.  The caller
-    owns ``em``: one function holds the forward pass and its pullbacks."""
+    returns @name's results and each pullback's cotangents.  A 0.0 seed
+    is no seed: what only it reaches gets no adjoint code, and a
+    parameter only it reaches gets a zero constant.  The caller owns
+    ``em``: one function holds the forward pass and its pullbacks."""
     sf = inline_sfunc(em.module, em.module.get(name))
     active = activity(sf)
     results, traces = _Augmenter(em, sf, active).run(args)
     return results, [_PullbackBuilder(em, sf, active).run(
-        *traces, tuple(em.const_f64(x, "seed") for x in s)) for s in seeds]
+        *traces, tuple(None if x == 0.0 else em.const_f64(x, "seed") for x in s))
+        for s in seeds]
 
 
 def grad(

@@ -279,7 +279,8 @@ def select_mask(mask: DenseTensor, a, b) -> DenseTensor:
 
 
 def _where(mask: np.ndarray, a, b) -> np.ndarray:
-    return np.where(mask != 0.0, a, b)
+    # a float64 mask's truth is ``mask != 0.0``: NaN picks a, -0.0 picks b
+    return np.where(mask, a, b)
 
 
 # --------------------------------------------------------- reductions

@@ -17,8 +17,8 @@ from ssagrad import (ADError, DANConfig, DenseTensor, Module, ParseError, Struct
                      generate_suite, grad, grad_of_grad, parse_ir, print_ir, random_program,
                      stack_lanes, structurize, train, vectorize, verify)
 from ssagrad.ir import F64, TAPE, Br, Diagnostic, Jmp, print_function
-from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, init_params,
-                              make_synthetic)
+from ssagrad.nn_train import (_batch_tensors, _weight_args, build_loss_ir, build_step_ir,
+                              init_params, make_synthetic)
 from ssagrad.parser import _kind, _lex, _positions
 from ssagrad.structure import SEmitter, SIf, SWhile, splice_function
 
@@ -102,6 +102,23 @@ def test_transform_paths_off_the_corpus(tmp_path):
         texts.append(text)
     assert counts == {"aug": 18, "grad": 10}
     _assert_digest("".join(texts), TRANSFORM_IR_SHA256, tmp_path)
+
+
+# SHA-256 of @dan_minibatch_step_32 as print_ir prints it: the default
+# training step, its forward pass, both pullbacks and the update.  It
+# changes under the same rule as EMITTED_IR_SHA256.
+STEP_IR_SHA256 = "96ca3114e3ef996bd9d13691ee45ebe71c58df0755784973c15de51ffb1b4730"
+
+
+def test_default_step_is_pinned(tmp_path):
+    # the pullback at each constant seed builds no adjoint code for the
+    # loss seeded with 0.0, which leaves 142 instructions
+    cfg = DANConfig()
+    fn = build_step_ir(Module(), (cfg.trunk_sizes, cfg.head_sizes, cfg.head_sizes),
+                       cfg.batch_size)
+    assert fn.name == "dan_minibatch_step_32"
+    assert sum(len(b.body) for b in fn.blocks) == 142
+    _assert_digest(print_ir(Module({fn.name: fn})), STEP_IR_SHA256, tmp_path, "step.ssair")
 
 
 # SHA-256 of the gradient bits test_gradient_bits_are_pinned prints.  A

@@ -477,6 +477,21 @@ def test_raw_templates_match_walker():
         assert check(pair, f"c{i}", args) is None
 
 
+def test_select_takes_a_float_mask_as_nonzero_is_true():
+    # the select kernel and its lowered template share T._where, which
+    # reads a float mask as ``mask != 0.0`` does: NaN, +-inf and a
+    # subnormal pick the first operand, +-0.0 the second
+    mask = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0])
+    a, b = np.arange(1.0, 8.0), -np.arange(1.0, 8.0)
+    want = np.where(mask != 0.0, a, b).tobytes()
+    assert T._where(mask, a, b).tobytes() == want
+    assert T._where(mask, 9.5, b).tobytes() == np.where(mask != 0.0, 9.5, b).tobytes()
+    T7 = "tensor<7xf64>"
+    pair = tiered(parse_ir(one_op("sel", "select", (T7, T7, T7), "", T7)))
+    (got,) = check(pair, "sel", tuple(DenseTensor(v) for v in (mask, a, b)))
+    assert got.data.tobytes() == want
+
+
 def test_transposed_fold_is_the_walkers():
     # reduce_sum folds 33 rows in turn; numpy's add.reduce on the
     # transposed view would sum each column pairwise, which differs here

@@ -10,9 +10,10 @@ from ssagrad import (DANConfig, DenseTensor, EvalError, Module, augment, dan_ste
                      print_ir, train, verify)
 from ssagrad.interp import Machine
 from ssagrad.ir import F64
-from ssagrad.nn_train import (DenseLayerParams, MetricsHistory, ModelParams, _batch_tensors,
-                              _weight_args, build_eval_ir, build_loss_ir, build_step_ir,
-                              evaluate, init_params, make_synthetic)
+from ssagrad.nn_train import (DenseLayerParams, MetricsHistory, ModelParams, SyntheticSample,
+                              _batch_tensors, _weight_args, build_eval_ir, build_loss_ir,
+                              build_step_ir, evaluate, init_params, make_synthetic)
+from ssagrad.tensor import stack
 
 from conftest import bits, rel
 
@@ -153,6 +154,48 @@ def test_dan_step_is_the_three_call_step_bit_for_bit(lam):
         assert [bits(v) for v in (losses["c_loss"], losses["d_loss"])] == \
             [bits(v) for v in want_losses]
         assert [bits(v) for v in _weight_args(params)] == [bits(v) for v in _weight_args(want)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_default_step_is_the_three_call_step_bit_for_bit(lam):
+    # the default batch-32 step, whose constant seeds (1,0) and (0,1) give
+    # the other loss no adjoint code, against pullbacks run on runtime
+    # seeds, over 100 steps of shuffled batches
+    cfg = DANConfig(lam=lam)
+    data = make_synthetic(cfg)
+    order_rng = random.Random(cfg.seed + 2)
+    m = Module()
+    params = want = init_params(sizes(cfg), random.Random(cfg.seed + 1))
+    nb = len(data) // cfg.batch_size
+    for k in range(100):
+        j = k % nb
+        if j == 0:
+            order = list(range(len(data)))
+            order_rng.shuffle(order)
+        batch = [data[i] for i in order[j * cfg.batch_size:(j + 1) * cfg.batch_size]]
+        params, losses = dan_step(m, params, batch, cfg)
+        want, want_losses = _reference_step(m, want, batch, cfg)
+        assert [bits(v) for v in (losses["c_loss"], losses["d_loss"])] == \
+            [bits(v) for v in want_losses]
+        assert [bits(v) for v in _weight_args(params)] == [bits(v) for v in _weight_args(want)]
+
+
+def test_batch_tensors_are_the_per_sample_stack():
+    batch = make_synthetic(SMALL)[:8]
+    # the per-sample construction it replaced, as the reference
+    want = (stack([s.x for s in batch]),
+            DenseTensor.from_flat((8,), [float(s.y_c) for s in batch]),
+            DenseTensor.from_flat((8,), [float(s.y_d) for s in batch]))
+    for got, ref in zip(_batch_tensors(batch), want):
+        assert got.shape == ref.shape and got.data.tobytes() == ref.data.tobytes()
+        assert got.data.flags.c_contiguous and not got.data.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(SMALL.dim + 1,), (1, SMALL.dim)])
+def test_batch_tensors_refuse_mismatched_samples(shape):
+    odd = SyntheticSample(DenseTensor.zeros(shape), 1, 0)
+    with pytest.raises(ValueError):
+        _batch_tensors(make_synthetic(SMALL)[:3] + [odd])
 
 
 def test_step_is_one_function_with_no_trace_and_no_repeat():

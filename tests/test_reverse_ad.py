@@ -24,9 +24,10 @@ from ssagrad import (ADError, BatchError, DANConfig, DenseTensor, EvalError, Mac
 from ssagrad.ir import F64, Diagnostic, print_function
 from ssagrad.lower import lower
 from ssagrad.nn_train import build_eval_ir, build_loss_ir, build_step_ir
+from ssagrad.reverse_ad import vjp
 from ssagrad.rules import RULES
-from ssagrad.structure import (SEmitter, defs, drop_dead, flatten, reads, simplify, splice_function,
-                               walk)
+from ssagrad.structure import (SEmitter, add_tree, defs, drop_dead, flatten, reads, simplify,
+                               splice_function, walk)
 
 from conftest import ANALYTIC_SRC, bits, max_rel, rel
 from test_acceptance import FD_TOL
@@ -626,6 +627,43 @@ def test_dead_and_constant_values_get_no_adjoint_code():
     # and sums no cotangent into the broadcast constant
     assert _ops(pb) == Counter({"tape_top": 4, "tape_rest": 4, "mul": 3, "bcast": 1,
                                 "tape_expect_empty": 2})
+
+
+# two results: the second reaches %y through an exp, and %z only through it
+TWO_RESULTS_SRC = """
+func @two(%x: f64, %y: f64, %z: f64) -> (f64, f64) {
+^entry:
+  %a = mul %x, %y
+  %e = exp %y
+  %b = mul %e, %z
+  ret %a, %b
+}
+"""
+
+
+def test_a_zero_seed_gets_no_adjoint_code():
+    # vjp takes a 0.0 constant seed as no cotangent, so the rules of %b and
+    # %e emit nothing: the two muls are %a's rule, and drop_dead removed
+    # the forward muls; the five pushes and their pops stay
+    m = parse_ir(TWO_RESULTS_SRC)
+    em = SEmitter("two_vjp", (F64, F64, F64), m)
+    params = tuple(em.param(n, F64) for n in "xyz")
+    _, (cots,) = vjp(em, "two", params, [(1.0, 0.0)])
+    fn = add_tree(m, drop_dead(em.finish(cots)))
+    body = [ins for b in fn.blocks for ins in b.body]
+    zeros = {ins.result for ins in body if ins.op == "const" and ins.attrs["value"] == 0.0}
+    # no 0.0 seed is read: the only zero is %z's cotangent, which is returned
+    assert zeros == {fn.blocks[-1].term.values[2]}
+    assert not any(zeros & set(ins.operands) for ins in body)
+    assert _ops(fn) == Counter({"tape_new": 2, "tape_push": 5, "tape_top": 5, "tape_rest": 5,
+                                "tape_expect_empty": 2, "exp": 1, "mul": 2, "const": 2})
+    # at y = 1000 the old chain sent 0 * exp(y) = 0 * inf into %y and %z,
+    # which augment's pullback still does on a runtime 0.0 seed; the
+    # finite cotangents here are intended
+    args = (2.0, 1000.0, 3.0)
+    assert [bits(v) for v in Machine(m).run(fn, args)] == [bits(v) for v in (1000.0, 2.0, 0.0)]
+    old = grad(m, "two", args, (1.0, 0.0))
+    assert old[0] == 1000.0 and math.isnan(old[1]) and math.isnan(old[2])
 
 
 # second derivatives through tensor code whose pullback pops a tensor
