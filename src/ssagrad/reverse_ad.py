@@ -19,7 +19,9 @@ pops, the seeds, and cotangent arithmetic, walking the source tree in
 reverse: straight code runs backwards, an if pops its flag and replays
 the recorded arm, a loop becomes a loop driven by popped flags whose
 carried state is the cotangents of the forward carried values plus
-those of the loop-free values used inside.
+those of the loop-free values used inside.  The walk's state, the
+cotangents so far and the current two traces, lives on the builder;
+each arm and each loop body walks from a state of its own.
 
 One builder of each half emits into an emitter its caller owns:
 ``augment`` gives each half a function of its own, and ``vjp`` puts the
@@ -40,6 +42,8 @@ of the cotangent trace and vice versa), which is what makes the
 generated code differentiable again: second derivatives come from
 augmenting @f__grad (``build_grad_function``).  A pop is a ``tape_top``
 and a ``tape_rest`` of one trace in one region; either alone is refused.
+An active trace is read once: a trace of cotangents has no sum, so a
+second read (two pushes onto it, or two bindings of it) is refused too.
 """
 
 from __future__ import annotations
@@ -236,36 +240,36 @@ class _Augmenter(Copier):
 
 class _PullbackBuilder:
     """Emits the pullback; it is also the rule backend that ``RULES``
-    bodies run on here, so their ops become instructions named ``g``."""
+    bodies run on here, so their ops become instructions named ``g``.
+
+    The walk's state is ``cot``, each source value's cotangent so far,
+    and ``traces``, the current [blog, vstack].  The walk methods take a
+    node and update that state; ``branch`` and ``loop`` walk each arm or
+    body from a state of its own, then set the state after the node."""
 
     def __init__(self, em: SEmitter, sf: SFunc, active: set[int]):
         self.em, self.sf, self.active = em, sf, active
+        self.cot: CotangentMap = {}
+        self.traces: list[int] = []
         # maps a trace vid to the tape_top that reads it when a tape_rest
         # reads it too, scoped to the region being walked; a pop emits its
         # top and rest side by side in one region, and sibling regions may
         # pop the same source, so the pairing must not leak across regions
         self._level_tops: dict[int, Instruction] = {}
 
-    @staticmethod
-    def _scan_level(nodes: list) -> dict[int, Instruction]:
-        body = [node.ins for node in nodes if isinstance(node, SInstr)]
-        rests = {ins.operands[0] for ins in body if ins.op == "tape_rest"}
-        return {ins.operands[0]: ins for ins in body
-                if ins.op == "tape_top" and ins.operands[0] in rests}
-
-    def run(self, blog: int, vstack: int, seeds: tuple[int, ...]) -> tuple[int, ...]:
-        """Emit the pullback of the clone's traces at ``seeds``, one per
-        result, None for a result with no cotangent; returns the
-        cotangents of the differentiable parameters."""
+    def run(self, traces: tuple[int, int], seeds: tuple[int, ...]) -> tuple[int, ...]:
+        """Emit the pullback of the clone's traces (blog, vstack) at
+        ``seeds``, one per result, None for a result with no cotangent;
+        returns the cotangents of the differentiable parameters."""
         sf = self.sf
-        cot: CotangentMap = {}
+        self.cot, self.traces = {}, list(traces)
         for rv, seed in zip(sf.ret_vals, seeds):
             if rv in self.active and seed is not None:
-                self.acc(cot, rv, seed)
-        blog, vstack = self.region(sf.region, cot, blog, vstack)
-        self.em.emit("tape_expect_empty", (blog,), None, "drained")
-        self.em.emit("tape_expect_empty", (vstack,), None, "drained")
-        return tuple(self.grab(cot, pv, ty) for pv, ty in sf.params if ty.is_differentiable)
+                self.acc(rv, seed)
+        self.region(sf.region)
+        for t in self.traces:
+            self.em.emit("tape_expect_empty", (t,), None, "drained")
+        return tuple(self.grab(pv) for pv, ty in sf.params if ty.is_differentiable)
 
     # the rule backend
 
@@ -277,97 +281,96 @@ class _PullbackBuilder:
 
     # cotangent bookkeeping
 
-    def acc(self, cot: CotangentMap, vid: int, new: int):
-        cur = cot.get(vid)
-        if cur is None:
-            cot[vid] = new
-        elif self.em.types[new].kind == "tape":
-            # traces thread linearly; a second write replaces
-            cot[vid] = new
-        else:
-            cot[vid] = self.emit("add", (cur, new))
+    def acc(self, vid: int, new: int):
+        cur = self.cot.get(vid)
+        if cur is not None:
+            if self.em.types[new].kind != "tape":
+                new = self.emit("add", (cur, new))
+            elif vid in self.active:  # a trace of cotangents has no sum
+                raise ADError(f"@{self.sf.name}: trace %{self.sf.vnames.get(vid, '?')} "
+                              f"is read twice; an active trace must be read once")
+            # an inactive trace holds no varied entry: its cotangent is never read
+        self.cot[vid] = new
 
-    def grab(self, cot: CotangentMap, vid: int, ty: Type) -> int:
-        got = cot.get(vid)
-        return self.em.zeros_like(ty) if got is None else got
+    def grab(self, vid: int) -> int:
+        got = self.cot.get(vid)
+        return self.em.zeros_like(self.sf.types[vid]) if got is None else got
 
-    def pop(self, tape: int, ty: Type) -> tuple[int, int]:
-        v = self.em.emit("tape_top", (tape,), {"ty": ty}, "sv")
-        rest = self.em.emit("tape_rest", (tape,), None, "tr")
-        return v, rest
+    def pop(self, k: int, ty: Type) -> int:
+        """The top of trace k (0 for blog, 1 for vstack); trace k moves
+        to its rest."""
+        t = self.traces[k]
+        v = self.em.emit("tape_top", (t,), {"ty": ty}, "sv")
+        self.traces[k] = self.em.emit("tape_rest", (t,), None, "tr")
+        return v
 
     # reverse walk
 
-    def region(self, nodes: list, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
+    def region(self, nodes: list):
         outer_tops = self._level_tops
-        self._level_tops = self._scan_level(nodes)
-        try:
-            for node in reversed(nodes):
-                if isinstance(node, SInstr):
-                    blog, vstack = self.instr(node.ins, cot, blog, vstack)
-                elif _inert(node, self.active):
-                    continue
-                elif isinstance(node, SIf):
-                    blog, vstack = self.branch(node, cot, blog, vstack)
-                else:
-                    blog, vstack = self.loop(node, cot, blog, vstack)
-        finally:
-            self._level_tops = outer_tops
-        return blog, vstack
+        body = [node.ins for node in nodes if isinstance(node, SInstr)]
+        rests = {ins.operands[0] for ins in body if ins.op == "tape_rest"}
+        self._level_tops = {ins.operands[0]: ins for ins in body
+                            if ins.op == "tape_top" and ins.operands[0] in rests}
+        for node in reversed(nodes):
+            if isinstance(node, SInstr):
+                self.instr(node.ins)
+            elif _inert(node, self.active):
+                continue
+            elif isinstance(node, SIf):
+                self.branch(node)
+            else:
+                self.loop(node)
+        self._level_tops = outer_tops
 
-    def instr(self, ins: Instruction, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
+    def instr(self, ins: Instruction):
         sf = self.sf
         rule = _recorded_rule(self.active, sf, ins)
         if rule is None:
             if OPS[ins.op].trace:
-                return self.tape_instr(ins, cot, blog, vstack)
-            return blog, vstack
+                self.tape_instr(ins)
+            return
 
         opnd_tys = tuple(sf.types[o] for o in ins.operands)
-        rty = sf.types[ins.result]
         if ins.op == "fused_map":
             saved_tys = (result_type("fused_pack", opnd_tys, ins.attrs, self.em.module),)
         else:
-            saved_tys = saved_values(rule, opnd_tys, rty)
+            saved_tys = saved_values(rule, opnd_tys, sf.types[ins.result])
 
-        popped = []
-        for ty in reversed(saved_tys):
-            v, vstack = self.pop(vstack, ty)
-            popped.append(v)
-        ybar = cot.get(ins.result)
+        popped = [self.pop(1, ty) for ty in reversed(saved_tys)]
+        ybar = self.cot.get(ins.result)
         if ybar is None:  # no cotangent reaches it: its rule would only spread zeros
-            return blog, vstack
+            return
         cots = rule.backward(self, ins.attrs, opnd_tys, tuple(reversed(popped)), ybar)
         for o, c in zip(ins.operands, cots):
             if c is not None and o in self.active:
-                self.acc(cot, o, c)
-        return blog, vstack
+                self.acc(o, c)
 
     # structural adjoints of trace traffic (second-order path): the
     # cotangent of a trace is a trace of cotangents, so pushes and pops
     # swap roles
-    def tape_instr(self, ins: Instruction, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
-        em, sf = self.em, self.sf
+    def tape_instr(self, ins: Instruction):
+        em, sf, cot = self.em, self.sf, self.cot
 
         if ins.op == "tape_push":
             if ins.result not in self.active:  # its cotangent trace reads as zeros
-                return blog, vstack
+                return
             t0, v = ins.operands
             tbar = cot.get(ins.result)
             if tbar is None:
                 tbar = em.emit("tape_new", (), None, "ct")
-            cot[t0] = em.emit("tape_rest", (tbar,), None, "ct")
+            self.acc(t0, em.emit("tape_rest", (tbar,), None, "ct"))
             vty = sf.types[v]
             if vty.is_differentiable and v in self.active:
-                self.acc(cot, v, em.emit("tape_top", (tbar,), {"ty": vty}, "cv"))
-            return blog, vstack
+                self.acc(v, em.emit("tape_top", (tbar,), {"ty": vty}, "cv"))
+            return
 
         # a pop is a top and a rest of one trace in one region, and the
         # rest's adjoint pushes the top's cotangent: a lone top's would be
         # lost, and a lone rest has no type for the entry it drops.
         # tape_new and tape_expect_empty have no data flow to reverse
         if ins.op not in ("tape_top", "tape_rest"):
-            return blog, vstack
+            return
         (t,) = ins.operands
         top = self._level_tops.get(t)
         if ins.result in self.active and (top is None or ins.op == "tape_top" and top is not ins):
@@ -379,115 +382,77 @@ class _PullbackBuilder:
             rbar = cot.get(ins.result)
             if rbar is None:
                 rbar = em.emit("tape_new", (), None, "ct")
-            cot[t] = em.emit("tape_push", (rbar, self.grab(cot, top.result, top.attrs["ty"])),
-                             None, "ct")
-        return blog, vstack
+            self.acc(t, em.emit("tape_push", (rbar, self.grab(top.result)), None, "ct"))
 
-    def branch(self, node: SIf, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
+    def branch(self, node: SIf):
         em, sf = self.em, self.sf
-        flag, blog = self.pop(blog, BOOL)
-
+        flag = self.pop(0, BOOL)
         outside = sorted(free_values([node]) & self.active)
 
-        base = dict(cot)
-        arm_nodes = []
-        arm_outs = []
+        base, traces = self.cot, self.traces
+        arms = []
         for region, args in ((node.then_region, node.then_args),
                              (node.else_region, node.else_args)):
-            cot.clear()
-            cot.update(base)
+            self.cot, self.traces = dict(base), list(traces)
             em.push_region()
             for (mv, _), a in zip(node.merged, args):
                 if mv in base:  # mv is useful, so a is too
-                    self.acc(cot, a, base[mv])
-            ab, av = self.region(region, cot, blog, vstack)
-            outs = (ab, av) + tuple(self.grab(cot, u, sf.types[u]) for u in outside)
-            arm_nodes.append(em.pop_region())
-            arm_outs.append(outs)
-        cot.clear()
-        cot.update(base)
+                    self.acc(a, base[mv])
+            self.region(region)
+            outs = tuple(self.traces) + tuple(self.grab(u) for u in outside)
+            arms += [em.pop_region(), outs]
 
-        blog2 = em.fresh("blog", TAPE)
-        vstack2 = em.fresh("vstack", TAPE)
-        merged = [(blog2, TAPE), (vstack2, TAPE)]
+        self.cot = base
+        merged = [(em.fresh(n, ty), ty) for n, ty in _Augmenter.state]
+        self.traces = [v for v, _ in merged]
         for u in outside:
-            nv = em.fresh("g", sf.types[u])
-            cot[u] = nv
+            base[u] = nv = em.fresh("g", sf.types[u])
             merged.append((nv, sf.types[u]))
-        em.append(SIf(flag, arm_nodes[0], arm_outs[0], arm_nodes[1], arm_outs[1], merged))
-        return blog2, vstack2
+        em.append(SIf(flag, *arms, merged))
 
-    def loop(self, node: SWhile, cot: CotangentMap, blog: int, vstack: int) -> tuple[int, int]:
-        em, sf = self.em, self.sf
+    def loop(self, node: SWhile):
+        em, sf, cot = self.em, self.sf, self.cot
 
         # exit values hand their cotangents to the carried params they alias
         for (ev, _), ea in zip(node.exits, node.exit_args):
-            got = cot.get(ev)
-            if got is not None:
-                self.acc(cot, ea, got)
+            if ev in cot:
+                self.acc(ea, cot[ev])
 
-        carried_ids = {cv for cv, _ in node.carried}
-        free = free_values(node.body_region, node.body_args) - carried_ids
+        free = free_values(node.body_region, node.body_args) - {cv for cv, _ in node.carried}
         outside = sorted(free & self.active)
         diff = [j for j, (cv, _) in enumerate(node.carried) if cv in self.active]
+        ks = [node.carried[j][0] for j in diff]
+        slots = ks + outside  # the values whose cotangents the reverse loop carries
 
-        pend0, blog = self.pop(blog, BOOL)
-        init = [pend0, blog, vstack]
-        for j in diff:
-            cv, cty = node.carried[j]
-            init.append(self.grab(cot, cv, cty))
+        init = [self.pop(0, BOOL), *self.traces] + [self.grab(v) for v in slots]
+        for cv in ks:
             cot.pop(cv, None)
-        for u in outside:
-            init.append(self.grab(cot, u, sf.types[u]))
-
-        pend_p = em.fresh("pending", BOOL)
-        blog_p = em.fresh("blog", TAPE)
-        vstack_p = em.fresh("vstack", TAPE)
-        carried = [(pend_p, BOOL), (blog_p, TAPE), (vstack_p, TAPE)]
-        k_params = []
-        for j in diff:
-            cty = node.carried[j][1]
-            kv = em.fresh("k", cty)
-            k_params.append(kv)
-            carried.append((kv, cty))
-        u_params = []
-        for u in outside:
-            kv = em.fresh("ku", sf.types[u])
-            u_params.append(kv)
-            carried.append((kv, sf.types[u]))
+        carried = [(em.fresh("pending", BOOL), BOOL)]
+        carried += [(em.fresh(n, ty), ty) for n, ty in _Augmenter.state]
+        carried += [(em.fresh("k", sf.types[cv]), sf.types[cv]) for cv in ks]
+        carried += [(em.fresh("ku", sf.types[u]), sf.types[u]) for u in outside]
+        params = [v for v, _ in carried]
 
         em.push_region()
-        inner: CotangentMap = {}
-        for u, kv in zip(outside, u_params):
-            inner[u] = kv
-        for j, kv in zip(diff, k_params):
-            self.acc(inner, node.body_args[j], kv)
-        bb, bv = self.region(node.body_region, inner, blog_p, vstack_p)
-        back = [None, bb, bv]
-        for j in diff:
-            cv, cty = node.carried[j]
-            back.append(self.grab(inner, cv, cty))
-        for u in outside:
-            back.append(self.grab(inner, u, sf.types[u]))
-        pend_n, bb2 = self.pop(bb, BOOL)
-        back[0], back[1] = pend_n, bb2
-        body_nodes = em.pop_region()
+        self.cot, self.traces = dict(zip(outside, params[3 + len(diff):])), params[1:3]
+        for j, kv in zip(diff, params[3:]):
+            self.acc(node.body_args[j], kv)
+        self.region(node.body_region)
+        back = [self.grab(v) for v in slots]
+        pend = self.pop(0, BOOL)
+        body = em.pop_region()
 
-        exits = []
-        for kv, ty in carried:
-            exits.append((em.fresh(em.vnames[kv], ty), ty))
-        em.append(SWhile(carried, tuple(init), [], pend_p, body_nodes, tuple(back),
-                         exits, tuple(p for p, _ in carried)))
-
-        blog2, vstack2 = exits[1][0], exits[2][0]
+        exits = [(em.fresh(em.vnames[kv], ty), ty) for kv, ty in carried]
+        em.append(SWhile(carried, tuple(init), [], params[0], body,
+                         (pend, *self.traces, *back), exits, tuple(params)))
+        self.cot, self.traces = cot, [exits[1][0], exits[2][0]]
         # the invariant slots already thread the pre-loop cotangents, so
         # they land first; a value that is also an init operand then adds
         # its flow through the first iteration on top
         for u, (xv, _) in zip(outside, exits[3 + len(diff):]):
             cot[u] = xv
-        for j, (xv, _) in zip(diff, exits[3:3 + len(diff)]):
-            self.acc(cot, node.init[j], xv)
-        return blog2, vstack2
+        for j, (xv, _) in zip(diff, exits[3:]):
+            self.acc(node.init[j], xv)
 
 
 # ------------------------------------------------------------ driver
@@ -510,9 +475,9 @@ def augment(module: Module, name: str) -> tuple[Function, Function]:
     results, traces = _Augmenter(em, sf, active).run(args)
     aug_fn = add_tree(module, drop_dead(em.finish(results + traces)))
     em = SEmitter(pb_name, tuple(ty for _, ty in sf.params if ty.is_differentiable), module)
-    traces = (em.param("blog", TAPE), em.param("vstack", TAPE))
+    traces = tuple(em.param(n, ty) for n, ty in _Augmenter.state)
     seeds = tuple(em.param(f"seed{i}", ty) for i, ty in enumerate(sf.results))
-    cots = _PullbackBuilder(em, sf, active).run(*traces, seeds)
+    cots = _PullbackBuilder(em, sf, active).run(traces, seeds)
     return aug_fn, add_tree(module, drop_dead(em.finish(cots)))
 
 
@@ -527,7 +492,7 @@ def vjp(em: SEmitter, name: str, args: tuple[int, ...], seeds: list[tuple]) -> t
     active = activity(sf)
     results, traces = _Augmenter(em, sf, active).run(args)
     return results, [_PullbackBuilder(em, sf, active).run(
-        *traces, tuple(None if x == 0.0 else em.const_f64(x, "seed") for x in s))
+        traces, tuple(None if x == 0.0 else em.const_f64(x, "seed") for x in s))
         for s in seeds]
 
 

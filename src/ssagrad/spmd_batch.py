@@ -254,11 +254,7 @@ class _Vectorizer(Copier):
         if len(self.src.types[a].shape) == 3:
             raise BatchError("a rank-3 matmul is already lane-shaped; "
                              "batching it again needs rank 4")
-        av = self.val(a) if self.is_b(a) else self.em.emit(
-            "bcast", (self.val(a),), {"shape": (self.B, *self.src.types[a].shape)}, nm)
-        bv = self.val(b) if self.is_b(b) else self.em.emit(
-            "bcast", (self.val(b),), {"shape": (self.B, *self.src.types[b].shape)}, nm)
-        return self.em.emit("matmul", (av, bv), None, nm)
+        return self.em.emit("matmul", (self.materialize(a), self.materialize(b)), None, nm)
 
     def reshape(self, ins: Instruction, nm: str) -> int:
         return self.em.emit("reshape", (self.val(ins.operands[0]),),

@@ -689,3 +689,109 @@ func @f(%x: f64) -> f64 {
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "@f ^entry instr 0: maximum recursion depth exceeded\n"
+
+
+# ------------------------------------------------ boundary lines
+
+TENSOR_SRC = """
+func @ten(%x: tensor<2xf64>) -> f64 {
+^entry:
+  %s = tanh %x
+  %r = reduce_sum %s {axis = all}
+  ret %r
+}
+"""
+
+
+@pytest.fixture
+def ten_file(tmp_path):
+    p = tmp_path / "ten.ssair"
+    p.write_text(TENSOR_SRC)
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["grad", "MUL", "--entry", "mul"], "--args is required unless --emit-ir is given"),
+    (["batch", "ABS", "--entry", "absval", "-B", "0", "--args", "[]"], "-B must be at least 1"),
+    (["grad", "MUL", "--entry", "mul", "--args", "[3,2]", "--seeds", "[1,2]"],
+     "--seeds must be a JSON list of 1 value(s)"),
+    (["run", "TEN", "--entry", "ten", "--args", '[{"shape":[2]}]'],
+     'expected {"shape": [...], "data": [...]} for tensor<2xf64>'),
+    (["run", "TEN", "--entry", "ten", "--args", '[{"shape":[3],"data":[1,2,3]}]'],
+     "shape [3] does not match tensor<2xf64>"),
+    (["train-dan", "--config", "TMP/missing.json"],
+     "cannot read TMP/missing.json: No such file or directory"),
+    (["train-dan", "--config", "TMP/list.json"], "--config must be a JSON object"),
+    (["train-dan", "--config", '{"epochs":0}', "--out", "TMP/nodir/m.jsonl"],
+     "cannot write TMP/nodir/m.jsonl: No such file or directory"),
+], ids=["grad_no_args", "batch_zero_lanes", "seeds_length", "tensor_no_data",
+        "tensor_shape", "config_unreadable", "config_file_array", "out_dir_missing"])
+def test_usage_error_is_one_line_and_no_payload(argv, message, mul_file, abs_file, ten_file,
+                                                tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    files = {"MUL": mul_file, "ABS": abs_file, "TEN": ten_file}
+    argv = [files.get(a, a.replace("TMP", str(tmp_path))) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.replace('TMP', str(tmp_path))}\n"
+
+
+def test_run_takes_a_bool_argument(tmp_path, capsys):
+    p = tmp_path / "pick.ssair"
+    p.write_text("""
+func @pick(%c: bool, %x: f64) -> f64 {
+^entry:
+  %n = neg %x
+  %r = select %c, %x, %n
+  ret %r
+}
+""")
+    assert main(["run", str(p), "--entry", "pick", "--args", "[false, 2.0]"]) == 0
+    assert capsys.readouterr() == ("-2.0\n", "")
+
+
+def test_grad_default_seeds_are_zero_for_i64_and_bool_results(tmp_path, capsys):
+    p = tmp_path / "three.ssair"
+    p.write_text("""
+func @three(%x: f64) -> (f64, i64, bool) {
+^entry:
+  %y = mul %x, %x
+  %h = const f64 0.5
+  %z = mul %y, %h
+  %k = const i64 2
+  %c = const bool true
+  ret %z, %k, %c
+}
+""")
+    assert main(["grad", str(p), "--entry", "three", "--args", "[3.0]"]) == 0
+    assert capsys.readouterr() == ('{"x":3.0}\n', "")
+
+
+def test_gradcheck_on_a_tensor_parameter(ten_file, capsys):
+    assert main(["gradcheck", ten_file, "--entry", "ten", "--trials", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert (rep["trials"], rep["skipped"], rep["pass"]) == (3, 0, True)
+    assert 0.0 < rep["max_fd_dev"] <= rep["fd_tol"]
+
+
+def test_gradcheck_skips_a_trial_that_faults(tmp_path, capsys):
+    # the pullback squares x * 1e-200, which underflows to 0.0
+    p = tmp_path / "under.ssair"
+    p.write_text("""
+func @under(%x: f64) -> f64 {
+^entry:
+  %one = const f64 1.0
+  %tiny = const f64 1e-200
+  %d = mul %x, %tiny
+  %r = div %one, %d
+  ret %r
+}
+""")
+    assert main(["gradcheck", str(p), "--entry", "under", "--trials", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "note: trial skipped (@under__pb ^entry instr 7: division by zero)\n" * 2
+    rep = json.loads(out)
+    assert (rep["trials"], rep["skipped"], rep["pass"]) == (0, 2, False)

@@ -1017,6 +1017,88 @@ def test_a_lone_tape_top_is_refused(src, name, match):
         augment(parse_ir(src), name)
 
 
+# an active trace read twice: @exit_twice's loop exit binds %t to %a and
+# %b, and @forked pushes two entries onto %t1; each pops %x back twice,
+# so both compute x * x.  @fresh_fork forks a fresh tape_new, which is
+# inactive: it holds no varied entry
+READ_TWICE_SRC = """
+func @exit_twice(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %i0 = const i64 0
+  %n = const i64 2
+  jmp ^head(%i0, %t1)
+^head(%i: i64, %t: tape):
+  %more = lt %i, %n
+  br %more, ^body(), ^exit(%t, %t)
+^body:
+  %one = const i64 1
+  %i2 = add %i, %one
+  jmp ^head(%i2, %t)
+^exit(%a: tape, %b: tape):
+  %u = tape_top %a {ty = f64}
+  %ra = tape_rest %a
+  %v = tape_top %b {ty = f64}
+  %rb = tape_rest %b
+  %y = mul %u, %v
+  ret %y
+}
+
+func @forked(%x: f64, %z: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %t1 = tape_push %t0, %x
+  %ta = tape_push %t1, %z
+  %tb = tape_push %t1, %z
+  %za = tape_top %ta {ty = f64}
+  %ra = tape_rest %ta
+  %u = tape_top %ra {ty = f64}
+  %ra0 = tape_rest %ra
+  %zb = tape_top %tb {ty = f64}
+  %rb = tape_rest %tb
+  %v = tape_top %rb {ty = f64}
+  %rb0 = tape_rest %rb
+  %y = mul %u, %v
+  ret %y
+}
+
+func @fresh_fork(%x: f64) -> f64 {
+^entry:
+  %t0 = tape_new
+  %ta = tape_push %t0, %x
+  %tb = tape_push %t0, %x
+  %u = tape_top %ta {ty = f64}
+  %ra = tape_rest %ta
+  %v = tape_top %tb {ty = f64}
+  %rb = tape_rest %tb
+  %y = mul %u, %v
+  ret %y
+}
+"""
+
+
+@pytest.mark.parametrize("name, args, trace", [("exit_twice", (1.5,), "t"),
+                                               ("forked", (1.5, 0.5), "t1")],
+                         ids=["exit_twice", "forked"])
+def test_an_active_trace_read_twice_is_refused(name, args, trace):
+    # a trace's cotangent is a trace, which no add can sum: keeping one of
+    # the two would give 1.5 where the oracle, like d(x*x)/dx, gives 3.0
+    m = parse_ir(READ_TWICE_SRC)
+    assert list(trace_grad(m, name, args, (1.0,)).values())[0] == 3.0
+    with pytest.raises(ADError, match=rf"@{name}: trace %{trace} is read twice"):
+        augment(m, name)
+
+
+def test_an_inactive_fork_still_differentiates():
+    m = parse_ir(READ_TWICE_SRC)
+    (g,) = grad(m, "fresh_fork", (1.5,)).values()
+    (t,) = trace_grad(m, "fresh_fork", (1.5,), (1.0,)).values()
+    (fd,) = finite_diff(m, "fresh_fork", (1.5,), (1.0,)).values()
+    assert g == t == 3.0
+    assert rel(g, fd) <= FD_TOL
+
+
 # ----------------------------------------------------------- simplify
 
 

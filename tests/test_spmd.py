@@ -249,6 +249,25 @@ func @f(%a: tensor<2x2x3xf64>, %b: tensor<2x3x2xf64>) -> tensor<2x2x2xf64> {
         vectorize(m, "f", 2)
 
 
+def test_matmul_with_a_uniform_operand_on_either_side():
+    # %w and %v are uniform: each is copied out to every lane before its
+    # matmul, %w on the right and %v on the left
+    m = parse_ir("""
+func @mm(%x: tensor<2x3xf64>) -> tensor<2x2xf64> {
+^entry:
+  %w = const tensor<3x2xf64> [0.5, -1.0, 2.0, 0.25, -0.75, 1.5]
+  %a = matmul %x, %w
+  %v = const tensor<2x2xf64> [1.25, -0.5, 0.3, 2.0]
+  %r = matmul %v, %a
+  ret %r
+}
+""")
+    per = [(DenseTensor.from_flat((2, 3), v),) for v in _T23]
+    (col,) = run_lanes(m, "mm", 3, per)
+    for got, args in zip(col, per):
+        assert bits(got) == bits(eval_function(m, "mm", args)[0])
+
+
 def test_batched_type_mapping():
     from ssagrad.spmd_batch import batched_type
     from ssagrad.ir import TAPE, tapes_type
