@@ -34,6 +34,9 @@ def test_round_trip_identity(analytic):
 # SHA-256 of the module test_generated_code_round_trips prints.  A change
 # that alters emitted IR on purpose updates this constant and says why.
 EMITTED_IR_SHA256 = "244ba0be6d3e1794666ab271a807c02a100666db2db3bb76480dd733cf4297f4"
+# SHA-256 of the same module's functions whose names hold no __batched_:
+# augment, __grad and their adjoints.  A change to batching alone leaves it.
+EMITTED_UNBATCHED_IR_SHA256 = "ff0fe94ce2aed8390982848301ec13725f957658b05c784cf4431cdf1245b104"
 
 
 def test_generated_code_round_trips(tmp_path):
@@ -61,7 +64,13 @@ def test_generated_code_round_trips(tmp_path):
     assert print_ir(again) == text
     assert verify(again) == []
     assert set(emitted) <= set(again.functions)
+    _assert_digest(_unbatched_text(module), EMITTED_UNBATCHED_IR_SHA256, tmp_path,
+                   "unbatched.ssair")
     _assert_digest(text, EMITTED_IR_SHA256, tmp_path)
+
+
+def _unbatched_text(module: Module) -> str:
+    return print_ir(Module({n: f for n, f in module.functions.items() if "__batched_" not in n}))
 
 
 def _assert_digest(text: str, want: str, tmp_path: Path, fname: str = "emitted.ssair"):
@@ -76,13 +85,15 @@ def _assert_digest(text: str, want: str, tmp_path: Path, fname: str = "emitted.s
 # SHA-256 of the modules test_transform_paths_off_the_corpus prints; it
 # changes under the same rule as EMITTED_IR_SHA256
 TRANSFORM_IR_SHA256 = "49ca5674d6de2b1ea811a032db99449912dd0d3668059a89385e40de51ad777e"
+# and of their functions whose names hold no __batched_, as above
+TRANSFORM_UNBATCHED_IR_SHA256 = "5769917abdf0a9cbfe800bcee8e0f755acc1fbe1bf62310b523b8d4af339934d"
 
 
 def test_transform_paths_off_the_corpus(tmp_path):
     # the corpus has no call and no fused_map; the analytic fixture and
     # BATCH_SRC reach the inliner, the augmenter's fused_pack case,
     # uniform branches and constant-trip loops, and this digest pins them
-    texts, counts = [], {"aug": 0, "grad": 0}
+    texts, unbatched, counts = [], [], {"aug": 0, "grad": 0}
     for src in (ANALYTIC_SRC, BATCH_SRC):
         module = parse_ir(src)
         for fn in list(module.functions.values()):
@@ -100,7 +111,10 @@ def test_transform_paths_off_the_corpus(tmp_path):
         text = print_ir(module)
         assert print_ir(parse_ir(text)) == text
         texts.append(text)
+        unbatched.append(_unbatched_text(module))
     assert counts == {"aug": 18, "grad": 10}
+    _assert_digest("".join(unbatched), TRANSFORM_UNBATCHED_IR_SHA256, tmp_path,
+                   "unbatched.ssair")
     _assert_digest("".join(texts), TRANSFORM_IR_SHA256, tmp_path)
 
 

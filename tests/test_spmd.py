@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from ssagrad import (ADError, BatchError, DenseTensor, EvalError, batched_grad, eval_function,
-                     finite_diff, grad, parse_ir, stack_lanes, trace_grad, unstack_lanes,
-                     vectorize, verify)
+from ssagrad import (ADError, BatchError, DenseTensor, EvalError, Module, batched_grad,
+                     build_grad_function, eval_function, finite_diff, generate_suite, grad,
+                     parse_ir, stack_lanes, trace_grad, unstack_lanes, vectorize, verify)
 from ssagrad.cli import FD_TOL, TAPE_TOL
 from ssagrad.ir import BOOL, F64, I64, print_function, tensor_type
 from ssagrad.progen import sample_inputs
@@ -230,6 +230,28 @@ def test_batched_grad_at_64_lanes_is_per_lane_grad(corpus):
             got = unstack_lanes(ptype[vid], col, 64)
             assert [bits(v) for v in got] == [bits(want[j][vid]) for j in pick]
     assert divergent >= 5
+
+
+def test_batched_second_order_is_per_lane_second_order():
+    # batched_grad of @f__grad pushes onto batched cotangent traces, and
+    # its selects merge traces of two tables; each lane's second-order
+    # gradient is per-lane grad's, bit for bit
+    module = Module()
+    entries = 0
+    for name, inputs in generate_suite(module, random.Random(7), 40, inputs_per=8):
+        fn = build_grad_function(module, name)
+        stacked = tuple(stack_lanes(ty, [a[i] for a in inputs])
+                        for i, (_, ty) in enumerate(fn.params))
+        bg = batched_grad(module, fn.name, 8, stacked, (stack_lanes(F64, [1.0] * 8),))
+        per = [grad(module, fn.name, args, (1.0,)) for args in inputs]
+        ptype = dict(fn.params)
+        assert set(bg) == set(per[0])
+        for vid, col in bg.items():
+            got = unstack_lanes(ptype[vid], col, 8)
+            assert [bits(v) for v in got] == [bits(g[vid]) for g in per], name
+            entries += len(got)
+    assert entries == 920
+
 
 def test_lane_count_positive(analytic):
     with pytest.raises(BatchError):
