@@ -2,8 +2,9 @@
 
 Runtime values are float, bool, int, DenseTensor, Tape (a persistent
 cons list) and TapeBatch: a batched trace, one node per lane in a table
-of nodes shared by the traces of one tape_spread (``_Table``), so that
-its kernels cost a few numpy calls at any lane count.  A push never
+of nodes shared by the traces born from one ``tape_new {lanes}``
+(``_Table``), so that its kernels cost a few numpy calls at any lane
+count.  Each node holds one (lanes, ...) row per lane.  A push never
 disturbs older references; the batching transform leans on this to
 discard a lane's speculative pushes by keeping the older trace value.
 
@@ -104,19 +105,18 @@ EMPTY_TAPE = Tape()
 class _Table:
     """The append-only nodes of one family of batched traces.
 
-    Node 0 is the empty trace.  Every other node holds (value, per_lane),
-    its parent and its depth: a per-lane value is a (lanes, ...) tensor
-    whose row i belongs to lane i, any other value is shared by every
-    lane.  Nodes never change once written.
+    Node 0 is the empty trace.  Every other node holds a (lanes, ...)
+    tensor whose row i belongs to lane i, its parent and its depth.
+    Nodes never change once written.
     """
 
     __slots__ = ("lanes", "values", "parent", "depth")
 
     def __init__(self, lanes: int):
-        self.lanes, self.values, self.depth = lanes, [(None, False)], [0]
+        self.lanes, self.values, self.depth = lanes, [None], [0]
         self.parent = np.zeros(8, np.int64)
 
-    def append(self, value, per_lane: bool, at):
+    def append(self, value: DenseTensor, at):
         """One node holding value on each distinct node of at; the lanes' new nodes."""
         n = len(self.values)
         nodes = [at] if isinstance(at, int) else np.array(sorted(set(at.tolist())))
@@ -125,7 +125,7 @@ class _Table:
             self.parent = np.resize(self.parent, 2 * (n + len(nodes)))
         self.parent[n:n + len(nodes)] = nodes
         self.depth += [self.depth[p] + 1 for p in nodes]
-        self.values += [(value, per_lane)] * len(nodes)
+        self.values += [value] * len(nodes)
         return new
 
     def adopt(self, t: "TapeBatch") -> "TapeBatch":
@@ -138,7 +138,7 @@ class _Table:
                 new[n] = None
                 todo.append(int(src.parent[n]))
         for n in sorted(new)[1:]:  # a parent is older than its children
-            new[n] = self.append(*src.values[n], new[int(src.parent[n])])
+            new[n] = self.append(src.values[n], new[int(src.parent[n])])
         return TapeBatch(self, _merged(np.array([new[n] for n in at])))
 
 
@@ -152,7 +152,8 @@ class TapeBatch:
         self.table, self.at = table, at
 
     def top(self, shape: tuple[int, ...]) -> DenseTensor:
-        """Each lane's top as one (lanes, ...) tensor, by _lane_value's rules."""
+        """Each lane's top as one (lanes, ...) tensor: zeros in a lane whose
+        top is empty or of another row shape."""
         if isinstance(self.at, int):
             out = self._fill(self.at, shape)
         else:
@@ -163,12 +164,9 @@ class TapeBatch:
         return DenseTensor._own(out if np.shape(out) == shape else np.full(shape, out))
 
     def _fill(self, n: int, shape: tuple[int, ...]):
-        """Node n's entries as an array or float that broadcasts to shape."""
-        v, per_lane = self.table.values[n]
-        if per_lane:
-            return v.data if v.shape[1:] == shape[1:] else 0.0
-        v = _lane_value(v, shape[1:])
-        return 0.0 if v is None else v.data if isinstance(v, DenseTensor) else v
+        """Node n's rows as an array, or 0.0, that broadcasts to shape."""
+        v = self.table.values[n]
+        return v.data if v is not None and v.shape[1:] == shape[1:] else 0.0
 
     def depths(self) -> list[int]:
         at = [self.at] * self.table.lanes if isinstance(self.at, int) else self.at.tolist()
@@ -281,11 +279,10 @@ def _call(m, attrs, env, a):
 def _tape_push(m, attrs, env, a):
     t, v = env[a[0]], env[a[1]]
     if isinstance(t, TapeBatch):
-        per_lane = bool(attrs.get("per_lane"))
-        if per_lane and not (isinstance(v, DenseTensor) and v.shape[0] == t.table.lanes):
+        if not (isinstance(v, DenseTensor) and v.shape[0] == t.table.lanes):
             got = f"shape {v.shape}" if isinstance(v, DenseTensor) else f"a {type(v).__name__}"
-            raise ValueError(f"per-lane tape_push of {got} onto tapes<{t.table.lanes}>")
-        return TapeBatch(t.table, t.table.append(v, per_lane, t.at))
+            raise ValueError(f"tape_push of {got} onto tapes<{t.table.lanes}>")
+        return TapeBatch(t.table, t.table.append(v, t.at))
     return Tape(v, t)
 
 
@@ -304,13 +301,6 @@ def _tape_rest(m, attrs, env, a):
         at = t.table.parent[t.at]
         return TapeBatch(t.table, int(at) if isinstance(t.at, int) else _merged(at))
     return t.rest if not t.empty else t
-
-
-def _tape_spread(m, attrs, env, a):
-    table, at = _Table(attrs["lanes"]), 0
-    for v in reversed(list(env[a[0]])):
-        at = table.append(v, False, at)
-    return TapeBatch(table, at)
 
 
 def _tape_expect_empty(m, attrs, env, a):
@@ -347,11 +337,11 @@ KERNELS = {
     "fused_pack": lambda m, attrs, env, a: m._fused_pack(
         m.module.get(attrs["fn"].name), [env[o] for o in a]),
     "call": _call,
-    "tape_new": lambda m, attrs, env, a: EMPTY_TAPE,
+    "tape_new": lambda m, attrs, env, a: (
+        TapeBatch(_Table(attrs["lanes"]), 0) if "lanes" in attrs else EMPTY_TAPE),
     "tape_push": _tape_push,
     "tape_top": _tape_top,
     "tape_rest": _tape_rest,
-    "tape_spread": _tape_spread,
     "tape_expect_empty": _tape_expect_empty,
 }
 
@@ -543,21 +533,6 @@ def _raise_unbound(fn: Function, block: str, index: int, env: dict, ids) -> None
         if v not in env:
             raise EvalError(fn.name, block, index,
                             f"%{fn.value_name(v)} has no value on this path")
-
-
-def _lane_value(v, lane_shape: tuple[int, ...]):
-    """A lane's top coerced to the requested per-lane shape, or None."""
-    if lane_shape:
-        if isinstance(v, DenseTensor) and v.shape == lane_shape:
-            return v
-        return None
-    if isinstance(v, bool):
-        return 1.0 if v else 0.0
-    if isinstance(v, float):
-        return v
-    if isinstance(v, int):
-        return float(v)
-    return None
 
 
 @np.errstate(all="ignore")

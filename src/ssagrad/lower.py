@@ -29,10 +29,10 @@ and traces persistent, so the replay is exact.
 
 from __future__ import annotations
 
-import numpy as np  # noqa: F401 -- np, EMPTY_TAPE, Tape, TapeBatch: read by lowered code
+import numpy as np  # noqa: F401 -- np, Tape, TapeBatch: read by lowered code
 
 from . import tensor as T
-from .interp import EMPTY_TAPE, KERNELS, Tape, TapeBatch, zero_of  # noqa: F401
+from .interp import KERNELS, Tape, TapeBatch, zero_of  # noqa: F401
 from .ir import Function, Jmp, Module, Ret, Type, term_uses
 from .structure import structurize
 from .tensor import DenseTensor
@@ -91,7 +91,6 @@ TEMPLATES = {
     "reshape": {("tensor",): "{0}.reshape({shape})"},
     "matmul": {("tensor", "tensor"): "T._matmul({0}, {1})"},
     "reduce_sum": {("tensor",): "T._sum({0}, {a[axis]!r})"},
-    "tape_new": {(): "EMPTY_TAPE"},
     "tape_push": {("tape", k): "Tape({1}, {0})" for k in _CLASS},
     "tape_top": {("tape",): "{0}.top if {0}.rest is not None else {1}"},
     "tape_rest": {("tape",): "{0}.rest if {0}.rest is not None else {0}"},

@@ -27,7 +27,9 @@ Conventions baked in here:
   broadcast) but never mixes i64 with f64; itof is the explicit cast.
 * tape / tapes<B> are the trace carriers emitted by the AD and batching
   transforms.  They hold runtime values pushed in execution order and
-  are consumed last-in first-out.
+  are consumed last-in first-out.  A tapes<B> is born from
+  ``tape_new {lanes = B}``; every entry pushed onto it or read from its
+  top is a (B, ...) tensor whose row i belongs to lane i.
 """
 
 from __future__ import annotations
@@ -272,18 +274,23 @@ def _call(op, operands, attrs, module):
     return fn.results[0]
 
 
+def _tape_new(op, operands, attrs, module):
+    if "lanes" not in attrs:
+        return TAPE
+    lanes = attrs["lanes"]
+    if not _is_int(lanes) or lanes < 1:
+        _fail("tape_new needs attribute lanes = positive integer")
+    return tapes_type(lanes)
+
+
 def _tape_push(op, operands, attrs, module):
     t, v = operands
-    per_lane = bool(attrs.get("per_lane", False))
-    if t.kind == "tape":
-        if per_lane:
-            _fail("per-lane tape_push onto tape")
-        return TAPE
     if t.kind == "tapes":
-        if per_lane and (not v.is_tensor or v.shape[0] != t.lanes):
-            _fail(f"per-lane tape_push of {v} onto {t}")
-        return t
-    _fail(f"tape_push onto {t}")
+        if not v.is_tensor or v.shape[0] != t.lanes:
+            _fail(f"tape_push of {v} onto {t} needs a leading {t.lanes}")
+    elif t.kind != "tape":
+        _fail(f"tape_push onto {t}")
+    return t
 
 
 def _tape_top(op, operands, attrs, module):
@@ -291,13 +298,12 @@ def _tape_top(op, operands, attrs, module):
     ty = attrs.get("ty")
     if not isinstance(ty, Type):
         _fail("tape_top needs attribute ty = type")
-    if t.kind == "tape":
-        return ty
     if t.kind == "tapes":
-        if not attrs.get("per_lane") or not ty.is_tensor or ty.shape[0] != t.lanes:
-            _fail(f"tape_top of {ty} from {t} must be per-lane with leading {t.lanes}")
-        return ty
-    _fail(f"tape_top on {t}")
+        if not ty.is_tensor or ty.shape[0] != t.lanes:
+            _fail(f"tape_top of {ty} from {t} needs a leading {t.lanes}")
+    elif t.kind != "tape":
+        _fail(f"tape_top on {t}")
+    return ty
 
 
 def _tape_read(op, operands, attrs, module):
@@ -305,15 +311,6 @@ def _tape_read(op, operands, attrs, module):
     if t.kind not in ("tape", "tapes"):
         _fail(f"{op} on {t}")
     return t if op == "tape_rest" else BOOL
-
-
-def _tape_spread(op, operands, attrs, module):
-    lanes = attrs.get("lanes")
-    if not _is_int(lanes) or lanes < 1:
-        _fail("tape_spread needs attribute lanes = positive integer")
-    if operands[0].kind != "tape":
-        _fail(f"tape_spread on {operands[0]}")
-    return tapes_type(lanes)
 
 
 # --------------------------------------------------------- the table
@@ -362,11 +359,10 @@ OPS: dict[str, OpDef] = {
     "fused_map": OpDef(None, _fused, elementwise=True, faults=True),
     "fused_pack": OpDef(None, _fused, faults=True),
     "call": OpDef(None, _call, faults=True),
-    "tape_new": OpDef(0, lambda *_: TAPE, trace=True),
+    "tape_new": OpDef(0, _tape_new, trace=True),
     "tape_push": OpDef(2, _tape_push, trace=True),
     "tape_top": OpDef(1, _tape_top, trace=True),
     "tape_rest": OpDef(1, _tape_read, trace=True),
-    "tape_spread": OpDef(1, _tape_spread, trace=True),
     "tape_expect_empty": OpDef(1, _tape_read, trace=True, faults=True),
 }
 

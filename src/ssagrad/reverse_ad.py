@@ -202,9 +202,9 @@ class _Augmenter(Copier):
 
         if ins.op == "select" and rty.kind in ("tape", "tapes"):
             raise ADError(f"@{sf.name}: cannot differentiate a select over traces")
-        if ins.op == "tape_spread" or ins.attrs.get("per_lane"):
-            raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
         d = OPS[ins.op]
+        if d.trace and "tapes" in (rty.kind, *(sf.types[o].kind for o in ins.operands)):
+            raise ADError(f"@{sf.name}: batched traces cannot be differentiated")
         if rty.is_differentiable and ins.op not in RULES and not (d.no_cotangent or d.trace):
             raise ADError(f"@{sf.name}: op '{ins.op}' (%{name}) has no derivative rule")
 

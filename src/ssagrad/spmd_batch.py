@@ -16,6 +16,10 @@ that already left.  Traces survive both tricks
 because a batched trace is one index per lane into a table of nodes that
 never change: a select keeps the old node of a lane that did not take a
 branch, and the nodes the other arm pushed stay unreachable from it.
+Every entry of a batched trace is one row per lane, so a uniform value
+is pushed as its rows (``materialize``).  The (B,) rows of a scalar
+constant are made once per function, in its top region, which every
+region is nested in; a branch flag costs no bcast where it is pushed.
 
 Partial ops need care under speculation: a masked-off lane may hold
 values that were never meant to reach a divide or a log, so the
@@ -32,7 +36,7 @@ from math import prod
 
 from . import tensor as T
 from .interp import DEFAULT_STEP_LIMIT
-from .ir import Function, Instruction, Module, Type, tapes_type, tensor_type
+from .ir import F64, Function, Instruction, Module, Type, tapes_type, tensor_type
 from .ops import OPS
 from .structure import (Copier, SEmitter, SFunc, SIf, SInstr, SWhile, closure, defs, flatten, flows,
                         walk)
@@ -101,7 +105,9 @@ class _Vectorizer(Copier):
         # (B,) row of ones marking the lanes the current code runs for;
         # None at top level, where every lane is live
         self.mask: int | None = None
-        self._ones: int | None = None
+        # the scalar constants copied so far, and the rows made of them
+        self.consts: dict[int, dict] = {}
+        self._rows: dict[tuple, int] = {}
 
     # value plumbing
 
@@ -117,15 +123,26 @@ class _Vectorizer(Copier):
     def lane_of(self, v: int) -> tuple[int, ...]:
         return _lane_shape(self.src.types[v])
 
-    def ones_rows(self) -> int:
-        if self._ones is None:
-            one = self.em.const_f64(1.0, "one")
-            self._ones = self.em.emit("bcast", (one,), {"shape": (self.B,)}, "live")
-        return self._ones
+    def rows(self, ty: Type, value, lane: tuple[int, ...] = (), name: str = "rows") -> int:
+        """(B, *lane) rows of a scalar constant, made once in the top
+        region, which every region is nested in.  Keyed by repr, so 0.0
+        and -0.0 stay apart; an i64 goes through ``itof`` at run time, so
+        one beyond the f64 range still faults there."""
+        if ty.kind == "bool":
+            ty, value = F64, float(value)
+        key = (ty.kind, repr(value), lane)
+        if key not in self._rows:
+            em = self.em
+            em.stack, inner = em.stack[:1], em.stack
+            c = em.emit("const", (), {"ty": ty, "value": value}, "c")
+            if ty.kind == "i64":
+                c = em.emit("itof", (c,), None, "c")
+            self._rows[key] = em.emit("bcast", (c,), {"shape": (self.B, *lane)}, name)
+            em.stack = inner
+        return self._rows[key]
 
-    def rows_like(self, fill: float, lane: tuple[int, ...], name: str) -> int:
-        c = self.em.const_f64(fill, name)
-        return self.em.emit("bcast", (c,), {"shape": (self.B, *lane)}, name)
+    def ones_rows(self) -> int:
+        return self.rows(F64, 1.0, name="live")
 
     def pad_mask(self, mask: int, lane: tuple[int, ...]) -> int:
         if not lane:
@@ -145,6 +162,8 @@ class _Vectorizer(Copier):
         if self.is_b(v):
             return self.val(v)
         ty = self.src.types[v]
+        if v in self.consts:
+            return self.rows(ty, self.consts[v]["value"])
         ev = self.val(v)
         nm = self.name_of(v)
         if ty.kind == "f64":
@@ -155,7 +174,7 @@ class _Vectorizer(Copier):
             f = self.em.emit("itof", (ev,), None, nm)
             return self.em.emit("bcast", (f,), {"shape": (self.B,)}, nm)
         # a bool: traces are never uniform (``_scan_batched``)
-        return self.em.emit("select", (ev, self.ones_rows(), self.rows_like(0.0, (), nm)), None, nm)
+        return self.em.emit("select", (ev, self.ones_rows(), self.rows(F64, 0.0)), None, nm)
 
     def edge(self, dst: int, src: int) -> int:
         """The value ``src`` passes along an edge to the binding ``dst``:
@@ -191,7 +210,7 @@ class _Vectorizer(Copier):
         if self.is_b(src):
             lane = self.lane_of(src)
             m = self.pad_mask(self.mask, lane)
-            return self.em.emit("select", (m, vid, self.rows_like(1.0, lane, "safe")), None, "safe")
+            return self.em.emit("select", (m, vid, self.rows(F64, 1.0, lane, "safe")), None, "safe")
         total = self.em.emit("reduce_sum", (self.mask,), {"axis": "all"}, "nlive")
         alive = self.em.emit("gt", (total, self.em.const_f64(0.0, "z")), None, "alive")
         ty = self.src.types[src]
@@ -204,6 +223,8 @@ class _Vectorizer(Copier):
     # ------------------------------------------------------- op cases
 
     def instr(self, ins: Instruction, state: tuple = ()) -> tuple:
+        if ins.op == "const" and not ins.attrs["ty"].is_tensor:
+            self.consts[ins.result] = ins.attrs
         case = _CASES.get(ins.op) if self.is_b(ins.result) else _Vectorizer.lanewise
         if case is None:
             raise BatchError(_BATCH_ERRORS[ins.op])
@@ -295,18 +316,15 @@ class _Vectorizer(Copier):
         return self.em.emit("stack", tuple(rows), {"axis": 1}, nm)
 
     def tape_new(self, ins: Instruction, nm: str) -> int:
-        t = self.em.emit("tape_new", (), None, nm)
-        return self.em.emit("tape_spread", (t,), {"lanes": self.B}, nm)
+        return self.em.emit("tape_new", (), {"lanes": self.B}, nm)
 
     def tape_push(self, ins: Instruction, nm: str) -> int:
         t, v = ins.operands
-        attrs = {"per_lane": True} if self.is_b(v) else None
-        return self.em.emit("tape_push", (self.val(t), self.val(v)), attrs, nm)
+        return self.em.emit("tape_push", (self.val(t), self.materialize(v)), None, nm)
 
     def tape_top(self, ins: Instruction, nm: str) -> int:
         ty = batched_type(ins.attrs["ty"], self.B)
-        return self.em.emit(
-            "tape_top", (self.val(ins.operands[0]),), {"ty": ty, "per_lane": True}, nm)
+        return self.em.emit("tape_top", (self.val(ins.operands[0]),), {"ty": ty}, nm)
 
     # --------------------------------------------------- control flow
 
@@ -331,7 +349,7 @@ class _Vectorizer(Copier):
 
         self.mask = outer
         for (mv, mty), tv, ev in zip(node.merged, then_vals, else_vals):
-            self.valmap[mv] = em.emit(
+            self.valmap[mv] = tv if tv == ev else em.emit(
                 "select", (self.pad_mask(m, _lane_shape(mty)), tv, ev), None, self.name_of(mv))
         return state
 
@@ -361,7 +379,7 @@ class _Vectorizer(Copier):
         for (cv, cty), ba in zip(node.carried, node.body_args):
             p = self.val(cv)
             nv = self.materialize(ba)
-            back.append(em.emit(
+            back.append(p if nv == p else em.emit(
                 "select", (self.pad_mask(act, _lane_shape(cty)), nv, p), None, self.name_of(cv)))
         body_nodes = em.pop_region()
         self.mask = outer
@@ -378,8 +396,6 @@ class _Vectorizer(Copier):
         em, sf = self.em, self.src
         for pv, ty in sf.params:
             self.valmap[pv] = em.param(self.name_of(pv), batched_type(ty, self.B))
-        # the all-live row is shared across regions, so pin it at the top
-        self.ones_rows()
         self.region(sf.region)
         rets = tuple(self.materialize(rv) for rv in sf.ret_vals)
         return em.finish(rets)
@@ -393,10 +409,7 @@ _CASES.update({op: getattr(_Vectorizer, op) for op in (
     "select", "itof", "matmul", "reshape", "reduce_sum", "bcast", "stack", "unstack",
     "fused_pack", "tape_new", "tape_push", "tape_top")})
 _CASES.update(dict.fromkeys(("transpose", "tape_rest", "tape_expect_empty"), _Vectorizer.same_op))
-_BATCH_ERRORS = {
-    "call": "calls are inlined before batching",
-    "tape_spread": "tape_spread input is already per-lane",
-}
+_BATCH_ERRORS = {"call": "calls are inlined before batching"}
 
 
 def vectorize(module: Module, name: str, lanes: int) -> Function:

@@ -33,7 +33,7 @@ def test_round_trip_identity(analytic):
 
 # SHA-256 of the module test_generated_code_round_trips prints.  A change
 # that alters emitted IR on purpose updates this constant and says why.
-EMITTED_IR_SHA256 = "244ba0be6d3e1794666ab271a807c02a100666db2db3bb76480dd733cf4297f4"
+EMITTED_IR_SHA256 = "d9d026f747ffe6b7af625f1d6cffecd3e94df45f2ef6b9e822b92fdf4e3d36f5"
 # SHA-256 of the same module's functions whose names hold no __batched_:
 # augment, __grad and their adjoints.  A change to batching alone leaves it.
 EMITTED_UNBATCHED_IR_SHA256 = "ff0fe94ce2aed8390982848301ec13725f957658b05c784cf4431cdf1245b104"
@@ -84,7 +84,7 @@ def _assert_digest(text: str, want: str, tmp_path: Path, fname: str = "emitted.s
 
 # SHA-256 of the modules test_transform_paths_off_the_corpus prints; it
 # changes under the same rule as EMITTED_IR_SHA256
-TRANSFORM_IR_SHA256 = "49ca5674d6de2b1ea811a032db99449912dd0d3668059a89385e40de51ad777e"
+TRANSFORM_IR_SHA256 = "2c110fdb6fdbed6ebb1843705479d6882f410238233c386eeecb0321fd4601ca"
 # and of their functions whose names hold no __batched_, as above
 TRANSFORM_UNBATCHED_IR_SHA256 = "5769917abdf0a9cbfe800bcee8e0f755acc1fbe1bf62310b523b8d4af339934d"
 
@@ -949,21 +949,18 @@ TYPE_FAULTS = {
     "call_operands": ("%y = call %i {fn = @sq}", None,
                       "call @sq: operand types ['i64'] do not match parameters ['f64']"),
     "tape_new_arity": ("%y = tape_new %t", None, "tape_new takes 0 operand(s), got 1"),
-    "per_lane_push_onto_tape": ("%y = tape_push %t, %v {per_lane = true}", None,
-                                "per-lane tape_push onto tape"),
-    "per_lane_push_lanes": ("%y = tape_push %ts, %v {per_lane = true}", None,
-                            "per-lane tape_push of tensor<3xf64> onto tapes<2>"),
+    "tape_new_lanes": ("%y = tape_new {lanes = 0}", None,
+                       "tape_new needs attribute lanes = positive integer"),
+    "tape_new_lanes_bool": ("%y = tape_new {lanes = true}", None,
+                            "tape_new needs attribute lanes = positive integer"),
+    "push_lanes": ("%y = tape_push %ts, %v", None,
+                   "tape_push of tensor<3xf64> onto tapes<2> needs a leading 2"),
     "push_kind": ("%y = tape_push %x, %x", None, "tape_push onto f64"),
     "top_ty": ("%y = tape_top %t", None, "tape_top needs attribute ty = type"),
-    "top_per_lane": ("%y = tape_top %ts {ty = f64}", None,
-                     "tape_top of f64 from tapes<2> must be per-lane with leading 2"),
+    "top_lanes": ("%y = tape_top %ts {ty = f64}", None,
+                  "tape_top of f64 from tapes<2> needs a leading 2"),
     "top_kind": ("%y = tape_top %x {ty = f64}", None, "tape_top on f64"),
     "rest_kind": ("%y = tape_rest %x", None, "tape_rest on f64"),
-    "spread_lanes": ("%y = tape_spread %t", None,
-                     "tape_spread needs attribute lanes = positive integer"),
-    "spread_lanes_bool": ("%y = tape_spread %t {lanes = true}", None,
-                          "tape_spread needs attribute lanes = positive integer"),
-    "spread_kind": ("%y = tape_spread %ts {lanes = 2}", None, "tape_spread on tapes<2>"),
     "expect_empty_kind": ("%y = tape_expect_empty %x", None, "tape_expect_empty on f64"),
     "unknown_op": ("%y = frobnicate %x", None, "unknown op 'frobnicate'"),
 }

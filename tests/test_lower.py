@@ -101,8 +101,7 @@ def dump(v):
 def _path(table, n: int) -> list:
     out = []
     while n:
-        value, per_lane = table.values[n]
-        out.append((dump(value), per_lane))
+        out.append(dump(table.values[n]))
         n = int(table.parent[n])
     return out
 

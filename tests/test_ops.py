@@ -88,9 +88,10 @@ def _tensors(*shape):
 
 
 def _traces(lanes):
-    t = KERNELS["tape_spread"](None, {"lanes": lanes}, [Tape(math.nan, EMPTY_TAPE)], range(1))
+    t = KERNELS["tape_new"](None, {"lanes": lanes}, [], range(0))
+    t = KERNELS["tape_push"](None, {}, [t, DenseTensor.full((lanes,), math.nan)], range(2))
     rows = DenseTensor.from_flat((lanes,), SPECIALS)
-    return [t, KERNELS["tape_push"](None, {"per_lane": True}, [t, rows], range(2))]
+    return [t, KERNELS["tape_push"](None, {}, [t, rows], range(2))]
 
 
 VALUES = {
@@ -114,11 +115,8 @@ ATTRS = {
     "bcast": [{"shape": (2, LANES)}],
     "stack": [{"axis": 0}, {"axis": 1}],
     "unstack": [{"index": 1, "axis": 0}, {"index": 0, "axis": 1}],
-    "tape_push": [{}, {"per_lane": True}],
-    "tape_top": [{"ty": F64}, {"ty": tensor_type(LANES)},
-                 {"ty": tensor_type(LANES), "per_lane": True},
-                 {"ty": tensor_type(LANES, 2), "per_lane": True}],
-    "tape_spread": [{"lanes": LANES}],
+    "tape_new": [{}, {"lanes": LANES}],
+    "tape_top": [{"ty": F64}, {"ty": tensor_type(LANES)}, {"ty": tensor_type(LANES, 2)}],
 }
 
 

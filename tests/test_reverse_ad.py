@@ -516,19 +516,19 @@ def test_grad_and_step_builders_emit_one_function(monkeypatch):
 
 
 def test_batched_traces_cannot_be_differentiated():
-    # a per-lane push or pop moves values through a batched trace, which
+    # a push or pop moves values through a batched trace, which
     # the pullback cannot reverse; augment names it instead of dropping
     # the values' cotangents
     m = parse_ir("""
 func @push(%t: tapes<2>, %v: tensor<2xf64>) -> tapes<2> {
 ^entry:
-  %t2 = tape_push %t, %v {per_lane = true}
+  %t2 = tape_push %t, %v
   ret %t2
 }
 
 func @pop(%t: tapes<2>, %x: tensor<2xf64>) -> tensor<2xf64> {
 ^entry:
-  %v = tape_top %t {ty = tensor<2xf64>, per_lane = true}
+  %v = tape_top %t {ty = tensor<2xf64>}
   %y = mul %v, %x
   ret %y
 }

@@ -26,7 +26,7 @@ def kernel(op, attrs, *vals):
 
 
 def top(t, shape):
-    return kernel("tape_top", {"ty": tensor_type(*shape), "per_lane": True}, t)
+    return kernel("tape_top", {"ty": tensor_type(*shape)}, t)
 
 
 def expect_empty(t):
@@ -39,20 +39,16 @@ def expect_empty(t):
 # ------------------------------------------------------ per-lane model
 
 
-def model_push(lanes, v, per_lane):
-    if per_lane:
-        rows = [take(v, i) for i in range(v.shape[0])] if v.rank > 1 else list(v.data)
-        return tuple(Tape(r, t) for r, t in zip(rows, lanes))
-    return tuple(Tape(v, t) for t in lanes)
+def model_push(lanes, v):
+    rows = [take(v, i) for i in range(v.shape[0])] if v.rank > 1 else list(v.data)
+    return tuple(Tape(r, t) for r, t in zip(rows, lanes))
 
 
 def model_row(v, row):
     """One lane's entry read as the requested row, or None for zeros."""
     if row:
         return v.data if isinstance(v, DenseTensor) and v.shape == row else None
-    if isinstance(v, (bool, int, float)):
-        return float(v)
-    return None
+    return v if isinstance(v, float) else None
 
 
 def model_top(lanes, shape):
@@ -86,18 +82,6 @@ def scalar(rng):
     return rng.choice(SPECIAL) if rng.random() < 0.2 else rng.uniform(-3, 3)
 
 
-def shared_value(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return rng.random() < 0.5
-    if kind == 1:
-        return rng.randrange(-5, 6)
-    if kind == 2:
-        shape = rng.choice([(2,), (3,)])
-        return DenseTensor.from_flat(shape, [scalar(rng) for _ in range(math.prod(shape))])
-    return scalar(rng)
-
-
 def lane_rows(rng, lanes):
     shape = rng.choice([(lanes,), (lanes, 2), (lanes, 3)])
     return DenseTensor.from_flat(shape, [scalar(rng) for _ in range(math.prod(shape))])
@@ -111,52 +95,46 @@ def mask(rng, lanes):
         (lanes,), [rng.choice([0.0, -0.0, 1.0, 2.5, -1.0, math.nan]) for _ in range(lanes)])
 
 
-def spread(rng, lanes):
-    t = EMPTY_TAPE
-    for _ in range(rng.randrange(3)):
-        t = Tape(shared_value(rng), t)
-    return kernel("tape_spread", {"lanes": lanes}, t), (t,) * lanes
+def new(lanes):
+    return kernel("tape_new", {"lanes": lanes}), (EMPTY_TAPE,) * lanes
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 8, 64])
 def test_tape_batch_matches_per_lane_tapes(lanes):
     rng = random.Random(9000 + lanes)
-    pool = [spread(rng, lanes)]
+    pool = [new(lanes)]
     seen = {"divergent": 0, "across": 0, "older": 0}
     extended = set()  # ids of traces pushed onto so far
     for _ in range(1500):
         # mostly work on recent traces, so that they grow deep
         b, model = pool[-1 - min(int(rng.expovariate(0.3)), len(pool) - 1)]
-        op = rng.choices(["spread", "push", "push_lane", "top", "rest", "select", "empty"],
-                         [1, 4, 8, 8, 6, 6, 2])[0]
-        new = None
-        if op == "spread":
-            new = spread(rng, lanes)
+        op = rng.choices(["new", "push", "top", "rest", "select", "empty"],
+                         [1, 12, 8, 6, 6, 2])[0]
+        made = None
+        if op == "new":
+            made = new(lanes)
         elif op == "push":
-            v = shared_value(rng)
-            new = kernel("tape_push", {}, b, v), model_push(model, v, False)
-        elif op == "push_lane":
             v = lane_rows(rng, lanes)
-            new = kernel("tape_push", {"per_lane": True}, b, v), model_push(model, v, True)
+            made = kernel("tape_push", {}, b, v), model_push(model, v)
         elif op == "top":
             shape = rng.choice([(lanes,), (lanes, 2), (lanes, 3)])
             assert bits(top(b, shape)) == bits(model_top(model, shape))
         elif op == "rest":
-            new = kernel("tape_rest", {}, b), model_rest(model)
+            made = kernel("tape_rest", {}, b), model_rest(model)
         elif op == "select":
             c, (y, ymodel) = mask(rng, lanes), rng.choice(pool)
             seen["across"] += y.table is not b.table
-            new = kernel("select", {}, c, b, y), model_select(c, model, ymodel)
+            made = kernel("select", {}, c, b, y), model_select(c, model, ymodel)
         else:
             assert expect_empty(b) == model_expect_empty(model)
-        if new is not None:
-            assert new[0].depths() == [len(t) for t in new[1]]
-            seen["divergent"] += not isinstance(new[0].at, int)
-            if op.startswith("push"):
+        if made is not None:
+            assert made[0].depths() == [len(t) for t in made[1]]
+            seen["divergent"] += not isinstance(made[0].at, int)
+            if op == "push":
                 # a second push onto b leaves the first one's trace to be read later
                 seen["older"] += id(b) in extended
                 extended.add(id(b))
-            pool.append(new)
+            pool.append(made)
     # every old trace still reads as its model, after all the pushes since
     for b, model in pool:
         assert b.depths() == [len(t) for t in model]
@@ -170,11 +148,11 @@ def test_tape_batch_matches_per_lane_tapes(lanes):
 def test_older_trace_reads_the_same_after_a_newer_push():
     v1 = DenseTensor.from_flat((4,), [1.0, 2.0, 3.0, 4.0])
     v2 = DenseTensor.from_flat((4,), [5.0, 6.0, 7.0, 8.0])
-    base = kernel("tape_spread", {"lanes": 4}, EMPTY_TAPE)
+    base = kernel("tape_new", {"lanes": 4})
     mixed = kernel("select", {}, DenseTensor.from_flat((4,), [1.0, 0.0, 1.0, 0.0]),
-                   kernel("tape_push", {"per_lane": True}, base, v1), base)
-    first = kernel("tape_push", {"per_lane": True}, mixed, v1)
-    second = kernel("tape_push", {"per_lane": True}, mixed, v2)
+                   kernel("tape_push", {}, base, v1), base)
+    first = kernel("tape_push", {}, mixed, v1)
+    second = kernel("tape_push", {}, mixed, v2)
     assert top(first, (4,)).flat() == [1.0, 2.0, 3.0, 4.0]
     assert top(second, (4,)).flat() == [5.0, 6.0, 7.0, 8.0]
     assert top(kernel("tape_rest", {}, first), (4,)).flat() == [1.0, 0.0, 3.0, 0.0]
@@ -185,9 +163,9 @@ def test_older_trace_reads_the_same_after_a_newer_push():
 
 def test_select_across_two_tables():
     v = DenseTensor.from_flat((3, 2), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    x = kernel("tape_push", {}, kernel("tape_spread", {"lanes": 3}, EMPTY_TAPE), 9.0)
-    y = kernel("tape_spread", {"lanes": 3}, Tape(7.0, EMPTY_TAPE))
-    y = kernel("tape_push", {"per_lane": True}, y, v)
+    x = kernel("tape_push", {}, kernel("tape_new", {"lanes": 3}), DenseTensor.full((3,), 9.0))
+    y = kernel("tape_push", {}, kernel("tape_new", {"lanes": 3}), DenseTensor.full((3,), 7.0))
+    y = kernel("tape_push", {}, y, v)
     assert x.table is not y.table
     z = kernel("select", {}, DenseTensor.from_flat((3,), [0.0, math.nan, -0.0]), x, y)
     assert repr(z) == "<tapes 2/1/2>"
@@ -203,9 +181,8 @@ def test_select_across_two_tables():
 PUSH_ROWS_SRC = """
 func @f(%v: tensor<2xf64>) -> bool {
 ^entry:
-  %t0 = tape_new
-  %t = tape_spread %t0 {lanes = 4}
-  %t2 = tape_push %t, %v {per_lane = true}
+  %t = tape_new {lanes = 4}
+  %t2 = tape_push %t, %v
   %e = tape_expect_empty %t2
   ret %e
 }
@@ -218,6 +195,6 @@ def test_per_lane_push_with_the_wrong_row_count_is_a_located_eval_error():
         eval_function(m, "f", (DenseTensor.from_flat((2,), [1.0, 2.0]),))
     e = info.value
     assert (e.function, e.block, e.index, e.message) == (
-        "f", "entry", 2, "per-lane tape_push of shape (2,) onto tapes<4>")
-    with pytest.raises(ValueError, match=r"per-lane tape_push of a float onto tapes<4>"):
-        kernel("tape_push", {"per_lane": True}, kernel("tape_spread", {"lanes": 4}, EMPTY_TAPE), 1.0)
+        "f", "entry", 1, "tape_push of shape (2,) onto tapes<4>")
+    with pytest.raises(ValueError, match=r"^tape_push of a float onto tapes<4>$"):
+        kernel("tape_push", {}, kernel("tape_new", {"lanes": 4}), 1.0)
