@@ -31,6 +31,13 @@ def test_round_trip_identity(analytic):
     assert print_ir(parse_ir(text)) == text
 
 
+def test_bool_attributes_round_trip():
+    # no transform emits a bool attribute, so the printer's case is held here
+    text = ("func @f(%x: f64) -> f64 {\n^entry:\n"
+            "  %y = neg %x {off = false, on = true}\n  ret %y\n}\n")
+    assert print_ir(parse_ir(text)) == text
+
+
 # SHA-256 of the module test_generated_code_round_trips prints.  A change
 # that alters emitted IR on purpose updates this constant and says why.
 EMITTED_IR_SHA256 = "d9d026f747ffe6b7af625f1d6cffecd3e94df45f2ef6b9e822b92fdf4e3d36f5"
@@ -644,6 +651,38 @@ PARSE_FAULTS = {
     "tapes_constant": (
         "func @f(%x: f64) -> f64 {\n^entry:\n  %t = const tapes<2> 0\n  ret %x\n}\n",
         3, 8, "constants of type tapes<2> are not allowed"),
+    "zero_extent": (
+        "func @f(%x: tensor<0xf64>) -> f64 {\n^entry:\n  %z = const f64 0.0\n  ret %z\n}\n",
+        1, 13, "tensor extents must be positive"),
+    "redefined_block": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  jmp ^b()\n^b:\n  jmp ^b()\n^b:\n  ret %x\n}\n",
+        6, 1, "redefinition of block ^b"),
+    "entry_block_params": (
+        "func @f(%x: f64) -> f64 {\n^entry(%y: f64):\n  ret %x\n}\n",
+        2, 2, "entry block takes its parameters from the function header"),
+    "duplicate_function": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  ret %x\n}\n"
+        "func @f(%x: f64) -> f64 {\n^entry:\n  ret %x\n}\n",
+        5, 1, "duplicate function name @f"),
+    "lane_count_not_integer": (
+        "func @f(%t: tapes<x>) -> f64 {\n^entry:\n  %z = const f64 0.0\n  ret %z\n}\n",
+        1, 19, "expected integer lane count"),
+    "const_not_a_number": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  %z = const f64 abc\n  ret %z\n}\n",
+        3, 18, "expected number"),
+    "unknown_type": ("func @f(%x: f32) -> f64 {\n^entry:\n  ret %x\n}\n",
+                     1, 13, "unknown type literal"),
+    "bad_attribute_value": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  %y = pow_int %x {n = %x}\n  ret %y\n}\n",
+        3, 24, "expected attribute value"),
+    "bool_not_true_or_false": (
+        "func @f(%x: f64) -> f64 {\n^entry:\n  %b = const bool 1\n  ret %x\n}\n",
+        3, 19, "expected true or false"),
+    "no_func": ("fun @f(%x: f64) -> f64 {\n^entry:\n  ret %x\n}\n", 1, 1, "expected 'func'"),
+    "junk_after_function": ("func @f(%x: f64) -> f64 {\n^entry:\n  ret %x\n}\nret\n",
+                            5, 1, "expected 'func' or end of input"),
+    "value_name_missing": ("func @f(%1x: f64) -> f64 {\n^entry:\n  ret %x\n}\n",
+                           1, 10, "expected value name"),
 }
 
 

@@ -538,6 +538,52 @@ func @pop(%t: tapes<2>, %x: tensor<2xf64>) -> tensor<2xf64> {
             augment(m, name)
 
 
+REFUSED_SRC = """
+func @two(%x: f64) -> (f64, f64) {
+^entry:
+  ret %x, %x
+}
+
+func @count(%n: i64, %x: f64) -> f64 {
+^entry:
+  ret %x
+}
+
+func @prod(%x: f64, %y: f64) -> f64 {
+^entry:
+  %p = mul %x, %y
+  ret %p
+}
+
+func @pick(%x: f64, %c: bool) -> f64 {
+^entry:
+  %a = tape_new
+  %b = tape_push %a, %x
+  %t = select %c, %a, %b
+  %y = tape_top %t {ty = f64}
+  %z = mul %y, %x
+  ret %z
+}
+"""
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: build_grad_function(m, "two"), ADError,
+     "@two must return a single f64 to chain derivatives"),
+    (lambda m: build_grad_function(m, "count"), ADError,
+     "@count needs a differentiable first parameter"),
+    (lambda m: grad_of_grad(m, "prod", 1.0), ADError, "@prod must take a single f64 parameter"),
+    (lambda m: grad(m, "prod", (1.0, 2.0), (1.0, 1.0)), ValueError, "expected 1 seeds, got 2"),
+    (lambda m: augment(m, "pick"), ADError, "@pick: cannot differentiate a select over traces"),
+], ids=["grad_fn_results", "grad_fn_param", "grad_of_grad_params", "seed_count", "select_traces"])
+def test_public_refusals_name_their_cause(call, error, message):
+    m = parse_ir(REFUSED_SRC)
+    assert verify(m) == []
+    with pytest.raises(error) as info:
+        call(m)
+    assert str(info.value) == message
+
+
 # hand-written functions with inactive values: a dead chain, a
 # constant broadcast, an itof accumulator carried by a loop, and dead
 # instructions that fault

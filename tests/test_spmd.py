@@ -290,6 +290,73 @@ func @mm(%x: tensor<2x3xf64>) -> tensor<2x2xf64> {
         assert bits(got) == bits(eval_function(m, "mm", args)[0])
 
 
+def test_uniform_values_that_are_not_constants_leave_as_rows():
+    # %lt, %gt and %k are computed from constants: uniform, but no
+    # constant's rows, so each is copied out to every lane, the bools by
+    # a select on the pinned rows and the i64 by itof and bcast
+    m = parse_ir("""
+func @flags(%x: f64) -> (f64, bool, bool, i64) {
+^entry:
+  %a = const f64 1.0
+  %b = const f64 2.0
+  %lt = lt %a, %b
+  %gt = gt %a, %b
+  %i = const i64 3
+  %k = add %i, %i
+  ret %x, %lt, %gt, %k
+}
+""")
+    per = [(-1.5,), (0.0,), (2.5,)]
+    cols = run_lanes(m, "flags", 3, per)
+    assert [tuple(col[i] for col in cols) for i in range(3)] == [
+        eval_function(m, "flags", args) for args in per]
+    assert cols[1:] == [[True] * 3, [False] * 3, [6] * 3]
+
+
+def test_constant_rows_keep_their_bits_and_their_fault():
+    # a constant's rows are shared by value, yet 0.0 and -0.0 get rows of
+    # their own; an i64 beyond the f64 range is converted when the
+    # batched code runs, not when it is built
+    m = parse_ir(f"""
+func @zeros(%x: f64) -> (f64, f64, f64) {{
+^entry:
+  %p = const f64 0.0
+  %n = const f64 -0.0
+  ret %x, %p, %n
+}}
+
+func @huge(%x: f64) -> (f64, i64) {{
+^entry:
+  %k = const i64 {10 ** 400}
+  ret %x, %k
+}}
+""")
+    cols = run_lanes(m, "zeros", 2, [(1.0,), (2.0,)])
+    assert [[bits(v) for v in col] for col in cols[1:]] == [[bits(0.0)] * 2, [bits(-0.0)] * 2]
+    fn = vectorize(m, "huge", 2)
+    with pytest.raises(EvalError, match="int too large to convert to float"):
+        eval_function(m, fn.name, (stack_lanes(F64, [1.0, 2.0]),))
+
+
+def test_a_uniform_mask_selects_between_arms_of_two_lane_shapes():
+    # %m is uniform, so the select is no lane-wise one: the f64 arm is
+    # lifted to the tensor arm's lane shape before it
+    m = parse_ir("""
+func @pick(%x: f64, %v: tensor<3xf64>) -> tensor<3xf64> {
+^entry:
+  %m = const tensor<3xf64> [1.0, 0.0, 1.0]
+  %y = select %m, %x, %v
+  ret %y
+}
+""")
+    t = lambda *v: DenseTensor.from_flat((3,), v)
+    per = [(0.5, t(1.0, 2.0, 3.0)), (-2.0, t(-0.0, 4.0, -1.0)), (7.0, t(0.25, -3.0, 6.0))]
+    (col,) = run_lanes(m, "pick", 3, per)
+    for got, args in zip(col, per):
+        assert bits(got) == bits(eval_function(m, "pick", args)[0])
+    assert [c.flat() for c in col] == [[0.5, 2.0, 0.5], [-2.0, 4.0, -2.0], [7.0, -3.0, 7.0]]
+
+
 def test_batched_type_mapping():
     from ssagrad.spmd_batch import batched_type
     from ssagrad.ir import TAPE, tapes_type
