@@ -105,8 +105,8 @@ class _Vectorizer(Copier):
         # (B,) row of ones marking the lanes the current code runs for;
         # None at top level, where every lane is live
         self.mask: int | None = None
-        # the scalar constants copied so far, and the rows made of them
-        self.consts: dict[int, dict] = {}
+        # the values of the scalar constants copied so far, and their rows
+        self.consts: dict[int, object] = {}
         self._rows: dict[tuple, int] = {}
 
     # value plumbing
@@ -163,7 +163,7 @@ class _Vectorizer(Copier):
             return self.val(v)
         ty = self.src.types[v]
         if v in self.consts:
-            return self.rows(ty, self.consts[v]["value"])
+            return self.rows(ty, self.consts[v])
         ev = self.val(v)
         nm = self.name_of(v)
         if ty.kind == "f64":
@@ -224,7 +224,7 @@ class _Vectorizer(Copier):
 
     def instr(self, ins: Instruction, state: tuple = ()) -> tuple:
         if ins.op == "const" and not ins.attrs["ty"].is_tensor:
-            self.consts[ins.result] = ins.attrs
+            self.consts[ins.result] = ins.attrs["value"]
         case = _CASES.get(ins.op) if self.is_b(ins.result) else _Vectorizer.lanewise
         if case is None:
             raise BatchError(_BATCH_ERRORS[ins.op])
@@ -316,7 +316,9 @@ class _Vectorizer(Copier):
         return self.em.emit("stack", tuple(rows), {"axis": 1}, nm)
 
     def tape_new(self, ins: Instruction, nm: str) -> int:
-        return self.em.emit("tape_new", (), {"lanes": self.B}, nm)
+        # batched_type refuses a trace that is already per lane
+        lanes = batched_type(self.src.types[ins.result], self.B).lanes
+        return self.em.emit("tape_new", (), {"lanes": lanes}, nm)
 
     def tape_push(self, ins: Instruction, nm: str) -> int:
         t, v = ins.operands

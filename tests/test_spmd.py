@@ -271,6 +271,28 @@ func @f(%a: tensor<2x2x3xf64>, %b: tensor<2x3x2xf64>) -> tensor<2x2x2xf64> {
         vectorize(m, "f", 2)
 
 
+def test_a_batched_trace_is_not_batched_again():
+    # a select over tapes<2> takes a (2,) mask, which batching would make
+    # (3, 2); a trace that is already per lane is refused where it is born
+    m = parse_ir("""
+func @f(%x: f64) -> f64 {
+^entry:
+  %t = tape_new {lanes = 2}
+  %r = const tensor<2xf64> [1.0, 2.0]
+  %m = const tensor<2xf64> [1.0, 0.0]
+  %mx = mul %m, %x
+  %t1 = tape_push %t, %r
+  %t2 = select %mx, %t1, %t
+  %v = tape_top %t2 {ty = tensor<2xf64>}
+  %s = reduce_sum %v {axis = all}
+  %y = add %s, %x
+  ret %y
+}
+""")
+    with pytest.raises(BatchError, match=r"cannot batch a value of type tapes<2>"):
+        vectorize(m, "f", 3)
+
+
 def test_matmul_with_a_uniform_operand_on_either_side():
     # %w and %v are uniform: each is copied out to every lane before its
     # matmul, %w on the right and %v on the left
